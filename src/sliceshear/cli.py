@@ -114,12 +114,13 @@ def _handle_rep(args) -> tuple[str, dict]:
     payload = []
     for k in range(group.exponent + 1):
         line = line_L(V, k)
-        rows.append(f"k={k}  slope={line.slope}  tau={tau(V, k)}  {line.equation()}")
+        t = int(line.intercept)  # line_L's intercept is tau(V, k)
+        rows.append(f"k={k}  slope={line.slope}  tau={t}  {line.equation()}")
         payload.append(
             {
                 "k": k,
                 "slope": line.slope,
-                "tau": tau(V, k),
+                "tau": t,
                 "intercept": str(line.intercept),
             }
         )
@@ -217,14 +218,13 @@ def _handle_vanishing(args) -> tuple[str, dict]:
         slope = (1 << k) - 1
         nk = N_constant(args.h, args.n, k)
         bound = max_length(args.h, args.n, k)
-        rows.append(
-            f"k={k}  slope={slope}  tau={tau(V, k)}  N={nk}  max_length={bound}"
-        )
+        t = tau(V, k)
+        rows.append(f"k={k}  slope={slope}  tau={t}  N={nk}  max_length={bound}")
         payload.append(
             {
                 "k": k,
                 "slope": slope,
-                "tau": tau(V, k),
+                "tau": t,
                 "N": nk,
                 "max_length": bound,
             }

@@ -10,6 +10,7 @@ Groups are recorded by their exponent, so ``3`` means C8.
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Union
 
 from .differentials import PROVENANCES, Differential
@@ -84,7 +85,8 @@ def _int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-_BASIS_KEY_RE_TEMPLATE = r"l[1-9]\d*"
+# lambda_i keys: ASCII digits only, no leading zero, so "l0" cannot alias sigma
+_LAMBDA_KEY_RE = re.compile(r"l[1-9]\d*", re.ASCII)
 
 
 def _exp_vector(value, path: str, level: int, zero_key: str) -> tuple[int, ...]:
@@ -94,7 +96,7 @@ def _exp_vector(value, path: str, level: int, zero_key: str) -> tuple[int, ...]:
     for key, e in value.items():
         if key == zero_key:
             idx = 0
-        elif key.startswith("l") and key[1:].isdigit():
+        elif _LAMBDA_KEY_RE.fullmatch(key):
             idx = int(key[1:])
         else:
             raise JsonSchemaError(f"{path}.{key}", "unknown basis key")

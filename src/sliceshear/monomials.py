@@ -2,9 +2,9 @@
 
 A :class:`ClassMonomial` is an integer multiple of a product of Euler classes
 ``a_W``, orientation classes ``u_W`` and normed polynomial-generator classes
-``N(t_i)`` living over a subgroup level of an ambient cyclic 2-group.  The
-bidegree bookkeeping (stem, filtration, slice dimension) is exact and derived
-from the stored exponents; monomials are immutable and always kept in
+``N(t_i)`` living over a subgroup level of an ambient cyclic 2-group.  Degree
+and bidegree are integer closed forms in the stored exponents, computed once
+per monomial on first read; monomials are immutable and always kept in
 canonical form, including torsion reduction of the coefficient.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .reps import CyclicGroup, RepError, VirtualRep, regular_rep
+from .reps import CyclicGroup, RepError, VirtualRep
 
 __all__ = [
     "ClassMonomial",
@@ -79,6 +79,10 @@ class ClassMonomial:
         object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "a_exp", a)
         object.__setattr__(self, "u_exp", u)
+        # grading caches, filled on first read; preset so that all instances
+        # share one attribute layout, which keeps field reads fast
+        object.__setattr__(self, "_degree", None)
+        object.__setattr__(self, "_bidegree", None)
 
     def _sized(self, name: str, vec: tuple[int, ...]) -> tuple[int, ...]:
         if len(vec) > self.level:
@@ -161,47 +165,51 @@ class ClassMonomial:
     # -- grading -------------------------------------------------------------
 
     def degree(self) -> VirtualRep:
-        """RO(C_{2^level}) degree of the monomial.
+        """RO(C_{2^level}) degree of the monomial, computed once and cached.
 
-        Each norm factor (i, j) contributes (2^i - 1) copies of the regular
-        representation of C_{2^j}, included into the level group by name;
-        a_W contributes -W and u_W contributes |W| - W.
+        A norm factor (i, j, e) adds c = e(2^i - 1) regular representations of
+        C_{2^j} by name: c to 1 and to sigma, c*2^(m-1) to lambda_m for m < j.
+        a_W adds -W; u_W adds |W| - W, i.e. 2 - 2sigma or 2 - lambda_i.
         """
-        lg = self.level_group
-        deg = VirtualRep.zero(lg)
-        for i, j, e in self.norms:
-            deg = deg + (e * ((1 << i) - 1)) * regular_rep(CyclicGroup(j)).pullback_to(lg)
-        for idx, e in enumerate(self.a_exp):
-            if e:
-                deg = deg - e * self._basis_rep(lg, idx, doubled=False)
-        for idx, e in enumerate(self.u_exp):
-            if e:
-                w = self._basis_rep(lg, idx, doubled=True)
-                deg = deg + e * (VirtualRep.of(lg, triv=w.dimension) - w)
-        return deg
+        if self._degree is None:
+            co = [0] * (self.level + 1)
+            for i, j, e in self.norms:
+                c = e * ((1 << i) - 1)
+                co[0] += c
+                co[1] += c
+                for m in range(1, j):
+                    co[1 + m] += c << (m - 1)
+            for idx, (a, u) in enumerate(zip(self.a_exp, self.u_exp)):
+                co[0] += 2 * u
+                co[1 + idx] -= a + (2 * u if idx == 0 else u)
+            object.__setattr__(self, "_degree", VirtualRep(self.level_group, tuple(co)))
+        return self._degree
 
-    @staticmethod
-    def _basis_rep(lg: CyclicGroup, idx: int, doubled: bool) -> VirtualRep:
-        if idx == 0:
-            return VirtualRep.of(lg, sigma=2 if doubled else 1)
-        return VirtualRep.of(lg, lam={idx: 1})
+    def bidegree(self) -> tuple[int, int, int]:
+        """(stem, filtration, slice_dim), computed once and cached.
 
-    @property
-    def slice_dim(self) -> int:
-        """Total slice dimension t: sum over norm factors of e*(2^i - 1)*2^j."""
-        return sum(e * ((1 << i) - 1) * (1 << j) for i, j, e in self.norms)
+        slice_dim = sum of e(2^i - 1)2^j over norm factors, filtration =
+        a_sigma + 2 * sum(a_lambda_i), stem = slice_dim - filtration = |degree|.
+        """
+        if self._bidegree is None:
+            slice_dim = sum((e * ((1 << i) - 1)) << j for i, j, e in self.norms)
+            filtration = sum(self.a_exp[:1]) + 2 * sum(self.a_exp[1:])
+            object.__setattr__(
+                self, "_bidegree", (slice_dim - filtration, filtration, slice_dim)
+            )
+        return self._bidegree
 
     @property
     def stem(self) -> int:
-        return self.degree().dimension
+        return self.bidegree()[0]
 
     @property
     def filtration(self) -> int:
-        return self.slice_dim - self.stem
+        return self.bidegree()[1]
 
-    def bidegree(self) -> tuple[int, int, int]:
-        """(stem, filtration, slice_dim); filtration also equals sum(a_exp * dims)."""
-        return (self.stem, self.filtration, self.slice_dim)
+    @property
+    def slice_dim(self) -> int:
+        return self.bidegree()[2]
 
     # -- algebra ---------------------------------------------------------------
 

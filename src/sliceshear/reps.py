@@ -65,11 +65,6 @@ class CyclicGroup:
         return f"C{self.order}"
 
 
-def _basis_size(exponent: int) -> int:
-    # basis (1,) for the trivial group, else (1, sigma, lambda_1..lambda_{n-1})
-    return 1 if exponent == 0 else exponent + 1
-
-
 @dataclass(frozen=True)
 class VirtualRep:
     """A virtual real representation of a cyclic 2-group.
@@ -84,7 +79,7 @@ class VirtualRep:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        want = _basis_size(self.group.exponent)
+        want = self.group.exponent + 1
         if len(self.coeffs) != want:
             raise RepError(
                 f"expected {want} basis coefficients for RO({self.group}), "
@@ -98,7 +93,7 @@ class VirtualRep:
 
     @classmethod
     def zero(cls, group: CyclicGroup) -> "VirtualRep":
-        return cls(group, (0,) * _basis_size(group.exponent))
+        return cls(group, (0,) * (group.exponent + 1))
 
     @classmethod
     def of(
@@ -110,7 +105,7 @@ class VirtualRep:
     ) -> "VirtualRep":
         """Build a representation from named multiplicities."""
         n = group.exponent
-        co = [0] * _basis_size(n)
+        co = [0] * (n + 1)
         co[0] = triv
         if sigma:
             if n == 0:
@@ -144,10 +139,7 @@ class VirtualRep:
     @property
     def dimension(self) -> int:
         """Virtual real dimension: triv + sigma + 2 * (sum of lambda parts)."""
-        n = self.group.exponent
-        if n == 0:
-            return self.coeffs[0]
-        return self.coeffs[0] + self.coeffs[1] + 2 * sum(self.coeffs[2:])
+        return sum(self.coeffs[:2]) + 2 * sum(self.coeffs[2:])
 
     @property
     def is_zero(self) -> bool:
@@ -186,6 +178,12 @@ class VirtualRep:
 
     # -- change of group ---------------------------------------------------
 
+    def _fixed_coeffs(self, k: int) -> tuple[int, ...]:
+        n = self.group.exponent
+        if not 0 <= k <= n:
+            raise RepError(f"fixed-point index k={k} out of range for {self.group}")
+        return self.coeffs[: 2 if k < n else 1] + self.coeffs[2 : n - k + 1]
+
     def fixed_points(self, k: int) -> "VirtualRep":
         """The C_{2^k}-fixed representation, as a representation of the quotient.
 
@@ -193,35 +191,25 @@ class VirtualRep:
         kernel C_{2^(n-1)}; lambda_i survives iff C_{2^k} lies in its kernel
         C_{2^(n-i-1)}.  Surviving elements keep their names in the quotient.
         """
-        n = self.group.exponent
-        if not 0 <= k <= n:
-            raise RepError(f"fixed-point index k={k} out of range for {self.group}")
-        q = self.group.quotient(k)
-        out = [0] * _basis_size(q.exponent)
-        out[0] = self.c_triv
-        if k <= n - 1:
-            out[1] = self.c_sigma
-        for i in self.lambda_range:
-            if k <= n - 1 - i:
-                out[1 + i] = self.c_lambda(i)
-        return VirtualRep(q, tuple(out))
+        return VirtualRep(self.group.quotient(k), self._fixed_coeffs(k))
+
+    def fixed_dimension(self, k: int) -> int:
+        """``fixed_points(k).dimension`` without building the quotient rep:
+        c_1 + [k <= n-1] c_sigma + 2 * sum_{i <= n-1-k} c_lambda_i."""
+        co = self._fixed_coeffs(k)
+        return sum(co[:2]) + 2 * sum(co[2:])
 
     def pullback_to(self, group: CyclicGroup) -> "VirtualRep":
         """Name-preserving pullback along the quotient map onto this rep's group.
 
         Inverse to ``fixed_points``: fixed_points(pullback(V), k) == V.
         """
-        if group.exponent < self.group.exponent:
+        extra = group.exponent - self.group.exponent
+        if extra < 0:
             raise RepError(
                 f"cannot pull back from {self.group} to the smaller group {group}"
             )
-        out = [0] * _basis_size(group.exponent)
-        out[0] = self.c_triv
-        if self.group.exponent >= 1:
-            out[1] = self.c_sigma
-            for i in self.lambda_range:
-                out[1 + i] = self.c_lambda(i)
-        return VirtualRep(group, tuple(out))
+        return VirtualRep(group, self.coeffs + (0,) * extra)
 
     def restrict(self, m: int) -> "VirtualRep":
         """Restriction to the subgroup C_{2^m}, generated by gamma^(2^(n-m)).
@@ -235,7 +223,7 @@ class VirtualRep:
         if not 0 <= m <= n:
             raise RepError(f"restriction level m={m} out of range for {self.group}")
         sub = CyclicGroup(m)
-        out = [0] * _basis_size(m)
+        out = [0] * (m + 1)
         out[0] = self.c_triv
         if n >= 1:
             if m == n:
@@ -311,7 +299,6 @@ class Line:
 
     slope: int
     intercept: Fraction
-    grading: VirtualRep
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intercept", Fraction(self.intercept))
@@ -324,7 +311,7 @@ class Line:
         return Fraction(s) >= self.at(x)
 
     def shifted(self, ds: Union[int, Fraction]) -> "Line":
-        return Line(self.slope, self.intercept + Fraction(ds), self.grading)
+        return Line(self.slope, self.intercept + Fraction(ds))
 
     def equation(self) -> str:
         lhs = f"s = {self.slope}(t-s)" if self.slope != 0 else "s ="
@@ -346,13 +333,12 @@ def tau(V: VirtualRep, k: int) -> int:
     n = V.group.exponent
     if not 0 <= k <= n:
         raise RepError(f"tau index k={k} out of range for {V.group}")
-    dim = V.dimension
-    return max(V.fixed_points(j).dimension * (1 << j) - dim for j in range(k + 1))
+    return max(V.fixed_dimension(j) << j for j in range(k + 1)) - V.dimension
 
 
 def line_L(V: VirtualRep, k: int) -> Line:
     """The slope-(2^k - 1) stratification line s = (2^k-1)(t-s) + tau(V, k)."""
-    return Line(slope=(1 << k) - 1, intercept=Fraction(tau(V, k)), grading=V)
+    return Line(slope=(1 << k) - 1, intercept=Fraction(tau(V, k)))
 
 
 def constant_C(V: VirtualRep, k: int) -> Fraction:
@@ -364,5 +350,5 @@ def constant_C(V: VirtualRep, k: int) -> Fraction:
     n_plus_1 = V.group.exponent
     if not 1 <= k <= n_plus_1 - 1:
         raise RepError(f"threshold index k={k} out of range for {V.group}")
-    gap = V.fixed_points(k).dimension * (1 << k) - V.dimension
+    gap = (V.fixed_dimension(k) << k) - V.dimension
     return Fraction(tau(V, k) - gap, 1 << k)

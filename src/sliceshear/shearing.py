@@ -123,7 +123,7 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
     coordinate t - s is preserved.
     """
-    offset = ctx.source_grading.dimension * (1 << ctx.k) - ctx.grading.dimension
+    offset = (ctx.grading.fixed_dimension(ctx.k) << ctx.k) - ctx.grading.dimension
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s
     return t_prime, s_prime

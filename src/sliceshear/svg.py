@@ -37,7 +37,10 @@ _STYLE = """\
   </style>"""
 
 
-def _fmt(v: Union[int, float, Fraction]) -> str:
+def _fmt(v: Union[int, Fraction]) -> str:
+    if isinstance(v, int):
+        # the same digits as the float path for every |v| < 2^53
+        return str(v)
     s = f"{float(v):.2f}"
     s = s.rstrip("0").rstrip(".")
     return "0" if s == "-0" else s
@@ -75,11 +78,11 @@ def emit_svg(doc: ChartDocument) -> bytes:
     width = 2 * PAD + (x_max - x_min) * CELL
     height = 2 * PAD + s_max * CELL
 
-    def X(x: Union[int, Fraction]) -> Fraction:
-        return Fraction(PAD) + (Fraction(x) - x_min) * CELL
+    def X(x: Union[int, Fraction]) -> Union[int, Fraction]:
+        return PAD + (x - x_min) * CELL
 
-    def Y(s: Union[int, Fraction]) -> Fraction:
-        return Fraction(height - PAD) - Fraction(s) * CELL
+    def Y(s: Union[int, Fraction]) -> Union[int, Fraction]:
+        return height - PAD - s * CELL
 
     def inside(x: int, s: int) -> bool:
         return x_min <= x <= x_max and 0 <= s <= s_max

@@ -100,9 +100,9 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     group = CyclicGroup(n + 1)
     if V.group != group:
         raise RepError(f"boundary grading must live over {group}, got {V.group}")
-    top = max(V.fixed_points(j).dimension for j in range(n + 2))
+    top = max(V.fixed_dimension(j) for j in range(n + 2))
     order = 1 << (n + 1)
-    return Line(order - 1, Fraction(-V.dimension + order * top), V)
+    return Line(order - 1, Fraction(-V.dimension + order * top))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from sliceshear import ClassMonomial, CyclicGroup, VirtualRep
+from sliceshear import ClassMonomial, CyclicGroup, VirtualRep, regular_rep
 
 
 def character(V: VirtualRep, j: int) -> float:
@@ -66,6 +66,31 @@ def restrict_oracle(V: VirtualRep, m: int) -> VirtualRep:
         sigma=round(sigma) if m >= 1 else 0,
         lam={i: round(v) for i, v in lam.items()},
     )
+
+
+def reference_degree(m: ClassMonomial) -> VirtualRep:
+    """The degree of a monomial by chained representation-ring arithmetic.
+
+    Each norm factor (i, j, e) adds e(2^i - 1) copies of the regular
+    representation of C_{2^j} pulled back to the level group; a_W subtracts
+    W and u_W adds |W| - W, with W = 2 sigma in the first u slot.
+    """
+    lg = CyclicGroup(m.level)
+    deg = VirtualRep.zero(lg)
+    for i, j, e in m.norms:
+        deg = deg + (e * ((1 << i) - 1)) * regular_rep(CyclicGroup(j)).pullback_to(lg)
+
+    def basis(idx: int, doubled: bool) -> VirtualRep:
+        if idx == 0:
+            return VirtualRep.of(lg, sigma=2 if doubled else 1)
+        return VirtualRep.of(lg, lam={idx: 1})
+
+    for idx, e in enumerate(m.a_exp):
+        deg = deg - e * basis(idx, doubled=False)
+    for idx, e in enumerate(m.u_exp):
+        w = basis(idx, doubled=True)
+        deg = deg + e * (VirtualRep.of(lg, triv=w.dimension) - w)
+    return deg
 
 
 def random_rep(rng: random.Random, group: CyclicGroup, span: int = 6) -> VirtualRep:

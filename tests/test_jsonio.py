@@ -80,6 +80,18 @@ class TestSchema:
         with pytest.raises(JsonSchemaError, match="unknown basis key"):
             import_json(json.dumps([obj]))
 
+    def test_unicode_digit_basis_key(self):
+        obj = monomial_to_obj(build_D(2, 1))
+        obj["a"] = {"l\u00b2": 1}
+        with pytest.raises(JsonSchemaError, match="unknown basis key"):
+            import_json(json.dumps([obj]))
+
+    def test_l0_does_not_alias_sigma(self):
+        obj = monomial_to_obj(build_D(2, 1))
+        obj["a"] = {"s": 1, "l0": 3}
+        with pytest.raises(JsonSchemaError, match="unknown basis key"):
+            import_json(json.dumps([obj]))
+
     def test_basis_slot_out_of_range(self):
         obj = monomial_to_obj(hu_kriz_seed(1).source)
         obj["a"] = {"l5": 1}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from sliceshear import (
     norm_class,
     rho_bar,
 )
-from helpers import random_actual_rep, random_monomial
+from helpers import random_actual_rep, random_monomial, reference_degree
 
 
 def C(n):
@@ -195,3 +196,39 @@ def test_zero_class_canonical_form():
     assert z.is_zero
     assert z == ClassMonomial.zero(C2, 1)
     assert z.norms == () and z.a_exp == (0,) and z.u_exp == (0,)
+
+
+@st.composite
+def monomials(draw):
+    """Levels 0-5 inside groups up to C64, any coefficient (so torsion-reduced
+    and zero classes occur), norm factors normed to any j <= level."""
+    exponent = draw(st.integers(0, 6))
+    level = draw(st.integers(0, min(5, exponent)))
+    exps = st.lists(st.integers(0, 6), min_size=level, max_size=level).map(tuple)
+    norm = st.tuples(st.integers(1, 5), st.integers(1, max(level, 1)), st.integers(0, 3))
+    norms = st.lists(norm, max_size=3 if level else 0).map(tuple)
+    coeff = draw(st.integers(-20, 20))
+    return ClassMonomial(C(exponent), level, coeff, draw(norms), draw(exps), draw(exps))
+
+
+class TestClosedFormKernel:
+    @given(monomials())
+    def test_matches_chained_reference(self, m):
+        ref = reference_degree(m)
+        slice_dim = sum(e * ((1 << i) - 1) * (1 << j) for i, j, e in m.norms)
+        assert m.degree() == ref
+        assert m.bidegree() == (ref.dimension, slice_dim - ref.dimension, slice_dim)
+        for k in range(m.level + 1):
+            assert ref.fixed_dimension(k) == ref.fixed_points(k).dimension
+
+    @given(monomials())
+    def test_cached_grading_leaves_identity_unchanged(self, m):
+        m.degree()
+        m.bidegree()
+        fresh = ClassMonomial(m.group, m.level, m.coeff, m.norms, m.a_exp, m.u_exp)
+        assert m == fresh
+        assert hash(m) == hash(fresh)
+        assert repr(m) == repr(fresh)
+        assert [f.name for f in fields(m)] == [
+            "group", "level", "coeff", "norms", "a_exp", "u_exp"
+        ]

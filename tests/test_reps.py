@@ -91,6 +91,7 @@ class TestFixedPoints:
             v = random_rep(rng, C(n))
             for k in range(n + 1):
                 assert v.fixed_points(k).dimension == fixed_dim_oracle(v, k)
+                assert v.fixed_dimension(k) == fixed_dim_oracle(v, k)
 
 
 class TestPullback:

@@ -91,3 +91,81 @@ class TestRendering:
             assert emit_svg(doc) == data
             rendered += 1
         assert rendered > 20
+
+
+# Negative x_min, a vanishing guide whose clipped ends are non-integer
+# Fractions (x = -8/3), a boundary guide with non-integer pixels, and a class
+# at stem 0.  The expected bytes were rendered with Fraction arithmetic for
+# every pixel, so they pin the int path of the formatter to the same digits.
+FORMATTING_DOC = """\
+group C8
+grading 1-s
+window -4 1 4
+class one = 1
+class e = aS
+class b = 3*u2S*aL1
+guide vanish h=4 k=2
+guide boundary
+"""
+
+FORMATTING_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="276" height="240" viewBox="0 0 276 240">
+  <style>
+    text { font-family: monospace; font-size: 10px; fill: #222222; }
+    .grid { stroke: #eeeeee; stroke-width: 1; }
+    .axis { stroke: #555555; stroke-width: 1; }
+    .guide { stroke: #888888; stroke-dasharray: 4 3; fill: none; }
+    .guide-label { fill: #666666; }
+    .cls { fill: #111111; }
+    .d-seed { stroke: #1f77b4; stroke-width: 1.5; fill: none; }
+    .d-transported { stroke: #d62728; stroke-width: 1.5; fill: none; }
+    .d-generated { stroke: #2ca02c; stroke-width: 1.5; fill: none; }
+    .d-user { stroke: #111111; stroke-width: 1.5; fill: none; }
+    .warning { fill: #bb0000; font-size: 11px; }
+  </style>
+  <defs>
+    <marker id="arrow" viewBox="0 0 8 8" refX="7" refY="4" markerWidth="6" markerHeight="6" orient="auto-start-reverse">
+      <path d="M 0 0 L 8 4 L 0 8 z" fill="context-stroke"/>
+    </marker>
+  </defs>
+  <line class="grid" x1="48" y1="192" x2="48" y2="48"/>
+  <text x="48" y="206" text-anchor="middle">-4</text>
+  <line class="grid" x1="84" y1="192" x2="84" y2="48"/>
+  <text x="84" y="206" text-anchor="middle">-3</text>
+  <line class="grid" x1="120" y1="192" x2="120" y2="48"/>
+  <text x="120" y="206" text-anchor="middle">-2</text>
+  <line class="grid" x1="156" y1="192" x2="156" y2="48"/>
+  <text x="156" y="206" text-anchor="middle">-1</text>
+  <line class="grid" x1="192" y1="192" x2="192" y2="48"/>
+  <text x="192" y="206" text-anchor="middle">0</text>
+  <line class="grid" x1="228" y1="192" x2="228" y2="48"/>
+  <text x="228" y="206" text-anchor="middle">1</text>
+  <line class="grid" x1="48" y1="192" x2="228" y2="192"/>
+  <text x="40" y="195" text-anchor="end">0</text>
+  <line class="grid" x1="48" y1="156" x2="228" y2="156"/>
+  <text x="40" y="159" text-anchor="end">1</text>
+  <line class="grid" x1="48" y1="120" x2="228" y2="120"/>
+  <text x="40" y="123" text-anchor="end">2</text>
+  <line class="grid" x1="48" y1="84" x2="228" y2="84"/>
+  <text x="40" y="87" text-anchor="end">3</text>
+  <line class="grid" x1="48" y1="48" x2="228" y2="48"/>
+  <text x="40" y="51" text-anchor="end">4</text>
+  <line class="axis" x1="48" y1="192" x2="228" y2="192"/>
+  <line class="axis" x1="192" y1="192" x2="192" y2="48"/>
+  <line class="guide" x1="48" y1="192" x2="96" y2="48"/>
+  <text class="guide-label" x="100" y="44">N k=2</text>
+  <line class="guide" x1="150.86" y1="192" x2="171.43" y2="48"/>
+  <text class="guide-label" x="175.43" y="44">boundary</text>
+  <circle class="cls" cx="192" cy="192" r="3.5"/>
+  <text x="198" y="186">one</text>
+  <circle class="cls" cx="156" cy="156" r="3.5"/>
+  <text x="162" y="150">e</text>
+  <circle class="cls" cx="120" cy="120" r="3.5"/>
+  <text x="126" y="114">b</text>
+</svg>
+"""
+
+
+def test_pixel_formatting_matches_fraction_rendering():
+    assert emit_svg(parse(FORMATTING_DOC)) == FORMATTING_SVG.encode()
