@@ -27,7 +27,7 @@ from .dsl import (
 )
 from .jsonio import JsonSchemaError, differential_to_obj, monomial_to_obj
 from .monomials import MonomialError
-from .reps import CyclicGroup, RepError, VirtualRep, line_L, tau
+from .reps import CyclicGroup, RepError, line_L, tau
 from .shearing import (
     ShearContext,
     ShearError,
@@ -48,11 +48,10 @@ EXIT_SEMANTIC = 3
 
 
 class _CliFailure(Exception):
-    def __init__(self, code: int, kind: str, message: str, line: int | None = None):
+    def __init__(self, code: int, kind: str, message: str):
         self.code = code
         self.kind = kind
         self.message = message
-        self.line = line
         super().__init__(message)
 
 
@@ -68,15 +67,7 @@ def _color(text: str, code: str) -> str:
     return text
 
 
-def _group(text: str) -> CyclicGroup:
-    return parse_group_name(text)
-
-
-def _rep(text: str, group: CyclicGroup) -> VirtualRep:
-    return parse_rep(text, group)
-
-
-def _require(args, parser_name: str, **needed):
+def _require(parser_name: str, **needed):
     for flag, value in needed.items():
         if value is None:
             raise _CliFailure(
@@ -88,26 +79,26 @@ def _require(args, parser_name: str, **needed):
 
 
 def _handle_rep(args) -> tuple[str, dict]:
-    group = _group(args.group)
-    V = _rep(args.V, group)
+    group = parse_group_name(args.group)
+    V = parse_rep(args.V, group)
     if args.op == "dim":
         return str(V.dimension), {"dimension": V.dimension}
     if args.op == "fixed":
-        _require(args, "rep fixed", k=args.k)
+        _require("rep fixed", k=args.k)
         W = V.fixed_points(args.k)
         return (
             f"{W} over {W.group}",
             {"rep": str(W), "group": W.group.exponent},
         )
     if args.op == "restrict":
-        _require(args, "rep restrict", m=args.m)
+        _require("rep restrict", m=args.m)
         W = V.restrict(args.m)
         return (
             f"{W} over {W.group}",
             {"rep": str(W), "group": W.group.exponent},
         )
     if args.op == "tau":
-        _require(args, "rep tau", k=args.k)
+        _require("rep tau", k=args.k)
         value = tau(V, args.k)
         return str(value), {"tau": value}
     rows = []
@@ -131,7 +122,7 @@ def _handle_shear(args) -> tuple[str, dict]:
     target = CyclicGroup(args.n + 1)
     if not 0 <= args.k <= args.n:
         raise ShearError(f"shear step k={args.k} out of range for n={args.n}")
-    V = _rep(args.V, target)
+    V = parse_rep(args.V, target)
     ctx = ShearContext(CyclicGroup(args.n + 1 - args.k), target, args.k, V)
     t_prime, s_prime = shear_degree(ctx, args.t, args.s)
     return (
@@ -141,14 +132,11 @@ def _handle_shear(args) -> tuple[str, dict]:
 
 
 def _handle_correspond(args) -> tuple[str, dict]:
-    source_group = _group(args.group)
+    source_group = parse_group_name(args.group)
     level = None if args.level is None else parse_group_name(args.level).exponent
     m = parse_class_expr(args.expr, source_group, level)
     target = CyclicGroup(source_group.exponent + args.k)
-    grading = (
-        VirtualRep.zero(target) if args.V is None else _rep(args.V, target)
-    )
-    ctx = ShearContext(source_group, target, args.k, grading)
+    ctx = ShearContext(source_group, target, args.k, parse_rep(args.V, target))
     out = correspond_class(m, ctx)
     region = region_of(m, ctx)
     text = print_canonical(out)
@@ -165,8 +153,7 @@ def _handle_correspond(args) -> tuple[str, dict]:
 
 def _handle_tower(args) -> tuple[str, dict]:
     group = CyclicGroup(args.n + 1)
-    grading = None if args.V is None else _rep(args.V, group)
-    entries = tower_report(args.n, args.m, grading)
+    entries = tower_report(args.n, args.m, parse_rep(args.V, group))
     rows = []
     payload = []
     for e in entries:
@@ -193,10 +180,10 @@ def _handle_hhr(args) -> tuple[str, dict]:
 
 
 def _handle_transport(args) -> tuple[str, dict]:
-    source_group = _group(args.group)
+    source_group = parse_group_name(args.group)
     d = parse_diff_spec(args.diff, source_group)
     target = CyclicGroup(source_group.exponent + args.k)
-    grading = None if args.V is None else _rep(args.V, target)
+    grading = None if args.V is None else parse_rep(args.V, target)
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -210,7 +197,7 @@ def _handle_transport(args) -> tuple[str, dict]:
 
 def _handle_vanishing(args) -> tuple[str, dict]:
     group = CyclicGroup(args.n + 1)
-    V = VirtualRep.zero(group) if args.V is None else _rep(args.V, group)
+    V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
     rows = []
     payload = []
@@ -234,7 +221,7 @@ def _handle_vanishing(args) -> tuple[str, dict]:
 
 def _handle_check(args) -> tuple[str, dict]:
     group = CyclicGroup(args.n + 1)
-    V = VirtualRep.zero(group) if args.V is None else _rep(args.V, group)
+    V = parse_rep(args.V, group)
     profile = VanishingProfile(args.n, args.h, V)
     d = parse_diff_spec(args.diff, group)
     violations = admissible(d, profile)
@@ -309,14 +296,14 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--group", "-g", required=True, help="source group, e.g. C2")
     p.add_argument("--level", help="source class level, e.g. C2 (default: top)")
-    p.add_argument("--V", help="grading over the target group (default 0)")
+    p.add_argument("--V", default="0", help="grading over the target group (default 0)")
     common(p)
     p.set_defaults(handler=_handle_correspond)
 
     p = sub.add_parser("tower", help="tower of shearing isomorphism regions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help="height index, h = 2^n * m")
-    p.add_argument("--V", help="grading over C_(2^(n+1)) (default 0)")
+    p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
     common(p)
     p.set_defaults(handler=_handle_tower)
 
@@ -337,7 +324,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("vanishing", help="vanishing line table")
     p.add_argument("--h", type=int, required=True, help="chromatic height, 2^n * m")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--V", help="grading over C_(2^(n+1)) (default 0)")
+    p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
     common(p)
     p.set_defaults(handler=_handle_vanishing)
 
@@ -345,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--diff", required=True, help="'<r>: <source> -> <target>'")
-    p.add_argument("--V", help="grading over C_(2^(n+1)) (default 0)")
+    p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
     common(p)
     p.set_defaults(handler=_handle_check)
 
@@ -371,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         text, payload = args.handler(args)
     except _CliFailure as e:
-        _emit_error(e.code, e.kind, e.message, e.line)
+        _emit_error(e.code, e.kind, e.message)
         return e.code
     except DslSyntaxError as e:
         _emit_error(EXIT_PARSE, "parse", e.reason, e.line)

@@ -226,11 +226,8 @@ class PermanentCycleFact:
     @property
     def oriented_rep(self) -> VirtualRep:
         """The representation V with u_class = u_V."""
-        lg = self.u_class.level_group
-        v = VirtualRep.of(lg, sigma=2 * self.u_class.u_exponent("2s"))
-        for i in range(1, self.u_class.level):
-            v = v + VirtualRep.of(lg, lam={i: self.u_class.u_exponent(i)})
-        return v
+        u = self.u_class.u_exp
+        return VirtualRep(self.u_class.level_group, (0, 2 * u[0], *u[1:]) if u else (0,))
 
     @property
     def periodicity(self) -> VirtualRep:

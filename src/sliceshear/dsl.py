@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, field
 
 from .differentials import Differential, DifferentialError, validate
-from .monomials import ClassMonomial, MonomialError
-from .reps import CyclicGroup, RepError, VirtualRep
+from .monomials import ClassMonomial, MonomialError, _d_norms
+from .reps import CyclicGroup, RepError, VirtualRep, basis_names
 from .vanishing import N_constant
 
 __all__ = [
@@ -175,10 +175,10 @@ _CLASS_TOKEN = re.compile(
     r"""\s*(?:
         (?P<nt>Nt\[\s*(?P<nt_i>\d+)\s*,\s*(?P<nt_j>\d+)\s*\])
       | (?P<dd>D\[\s*(?P<d_n>\d+)\s*,\s*(?P<d_m>\d+)\s*\])
-      | (?P<a_l>aL(?P<a_l_i>\d+))
-      | (?P<a_s>aS)
-      | (?P<u_2s>u2S)
-      | (?P<u_l>uL(?P<u_l_i>\d+))
+      | (?P<aL>aL(?P<aL_i>\d+))
+      | (?P<aS>aS)
+      | (?P<u2S>u2S)
+      | (?P<uL>uL(?P<uL_i>\d+))
       | (?P<num>-?\d+)
       | (?P<pow>\^)
       | (?P<mul>\*)
@@ -241,24 +241,15 @@ def parse_class_expr(
             idx += 1
         if kind == "num":
             coeff *= int(m.group("num")) ** exponent
-        elif kind == "a_s":
+        elif kind == "aS" or kind == "u2S":
             if lv < 1:
-                raise semantic("aS needs a level of at least C2", col)
-            a[0] += exponent
-        elif kind == "a_l":
-            i = int(m.group("a_l_i"))
+                raise semantic(f"{kind} needs a level of at least C2", col)
+            (a if kind == "aS" else u)[0] += exponent
+        elif kind == "aL" or kind == "uL":
+            i = int(m.group(kind + "_i"))
             if not 1 <= i <= lv - 1:
-                raise semantic(f"aL{i} is not in the basis at level C{1 << lv}", col)
-            a[i] += exponent
-        elif kind == "u_2s":
-            if lv < 1:
-                raise semantic("u2S needs a level of at least C2", col)
-            u[0] += exponent
-        elif kind == "u_l":
-            i = int(m.group("u_l_i"))
-            if not 1 <= i <= lv - 1:
-                raise semantic(f"uL{i} is not in the basis at level C{1 << lv}", col)
-            u[i] += exponent
+                raise semantic(f"{kind}{i} is not in the basis at level C{1 << lv}", col)
+            (a if kind == "aL" else u)[i] += exponent
         elif kind == "nt":
             i, j = int(m.group("nt_i")), int(m.group("nt_j"))
             if i < 1:
@@ -275,8 +266,7 @@ def parse_class_expr(
                 raise semantic(f"D[{dn},{dm}]: both indices must be >= 1", col)
             if dn > lv:
                 raise semantic(f"D[{dn},{dm}] needs a level of at least C{1 << dn}", col)
-            for kk in range(1, dn + 1):
-                norms.append(((1 << (dn - kk)) * dm, dn, exponent))
+            norms += _d_norms(dn, dm, exponent)
         else:
             raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", line, col)
         if idx == len(tokens):
@@ -458,14 +448,10 @@ def _print_monomial(m: ClassMonomial) -> str:
 
     for i, j, e in m.norms:
         push(f"Nt[{i},{j}]", e)
-    for i in range(m.level - 1, 0, -1):
-        push(f"aL{i}", m.a_exp[i])
-    if m.a_exp and m.a_exp[0]:
-        push("aS", m.a_exp[0])
-    for i in range(m.level - 1, 0, -1):
-        push(f"uL{i}", m.u_exp[i])
-    if m.u_exp and m.u_exp[0]:
-        push("u2S", m.u_exp[0])
+    for name, e in zip(reversed(basis_names(m.level, "aS", "aL")), reversed(m.a_exp)):
+        push(name, e)
+    for name, e in zip(reversed(basis_names(m.level, "u2S", "uL")), reversed(m.u_exp)):
+        push(name, e)
     if not factors:
         return str(m.coeff)
     if m.coeff != 1:

@@ -15,7 +15,7 @@ from typing import Iterable, Union
 
 from .differentials import PROVENANCES, Differential
 from .monomials import ClassMonomial, MonomialError
-from .reps import CyclicGroup, RepError
+from .reps import CyclicGroup, RepError, basis_names
 
 __all__ = [
     "JsonSchemaError",
@@ -39,25 +39,15 @@ class JsonSchemaError(ValueError):
 
 
 def monomial_to_obj(m: ClassMonomial) -> dict:
-    a = {}
-    if m.level >= 1 and m.a_exp[0]:
-        a["s"] = m.a_exp[0]
-    for i in range(1, m.level):
-        if m.a_exp[i]:
-            a[f"l{i}"] = m.a_exp[i]
-    u = {}
-    if m.level >= 1 and m.u_exp[0]:
-        u["2s"] = m.u_exp[0]
-    for i in range(1, m.level):
-        if m.u_exp[i]:
-            u[f"l{i}"] = m.u_exp[i]
+    a, u = m.a_exp, m.u_exp
+    # most classes carry only a's or only u's; an all-zero side skips the table
     return {
         "group": m.group.exponent,
         "level": m.level,
         "coeff": m.coeff,
         "norms": [[i, j, e] for i, j, e in m.norms],
-        "a": a,
-        "u": u,
+        "a": {k: e for k, e in zip(basis_names(m.level, "s"), a) if e} if any(a) else {},
+        "u": {k: e for k, e in zip(basis_names(m.level, "2s"), u) if e} if any(u) else {},
     }
 
 
@@ -85,7 +75,8 @@ def _int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-# lambda_i keys: ASCII digits only, no leading zero, so "l0" cannot alias sigma
+# a lambda_i key at some level, which tells an unknown key from one out of
+# range at this level: ASCII digits only, no leading zero, so "l0" is unknown
 _LAMBDA_KEY_RE = re.compile(r"l[1-9]\d*", re.ASCII)
 
 
@@ -93,16 +84,13 @@ def _exp_vector(value, path: str, level: int, zero_key: str) -> tuple[int, ...]:
     if not isinstance(value, dict):
         raise JsonSchemaError(path, f"expected an object, got {value!r}")
     vec = [0] * level
+    names = basis_names(level, zero_key)
     for key, e in value.items():
-        if key == zero_key:
-            idx = 0
-        elif _LAMBDA_KEY_RE.fullmatch(key):
-            idx = int(key[1:])
-        else:
-            raise JsonSchemaError(f"{path}.{key}", "unknown basis key")
-        if not 0 <= idx <= level - 1:
+        if key not in names:
+            if key != zero_key and not _LAMBDA_KEY_RE.fullmatch(key):
+                raise JsonSchemaError(f"{path}.{key}", "unknown basis key")
             raise JsonSchemaError(f"{path}.{key}", f"basis slot out of range at level {level}")
-        vec[idx] = _int(e, f"{path}.{key}", minimum=0)
+        vec[names.index(key)] = _int(e, f"{path}.{key}", minimum=0)
     return tuple(vec)
 
 
@@ -126,6 +114,11 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
                 _int(triple[1], f"{tpath}[1]", minimum=1),
                 _int(triple[2], f"{tpath}[2]", minimum=0),
             )
+        )
+    if level > group:
+        # rejected here, before the exponent maps build a basis table of that length
+        raise JsonSchemaError(
+            path, f"level {level} out of range for ambient group {CyclicGroup(group)}"
         )
     a = _exp_vector(_need(obj, "a", path), f"{path}.a", level, "s")
     u = _exp_vector(_need(obj, "u", path), f"{path}.u", level, "2s")

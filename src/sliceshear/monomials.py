@@ -30,8 +30,9 @@ class MonomialError(ValueError):
     """Raised for ill-formed monomials or mismatched products."""
 
 
-# a_exp / u_exp basis layout at level l >= 1: index 0 is sigma (2*sigma for
-# u's), index i is lambda_i for 1 <= i <= l-1.  Level 0 carries no factors.
+# a_exp / u_exp basis layout: the slots of reps.basis_names(level), i.e.
+# index 0 is sigma (2*sigma for u's) and index i is lambda_i for
+# 1 <= i <= level-1.  Level 0 carries no factors.
 
 
 @dataclass(frozen=True)
@@ -148,20 +149,6 @@ class ClassMonomial:
     def level_group(self) -> CyclicGroup:
         return CyclicGroup(self.level)
 
-    def a_exponent(self, name: int | str) -> int:
-        """Exponent of a_sigma (name ``"s"``) or a_lambda_i (name ``i``)."""
-        return self._exp(self.a_exp, name)
-
-    def u_exponent(self, name: int | str) -> int:
-        return self._exp(self.u_exp, name)
-
-    def _exp(self, vec: tuple[int, ...], name: int | str) -> int:
-        if name in ("s", "2s"):
-            return vec[0] if vec else 0
-        if isinstance(name, int) and 1 <= name <= self.level - 1:
-            return vec[name]
-        raise MonomialError(f"no basis slot {name!r} at level {self.level}")
-
     # -- grading -------------------------------------------------------------
 
     def degree(self) -> VirtualRep:
@@ -261,9 +248,7 @@ def expand_euler(V: VirtualRep) -> ClassMonomial:
             f"Euler classes require an actual representation with no trivial "
             f"summand, got {V}"
         )
-    n = V.group.exponent
-    a = [V.c_sigma] + [V.c_lambda(i) for i in V.lambda_range] if n >= 1 else []
-    return ClassMonomial(V.group, n, a_exp=tuple(a))
+    return ClassMonomial(V.group, V.group.exponent, a_exp=V.coeffs[1:])
 
 
 def expand_orientation(V: VirtualRep) -> ClassMonomial:
@@ -280,8 +265,8 @@ def expand_orientation(V: VirtualRep) -> ClassMonomial:
     if V.c_sigma % 2:
         raise RepError(f"{V} is not orientable: odd sigma multiplicity")
     n = V.group.exponent
-    u = [V.c_sigma // 2] + [V.c_lambda(i) for i in V.lambda_range] if n >= 1 else []
-    return ClassMonomial(V.group, n, u_exp=tuple(u))
+    u = (V.c_sigma // 2,) + V.coeffs[2:] if n >= 1 else ()
+    return ClassMonomial(V.group, n, u_exp=u)
 
 
 def norm_class(
@@ -293,13 +278,16 @@ def norm_class(
     return ClassMonomial(group, lv, norms=((i, jj, exp),))
 
 
+def _d_norms(n: int, m: int, e: int = 1) -> list[tuple[int, int, int]]:
+    """The norm triples (2^(n-k) m, n, e) of D[n,m]^e, k = 1..n."""
+    return [((1 << (n - k)) * m, n, e) for k in range(1, n + 1)]
+
+
 def build_D(n: int, m: int) -> ClassMonomial:
     """The top-level product of norms N_{C_2}^{C_{2^n}}(t_{2^(n-k) m}), k = 1..n."""
     if n < 1 or m < 1:
         raise MonomialError(f"D indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
-    group = CyclicGroup(n)
-    norms = tuple(((1 << (n - k)) * m, n, 1) for k in range(1, n + 1))
-    return ClassMonomial(group, n, norms=norms)
+    return ClassMonomial(CyclicGroup(n), n, norms=tuple(_d_norms(n, m)))
 
 
 def build_Dbar(n: int, m: int) -> ClassMonomial:
@@ -307,6 +295,4 @@ def build_Dbar(n: int, m: int) -> ClassMonomial:
     D = N(t_{2^(n-1) m}) * Dbar."""
     if n < 1 or m < 1:
         raise MonomialError(f"D indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
-    group = CyclicGroup(n)
-    norms = tuple(((1 << (n - k)) * m, n, 1) for k in range(2, n + 1))
-    return ClassMonomial(group, n, norms=norms)
+    return ClassMonomial(CyclicGroup(n), n, norms=tuple(_d_norms(n, m)[1:]))

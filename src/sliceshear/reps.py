@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Union
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "VirtualRep",
     "Line",
     "RepError",
+    "basis_names",
     "regular_rep",
     "rho_bar",
     "tau",
@@ -29,6 +31,18 @@ __all__ = [
 
 class RepError(ValueError):
     """A malformed group or representation, or an out-of-range subgroup index."""
+
+
+@lru_cache(maxsize=128)
+def basis_names(n: int, sigma: str = "s", lam: str = "l") -> tuple[str, ...]:
+    """Names of the basis slots of RO(C_{2^n}) after the trivial one:
+    ``(sigma, lam1, ..., lam{n-1})``, or ``()`` for n = 0.
+
+    The same slots index a level-n monomial's ``a_exp``/``u_exp``; every
+    basis name in canonical output (rep literals, JSON keys, DSL tokens)
+    comes from here.
+    """
+    return (sigma, *(f"{lam}{i}" for i in range(1, n))) if n >= 1 else ()
 
 
 @dataclass(frozen=True)
@@ -257,9 +271,8 @@ class VirtualRep:
                 parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
 
         add(self.c_triv, "")
-        add(self.c_sigma, "s")
-        for i in self.lambda_range:
-            add(self.c_lambda(i), f"l{i}")
+        for coeff, name in zip(self.coeffs[1:], basis_names(self.group.exponent)):
+            add(coeff, name)
         return "".join(parts) if parts else "0"
 
 

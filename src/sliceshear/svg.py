@@ -9,8 +9,8 @@ pixel coordinates.  Rendering the same document twice yields identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
+from html import escape
 from typing import Union
-from xml.sax.saxutils import escape
 
 from .dsl import ChartDocument, DslSemanticError, GuideSpec
 from .reps import Line, line_L
@@ -144,7 +144,7 @@ def emit_svg(doc: ChartDocument) -> bytes:
         )
         out.append(
             f'  <text class="guide-label" x="{_fmt(X(xb) + 4)}" '
-            f'y="{_fmt(Y(sb) - 4)}">{escape(label)}</text>'
+            f'y="{_fmt(Y(sb) - 4)}">{label}</text>'
         )
 
     visible = 0
@@ -167,7 +167,7 @@ def emit_svg(doc: ChartDocument) -> bytes:
             f'  <circle class="cls" cx="{_fmt(X(x))}" cy="{_fmt(Y(s))}" r="3.5"/>'
         )
         out.append(
-            f'  <text x="{_fmt(X(x) + 6)}" y="{_fmt(Y(s) - 6)}">{escape(name)}</text>'
+            f'  <text x="{_fmt(X(x) + 6)}" y="{_fmt(Y(s) - 6)}">{escape(name, quote=False)}</text>'
         )
 
     if (doc.classes or doc.diffs) and visible == 0:

@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import sliceshear
 from sliceshear import hhr_family, print_canonical
 from sliceshear.cli import main
 
@@ -196,3 +200,17 @@ class TestExitCodes:
         src.write_text("group C2\ndiff 4: u2S -> aS^4\n")
         code, _, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
         assert code == 3
+
+
+def test_import_pulls_in_no_xml_or_network_modules():
+    src = str(Path(sliceshear.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sliceshear.cli; "
+        "print(*sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "sliceshear.cli" in loaded
+    assert not loaded & {"xml.sax", "ssl", "http.client", "email", "urllib.request"}

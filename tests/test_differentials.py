@@ -8,6 +8,7 @@ from sliceshear import (
     Differential,
     DifferentialError,
     LeibnizZeroError,
+    PermanentCycleFact,
     RegionWarning,
     VirtualRep,
     correspond_class,
@@ -233,3 +234,9 @@ class TestPermanentCycles:
             assert f.u_class.coeff == 1
             assert not f.u_class.norms and not any(f.u_class.a_exp)
             assert f.u_class == expand_orientation(f.oriented_rep)
+
+    def test_oriented_rep_slots(self):
+        u = ClassMonomial(C(3), 3, u_exp=(1, 2, 3))
+        assert PermanentCycleFact(C(3), 1, u, "x").oriented_rep.coeffs == (0, 2, 2, 3)
+        bare = PermanentCycleFact(C(2), 1, ClassMonomial(C(2), 0), "x")
+        assert bare.oriented_rep == VirtualRep.zero(C(0))

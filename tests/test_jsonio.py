@@ -14,7 +14,8 @@ from sliceshear import (
     leibniz,
     transport,
 )
-from sliceshear.jsonio import differential_to_obj, monomial_to_obj
+from sliceshear import jsonio
+from sliceshear.jsonio import differential_to_obj, monomial_to_obj, obj_to_monomial
 from helpers import random_monomial
 
 
@@ -97,6 +98,22 @@ class TestSchema:
         obj["a"] = {"l5": 1}
         with pytest.raises(JsonSchemaError, match="out of range"):
             import_json(json.dumps([obj]))
+
+    def test_level_above_group_rejected_before_basis_table(self, monkeypatch):
+        obj = monomial_to_obj(build_D(2, 1))
+        obj["level"] = 300000
+        built = []
+        monkeypatch.setattr(jsonio, "basis_names", lambda *args: built.append(args))
+        with pytest.raises(JsonSchemaError, match="level 300000 out of range for ambient group C4"):
+            obj_to_monomial(obj)
+        assert built == []
+
+    def test_basis_key_past_int_digit_limit(self):
+        # more digits than int() converts by default; still just out of range
+        obj = monomial_to_obj(build_D(2, 1))
+        obj["a"] = {"l" + "1" * 5000: 1}
+        with pytest.raises(JsonSchemaError, match="out of range"):
+            obj_to_monomial(obj)
 
     def test_top_level_must_be_list(self):
         with pytest.raises(JsonSchemaError):

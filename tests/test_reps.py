@@ -14,6 +14,7 @@ from sliceshear import (
     rho_bar,
     tau,
 )
+from sliceshear.reps import basis_names
 from helpers import fixed_dim_oracle, random_rep, restrict_oracle
 
 
@@ -268,3 +269,12 @@ class TestRepFormat:
         assert str(VirtualRep.of(C(2), triv=10, sigma=-2, lam={1: -4})) == "10-2s-4l1"
         assert str(VirtualRep.zero(C(1))) == "0"
         assert str(VirtualRep.of(C(2), sigma=1)) == "s"
+
+
+def test_basis_names():
+    assert basis_names(0) == ()
+    assert basis_names(1) == ("s",)
+    assert basis_names(4) == ("s", "l1", "l2", "l3")
+    assert basis_names(3, "u2S", "uL") == ("u2S", "uL1", "uL2")
+    # memoized, but bounded: levels arrive from JSON input
+    assert basis_names.cache_info().maxsize is not None

@@ -75,9 +75,9 @@ class TestRendering:
         group = CyclicGroup(1)
         doc = ChartDocument(group=group, grading=VirtualRep.zero(group))
         doc.window = (0, 2, 2)
-        doc.classes.append(("a<b&c", ClassMonomial.one(group, 1)))
+        doc.classes.append(("a<b&c>\"'", ClassMonomial.one(group, 1)))
         text = emit_svg(doc).decode()
-        assert "a&lt;b&amp;c" in text
+        assert "a&lt;b&amp;c&gt;\"'<" in text
 
     def test_every_random_document_with_window_renders(self):
         rng = random.Random(67)
