@@ -81,6 +81,17 @@ class ChartDocument:
     guides: list[GuideSpec] = field(default_factory=list)
 
 
+def _int(text: str, line: int | None = None, col: int | None = None) -> int:
+    """int() of a literal the grammar has matched.  A literal longer than the
+    interpreter converts (4,300 digits by default) is a semantic error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DslSemanticError(
+            f"integer literal of {len(text.lstrip('-'))} digits is too long", line, col
+        ) from None
+
+
 # -- group and representation literals ---------------------------------------
 
 _GROUP_RE = re.compile(r"C(\d+)")
@@ -90,7 +101,7 @@ def parse_group_name(text: str, line: int | None = None, col: int | None = None)
     m = _GROUP_RE.fullmatch(text.strip())
     if not m:
         raise DslSyntaxError(f"expected a group literal like C8, got {text.strip()!r}", line, col)
-    order = int(m.group(1))
+    order = _int(m.group(1), line, col)
     exponent = order.bit_length() - 1
     if order < 1 or (1 << exponent) != order:
         raise DslSemanticError(f"group order {order} is not a power of 2", line, col)
@@ -137,7 +148,7 @@ def parse_rep(
         first = False
         coeff = None
         if m.group("num"):
-            coeff = int(m.group("num"))
+            coeff = _int(m.group("num"), line, col_offset)
             pos = m.end()
             m = _REP_TOKEN.match(stripped, pos)
         basis = None
@@ -154,7 +165,7 @@ def parse_rep(
                 raise DslSemanticError(f"s is not a basis element of RO({group})", line, col_offset)
             sigma += value
         else:
-            i = int(basis[1:])
+            i = _int(basis[1:], line, col_offset)
             if i == 0:
                 # l0 is parser sugar for 2s
                 if n == 0:
@@ -170,6 +181,13 @@ def parse_rep(
 
 
 # -- class expressions --------------------------------------------------------
+#
+# A class expression is split on "*" into factors and each factor on "^"; str
+# methods tell the factor kinds apart.  parse() shares one memo of factor
+# classifications between the class and diff lines of a document.  Text that
+# the split rejects goes to the token scanner, which reports the first error
+# exactly; both paths hand their factors to _build, the one home of the
+# semantic checks.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -186,8 +204,47 @@ _CLASS_TOKEN = re.compile(
     re.X,
 )
 
+# A factor is (kind, x, y, exponent, exponent column - factor column): kind is
+# a _CLASS_TOKEN group name, x and y its integers (the token text for a stray
+# ^ or *).  Columns count from where the scan of a token starts, i.e. before
+# its leading whitespace, as the scanner's error columns do.
 
-def _scan_class_tokens(text: str, line: int | None, col_offset: int):
+
+def _is_int(text: str) -> bool:
+    """An optional minus sign and decimal digits; isdecimal() accepts the
+    Unicode Nd set, the same digits as the scanner's ``\\d``."""
+    return (text[1:] if text[:1] == "-" else text).isdecimal()
+
+
+def _classify(piece: str):
+    """The factor that the text between two ``*`` spells, or None."""
+    base, caret, exp = piece.partition("^")
+    e = 1
+    if caret:
+        exp = exp.strip()
+        if not _is_int(exp):
+            return None
+        e = _int(exp)
+    erel = len(base) + 1
+    base = base.strip()
+    if base == "aS" or base == "u2S":
+        return base, 0, 0, e, erel
+    head = base[:2]
+    if head == "aL" or head == "uL":
+        return (head, _int(base[2:]), 0, e, erel) if base[2:].isdecimal() else None
+    if base[-1:] == "]" and (head == "D[" or base[:3] == "Nt["):
+        i, comma, j = base[2 if head == "D[" else 3 : -1].partition(",")
+        i, j = i.strip(), j.strip()
+        if comma and i.isdecimal() and j.isdecimal():
+            return ("dd" if head == "D[" else "nt"), _int(i), _int(j), e, erel
+        return None
+    return ("num", _int(base), 0, e, erel) if _is_int(base) else None
+
+
+def _scanned_factors(text: str, line: int | None, col_offset: int):
+    """Yield (factor, column) pairs token by token.  An unknown character
+    anywhere fails first; every other syntax error is raised only once the
+    factors before it have been consumed."""
     tokens = []
     pos = 0
     stripped = text.rstrip()
@@ -202,7 +259,122 @@ def _scan_class_tokens(text: str, line: int | None, col_offset: int):
         if m.lastgroup is not None:
             tokens.append((m, col_offset + m.start()))
         pos = m.end()
-    return tokens
+    if not tokens:
+        raise DslSyntaxError("empty class expression", line, col_offset)
+    idx = 0
+    while True:
+        m, col = tokens[idx]
+        kind = m.lastgroup
+        idx += 1
+        exponent, erel = 1, 0
+        if idx < len(tokens) and tokens[idx][0].lastgroup == "pow":
+            idx += 1
+            if idx >= len(tokens) or tokens[idx][0].lastgroup != "num":
+                raise DslSyntaxError("expected an integer exponent after ^", line, col)
+            exponent = _int(tokens[idx][0].group("num"), line, tokens[idx][1])
+            erel = tokens[idx][1] - col
+            idx += 1
+        # a negative exponent is rejected before the indices are read, so its
+        # error comes before one for an index past the digit limit
+        x = y = 0
+        if exponent < 0:
+            pass
+        elif kind == "num":
+            x = _int(m.group("num"), line, col)
+        elif kind == "aL" or kind == "uL":
+            x = _int(m.group(kind + "_i"), line, col)
+        elif kind == "nt":
+            x, y = _int(m.group("nt_i"), line, col), _int(m.group("nt_j"), line, col)
+        elif kind == "dd":
+            x, y = _int(m.group("d_n"), line, col), _int(m.group("d_m"), line, col)
+        elif kind != "aS" and kind != "u2S":
+            x = m.group(0).strip()
+        yield (kind, x, y, exponent, erel), col
+        if idx == len(tokens):
+            return
+        m, col = tokens[idx]
+        if m.lastgroup != "mul":
+            raise DslSyntaxError(
+                f"expected * between factors, got {m.group(0).strip()!r}", line, col
+            )
+        idx += 1
+        if idx == len(tokens):
+            raise DslSyntaxError("dangling * at end of class expression", line, col)
+
+
+def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: int):
+    """Multiply out (factor, column) pairs in order, with the semantic checks."""
+    coeff = 1
+    a = [0] * lv
+    u = [0] * lv
+    norms: list[tuple[int, int, int]] = []
+    for (kind, x, y, e, erel), col in factors:
+        if e < 0:
+            raise DslSemanticError("negative exponents are not allowed", line, col + erel)
+        if kind == "aS" or kind == "u2S":
+            if lv < 1:
+                raise DslSemanticError(f"{kind} needs a level of at least C2", line, col)
+            (a if kind == "aS" else u)[0] += e
+        elif kind == "aL" or kind == "uL":
+            if not 1 <= x <= lv - 1:
+                raise DslSemanticError(
+                    f"{kind}{x} is not in the basis at level C{1 << lv}", line, col
+                )
+            (a if kind == "aL" else u)[x] += e
+        elif kind == "nt":
+            if x < 1:
+                raise DslSemanticError(
+                    f"Nt[{x},{y}]: generator index must be >= 1", line, col
+                )
+            if not 1 <= y <= lv:
+                raise DslSemanticError(
+                    f"Nt[{x},{y}]: norm level must lie between 1 and the class "
+                    f"level {lv}", line, col
+                )
+            norms.append((x, y, e))
+        elif kind == "num":
+            coeff *= x**e
+        elif kind == "dd":
+            if x < 1 or y < 1:
+                raise DslSemanticError(f"D[{x},{y}]: both indices must be >= 1", line, col)
+            if x > lv:
+                raise DslSemanticError(
+                    f"D[{x},{y}] needs a level of at least {CyclicGroup(x)}", line, col
+                )
+            norms += _d_norms(x, y, e)
+        else:
+            raise DslSyntaxError(f"unexpected {x!r}", line, col)
+    try:
+        return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
+    except MonomialError as e:
+        raise DslSemanticError(str(e), line, col_offset) from e
+
+
+def _class_expr(
+    text: str,
+    group: CyclicGroup,
+    level: int | None,
+    line: int | None,
+    col_offset: int,
+    memo: dict,
+) -> ClassMonomial:
+    lv = group.exponent if level is None else level
+    factors = []
+    col = col_offset
+    for piece in text.split("*"):
+        factor = memo.get(piece)
+        if factor is None:
+            try:
+                factor = _classify(piece)
+            except DslSemanticError:  # a literal past the digit limit
+                factor = None
+            if factor is None:
+                factors = _scanned_factors(text, line, col_offset)
+                return _build(factors, group, lv, line, col_offset)
+            memo[piece] = factor
+        factors.append((factor, col))
+        col += len(piece) + 1
+    return _build(factors, group, lv, line, col_offset)
 
 
 def parse_class_expr(
@@ -213,76 +385,7 @@ def parse_class_expr(
     col_offset: int = 0,
 ) -> ClassMonomial:
     """Parse a class expression such as ``Nt[3,4]*aS^8*u2S^2``."""
-    lv = group.exponent if level is None else level
-    tokens = _scan_class_tokens(text, line, col_offset)
-    if not tokens:
-        raise DslSyntaxError("empty class expression", line, col_offset)
-    coeff = 1
-    a = [0] * lv
-    u = [0] * lv
-    norms: list[tuple[int, int, int]] = []
-    idx = 0
-
-    def semantic(msg: str, col: int):
-        return DslSemanticError(msg, line, col)
-
-    while True:
-        m, col = tokens[idx]
-        kind = m.lastgroup
-        idx += 1
-        exponent = 1
-        if idx < len(tokens) and tokens[idx][0].lastgroup == "pow":
-            idx += 1
-            if idx >= len(tokens) or tokens[idx][0].lastgroup != "num":
-                raise DslSyntaxError("expected an integer exponent after ^", line, col)
-            exponent = int(tokens[idx][0].group("num"))
-            if exponent < 0:
-                raise semantic("negative exponents are not allowed", tokens[idx][1])
-            idx += 1
-        if kind == "num":
-            coeff *= int(m.group("num")) ** exponent
-        elif kind == "aS" or kind == "u2S":
-            if lv < 1:
-                raise semantic(f"{kind} needs a level of at least C2", col)
-            (a if kind == "aS" else u)[0] += exponent
-        elif kind == "aL" or kind == "uL":
-            i = int(m.group(kind + "_i"))
-            if not 1 <= i <= lv - 1:
-                raise semantic(f"{kind}{i} is not in the basis at level C{1 << lv}", col)
-            (a if kind == "aL" else u)[i] += exponent
-        elif kind == "nt":
-            i, j = int(m.group("nt_i")), int(m.group("nt_j"))
-            if i < 1:
-                raise semantic(f"Nt[{i},{j}]: generator index must be >= 1", col)
-            if not 1 <= j <= lv:
-                raise semantic(
-                    f"Nt[{i},{j}]: norm level must lie between 1 and the class "
-                    f"level {lv}", col
-                )
-            norms.append((i, j, exponent))
-        elif kind == "dd":
-            dn, dm = int(m.group("d_n")), int(m.group("d_m"))
-            if dn < 1 or dm < 1:
-                raise semantic(f"D[{dn},{dm}]: both indices must be >= 1", col)
-            if dn > lv:
-                raise semantic(f"D[{dn},{dm}] needs a level of at least C{1 << dn}", col)
-            norms += _d_norms(dn, dm, exponent)
-        else:
-            raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", line, col)
-        if idx == len(tokens):
-            break
-        m, col = tokens[idx]
-        if m.lastgroup != "mul":
-            raise DslSyntaxError(
-                f"expected * between factors, got {m.group(0).strip()!r}", line, col
-            )
-        idx += 1
-        if idx == len(tokens):
-            raise DslSyntaxError("dangling * at end of class expression", line, col)
-    try:
-        return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
-    except MonomialError as e:
-        raise DslSemanticError(str(e), line, col_offset) from e
+    return _class_expr(text, group, level, line, col_offset, {})
 
 
 _DIFF_SPEC_RE = re.compile(r"\s*(\d+)\s*:\s*(.*?)\s*->\s*(\S.*)$")
@@ -296,14 +399,25 @@ def parse_diff_spec(
     provenance: str = "user",
 ) -> Differential:
     """Parse ``<r>: <source> -> <target>`` and check the bidegree laws."""
+    return _diff_spec(text, group, level, line, provenance, {})
+
+
+def _diff_spec(
+    text: str,
+    group: CyclicGroup,
+    level: int | None,
+    line: int | None,
+    provenance: str,
+    memo: dict,
+) -> Differential:
     m = _DIFF_SPEC_RE.fullmatch(text.rstrip())
     if not m:
         raise DslSyntaxError(
             f"expected '<r>: <source> -> <target>', got {text.strip()!r}", line
         )
-    page = int(m.group(1))
-    source = parse_class_expr(m.group(2), group, level, line, m.start(2))
-    target = parse_class_expr(m.group(3), group, level, line, m.start(3))
+    page = _int(m.group(1), line, m.start(1))
+    source = _class_expr(m.group(2), group, level, line, m.start(2), memo)
+    target = _class_expr(m.group(3), group, level, line, m.start(3), memo)
     try:
         d = Differential(group, page, source, target, provenance=provenance)
     except DifferentialError as e:
@@ -328,6 +442,7 @@ def parse(text: str) -> ChartDocument:
     doc: ChartDocument | None = None
     saw_grading = False
     names: set[str] = set()
+    memo: dict = {}  # factor text -> factor, for this document only
     for line_no, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].rstrip()
         if not body.strip():
@@ -360,7 +475,7 @@ def parse(text: str) -> ChartDocument:
                 raise DslSyntaxError(
                     "window takes three integers: x_min x_max s_max", line_no, col
                 )
-            x_min, x_max, s_max = (int(g) for g in m.groups())
+            x_min, x_max, s_max = (_int(g, line_no, col) for g in m.groups())
             if x_min > x_max or s_max < 0:
                 raise DslSemanticError(
                     f"degenerate window ({x_min}, {x_max}, {s_max})", line_no, col
@@ -384,10 +499,10 @@ def parse(text: str) -> ChartDocument:
                         f"level {lvl_text.strip()} exceeds the chart group {doc.group}",
                         line_no,
                     )
-            mono = parse_class_expr(expr, doc.group, level, line_no, col)
+            mono = _class_expr(expr, doc.group, level, line_no, col, memo)
             doc.classes.append((name, mono))
         elif keyword == "diff":
-            doc.diffs.append(parse_diff_spec(rest, doc.group, None, line_no))
+            doc.diffs.append(_diff_spec(rest, doc.group, None, line_no, "user", memo))
         elif keyword == "guide":
             doc.guides.append(_parse_guide(rest.strip(), doc, line_no, col))
         else:
@@ -400,7 +515,7 @@ def parse(text: str) -> ChartDocument:
 def _parse_guide(rest: str, doc: ChartDocument, line_no: int, col: int) -> GuideSpec:
     m = _GUIDE_L_RE.fullmatch(rest)
     if m:
-        k = int(m.group(1))
+        k = _int(m.group(1), line_no, col)
         if not 0 <= k <= doc.group.exponent:
             raise DslSemanticError(
                 f"guide L{k} is out of range for {doc.group}", line_no
@@ -408,7 +523,7 @@ def _parse_guide(rest: str, doc: ChartDocument, line_no: int, col: int) -> Guide
         return GuideSpec("L", k=k)
     m = _GUIDE_VANISH_RE.fullmatch(rest)
     if m:
-        h, k = int(m.group(1)), int(m.group(2))
+        h, k = _int(m.group(1), line_no, col), _int(m.group(2), line_no, col)
         n = doc.group.exponent - 1
         if n < 0:
             raise DslSemanticError("vanishing guides need a group of at least C2", line_no)

@@ -87,7 +87,9 @@ def _exp_vector(value, path: str, level: int, zero_key: str) -> tuple[int, ...]:
     names = basis_names(level, zero_key)
     for key, e in value.items():
         if key not in names:
-            if key != zero_key and not _LAMBDA_KEY_RE.fullmatch(key):
+            if not isinstance(key, str) or (
+                key != zero_key and not _LAMBDA_KEY_RE.fullmatch(key)
+            ):
                 raise JsonSchemaError(f"{path}.{key}", "unknown basis key")
             raise JsonSchemaError(f"{path}.{key}", f"basis slot out of range at level {level}")
         vec[names.index(key)] = _int(e, f"{path}.{key}", minimum=0)

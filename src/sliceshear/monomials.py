@@ -35,7 +35,7 @@ class MonomialError(ValueError):
 # 1 <= i <= level-1.  Level 0 carries no factors.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassMonomial:
     """coeff * prod N_{C_2}^{C_{2^j}}(t_i)^e * prod a_W^e * prod u_W^e.
 
@@ -58,65 +58,43 @@ class ClassMonomial:
     a_exp: tuple[int, ...] = ()
     u_exp: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.level <= self.group.exponent:
-            raise MonomialError(
-                f"level {self.level} out of range for ambient group {self.group}"
-            )
-        if not isinstance(self.coeff, int):
-            raise MonomialError(f"coefficient must be an integer, got {self.coeff!r}")
-        a = self._sized("a_exp", self.a_exp)
-        u = self._sized("u_exp", self.u_exp)
-        norms = self._merged_norms(self.norms)
-        coeff = self.coeff
-        modulus = self._torsion_modulus(a)
-        if modulus is not None:
-            coeff %= modulus
+    def __init__(
+        self,
+        group: CyclicGroup,
+        level: int,
+        coeff: int = 1,
+        norms: Iterable[tuple[int, int, int]] = (),
+        a_exp: tuple[int, ...] = (),
+        u_exp: tuple[int, ...] = (),
+    ) -> None:
+        # validates and canonicalizes first, then sets every field once
+        if not 0 <= level <= group.exponent:
+            raise MonomialError(f"level {level} out of range for ambient group {group}")
+        if not isinstance(coeff, int):
+            raise MonomialError(f"coefficient must be an integer, got {coeff!r}")
+        a = _sized("a_exp", a_exp, level)
+        u = _sized("u_exp", u_exp, level)
+        norms = () if norms == () else _merged_norms(norms, level)
+        # torsion: a_sigma kills 2 and a_lambda_i kills 2^(i+1), so the first
+        # Euler class present gives the smallest modulus
+        for i, e in enumerate(a):
+            if e:
+                coeff %= 2 << i
+                break
         if coeff == 0:
-            a = (0,) * len(a)
-            u = (0,) * len(u)
+            a = u = (0,) * level
             norms = ()
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "a_exp", a)
-        object.__setattr__(self, "u_exp", u)
+        setattr = object.__setattr__
+        setattr(self, "group", group)
+        setattr(self, "level", level)
+        setattr(self, "coeff", coeff)
+        setattr(self, "norms", norms)
+        setattr(self, "a_exp", a)
+        setattr(self, "u_exp", u)
         # grading caches, filled on first read; preset so that all instances
         # share one attribute layout, which keeps field reads fast
-        object.__setattr__(self, "_degree", None)
-        object.__setattr__(self, "_bidegree", None)
-
-    def _sized(self, name: str, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if len(vec) > self.level:
-            raise MonomialError(f"{name} has {len(vec)} entries, level is {self.level}")
-        for e in vec:
-            if not isinstance(e, int) or e < 0:
-                raise MonomialError(f"{name} entries must be non-negative integers")
-        return tuple(vec) + (0,) * (self.level - len(vec))
-
-    def _merged_norms(
-        self, norms: Iterable[tuple[int, int, int]]
-    ) -> tuple[tuple[int, int, int], ...]:
-        merged: dict[tuple[int, int], int] = {}
-        for i, j, e in norms:
-            if i < 1 or not 1 <= j <= self.level:
-                raise MonomialError(
-                    f"norm factor ({i}, {j}) out of range at level {self.level}"
-                )
-            if not isinstance(e, int) or e < 0:
-                raise MonomialError("norm exponents must be non-negative integers")
-            if e:
-                merged[(j, i)] = merged.get((j, i), 0) + e
-        return tuple((i, j, merged[(j, i)]) for (j, i) in sorted(merged))
-
-    @staticmethod
-    def _torsion_modulus(a_exp: tuple[int, ...]) -> int | None:
-        moduli = []
-        if a_exp and a_exp[0] > 0:
-            moduli.append(2)
-        for i in range(1, len(a_exp)):
-            if a_exp[i] > 0:
-                moduli.append(1 << (i + 1))
-        return min(moduli) if moduli else None
+        setattr(self, "_degree", None)
+        setattr(self, "_bidegree", None)
 
     # -- constructors --------------------------------------------------------
 
@@ -235,6 +213,31 @@ class ClassMonomial:
         return ClassMonomial(
             self.group, self.level, c * self.coeff, self.norms, self.a_exp, self.u_exp
         )
+
+
+def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
+    if len(vec) > level:
+        raise MonomialError(f"{name} has {len(vec)} entries, level is {level}")
+    for e in vec:
+        if not isinstance(e, int) or e < 0:
+            raise MonomialError(f"{name} entries must be non-negative integers")
+    if len(vec) == level and type(vec) is tuple:
+        return vec
+    return tuple(vec) + (0,) * (level - len(vec))
+
+
+def _merged_norms(
+    norms: Iterable[tuple[int, int, int]], level: int
+) -> tuple[tuple[int, int, int], ...]:
+    merged: dict[tuple[int, int], int] = {}
+    for i, j, e in norms:
+        if i < 1 or not 1 <= j <= level:
+            raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
+        if not isinstance(e, int) or e < 0:
+            raise MonomialError("norm exponents must be non-negative integers")
+        if e:
+            merged[(j, i)] = merged.get((j, i), 0) + e
+    return tuple((i, j, e) for (j, i), e in sorted(merged.items()))
 
 
 def expand_euler(V: VirtualRep) -> ClassMonomial:

@@ -76,7 +76,10 @@ class CyclicGroup:
         return CyclicGroup(self.exponent - k)
 
     def __str__(self) -> str:
-        return f"C{self.order}"
+        try:
+            return f"C{self.order}"
+        except ValueError:  # the order has more digits than int-to-str allows
+            return f"C_(2^{self.exponent})"
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,18 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
-from sliceshear import ClassMonomial, CyclicGroup, VirtualRep, regular_rep
+from sliceshear import (
+    ClassMonomial,
+    CyclicGroup,
+    DslSemanticError,
+    DslSyntaxError,
+    MonomialError,
+    VirtualRep,
+    regular_rep,
+)
+from sliceshear.monomials import _d_norms
 
 
 def character(V: VirtualRep, j: int) -> float:
@@ -91,6 +101,157 @@ def reference_degree(m: ClassMonomial) -> VirtualRep:
         w = basis(idx, doubled=True)
         deg = deg + e * (VirtualRep.of(lg, triv=w.dimension) - w)
     return deg
+
+
+_REFERENCE_CLASS_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<nt>Nt\[\s*(?P<nt_i>\d+)\s*,\s*(?P<nt_j>\d+)\s*\])
+      | (?P<dd>D\[\s*(?P<d_n>\d+)\s*,\s*(?P<d_m>\d+)\s*\])
+      | (?P<aL>aL(?P<aL_i>\d+))
+      | (?P<aS>aS)
+      | (?P<u2S>u2S)
+      | (?P<uL>uL(?P<uL_i>\d+))
+      | (?P<num>-?\d+)
+      | (?P<pow>\^)
+      | (?P<mul>\*)
+    )""",
+    re.X,
+)
+
+
+def _reference_scan_class_tokens(text: str, line: int | None, col_offset: int):
+    tokens = []
+    pos = 0
+    stripped = text.rstrip()
+    while pos < len(stripped):
+        m = _REFERENCE_CLASS_TOKEN.match(stripped, pos)
+        if not m or m.end() == m.start():
+            raise DslSyntaxError(
+                f"unexpected {stripped[pos:].lstrip()[:1]!r} in class expression",
+                line,
+                col_offset + pos,
+            )
+        if m.lastgroup is not None:
+            tokens.append((m, col_offset + m.start()))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse_class_expr(
+    text: str,
+    group: CyclicGroup,
+    level: int | None = None,
+    line: int | None = None,
+    col_offset: int = 0,
+) -> ClassMonomial:
+    """The token-by-token class-expression parser that ``dsl.parse_class_expr``
+    replaced, kept as the oracle for its values and its errors."""
+    lv = group.exponent if level is None else level
+    tokens = _reference_scan_class_tokens(text, line, col_offset)
+    if not tokens:
+        raise DslSyntaxError("empty class expression", line, col_offset)
+    coeff = 1
+    a = [0] * lv
+    u = [0] * lv
+    norms: list[tuple[int, int, int]] = []
+    idx = 0
+
+    def semantic(msg: str, col: int):
+        return DslSemanticError(msg, line, col)
+
+    while True:
+        m, col = tokens[idx]
+        kind = m.lastgroup
+        idx += 1
+        exponent = 1
+        if idx < len(tokens) and tokens[idx][0].lastgroup == "pow":
+            idx += 1
+            if idx >= len(tokens) or tokens[idx][0].lastgroup != "num":
+                raise DslSyntaxError("expected an integer exponent after ^", line, col)
+            exponent = int(tokens[idx][0].group("num"))
+            if exponent < 0:
+                raise semantic("negative exponents are not allowed", tokens[idx][1])
+            idx += 1
+        if kind == "num":
+            coeff *= int(m.group("num")) ** exponent
+        elif kind == "aS" or kind == "u2S":
+            if lv < 1:
+                raise semantic(f"{kind} needs a level of at least C2", col)
+            (a if kind == "aS" else u)[0] += exponent
+        elif kind == "aL" or kind == "uL":
+            i = int(m.group(kind + "_i"))
+            if not 1 <= i <= lv - 1:
+                raise semantic(f"{kind}{i} is not in the basis at level C{1 << lv}", col)
+            (a if kind == "aL" else u)[i] += exponent
+        elif kind == "nt":
+            i, j = int(m.group("nt_i")), int(m.group("nt_j"))
+            if i < 1:
+                raise semantic(f"Nt[{i},{j}]: generator index must be >= 1", col)
+            if not 1 <= j <= lv:
+                raise semantic(
+                    f"Nt[{i},{j}]: norm level must lie between 1 and the class "
+                    f"level {lv}", col
+                )
+            norms.append((i, j, exponent))
+        elif kind == "dd":
+            dn, dm = int(m.group("d_n")), int(m.group("d_m"))
+            if dn < 1 or dm < 1:
+                raise semantic(f"D[{dn},{dm}]: both indices must be >= 1", col)
+            if dn > lv:
+                raise semantic(f"D[{dn},{dm}] needs a level of at least C{1 << dn}", col)
+            norms += _d_norms(dn, dm, exponent)
+        else:
+            raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", line, col)
+        if idx == len(tokens):
+            break
+        m, col = tokens[idx]
+        if m.lastgroup != "mul":
+            raise DslSyntaxError(
+                f"expected * between factors, got {m.group(0).strip()!r}", line, col
+            )
+        idx += 1
+        if idx == len(tokens):
+            raise DslSyntaxError("dangling * at end of class expression", line, col)
+    try:
+        return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
+    except MonomialError as e:
+        raise DslSemanticError(str(e), line, col_offset) from e
+
+
+def reference_monomial_fields(group, level, coeff=1, norms=(), a_exp=(), u_exp=()):
+    """(group, level, coeff, norms, a_exp, u_exp) as the two-pass ClassMonomial
+    constructor (generated __init__, then __post_init__) stored them, with a
+    torsion modulus that is the minimum over every positive a slot."""
+    if not 0 <= level <= group.exponent:
+        raise MonomialError(f"level {level} out of range for ambient group {group}")
+    if not isinstance(coeff, int):
+        raise MonomialError(f"coefficient must be an integer, got {coeff!r}")
+
+    def sized(name, vec):
+        if len(vec) > level:
+            raise MonomialError(f"{name} has {len(vec)} entries, level is {level}")
+        for e in vec:
+            if not isinstance(e, int) or e < 0:
+                raise MonomialError(f"{name} entries must be non-negative integers")
+        return tuple(vec) + (0,) * (level - len(vec))
+
+    a, u = sized("a_exp", a_exp), sized("u_exp", u_exp)
+    merged = {}
+    for i, j, e in norms:
+        if i < 1 or not 1 <= j <= level:
+            raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
+        if not isinstance(e, int) or e < 0:
+            raise MonomialError("norm exponents must be non-negative integers")
+        if e:
+            merged[(j, i)] = merged.get((j, i), 0) + e
+    norms = tuple((i, j, merged[(j, i)]) for (j, i) in sorted(merged))
+    moduli = [2] if a and a[0] > 0 else []
+    moduli += [1 << (i + 1) for i in range(1, len(a)) if a[i] > 0]
+    if moduli:
+        coeff %= min(moduli)
+    if coeff == 0:
+        a, u, norms = (0,) * len(a), (0,) * len(u), ()
+    return group, level, coeff, norms, a, u
 
 
 def random_rep(rng: random.Random, group: CyclicGroup, span: int = 6) -> VirtualRep:

@@ -201,6 +201,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
         assert code == 3
 
+    def test_chart_literal_past_digit_limit_is_3(self, capsys, tmp_path, default_digit_limit):
+        src = tmp_path / "big.dsl"
+        src.write_text("group C" + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": {
+                "code": 3,
+                "kind": "semantic",
+                "message": "integer literal of 5000 digits is too long",
+                "line": 1,
+            }
+        }
+
 
 def test_import_pulls_in_no_xml_or_network_modules():
     src = str(Path(sliceshear.__file__).resolve().parents[1])

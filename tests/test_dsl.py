@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sliceshear import (
     ClassMonomial,
     CyclicGroup,
+    DslError,
     DslSemanticError,
     DslSyntaxError,
     VirtualRep,
@@ -19,7 +21,12 @@ from sliceshear import (
     parse_rep,
     print_canonical,
 )
-from helpers import random_document, random_monomial, random_rep
+from helpers import (
+    random_document,
+    random_monomial,
+    random_rep,
+    reference_parse_class_expr,
+)
 
 
 def C(n):
@@ -245,3 +252,183 @@ class TestDocuments:
         for _ in range(100):
             doc = random_document(rng)
             assert parse(print_canonical(doc)) == doc
+
+
+# Malformed class expressions and the error each one raises, as the
+# token-by-token parser (helpers.reference_parse_class_expr) reports it:
+# (text, level, error class, message, column), parsed over C4 at line 7 with
+# the expression starting at column 4.
+ERROR_CORPUS = [
+    ("", None, DslSyntaxError, "empty class expression", 4),
+    ("   ", None, DslSyntaxError, "empty class expression", 4),
+    ("aS^", None, DslSyntaxError, "expected an integer exponent after ^", 4),
+    ("aS^2^3", None, DslSyntaxError, "expected * between factors, got '^'", 8),
+    ("aL5 aS", None, DslSemanticError, "aL5 is not in the basis at level C4", 4),
+    ("- 3", None, DslSyntaxError, "unexpected '-' in class expression", 4),
+    ("aS**2", None, DslSyntaxError, "unexpected '*'", 7),
+    ("*aS", None, DslSyntaxError, "unexpected '*'", 4),
+    ("aS*", None, DslSyntaxError, "dangling * at end of class expression", 6),
+    ("aS aS", None, DslSyntaxError, "expected * between factors, got 'aS'", 6),
+    ("Nt[1]", None, DslSyntaxError, "unexpected 'N' in class expression", 4),
+    ("aS^-1", None, DslSemanticError, "negative exponents are not allowed", 7),
+    ("u2S * aS ^ -2", None, DslSemanticError, "negative exponents are not allowed", 14),
+    ("x", None, DslSyntaxError, "unexpected 'x' in class expression", 4),
+    ("aL", None, DslSyntaxError, "unexpected 'a' in class expression", 4),
+    ("Nt [1,1]", None, DslSyntaxError, "unexpected 'N' in class expression", 4),
+    ("Nt[0,1]", None, DslSemanticError, "Nt[0,1]: generator index must be >= 1", 4),
+    (
+        "Nt[1,3]",
+        None,
+        DslSemanticError,
+        "Nt[1,3]: norm level must lie between 1 and the class level 2",
+        4,
+    ),
+    ("D[0,1]", None, DslSemanticError, "D[0,1]: both indices must be >= 1", 4),
+    ("D[3,1]", None, DslSemanticError, "D[3,1] needs a level of at least C8", 4),
+    ("aL2", None, DslSemanticError, "aL2 is not in the basis at level C4", 4),
+    ("^2", None, DslSyntaxError, "unexpected '^'", 4),
+    ("2aS", None, DslSyntaxError, "expected * between factors, got 'aS'", 5),
+    ("u2S*uL3^2", None, DslSemanticError, "uL3 is not in the basis at level C4", 8),
+    ("aS^ 2 ^3", None, DslSyntaxError, "expected * between factors, got '^'", 9),
+    ("aS^\u00b2", None, DslSyntaxError, "unexpected '\u00b2' in class expression", 7),
+    ("Nt[1,1]*aS^2*aL1^-3", None, DslSemanticError, "negative exponents are not allowed", 21),
+    ("aS@C2", None, DslSyntaxError, "unexpected '@' in class expression", 6),
+    ("aS^-1*x", None, DslSyntaxError, "unexpected 'x' in class expression", 10),
+    ("u2S", 0, DslSemanticError, "u2S needs a level of at least C2", 4),
+    ("1", 3, DslSemanticError, "level 3 out of range for ambient group C4", 4),
+]
+
+
+@pytest.mark.parametrize("text, level, error, message, col", ERROR_CORPUS)
+def test_error_corpus(text, level, error, message, col):
+    with pytest.raises(DslError) as exc:
+        parse_class_expr(text, C(2), level, 7, 4)
+    assert type(exc.value) is error
+    assert (exc.value.reason, exc.value.line, exc.value.col) == (message, 7, col)
+
+
+def test_shared_factor_memo_keeps_level_and_column():
+    # each second line repeats a factor of the line before, at another level,
+    # column or statement kind
+    cases = [
+        (
+            "group C4\nclass a = aS*aL1\nclass b = u2S * aL1 @C2\n",
+            DslSemanticError, "aL1 is not in the basis at level C2", 11,
+        ),
+        (
+            "group C4\nclass a = aL1^2\ndiff 3: u2S -> aS*aL1^-2\n",
+            DslSemanticError, "negative exponents are not allowed", 17,
+        ),
+        (
+            "group C4\nclass a = aS*aL1\ndiff 3: aS*aL1 -> aS*aL1 x\n",
+            DslSyntaxError, "unexpected 'x' in class expression", 19,
+        ),
+    ]
+    for text, error, message, col in cases:
+        with pytest.raises(DslError) as exc:
+            parse(text)
+        assert type(exc.value) is error
+        assert (exc.value.reason, exc.value.line, exc.value.col) == (message, 3, col)
+
+
+_WS = st.sampled_from(["", "", "", " ", "  ", "\t", "\u00a0", "\x1c"])
+# ASCII digits, a leading zero and Arabic-Indic digits (Unicode Nd, like \d)
+_DIGITS = st.sampled_from(["0", "1", "2", "3", "01", "12", "\u0661", "\u0662"])
+_JUNK = st.sampled_from(
+    ["", "x", "-", "^", "*", "\u00b2", "@C2", "Nt[1]", "Nt [1,1]", "aL", "- 3", "1_0", "+2", "--1"]
+)
+
+
+@st.composite
+def class_expr_soups(draw):
+    """Factor tokens with optional exponents, whitespace around and inside
+    them, joined mostly by * but also by **, ^, a space or nothing."""
+    text = ""
+    for idx in range(draw(st.integers(0, 4))):
+        if idx:
+            text += draw(st.sampled_from(["*"] * 12 + ["**", "^", " ", ""]))
+        kind = draw(st.sampled_from(["aS", "u2S", "aL", "uL", "Nt", "D", "num", "junk"]))
+        if kind in ("aL", "uL"):
+            base = kind + draw(_DIGITS)
+        elif kind in ("Nt", "D"):
+            i, j = draw(_DIGITS), draw(_DIGITS)
+            base = f"{kind}[{draw(_WS)}{i}{draw(_WS)},{draw(_WS)}{j}{draw(_WS)}]"
+        elif kind == "num":
+            base = draw(st.sampled_from(["", "-"])) + draw(_DIGITS)
+        elif kind == "junk":
+            base = draw(_JUNK)
+        else:
+            base = kind
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from(["", "", "-", "- "]))
+            base += f"{draw(_WS)}^{draw(_WS)}{sign}{draw(_DIGITS)}"
+        text += draw(_WS) + base + draw(_WS)
+    return text
+
+
+def _outcome(parser, *args):
+    try:
+        return parser(*args)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(class_expr_soups(), st.integers(0, 4), st.integers(-1, 4), st.integers(0, 5))
+@example("aS*+2", 1, -1, 0)
+@example("aS*--1", 1, -1, 0)
+@example("1_0*aS", 1, -1, 0)
+@example("aL01 ^ 2*Nt[ 1 , 2 ]", 3, -1, 3)
+@example("u2S\u00a0*\u00a0aL\u0661^\u0662", 2, 2, 1)
+@example("D[2,1]^-1*x", 2, -1, 0)
+def test_matches_reference_parser(text, exponent, level, col):
+    """level -1 stands for None, the group's own level."""
+    group = C(exponent)
+    level = None if level < 0 else min(level, exponent)
+    expected = _outcome(reference_parse_class_expr, text, group, level, 2, col)
+    assert _outcome(parse_class_expr, text, group, level, 2, col) == expected
+
+
+_LONG = "1" * 5000  # past the default int/str conversion limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        (f"group C{_LONG}\n", 1, 6),
+        (f"group C2\ngrading {_LONG}\n", 2, 8),
+        (f"group C2\ngrading 1+l{_LONG}\n", 2, 8),
+        (f"group C2\nwindow 0 {_LONG} 4\n", 2, 7),
+        (f"group C4\nclass x = aL{_LONG}\n", 2, 6),
+        (f"group C4\nclass x = aS*{_LONG}\n", 2, 9),
+        (f"group C4\nclass x = aS^{_LONG}\n", 2, 9),
+        (f"group C4\nclass x = Nt[{_LONG},1]\n", 2, 6),
+        (f"group C4\nclass x = D[1,{_LONG}]\n", 2, 6),
+        (f"group C4\nclass x = aS @C{_LONG}\n", 2, None),
+        (f"group C2\ndiff {_LONG}: u2S -> aS\n", 2, 0),
+        (f"group C2\ndiff 3: u2S -> aS*uL{_LONG}\n", 2, 13),
+        (f"group C4\nguide L{_LONG}\n", 2, 6),
+        (f"group C4\nguide vanish h={_LONG} k=1\n", 2, 6),
+    ],
+)
+def test_integer_literal_past_digit_limit(default_digit_limit, text, line, col):
+    with pytest.raises(DslSemanticError) as exc:
+        parse(text)
+    assert exc.value.reason == "integer literal of 5000 digits is too long"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_digit_limit_error_keeps_its_place_in_order(default_digit_limit):
+    # errors before the long literal still come first, as they did
+    with pytest.raises(DslSemanticError, match="aL5 is not in the basis"):
+        parse_class_expr(f"aL5*aL{_LONG}", C(2))
+    with pytest.raises(DslSemanticError, match="negative exponents"):
+        parse_class_expr(f"aL{_LONG}^-1", C(2))
+
+
+def test_level_message_for_group_too_large_to_print(default_digit_limit):
+    # C_(2^20000) has more digits than int-to-str allows; the group printer
+    # spells it as a power of 2
+    with pytest.raises(DslSemanticError) as exc:
+        parse("group C4\nclass x = D[20000,1]\n")
+    assert exc.value.reason == "D[20000,1] needs a level of at least C_(2^20000)"

@@ -115,6 +115,18 @@ class TestSchema:
         with pytest.raises(JsonSchemaError, match="out of range"):
             obj_to_monomial(obj)
 
+    def test_group_past_int_digit_limit(self, default_digit_limit):
+        # the message names a group whose order has too many digits to print
+        obj = {"group": 20000, "level": 20001, "coeff": 1, "norms": [], "a": {}, "u": {}}
+        with pytest.raises(JsonSchemaError, match=r"C_\(2\^20000\)"):
+            import_json(json.dumps([obj]))
+
+    def test_non_string_basis_key(self):
+        obj = monomial_to_obj(build_D(2, 1))
+        obj["a"] = {1: 2}
+        with pytest.raises(JsonSchemaError, match="unknown basis key"):
+            obj_to_monomial(obj)
+
     def test_top_level_must_be_list(self):
         with pytest.raises(JsonSchemaError):
             import_json(b'{"group": 1}')

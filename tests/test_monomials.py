@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +17,12 @@ from sliceshear import (
     norm_class,
     rho_bar,
 )
-from helpers import random_actual_rep, random_monomial, reference_degree
+from helpers import (
+    random_actual_rep,
+    random_monomial,
+    reference_degree,
+    reference_monomial_fields,
+)
 
 
 def C(n):
@@ -232,3 +237,51 @@ class TestClosedFormKernel:
         assert [f.name for f in fields(m)] == [
             "group", "level", "coeff", "norms", "a_exp", "u_exp"
         ]
+
+
+@st.composite
+def constructor_args(draw):
+    """Arguments for ClassMonomial, valid or not: levels out of range, short,
+    long and list-typed exponent vectors, negative or non-integer entries,
+    repeated and out-of-range norm factors."""
+    exponent = draw(st.integers(0, 4))
+    level = draw(st.integers(-1, exponent + 1))
+    entry = st.integers(-1, 4) | st.sampled_from([True, 1.0])
+    vec = st.lists(entry, max_size=max(level, 0) + 1)
+    vec = vec.map(tuple) | vec
+    norm = st.tuples(st.integers(-1, 5), st.integers(-1, 6), st.integers(-1, 3))
+    norms = st.lists(norm, max_size=4)
+    return (
+        C(exponent),
+        level,
+        draw(st.integers(-20, 20) | st.just(1.5)),
+        draw(norms.map(tuple) | norms),
+        draw(vec),
+        draw(vec),
+    )
+
+
+def _fields_or_error(build, args):
+    try:
+        return build(*args)
+    except MonomialError as e:
+        return str(e)
+
+
+@given(constructor_args())
+def test_constructor_matches_two_pass_reference(args):
+    def stored(*a):
+        m = ClassMonomial(*a)
+        return m.group, m.level, m.coeff, m.norms, m.a_exp, m.u_exp
+
+    assert _fields_or_error(stored, args) == _fields_or_error(reference_monomial_fields, args)
+
+
+def test_constructor_keywords_and_replace():
+    g = C(3)
+    m = ClassMonomial(
+        group=g, level=3, coeff=6, norms=[(2, 3, 1), (1, 3, 2)], a_exp=[0, 1], u_exp=(1,)
+    )
+    assert m == ClassMonomial(g, 3, 6, ((1, 3, 2), (2, 3, 1)), (0, 1, 0), (1, 0, 0))
+    assert replace(m, coeff=1).coeff == 1 and replace(m, coeff=4).is_zero
+    assert (m._degree, m._bidegree) == (None, None)

@@ -51,6 +51,11 @@ class TestGroup:
         assert str(C(0)) == "C1"
         assert str(C(4)) == "C16"
 
+    def test_str_past_int_digit_limit(self, default_digit_limit):
+        # 2^14284 has 4,300 digits and still prints; 2^14285 has 4,301
+        assert str(C(14284)) == f"C{1 << 14284}"
+        assert str(C(14285)) == "C_(2^14285)"
+
 
 class TestDimension:
     def test_zero(self):
