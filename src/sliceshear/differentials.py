@@ -63,7 +63,7 @@ class Differential:
     provenance: str = field(default="user", compare=False)
 
     def __post_init__(self) -> None:
-        if self.page < 2:
+        if type(self.page) is not int or self.page < 2:
             raise DifferentialError(f"differential page must be >= 2, got {self.page}")
         if self.provenance not in PROVENANCES:
             raise DifferentialError(f"unknown provenance {self.provenance!r}")

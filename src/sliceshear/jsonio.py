@@ -13,7 +13,7 @@ import json
 import re
 from typing import Iterable, Union
 
-from .differentials import PROVENANCES, Differential
+from .differentials import PROVENANCES, Differential, validate
 from .monomials import ClassMonomial, MonomialError
 from .reps import CyclicGroup, RepError, basis_names
 
@@ -141,29 +141,86 @@ def obj_to_differential(obj, path: str = "") -> Differential:
     provenance = _need(obj, "provenance", path)
     if provenance not in PROVENANCES:
         raise JsonSchemaError(f"{path}.provenance", f"must be one of {PROVENANCES}")
-    return Differential(CyclicGroup(group), page, source, target, provenance)
+    d = Differential(CyclicGroup(group), page, source, target, provenance)
+    try:
+        problems = validate(d)
+    except ValueError as e:  # a degree too long to print in the message
+        raise JsonSchemaError(path, f"invalid differential: {e}") from e
+    if problems:
+        raise JsonSchemaError(path, problems[0])
+    return d
+
+
+# The writer below lays out exactly the bytes of json.dumps(objs, indent=2),
+# objs being the *_to_obj dicts, without the pure-Python indent encoder.  Its
+# template needs no escaping: keys come from basis_names and provenance from
+# PROVENANCES, and every integer field is a plain int, for which str is the
+# text json writes.
+
+
+def _exponents_text(exps: tuple[int, ...], names: tuple[str, ...], pad: str) -> str:
+    body = ",\n".join(f'{pad}  "{k}": {e}' for k, e in zip(names, exps) if e)
+    return f"{{\n{body}\n{pad}}}" if body else "{}"
+
+
+def _monomial_text(m: ClassMonomial, pad: str) -> str:
+    """``monomial_to_obj(m)`` as laid out with its braces at indent ``pad``."""
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    norms = ",\n".join(
+        f"{p2}[\n{p3}{i},\n{p3}{j},\n{p3}{e}\n{p2}]" for i, j, e in m.norms
+    )
+    norms = f"[\n{norms}\n{p1}]" if norms else "[]"
+    level = m.level
+    return (
+        f'{{\n{p1}"group": {m.group.exponent},\n{p1}"level": {level},\n'
+        f'{p1}"coeff": {m.coeff},\n{p1}"norms": {norms},\n'
+        f'{p1}"a": {_exponents_text(m.a_exp, basis_names(level, "s"), p1)},\n'
+        f'{p1}"u": {_exponents_text(m.u_exp, basis_names(level, "2s"), p1)}\n'
+        f"{pad}}}"
+    )
+
+
+def _differential_text(d: Differential, pad: str) -> str:
+    """``differential_to_obj(d)`` as laid out with its braces at indent ``pad``."""
+    p1 = pad + "  "
+    return (
+        f'{{\n{p1}"group": {d.group.exponent},\n{p1}"page": {d.page},\n'
+        f'{p1}"source": {_monomial_text(d.source, p1)},\n'
+        f'{p1}"target": {_monomial_text(d.target, p1)},\n'
+        f'{p1}"provenance": "{d.provenance}"\n'
+        f"{pad}}}"
+    )
 
 
 def export_json(items: Iterable[Item]) -> bytes:
-    """Serialize a sequence of monomials and differentials; round-trip exact."""
-    objs = []
+    """Serialize a sequence of monomials and differentials; round-trip exact.
+
+    The bytes are ``json.dumps([monomial_to_obj / differential_to_obj of each
+    item], indent=2) + "\\n"``."""
+    texts = []
     for item in items:
         if isinstance(item, Differential):
-            objs.append(differential_to_obj(item))
+            texts.append(_differential_text(item, "  "))
         elif isinstance(item, ClassMonomial):
-            objs.append(monomial_to_obj(item))
+            texts.append(_monomial_text(item, "  "))
         else:
             raise TypeError(f"cannot export {type(item).__name__} to JSON")
-    return (json.dumps(objs, indent=2) + "\n").encode("utf-8")
+    if not texts:
+        return b"[]\n"
+    return ("[\n  " + ",\n  ".join(texts) + "\n]\n").encode("utf-8")
 
 
 def import_json(data: bytes | str) -> list[Item]:
     """Inverse of :func:`export_json`; objects with a ``page`` field are
     differentials, everything else must be a monomial."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError and the int digit limit are
+        # all ValueErrors; RecursionError comes from deep nesting
         raise JsonSchemaError("$", f"not valid JSON: {e}") from e
     if not isinstance(raw, list):
         raise JsonSchemaError("$", f"expected a list, got {type(raw).__name__}")

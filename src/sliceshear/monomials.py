@@ -68,9 +68,10 @@ class ClassMonomial:
         u_exp: tuple[int, ...] = (),
     ) -> None:
         # validates and canonicalizes first, then sets every field once
-        if not 0 <= level <= group.exponent:
+        # exported fields admit plain ints only, so bools and floats are refused
+        if type(level) is not int or not 0 <= level <= group.exponent:
             raise MonomialError(f"level {level} out of range for ambient group {group}")
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:
             raise MonomialError(f"coefficient must be an integer, got {coeff!r}")
         a = _sized("a_exp", a_exp, level)
         u = _sized("u_exp", u_exp, level)
@@ -219,7 +220,7 @@ def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
     if len(vec) > level:
         raise MonomialError(f"{name} has {len(vec)} entries, level is {level}")
     for e in vec:
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise MonomialError(f"{name} entries must be non-negative integers")
     if len(vec) == level and type(vec) is tuple:
         return vec
@@ -231,9 +232,9 @@ def _merged_norms(
 ) -> tuple[tuple[int, int, int], ...]:
     merged: dict[tuple[int, int], int] = {}
     for i, j, e in norms:
-        if i < 1 or not 1 <= j <= level:
+        if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
             raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise MonomialError("norm exponents must be non-negative integers")
         if e:
             merged[(j, i)] = merged.get((j, i), 0) + e

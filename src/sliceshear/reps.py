@@ -24,6 +24,7 @@ __all__ = [
     "regular_rep",
     "rho_bar",
     "tau",
+    "tau_series",
     "line_L",
     "constant_C",
 ]
@@ -56,7 +57,7 @@ class CyclicGroup:
     exponent: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+        if type(self.exponent) is not int or self.exponent < 0:
             raise RepError(
                 f"group exponent must be a non-negative integer, got {self.exponent!r}"
             )
@@ -346,10 +347,20 @@ def tau(V: VirtualRep, k: int) -> int:
     subgroups of order at most 2^k contributes exactly j = 0..k.  The j = 0
     term vanishes, hence tau(V, k) >= 0 and tau(V, 0) = 0.
     """
-    n = V.group.exponent
-    if not 0 <= k <= n:
+    return tau_series(V, k)[k]
+
+
+def tau_series(V: VirtualRep, k: int) -> list[int]:
+    """``[tau(V, 0), ..., tau(V, k)]`` in one pass: the running maximum over
+    j of |V^{C_{2^j}}|*2^j - |V|."""
+    if not 0 <= k <= V.group.exponent:
         raise RepError(f"tau index k={k} out of range for {V.group}")
-    return max(V.fixed_dimension(j) << j for j in range(k + 1)) - V.dimension
+    dim = V.dimension
+    series: list[int] = []
+    for j in range(k + 1):
+        term = (V.fixed_dimension(j) << j) - dim
+        series.append(term if not series or term > series[-1] else series[-1])
+    return series
 
 
 def line_L(V: VirtualRep, k: int) -> Line:

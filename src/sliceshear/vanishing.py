@@ -12,10 +12,9 @@ never asserts that a differential exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .differentials import Differential
-from .reps import CyclicGroup, Line, RepError, VirtualRep, line_L
+from .reps import CyclicGroup, Line, RepError, VirtualRep, line_L, tau_series
 
 __all__ = [
     "VanishingProfile",
@@ -97,12 +96,17 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     Slope |G| - 1 and intercept -|V| + |G| * max_H |V^H|, the maximum running
     over all subgroups.
     """
+    return Line(*_boundary(V, n))
+
+
+def _boundary(V: VirtualRep, n: int) -> tuple[int, int]:
+    """The boundary's slope and intercept, as integers."""
     group = CyclicGroup(n + 1)
     if V.group != group:
         raise RepError(f"boundary grading must live over {group}, got {V.group}")
     top = max(V.fixed_dimension(j) for j in range(n + 2))
     order = 1 << (n + 1)
-    return Line(order - 1, Fraction(-V.dimension + order * top))
+    return order - 1, -V.dimension + order * top
 
 
 @dataclass(frozen=True)
@@ -139,18 +143,22 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
     s_tgt = d.target.filtration
     if x_src < 0:
         return []
+    h, n = profile.h, profile.n
     out: list[Violation] = []
-    for k in range(profile.n + 1):
-        stratum = line_L(V, k)
-        if stratum.on_or_above(x_src, s_src):
-            bound = max_length(profile.h, profile.n, k)
+    # every line is tested in integers, as slope * x + intercept: the stratum
+    # line_L has intercept tau_k, the vanishing line tau_k + N_k; a Line is
+    # built only to print the clause that fires
+    for k, tau_k in enumerate(tau_series(V, n)):
+        slope = (1 << k) - 1
+        if s_src >= slope * x_src + tau_k:
+            bound = max_length(h, n, k)
             if d.page > bound:
                 out.append(
                     Violation(
                         k,
                         "length",
                         f"length {d.page} exceeds the bound {bound} for sources "
-                        f"on or above {stratum.equation()}",
+                        f"on or above {Line(slope, tau_k).equation()}",
                     )
                 )
             step = 1 << k
@@ -160,28 +168,28 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         k,
                         "congruence",
                         f"length {d.page} is not 1 mod 2^{k}, which shearing "
-                        f"forces on or above {stratum.equation()}",
+                        f"forces on or above {Line(slope, tau_k).equation()}",
                     )
                 )
         else:
-            ceiling = vanishing_line(V, profile.h, profile.n, k)
-            if s_tgt >= ceiling.at(x_tgt):
+            ceiling = tau_k + N_constant(h, n, k)
+            if s_tgt >= slope * x_tgt + ceiling:
                 out.append(
                     Violation(
                         k,
                         "target-region",
                         f"target at ({x_tgt}, {s_tgt}) is not strictly below "
-                        f"the vanishing line {ceiling.equation()}",
+                        f"the vanishing line {Line(slope, ceiling).equation()}",
                     )
                 )
-    border = boundary_line(V, profile.n)
-    if s_tgt > border.at(x_tgt):
+    slope, intercept = _boundary(V, n)
+    if s_tgt > slope * x_tgt + intercept:
         out.append(
             Violation(
                 None,
                 "boundary",
                 f"target at ({x_tgt}, {s_tgt}) lies above the positive-cone "
-                f"boundary {border.equation()}",
+                f"boundary {Line(slope, intercept).equation()}",
             )
         )
     return out

@@ -14,11 +14,19 @@ import re
 from sliceshear import (
     ClassMonomial,
     CyclicGroup,
+    Differential,
     DslSemanticError,
     DslSyntaxError,
     MonomialError,
+    RepError,
+    VanishingProfile,
+    Violation,
     VirtualRep,
+    boundary_line,
+    line_L,
+    max_length,
     regular_rep,
+    vanishing_line,
 )
 from sliceshear.monomials import _d_norms
 
@@ -252,6 +260,77 @@ def reference_monomial_fields(group, level, coeff=1, norms=(), a_exp=(), u_exp=(
     if coeff == 0:
         a, u, norms = (0,) * len(a), (0,) * len(u), ()
     return group, level, coeff, norms, a, u
+
+
+# The admissibility check on Fraction Lines that the integer one replaced,
+# kept verbatim as its oracle.
+def reference_admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
+    """Check every admissibility clause; an empty list means admissible.
+
+    Positions are taken on the profile's graded page, x = stem - |V|.  For
+    each 0 <= k <= n: a source on or above the slope-(2^k - 1) line must have
+    length at most N_k - (2^k - 1) and congruent to 1 mod 2^k; a source below
+    it must land strictly below the vanishing line.  Every target must lie on
+    or below the positive-cone boundary.  Differentials whose source has
+    x < 0 are skipped entirely (outside the region the constraints govern).
+    """
+    if d.group != profile.group:
+        raise RepError(
+            f"differential over {d.group} does not match profile over {profile.group}"
+        )
+    V = profile.grading
+    x_src = d.source.stem - V.dimension
+    s_src = d.source.filtration
+    x_tgt = d.target.stem - V.dimension
+    s_tgt = d.target.filtration
+    if x_src < 0:
+        return []
+    out: list[Violation] = []
+    for k in range(profile.n + 1):
+        stratum = line_L(V, k)
+        if stratum.on_or_above(x_src, s_src):
+            bound = max_length(profile.h, profile.n, k)
+            if d.page > bound:
+                out.append(
+                    Violation(
+                        k,
+                        "length",
+                        f"length {d.page} exceeds the bound {bound} for sources "
+                        f"on or above {stratum.equation()}",
+                    )
+                )
+            step = 1 << k
+            if d.page % step != 1 % step:
+                out.append(
+                    Violation(
+                        k,
+                        "congruence",
+                        f"length {d.page} is not 1 mod 2^{k}, which shearing "
+                        f"forces on or above {stratum.equation()}",
+                    )
+                )
+        else:
+            ceiling = vanishing_line(V, profile.h, profile.n, k)
+            if s_tgt >= ceiling.at(x_tgt):
+                out.append(
+                    Violation(
+                        k,
+                        "target-region",
+                        f"target at ({x_tgt}, {s_tgt}) is not strictly below "
+                        f"the vanishing line {ceiling.equation()}",
+                    )
+                )
+    border = boundary_line(V, profile.n)
+    if s_tgt > border.at(x_tgt):
+        out.append(
+            Violation(
+                None,
+                "boundary",
+                f"target at ({x_tgt}, {s_tgt}) lies above the positive-cone "
+                f"boundary {border.equation()}",
+            )
+        )
+    return out
 
 
 def random_rep(rng: random.Random, group: CyclicGroup, span: int = 6) -> VirtualRep:

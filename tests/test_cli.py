@@ -223,7 +223,7 @@ def test_import_pulls_in_no_xml_or_network_modules():
         "print(*sys.modules)"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
     )
     loaded = set(proc.stdout.split())
     assert "sliceshear.cli" in loaded

@@ -1,11 +1,21 @@
 import json
 import random
+import warnings
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sliceshear import (
+    ClassMonomial,
     CyclicGroup,
+    Differential,
+    DifferentialError,
     JsonSchemaError,
+    LeibnizZeroError,
+    MonomialError,
+    RegionWarning,
+    RepError,
     build_D,
     export_json,
     hhr_family,
@@ -13,8 +23,10 @@ from sliceshear import (
     import_json,
     leibniz,
     transport,
+    validate,
 )
 from sliceshear import jsonio
+from sliceshear.differentials import PROVENANCES
 from sliceshear.jsonio import differential_to_obj, monomial_to_obj, obj_to_monomial
 from helpers import random_monomial
 
@@ -140,3 +152,175 @@ class TestSchema:
         obj["provenance"] = "dreamt"
         with pytest.raises(JsonSchemaError, match="provenance"):
             import_json(json.dumps([obj]))
+
+
+class TestMalformedBytes:
+    """Bytes that json cannot read are schema errors, whatever json raises."""
+
+    def test_invalid_utf8(self):
+        with pytest.raises(JsonSchemaError, match=r"^\$: not valid JSON: 'utf-8' codec"):
+            import_json(b"\xff[]")
+
+    def test_number_past_int_digit_limit(self, default_digit_limit):
+        with pytest.raises(JsonSchemaError, match=r"^\$: not valid JSON: Exceeds the limit \(4300"):
+            import_json(b"[" + b"7" * 5000 + b"]")
+
+    def test_deep_nesting(self):
+        with pytest.raises(JsonSchemaError, match=r"^\$: not valid JSON: maximum recursion depth"):
+            import_json(b"[" * 100000 + b"]" * 100000)
+
+    def test_decode_error_message(self):
+        with pytest.raises(JsonSchemaError) as e:
+            import_json(b"[1,")
+        assert str(e.value) == "$: not valid JSON: Expecting value: line 1 column 4 (char 3)"
+
+
+class TestInvalidDifferentials:
+    """Imported differentials pass validate(), as DSL ones do."""
+
+    def _rejected(self, obj, message):
+        with pytest.raises(JsonSchemaError, match=r"^items\[0\]: " + message):
+            import_json(json.dumps([obj]))
+
+    def test_stem_mismatch(self):
+        obj = differential_to_obj(hhr_family(1, 1))
+        obj["target"]["norms"] = []
+        self._rejected(obj, r"stem mismatch: 0 - 1 = -1 expected, target has -5$")
+
+    def test_filtration_mismatch(self):
+        obj = differential_to_obj(hhr_family(1, 1))
+        obj["page"] = 7
+        self._rejected(obj, "filtration mismatch")
+
+    def test_group_disagrees_with_endpoints(self):
+        obj = differential_to_obj(hhr_family(1, 1))
+        obj["group"] = 3
+        self._rejected(
+            obj, r"endpoint group mismatch: source over C4, target over C4, differential over C8$"
+        )
+
+    def test_zero_endpoint(self):
+        obj = differential_to_obj(hhr_family(1, 1))
+        obj["source"]["coeff"] = 0
+        self._rejected(obj, "differential endpoints must be nonzero classes")
+
+    def test_degree_too_long_to_print(self, default_digit_limit):
+        obj = differential_to_obj(hhr_family(0, 1))
+        obj["target"]["norms"] = [[20000, 1, 1]]
+        self._rejected(obj, "invalid differential: Exceeds the limit")
+
+
+class TestExportedFieldsArePlainInts:
+    """A bool or float in a field that export_json writes would export as
+    true/1.5/NaN, which import_json rejects; the constructors refuse them."""
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, float("nan"), float("inf")])
+    def test_rejected(self, bad):
+        g = CyclicGroup(2)
+        good = dict(group=g, level=2, coeff=1, norms=((1, 1, 1),), a_exp=(1, 0), u_exp=(0, 1))
+        for change in (
+            dict(level=bad),
+            dict(coeff=bad),
+            dict(norms=((bad, 1, 1),)),
+            dict(norms=((1, bad, 1),)),
+            dict(norms=((1, 1, bad),)),
+            dict(a_exp=(bad, 0)),
+            dict(u_exp=(0, bad)),
+        ):
+            with pytest.raises(MonomialError):
+                ClassMonomial(**{**good, **change})
+        with pytest.raises(RepError):
+            CyclicGroup(bad)
+        m = ClassMonomial(**good)
+        with pytest.raises(DifferentialError):
+            Differential(g, bad, m, m)
+
+    def test_mixed_bool_and_float(self):
+        with pytest.raises(MonomialError):
+            ClassMonomial(CyclicGroup(2), 2, True, ((1.5, 1, 1),), (0, True))
+
+
+@st.composite
+def monomials(draw):
+    """Monomials at levels 0-6, with zero, unit, large and negative
+    coefficients and large norm indices and exponents."""
+    group = CyclicGroup(draw(st.integers(0, 6)))
+    level = draw(st.integers(0, group.exponent))
+    if draw(st.booleans()):
+        return draw(st.sampled_from([ClassMonomial.one, ClassMonomial.zero]))(group, level)
+    big = st.integers(0, 3) | st.integers(0, 10**30)
+    norm = st.tuples(st.integers(1, 2000), st.integers(1, max(level, 1)), big)
+    vec = st.lists(big, max_size=level).map(tuple)
+    return ClassMonomial(
+        group,
+        level,
+        draw(st.integers(-3, 3) | st.integers(-(10**40), 10**40)),
+        draw(st.lists(norm, max_size=3)) if level else (),
+        draw(vec),
+        draw(vec),
+    )
+
+
+@st.composite
+def arbitrary_differentials(draw):
+    """Differentials the constructor accepts, valid or not."""
+    return Differential(
+        CyclicGroup(draw(st.integers(0, 6))),
+        draw(st.integers(2, 10**20)),
+        draw(monomials()),
+        draw(monomials()),
+        draw(st.sampled_from(PROVENANCES)),
+    )
+
+
+@st.composite
+def valid_differentials(draw):
+    """Family, transported and Leibniz-product differentials, with any provenance."""
+    n, i = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    d = hhr_family(n, i)
+    kind = draw(st.sampled_from(["family", "transported", "leibniz"]))
+    if kind == "transported":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegionWarning)
+            d = transport(hu_kriz_seed(i), n)
+    elif kind == "leibniz":
+        vec = st.lists(st.integers(0, 5), min_size=n + 1, max_size=n + 1).map(tuple)
+        try:
+            d = leibniz(d, ClassMonomial(d.group, n + 1, 1, (), draw(vec), draw(vec)))
+        except LeibnizZeroError:
+            pass
+    return replace(d, provenance=draw(st.sampled_from(PROVENANCES)))
+
+
+def _reference_bytes(items) -> bytes:
+    objs = [
+        differential_to_obj(x) if isinstance(x, Differential) else monomial_to_obj(x)
+        for x in items
+    ]
+    return (json.dumps(objs, indent=2) + "\n").encode()
+
+
+class TestWriter:
+    @given(st.lists(monomials() | arbitrary_differentials() | valid_differentials(), max_size=5))
+    @example([])
+    def test_bytes_are_json_dumps_indent_2(self, items):
+        assert export_json(items) == _reference_bytes(items)
+
+    def test_rejects_other_items(self):
+        with pytest.raises(TypeError, match="cannot export dict"):
+            export_json([{}])
+
+    @given(monomials())
+    def test_monomial_round_trip(self, m):
+        assert import_json(export_json([m])) == [m]
+
+    @given(valid_differentials() | arbitrary_differentials())
+    def test_differential_round_trips_exactly_when_valid(self, d):
+        problems = validate(d)
+        if problems:
+            with pytest.raises(JsonSchemaError) as e:
+                import_json(export_json([d]))
+            assert str(e.value) == f"items[0]: {problems[0]}"
+        else:
+            (back,) = import_json(export_json([d]))
+            assert back == d and back.provenance == d.provenance

@@ -268,12 +268,25 @@ def _fields_or_error(build, args):
         return str(e)
 
 
+def _plain_ints(args) -> bool:
+    _, level, coeff, norms, a, u = args
+    return all(
+        type(x) is int for x in (level, coeff, *a, *u, *(v for t in norms for v in t))
+    )
+
+
 @given(constructor_args())
 def test_constructor_matches_two_pass_reference(args):
+    """Plain-int arguments are stored as the two-pass constructor stored
+    them; a bool or float anywhere is refused."""
     def stored(*a):
         m = ClassMonomial(*a)
         return m.group, m.level, m.coeff, m.norms, m.a_exp, m.u_exp
 
+    if not _plain_ints(args):
+        with pytest.raises(MonomialError):
+            ClassMonomial(*args)
+        return
     assert _fields_or_error(stored, args) == _fields_or_error(reference_monomial_fields, args)
 
 

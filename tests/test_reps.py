@@ -14,7 +14,7 @@ from sliceshear import (
     rho_bar,
     tau,
 )
-from sliceshear.reps import basis_names
+from sliceshear.reps import basis_names, tau_series
 from helpers import fixed_dim_oracle, random_rep, restrict_oracle
 
 
@@ -180,6 +180,18 @@ class TestTau:
     def test_out_of_range(self):
         with pytest.raises(RepError):
             tau(VirtualRep.zero(C(1)), 2)
+        with pytest.raises(RepError, match="tau index k=2 out of range for C2"):
+            tau_series(VirtualRep.zero(C(1)), 2)
+
+    def test_series_is_running_max_over_the_oracle(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            n = rng.randint(0, 6)
+            v = random_rep(rng, C(n), span=rng.choice([3, 40]))
+            k = rng.randint(0, n)
+            terms = [fixed_dim_oracle(v, j) * 2**j - v.dimension for j in range(k + 1)]
+            assert tau_series(v, k) == [max(terms[: j + 1]) for j in range(k + 1)]
+            assert tau_series(v, k) == [tau(v, j) for j in range(k + 1)]
 
 
 class TestLineL:

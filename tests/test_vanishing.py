@@ -1,11 +1,15 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sliceshear import (
     ClassMonomial,
     CyclicGroup,
     Differential,
+    LeibnizZeroError,
+    RegionWarning,
     RepError,
     VanishingProfile,
     VirtualRep,
@@ -13,12 +17,14 @@ from sliceshear import (
     admissible,
     boundary_line,
     hhr_family,
+    leibniz,
     line_L,
     max_length,
     region_classify,
+    transport,
     vanishing_line,
 )
-from helpers import random_rep
+from helpers import random_monomial, random_rep, reference_admissible
 
 
 def C(n):
@@ -141,6 +147,19 @@ class TestAdmissible:
         violations = admissible(d, prof)
         assert any(v.clause == "boundary" for v in violations)
 
+    def test_target_on_the_vanishing_line(self):
+        # a source at (4, 0) is below s = (t-s); its target at (3, 9) lies on
+        # the k = 1 vanishing line s = (t-s) + 6 for h = 2, below it for h = 4
+        g = C(2)
+        src = ClassMonomial(g, 2, norms=((1, 2, 1),))
+        tgt = ClassMonomial(g, 2, norms=((2, 2, 1),), a_exp=(9, 0))
+        d = Differential(g, 9, src, tgt)
+        assert [str(v) for v in admissible(d, VanishingProfile(1, 2, VirtualRep.zero(g)))] == [
+            "[k=1 target-region] target at (3, 9) is not strictly below the "
+            "vanishing line s = 1(t-s) + 6"
+        ]
+        assert admissible(d, VanishingProfile(1, 4, VirtualRep.zero(g))) == []
+
     def test_negative_stem_sources_skipped(self):
         g = C(1)
         src = ClassMonomial(g, 1, a_exp=(2,))  # stem -2
@@ -152,6 +171,75 @@ class TestAdmissible:
         d = hhr_family(1, 1)
         with pytest.raises(RepError):
             admissible(d, VanishingProfile(0, 1, VirtualRep.zero(C(1))))
+
+
+@st.composite
+def top_monomials(draw, group):
+    lv = group.exponent
+    norm = st.tuples(st.integers(1, 4), st.integers(1, lv), st.integers(1, 3))
+    vec = st.lists(st.integers(0, 4), min_size=lv, max_size=lv).map(tuple)
+    return ClassMonomial(group, lv, 1, tuple(draw(st.lists(norm, max_size=2))), draw(vec), draw(vec))
+
+
+@st.composite
+def admissibility_cases(draw):
+    """A profile for n <= 5 with a grading of either sign and h = 2^n m, and a
+    family, transported, Leibniz-product or arbitrary-endpoint differential;
+    large gradings and a-classes put sources at x < 0."""
+    n = draw(st.integers(0, 5))
+    group = C(n + 1)
+    span = draw(st.sampled_from([3, 12, 60]))
+    coeffs = st.lists(st.integers(-span, span), min_size=n + 2, max_size=n + 2)
+    profile = VanishingProfile(n, (1 << n) * draw(st.integers(1, 8)), VirtualRep(group, tuple(draw(coeffs))))
+    i = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["family", "transported", "leibniz", "arbitrary"]))
+    if kind == "family":
+        d = hhr_family(n, i)
+    elif kind == "transported":
+        j = draw(st.integers(0, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegionWarning)
+            d = transport(hhr_family(j, i), n - j)
+    elif kind == "leibniz":
+        try:
+            d = leibniz(hhr_family(n, i), draw(top_monomials(group)))
+        except LeibnizZeroError:
+            d = hhr_family(n, i)
+    else:
+        page = draw(st.integers(2, 300))
+        d = Differential(group, page, draw(top_monomials(group)), draw(top_monomials(group)))
+    return d, profile
+
+
+class TestAgainstReference:
+    """The integer admissibility check against the Fraction-Line one: same
+    violations, in the same order, with the same messages."""
+
+    @given(admissibility_cases())
+    def test_matches_reference(self, case):
+        d, profile = case
+        assert admissible(d, profile) == reference_admissible(d, profile)
+
+    def test_seeded_sweep_fires_every_clause(self):
+        rng = random.Random(29)
+        clauses, skipped = set(), 0
+        for _ in range(600):
+            n = rng.randint(0, 5)
+            group = C(n + 1)
+            profile = VanishingProfile(
+                n, (1 << n) * rng.randint(1, 8), random_rep(rng, group, span=rng.choice([3, 12, 60]))
+            )
+            if rng.random() < 0.5:
+                d = hhr_family(n, rng.randint(1, 6))
+            else:
+                src, tgt = random_monomial(rng, group), random_monomial(rng, group)
+                d = Differential(group, rng.randint(2, 300), src, tgt)
+            got = admissible(d, profile)
+            assert got == reference_admissible(d, profile)
+            clauses |= {v.clause for v in got}
+            skipped += d.source.stem < profile.grading.dimension
+        assert clauses == {"length", "congruence", "target-region", "boundary"}
+        assert skipped
 
 
 class TestRegionClassify:
