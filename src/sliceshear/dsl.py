@@ -182,12 +182,12 @@ def parse_rep(
 
 # -- class expressions --------------------------------------------------------
 #
-# A class expression is split on "*" into factors and each factor on "^"; str
-# methods tell the factor kinds apart.  parse() shares one memo of factor
-# classifications between the class and diff lines of a document.  Text that
-# the split rejects goes to the token scanner, which reports the first error
-# exactly; both paths hand their factors to _build, the one home of the
-# semantic checks.
+# A class expression is split on "*" and each piece is read with the token
+# grammar _CLASS_TOKEN.  parse() shares one memo of the factors that pieces
+# spell between the class and diff lines of a document.  An unknown character
+# raises at once, so it comes first wherever it stands.  Any other error waits
+# in its place as an "err" factor, and _build, the one home of the semantic
+# checks, raises it once the factors before it have passed theirs.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -204,102 +204,59 @@ _CLASS_TOKEN = re.compile(
     re.X,
 )
 
-# A factor is (kind, x, y, exponent, exponent column - factor column): kind is
-# a _CLASS_TOKEN group name, x and y its integers (the token text for a stray
-# ^ or *).  Columns count from where the scan of a token starts, i.e. before
-# its leading whitespace, as the scanner's error columns do.
+# A factor is (kind, x, y, exponent): kind is a _CLASS_TOKEN group name and x,
+# y its integers, or kind "err" and x the error to raise.  Columns count from
+# where the scan of a token starts, i.e. before its leading whitespace, so a
+# factor's column is that of its piece.
 
 
-def _is_int(text: str) -> bool:
-    """An optional minus sign and decimal digits; isdecimal() accepts the
-    Unicode Nd set, the same digits as the scanner's ``\\d``."""
-    return (text[1:] if text[:1] == "-" else text).isdecimal()
-
-
-def _classify(piece: str):
-    """The factor that the text between two ``*`` spells, or None."""
-    base, caret, exp = piece.partition("^")
-    e = 1
-    if caret:
-        exp = exp.strip()
-        if not _is_int(exp):
-            return None
-        e = _int(exp)
-    erel = len(base) + 1
-    base = base.strip()
-    if base == "aS" or base == "u2S":
-        return base, 0, 0, e, erel
-    head = base[:2]
-    if head == "aL" or head == "uL":
-        return (head, _int(base[2:]), 0, e, erel) if base[2:].isdecimal() else None
-    if base[-1:] == "]" and (head == "D[" or base[:3] == "Nt["):
-        i, comma, j = base[2 if head == "D[" else 3 : -1].partition(",")
-        i, j = i.strip(), j.strip()
-        if comma and i.isdecimal() and j.isdecimal():
-            return ("dd" if head == "D[" else "nt"), _int(i), _int(j), e, erel
-        return None
-    return ("num", _int(base), 0, e, erel) if _is_int(base) else None
-
-
-def _scanned_factors(text: str, line: int | None, col_offset: int):
-    """Yield (factor, column) pairs token by token.  An unknown character
-    anywhere fails first; every other syntax error is raised only once the
-    factors before it have been consumed."""
+def _piece(piece: str, line: int | None, col: int, factors: list, memo: dict) -> None:
+    """Append the (factor, column) pairs that one piece spells to factors;
+    memoize its factor when the piece is a valid one."""
+    stripped = piece.rstrip()
     tokens = []
     pos = 0
-    stripped = text.rstrip()
     while pos < len(stripped):
         m = _CLASS_TOKEN.match(stripped, pos)
-        if not m or m.end() == m.start():
+        if not m:
             raise DslSyntaxError(
                 f"unexpected {stripped[pos:].lstrip()[:1]!r} in class expression",
                 line,
-                col_offset + pos,
+                col + pos,
             )
-        if m.lastgroup is not None:
-            tokens.append((m, col_offset + m.start()))
+        tokens.append(m)
         pos = m.end()
-    if not tokens:
-        raise DslSyntaxError("empty class expression", line, col_offset)
-    idx = 0
-    while True:
-        m, col = tokens[idx]
-        kind = m.lastgroup
-        idx += 1
-        exponent, erel = 1, 0
-        if idx < len(tokens) and tokens[idx][0].lastgroup == "pow":
-            idx += 1
-            if idx >= len(tokens) or tokens[idx][0].lastgroup != "num":
+    m, *tokens = tokens
+    kind, x, y, e = m.lastgroup, 0, 0, 1
+    try:
+        if tokens and tokens[0].lastgroup == "pow":
+            if len(tokens) < 2 or tokens[1].lastgroup != "num":
                 raise DslSyntaxError("expected an integer exponent after ^", line, col)
-            exponent = _int(tokens[idx][0].group("num"), line, tokens[idx][1])
-            erel = tokens[idx][1] - col
-            idx += 1
-        # a negative exponent is rejected before the indices are read, so its
-        # error comes before one for an index past the digit limit
-        x = y = 0
-        if exponent < 0:
-            pass
-        elif kind == "num":
+            ecol = col + tokens[1].start()
+            e = _int(tokens[1].group("num"), line, ecol)
+            # rejected before the indices are read, so it comes before an
+            # error for an index past the digit limit
+            if e < 0:
+                raise DslSemanticError("negative exponents are not allowed", line, ecol)
+            del tokens[:2]
+        if kind == "num":
             x = _int(m.group("num"), line, col)
         elif kind == "aL" or kind == "uL":
             x = _int(m.group(kind + "_i"), line, col)
-        elif kind == "nt":
-            x, y = _int(m.group("nt_i"), line, col), _int(m.group("nt_j"), line, col)
-        elif kind == "dd":
-            x, y = _int(m.group("d_n"), line, col), _int(m.group("d_m"), line, col)
-        elif kind != "aS" and kind != "u2S":
-            x = m.group(0).strip()
-        yield (kind, x, y, exponent, erel), col
-        if idx == len(tokens):
-            return
-        m, col = tokens[idx]
-        if m.lastgroup != "mul":
+        elif kind == "nt" or kind == "dd":
+            g = m.lastindex
+            x, y = _int(m.group(g + 1), line, col), _int(m.group(g + 2), line, col)
+        elif kind == "pow" or kind == "mul":
+            raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", line, col)
+        factors.append(((kind, x, y, e), col))
+        if tokens:
+            t = tokens[0]
             raise DslSyntaxError(
-                f"expected * between factors, got {m.group(0).strip()!r}", line, col
+                f"expected * between factors, got {t.group(0).strip()!r}", line, col + t.start()
             )
-        idx += 1
-        if idx == len(tokens):
-            raise DslSyntaxError("dangling * at end of class expression", line, col)
+        memo[piece] = kind, x, y, e
+    except DslError as err:
+        factors.append((("err", err, 0, 0), col))
 
 
 def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: int):
@@ -308,9 +265,7 @@ def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: i
     a = [0] * lv
     u = [0] * lv
     norms: list[tuple[int, int, int]] = []
-    for (kind, x, y, e, erel), col in factors:
-        if e < 0:
-            raise DslSemanticError("negative exponents are not allowed", line, col + erel)
+    for (kind, x, y, e), col in factors:
         if kind == "aS" or kind == "u2S":
             if lv < 1:
                 raise DslSemanticError(f"{kind} needs a level of at least C2", line, col)
@@ -343,7 +298,7 @@ def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: i
                 )
             norms += _d_norms(x, y, e)
         else:
-            raise DslSyntaxError(f"unexpected {x!r}", line, col)
+            raise x
     try:
         return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
     except MonomialError as e:
@@ -361,18 +316,23 @@ def _class_expr(
     lv = group.exponent if level is None else level
     factors = []
     col = col_offset
-    for piece in text.split("*"):
+    pieces = iter(text.split("*"))
+    for piece in pieces:
         factor = memo.get(piece)
         if factor is None:
-            try:
-                factor = _classify(piece)
-            except DslSemanticError:  # a literal past the digit limit
-                factor = None
-            if factor is None:
-                factors = _scanned_factors(text, line, col_offset)
-                return _build(factors, group, lv, line, col_offset)
-            memo[piece] = factor
-        factors.append((factor, col))
+            if not piece.strip() and col - col_offset + len(piece) < len(text):
+                # the * that follows stands where a factor should
+                piece += "*" + next(pieces)
+            elif not piece.strip():  # the text is blank or ends in *
+                # the scan of that * starts after the factor before it
+                mul = col_offset + len(text[: col - col_offset - 1].rstrip())
+                reason = "dangling * at end of" if factors else "empty"
+                err = DslSyntaxError(f"{reason} class expression", line, mul)
+                factors.append((("err", err, 0, 0), mul))
+                break
+            _piece(piece, line, col, factors, memo)
+        else:
+            factors.append((factor, col))
         col += len(piece) + 1
     return _build(factors, group, lv, line, col_offset)
 
@@ -399,7 +359,7 @@ def parse_diff_spec(
     provenance: str = "user",
 ) -> Differential:
     """Parse ``<r>: <source> -> <target>`` and check the bidegree laws."""
-    return _diff_spec(text, group, level, line, provenance, {})
+    return _diff_spec(text, group, level, line, 0, provenance, {})
 
 
 def _diff_spec(
@@ -407,6 +367,7 @@ def _diff_spec(
     group: CyclicGroup,
     level: int | None,
     line: int | None,
+    col_offset: int,
     provenance: str,
     memo: dict,
 ) -> Differential:
@@ -415,14 +376,17 @@ def _diff_spec(
         raise DslSyntaxError(
             f"expected '<r>: <source> -> <target>', got {text.strip()!r}", line
         )
-    page = _int(m.group(1), line, m.start(1))
-    source = _class_expr(m.group(2), group, level, line, m.start(2), memo)
-    target = _class_expr(m.group(3), group, level, line, m.start(3), memo)
+    page = _int(m.group(1), line, col_offset + m.start(1))
+    source = _class_expr(m.group(2), group, level, line, col_offset + m.start(2), memo)
+    target = _class_expr(m.group(3), group, level, line, col_offset + m.start(3), memo)
     try:
         d = Differential(group, page, source, target, provenance=provenance)
     except DifferentialError as e:
         raise DslSemanticError(str(e), line) from e
-    problems = validate(d)
+    try:
+        problems = validate(d)
+    except ValueError as e:  # a degree too long to print in the message
+        raise DslSemanticError(f"invalid differential: {e}", line) from e
     if problems:
         raise DslSemanticError(problems[0], line)
     return d
@@ -430,9 +394,9 @@ def _diff_spec(
 
 # -- documents ----------------------------------------------------------------
 
-_STMT_RE = re.compile(r"(\w+)\s*(.*)$")
+_STMT_RE = re.compile(r"\s*(\w+)\s*(.*)$")
 _WINDOW_RE = re.compile(r"(-?\d+)\s+(-?\d+)\s+(-?\d+)")
-_CLASS_DECL_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*(.*)$")
+_CLASS_DECL_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*([^@]*)(?:@\s*(.*))?$")
 _GUIDE_L_RE = re.compile(r"L(\d+)")
 _GUIDE_VANISH_RE = re.compile(r"vanish\s+h\s*=\s*(\d+)\s+k\s*=\s*(\d+)")
 
@@ -447,11 +411,11 @@ def parse(text: str) -> ChartDocument:
         body = raw.split("#", 1)[0].rstrip()
         if not body.strip():
             continue
-        stmt = _STMT_RE.match(body.strip())
+        stmt = _STMT_RE.match(body)
         if not stmt:
             raise DslSyntaxError(f"unparseable statement {body.strip()!r}", line_no)
         keyword, rest = stmt.group(1), stmt.group(2)
-        col = body.index(keyword) + len(keyword) + 1
+        col = stmt.start(2)  # columns are positions in the line
         if doc is None:
             if keyword != "group":
                 raise DslSyntaxError(
@@ -482,27 +446,26 @@ def parse(text: str) -> ChartDocument:
                 )
             doc.window = (x_min, x_max, s_max)
         elif keyword == "class":
-            m = _CLASS_DECL_RE.fullmatch(rest.strip())
+            m = _CLASS_DECL_RE.fullmatch(rest)
             if not m:
                 raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", line_no, col)
-            name, expr = m.group(1), m.group(2)
+            name, expr, lvl_text = m.groups()
             if name in names:
                 raise DslSemanticError(f"duplicate class name {name!r}", line_no)
             names.add(name)
             level = None
-            if "@" in expr:
-                expr, _, lvl_text = expr.partition("@")
-                lvl_group = parse_group_name(lvl_text, line_no)
-                level = lvl_group.exponent
+            if lvl_text is not None:
+                level = parse_group_name(lvl_text, line_no, col + m.start(3)).exponent
                 if level > doc.group.exponent:
                     raise DslSemanticError(
-                        f"level {lvl_text.strip()} exceeds the chart group {doc.group}",
+                        f"level {lvl_text} exceeds the chart group {doc.group}",
                         line_no,
+                        col + m.start(3),
                     )
-            mono = _class_expr(expr, doc.group, level, line_no, col, memo)
+            mono = _class_expr(expr, doc.group, level, line_no, col + m.start(2), memo)
             doc.classes.append((name, mono))
         elif keyword == "diff":
-            doc.diffs.append(_diff_spec(rest, doc.group, None, line_no, "user", memo))
+            doc.diffs.append(_diff_spec(rest, doc.group, None, line_no, col, "user", memo))
         elif keyword == "guide":
             doc.guides.append(_parse_guide(rest.strip(), doc, line_no, col))
         else:

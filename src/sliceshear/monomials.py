@@ -210,11 +210,6 @@ class ClassMonomial:
             tuple(u * e for u in self.u_exp),
         )
 
-    def scaled(self, c: int) -> "ClassMonomial":
-        return ClassMonomial(
-            self.group, self.level, c * self.coeff, self.norms, self.a_exp, self.u_exp
-        )
-
 
 def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
     if len(vec) > level:

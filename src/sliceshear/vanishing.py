@@ -60,15 +60,6 @@ class VanishingProfile:
     def m(self) -> int:
         return self.h >> self.n
 
-    @classmethod
-    def for_theory(
-        cls, n: int, m: int, grading: VirtualRep | None = None
-    ) -> "VanishingProfile":
-        group = CyclicGroup(n + 1)
-        if grading is None:
-            grading = VirtualRep.zero(group)
-        return cls(n, (1 << n) * m, grading)
-
 
 def N_constant(h: int, n: int, k: int) -> int:
     """The vanishing offset N_k = 2^(h/2^k + n + 1) - 2^(n+1) + 2^k."""

@@ -215,6 +215,15 @@ class TestExitCodes:
             }
         }
 
+    def test_chart_diff_too_long_to_print_is_3(self, capsys, tmp_path, default_digit_limit):
+        src = tmp_path / "big.dsl"
+        src.write_text("group C2\ndiff 2: Nt[20000,1] -> Nt[20000,1]*aS\n")
+        code, out, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert (error["code"], error["kind"], error["line"]) == (3, "semantic", 2)
+        assert error["message"].startswith("invalid differential: Exceeds the limit")
+
 
 def test_import_pulls_in_no_xml_or_network_modules():
     src = str(Path(sliceshear.__file__).resolve().parents[1])

@@ -313,15 +313,15 @@ def test_shared_factor_memo_keeps_level_and_column():
     cases = [
         (
             "group C4\nclass a = aS*aL1\nclass b = u2S * aL1 @C2\n",
-            DslSemanticError, "aL1 is not in the basis at level C2", 11,
+            DslSemanticError, "aL1 is not in the basis at level C2", 15,
         ),
         (
             "group C4\nclass a = aL1^2\ndiff 3: u2S -> aS*aL1^-2\n",
-            DslSemanticError, "negative exponents are not allowed", 17,
+            DslSemanticError, "negative exponents are not allowed", 22,
         ),
         (
             "group C4\nclass a = aS*aL1\ndiff 3: aS*aL1 -> aS*aL1 x\n",
-            DslSyntaxError, "unexpected 'x' in class expression", 19,
+            DslSyntaxError, "unexpected 'x' in class expression", 24,
         ),
     ]
     for text, error, message, col in cases:
@@ -381,6 +381,12 @@ def _outcome(parser, *args):
 @example("aL01 ^ 2*Nt[ 1 , 2 ]", 3, -1, 3)
 @example("u2S\u00a0*\u00a0aL\u0661^\u0662", 2, 2, 1)
 @example("D[2,1]^-1*x", 2, -1, 0)
+@example("*^", 2, -1, 0)
+@example("*^-1", 2, -1, 0)
+@example("^^2", 2, -1, 0)
+@example("aS* *^2", 2, -1, 0)
+@example("aS**^2*x", 2, -1, 0)
+@example("  *  ", 2, -1, 0)
 def test_matches_reference_parser(text, exponent, level, col):
     """level -1 stands for None, the group's own level."""
     group = C(exponent)
@@ -399,14 +405,15 @@ _LONG = "1" * 5000  # past the default int/str conversion limit of 4,300 digits
         (f"group C2\ngrading {_LONG}\n", 2, 8),
         (f"group C2\ngrading 1+l{_LONG}\n", 2, 8),
         (f"group C2\nwindow 0 {_LONG} 4\n", 2, 7),
-        (f"group C4\nclass x = aL{_LONG}\n", 2, 6),
-        (f"group C4\nclass x = aS*{_LONG}\n", 2, 9),
-        (f"group C4\nclass x = aS^{_LONG}\n", 2, 9),
-        (f"group C4\nclass x = Nt[{_LONG},1]\n", 2, 6),
-        (f"group C4\nclass x = D[1,{_LONG}]\n", 2, 6),
-        (f"group C4\nclass x = aS @C{_LONG}\n", 2, None),
-        (f"group C2\ndiff {_LONG}: u2S -> aS\n", 2, 0),
-        (f"group C2\ndiff 3: u2S -> aS*uL{_LONG}\n", 2, 13),
+        (f"group C4\nclass x = aL{_LONG}\n", 2, 10),
+        (f"group C4\nclass x = aS*{_LONG}\n", 2, 13),
+        (f"group C4\nclass   x =   aS*{_LONG}\n", 2, 17),
+        (f"group C4\nclass x = aS^{_LONG}\n", 2, 13),
+        (f"group C4\nclass x = Nt[{_LONG},1]\n", 2, 10),
+        (f"group C4\nclass x = D[1,{_LONG}]\n", 2, 10),
+        (f"group C4\nclass x = aS @C{_LONG}\n", 2, 14),
+        (f"group C2\ndiff {_LONG}: u2S -> aS\n", 2, 5),
+        (f"group C2\ndiff 3: u2S -> aS*uL{_LONG}\n", 2, 18),
         (f"group C4\nguide L{_LONG}\n", 2, 6),
         (f"group C4\nguide vanish h={_LONG} k=1\n", 2, 6),
     ],
@@ -432,3 +439,12 @@ def test_level_message_for_group_too_large_to_print(default_digit_limit):
     with pytest.raises(DslSemanticError) as exc:
         parse("group C4\nclass x = D[20000,1]\n")
     assert exc.value.reason == "D[20000,1] needs a level of at least C_(2^20000)"
+
+
+def test_diff_degree_too_long_to_print_is_semantic(default_digit_limit):
+    # validate() words a degree mismatch with the degrees, which have more
+    # digits than int-to-str allows
+    with pytest.raises(DslSemanticError) as exc:
+        parse("group C2\ndiff 2: Nt[20000,1] -> Nt[20000,1]*aS\n")
+    assert exc.value.line == 2
+    assert exc.value.reason.startswith("invalid differential: Exceeds the limit")
