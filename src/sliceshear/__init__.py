@@ -23,7 +23,6 @@ from .monomials import (
     ClassMonomial,
     MonomialError,
     build_D,
-    build_Dbar,
     expand_euler,
     expand_orientation,
     norm_class,
@@ -52,7 +51,6 @@ from .differentials import (
     periodicity_element,
     permanent_cycle_seeds,
     transport,
-    transport_permanent,
     validate,
 )
 from .vanishing import (
@@ -62,7 +60,6 @@ from .vanishing import (
     admissible,
     boundary_line,
     max_length,
-    region_classify,
     vanishing_line,
 )
 from .dsl import (

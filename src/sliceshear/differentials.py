@@ -28,7 +28,6 @@ __all__ = [
     "transport",
     "leibniz",
     "permanent_cycle_seeds",
-    "transport_permanent",
     "periodicity_element",
 ]
 
@@ -74,6 +73,8 @@ def validate(d: Differential) -> list[str]:
 
     Violations are reported in a fixed order (group/level, endpoints, stem,
     filtration, degree), so the first entry is the first violated equation.
+    A message with more digits than int-to-str allows becomes the one entry
+    "invalid differential: <error>".
     """
     problems: list[str] = []
     if d.source.group != d.group or d.target.group != d.group:
@@ -90,24 +91,27 @@ def validate(d: Differential) -> list[str]:
     if d.source.is_zero or d.target.is_zero:
         problems.append("differential endpoints must be nonzero classes")
         return problems
-    src_stem, src_filt, _ = d.source.bidegree()
-    tgt_stem, tgt_filt, _ = d.target.bidegree()
-    if tgt_stem != src_stem - 1:
-        problems.append(
-            f"stem mismatch: {src_stem} - 1 = {src_stem - 1} expected, target has {tgt_stem}"
-        )
-    if tgt_filt != src_filt + d.page:
-        problems.append(
-            f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
-            f"expected, target has {tgt_filt}"
-        )
-    lg = d.source.level_group
-    want = d.source.degree() - VirtualRep.of(lg, triv=1)
-    if d.target.degree() != want:
-        problems.append(
-            f"degree mismatch: target degree {d.target.degree()} is not source "
-            f"degree minus one trivial summand ({want})"
-        )
+    try:
+        src_stem, src_filt, _ = d.source.bidegree()
+        tgt_stem, tgt_filt, _ = d.target.bidegree()
+        if tgt_stem != src_stem - 1:
+            problems.append(
+                f"stem mismatch: {src_stem} - 1 = {src_stem - 1} expected, target has {tgt_stem}"
+            )
+        if tgt_filt != src_filt + d.page:
+            problems.append(
+                f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
+                f"expected, target has {tgt_filt}"
+            )
+        lg = d.source.level_group
+        want = d.source.degree() - VirtualRep.of(lg, triv=1)
+        if d.target.degree() != want:
+            problems.append(
+                f"degree mismatch: target degree {d.target.degree()} is not source "
+                f"degree minus one trivial summand ({want})"
+            )
+    except ValueError as e:  # a degree too long to print in the message
+        return [f"invalid differential: {e}"]
     return problems
 
 
@@ -257,19 +261,6 @@ def permanent_cycle_seeds(m: int) -> list[PermanentCycleFact]:
         PermanentCycleFact(c4, 2, u(c4, l1=32), "Hill-Shi-Wang-Xu"),
         PermanentCycleFact(c4, 2, u(c4, two_sigma=2, l1=16), "Hill-Shi-Wang-Xu"),
     ]
-
-
-def transport_permanent(f: PermanentCycleFact, k: int) -> PermanentCycleFact:
-    """The same orientation class, pulled back k doublings up the tower."""
-    if k < 0:
-        raise DifferentialError(f"transport step must be >= 0, got {k}")
-    group = CyclicGroup(f.group.exponent + k)
-    u = ClassMonomial(
-        group,
-        group.exponent,
-        u_exp=tuple(f.u_class.u_exp) + (0,) * k,
-    )
-    return PermanentCycleFact(group, f.truncation, u, f.citation)
 
 
 def periodicity_element(V: VirtualRep) -> VirtualRep:

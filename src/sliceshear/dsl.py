@@ -37,19 +37,18 @@ __all__ = [
 
 
 class DslError(ValueError):
-    """Base for DSL failures; carries the source position when known."""
+    """Base for DSL failures; carries the source position when known.  Only
+    ``parse`` and ``parse_class_expr`` fill in the line."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        self.reason = message
-        loc = ""
-        if line is not None:
-            loc = f"line {line}"
-            if col is not None:
-                loc += f", col {col}"
-            loc += ": "
-        super().__init__(loc + message)
+        super().__init__(message)
+        self.reason, self.line, self.col = message, line, col
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.reason
+        col = "" if self.col is None else f", col {self.col}"
+        return f"line {self.line}{col}: {self.reason}"
 
 
 class DslSyntaxError(DslError):
@@ -81,14 +80,14 @@ class ChartDocument:
     guides: list[GuideSpec] = field(default_factory=list)
 
 
-def _int(text: str, line: int | None = None, col: int | None = None) -> int:
+def _int(text: str, col: int | None = None) -> int:
     """int() of a literal the grammar has matched.  A literal longer than the
     interpreter converts (4,300 digits by default) is a semantic error."""
     try:
         return int(text)
     except ValueError:
         raise DslSemanticError(
-            f"integer literal of {len(text.lstrip('-'))} digits is too long", line, col
+            f"integer literal of {len(text.lstrip('-'))} digits is too long", col=col
         ) from None
 
 
@@ -97,27 +96,24 @@ def _int(text: str, line: int | None = None, col: int | None = None) -> int:
 _GROUP_RE = re.compile(r"C(\d+)")
 
 
-def parse_group_name(text: str, line: int | None = None, col: int | None = None) -> CyclicGroup:
+def parse_group_name(text: str, col: int | None = None) -> CyclicGroup:
     m = _GROUP_RE.fullmatch(text.strip())
     if not m:
-        raise DslSyntaxError(f"expected a group literal like C8, got {text.strip()!r}", line, col)
-    order = _int(m.group(1), line, col)
+        raise DslSyntaxError(f"expected a group literal like C8, got {text.strip()!r}", col=col)
+    order = _int(m.group(1), col)
     exponent = order.bit_length() - 1
     if order < 1 or (1 << exponent) != order:
-        raise DslSemanticError(f"group order {order} is not a power of 2", line, col)
+        raise DslSemanticError(f"group order {order} is not a power of 2", col=col)
     return CyclicGroup(exponent)
 
 
 _REP_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+)|(?P<lam>l\d+)|(?P<sig>s))")
 
 
-def parse_rep(
-    text: str,
-    group: CyclicGroup,
-    line: int | None = None,
-    col_offset: int = 0,
-) -> VirtualRep:
-    """Parse a representation literal such as ``2-2s`` or ``4l1+2s``."""
+def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
+    """Parse a representation literal such as ``2-2s`` or ``4l1+2s``.  An
+    error points at the coefficient or basis element it is about; columns
+    count from where the scan of a token starts."""
     n = group.exponent
     triv = sigma = 0
     lam = [0] * max(n, 1)
@@ -125,14 +121,13 @@ def parse_rep(
     first = True
     stripped = text.rstrip()
     if not stripped.strip():
-        raise DslSyntaxError("empty representation literal", line, col_offset)
+        raise DslSyntaxError("empty representation literal", col=col_offset)
     while pos < len(stripped):
         m = _REP_TOKEN.match(stripped, pos)
         if not m:
             raise DslSyntaxError(
                 f"unexpected {stripped[pos:].lstrip()[:1]!r} in representation literal",
-                line,
-                col_offset + pos,
+                col=col_offset + pos,
             )
         sign = 1
         if m.group("sign"):
@@ -140,43 +135,42 @@ def parse_rep(
             pos = m.end()
             m = _REP_TOKEN.match(stripped, pos)
             if not m or m.group("sign"):
-                raise DslSyntaxError("dangling sign in representation literal", line, col_offset + pos)
+                raise DslSyntaxError(
+                    "dangling sign in representation literal", col=col_offset + pos
+                )
         elif not first:
-            raise DslSyntaxError(
-                "terms must be joined by + or -", line, col_offset + pos
-            )
+            raise DslSyntaxError("terms must be joined by + or -", col=col_offset + pos)
         first = False
         coeff = None
         if m.group("num"):
-            coeff = _int(m.group("num"), line, col_offset)
+            coeff = _int(m.group("num"), col_offset + pos)
             pos = m.end()
             m = _REP_TOKEN.match(stripped, pos)
         basis = None
         if m and (m.group("lam") or m.group("sig")):
             basis = m.group("lam") or m.group("sig")
+            col = col_offset + pos
             pos = m.end()
         if coeff is None and basis is None:
-            raise DslSyntaxError("expected a coefficient or basis element", line, col_offset + pos)
+            raise DslSyntaxError("expected a coefficient or basis element", col=col_offset + pos)
         value = sign * (1 if coeff is None else coeff)
         if basis is None:
             triv += value
         elif basis == "s":
             if n == 0:
-                raise DslSemanticError(f"s is not a basis element of RO({group})", line, col_offset)
+                raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
             sigma += value
         else:
-            i = _int(basis[1:], line, col_offset)
+            i = _int(basis[1:], col)
             if i == 0:
                 # l0 is parser sugar for 2s
                 if n == 0:
-                    raise DslSemanticError(f"l0 is not available over {group}", line, col_offset)
+                    raise DslSemanticError(f"l0 is not available over {group}", col=col)
                 sigma += 2 * value
             elif 1 <= i <= n - 1:
                 lam[i] += value
             else:
-                raise DslSemanticError(
-                    f"l{i} is not a basis element of RO({group})", line, col_offset
-                )
+                raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
     return VirtualRep.of(group, triv=triv, sigma=sigma, lam={i: c for i, c in enumerate(lam) if c})
 
 
@@ -210,7 +204,7 @@ _CLASS_TOKEN = re.compile(
 # factor's column is that of its piece.
 
 
-def _piece(piece: str, line: int | None, col: int, factors: list, memo: dict) -> None:
+def _piece(piece: str, col: int, factors: list, memo: dict) -> None:
     """Append the (factor, column) pairs that one piece spells to factors;
     memoize its factor when the piece is a valid one."""
     stripped = piece.rstrip()
@@ -220,9 +214,7 @@ def _piece(piece: str, line: int | None, col: int, factors: list, memo: dict) ->
         m = _CLASS_TOKEN.match(stripped, pos)
         if not m:
             raise DslSyntaxError(
-                f"unexpected {stripped[pos:].lstrip()[:1]!r} in class expression",
-                line,
-                col + pos,
+                f"unexpected {stripped[pos:].lstrip()[:1]!r} in class expression", col=col + pos
             )
         tokens.append(m)
         pos = m.end()
@@ -231,35 +223,35 @@ def _piece(piece: str, line: int | None, col: int, factors: list, memo: dict) ->
     try:
         if tokens and tokens[0].lastgroup == "pow":
             if len(tokens) < 2 or tokens[1].lastgroup != "num":
-                raise DslSyntaxError("expected an integer exponent after ^", line, col)
+                raise DslSyntaxError("expected an integer exponent after ^", col=col)
             ecol = col + tokens[1].start()
-            e = _int(tokens[1].group("num"), line, ecol)
+            e = _int(tokens[1].group("num"), ecol)
             # rejected before the indices are read, so it comes before an
             # error for an index past the digit limit
             if e < 0:
-                raise DslSemanticError("negative exponents are not allowed", line, ecol)
+                raise DslSemanticError("negative exponents are not allowed", col=ecol)
             del tokens[:2]
         if kind == "num":
-            x = _int(m.group("num"), line, col)
+            x = _int(m.group("num"), col)
         elif kind == "aL" or kind == "uL":
-            x = _int(m.group(kind + "_i"), line, col)
+            x = _int(m.group(kind + "_i"), col)
         elif kind == "nt" or kind == "dd":
             g = m.lastindex
-            x, y = _int(m.group(g + 1), line, col), _int(m.group(g + 2), line, col)
+            x, y = _int(m.group(g + 1), col), _int(m.group(g + 2), col)
         elif kind == "pow" or kind == "mul":
-            raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", line, col)
+            raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", col=col)
         factors.append(((kind, x, y, e), col))
         if tokens:
             t = tokens[0]
             raise DslSyntaxError(
-                f"expected * between factors, got {t.group(0).strip()!r}", line, col + t.start()
+                f"expected * between factors, got {t.group(0).strip()!r}", col=col + t.start()
             )
         memo[piece] = kind, x, y, e
     except DslError as err:
         factors.append((("err", err, 0, 0), col))
 
 
-def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: int):
+def _build(factors, group: CyclicGroup, lv: int, col_offset: int):
     """Multiply out (factor, column) pairs in order, with the semantic checks."""
     coeff = 1
     a = [0] * lv
@@ -268,33 +260,31 @@ def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: i
     for (kind, x, y, e), col in factors:
         if kind == "aS" or kind == "u2S":
             if lv < 1:
-                raise DslSemanticError(f"{kind} needs a level of at least C2", line, col)
+                raise DslSemanticError(f"{kind} needs a level of at least C2", col=col)
             (a if kind == "aS" else u)[0] += e
         elif kind == "aL" or kind == "uL":
             if not 1 <= x <= lv - 1:
                 raise DslSemanticError(
-                    f"{kind}{x} is not in the basis at level C{1 << lv}", line, col
+                    f"{kind}{x} is not in the basis at level C{1 << lv}", col=col
                 )
             (a if kind == "aL" else u)[x] += e
         elif kind == "nt":
             if x < 1:
-                raise DslSemanticError(
-                    f"Nt[{x},{y}]: generator index must be >= 1", line, col
-                )
+                raise DslSemanticError(f"Nt[{x},{y}]: generator index must be >= 1", col=col)
             if not 1 <= y <= lv:
                 raise DslSemanticError(
                     f"Nt[{x},{y}]: norm level must lie between 1 and the class "
-                    f"level {lv}", line, col
+                    f"level {lv}", col=col
                 )
             norms.append((x, y, e))
         elif kind == "num":
             coeff *= x**e
         elif kind == "dd":
             if x < 1 or y < 1:
-                raise DslSemanticError(f"D[{x},{y}]: both indices must be >= 1", line, col)
+                raise DslSemanticError(f"D[{x},{y}]: both indices must be >= 1", col=col)
             if x > lv:
                 raise DslSemanticError(
-                    f"D[{x},{y}] needs a level of at least {CyclicGroup(x)}", line, col
+                    f"D[{x},{y}] needs a level of at least {CyclicGroup(x)}", col=col
                 )
             norms += _d_norms(x, y, e)
         else:
@@ -302,16 +292,11 @@ def _build(factors, group: CyclicGroup, lv: int, line: int | None, col_offset: i
     try:
         return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
     except MonomialError as e:
-        raise DslSemanticError(str(e), line, col_offset) from e
+        raise DslSemanticError(str(e), col=col_offset) from e
 
 
 def _class_expr(
-    text: str,
-    group: CyclicGroup,
-    level: int | None,
-    line: int | None,
-    col_offset: int,
-    memo: dict,
+    text: str, group: CyclicGroup, level: int | None, col_offset: int, memo: dict
 ) -> ClassMonomial:
     lv = group.exponent if level is None else level
     factors = []
@@ -327,14 +312,14 @@ def _class_expr(
                 # the scan of that * starts after the factor before it
                 mul = col_offset + len(text[: col - col_offset - 1].rstrip())
                 reason = "dangling * at end of" if factors else "empty"
-                err = DslSyntaxError(f"{reason} class expression", line, mul)
+                err = DslSyntaxError(f"{reason} class expression", col=mul)
                 factors.append((("err", err, 0, 0), mul))
                 break
-            _piece(piece, line, col, factors, memo)
+            _piece(piece, col, factors, memo)
         else:
             factors.append((factor, col))
         col += len(piece) + 1
-    return _build(factors, group, lv, line, col_offset)
+    return _build(factors, group, lv, col_offset)
 
 
 def parse_class_expr(
@@ -345,50 +330,35 @@ def parse_class_expr(
     col_offset: int = 0,
 ) -> ClassMonomial:
     """Parse a class expression such as ``Nt[3,4]*aS^8*u2S^2``."""
-    return _class_expr(text, group, level, line, col_offset, {})
+    try:
+        return _class_expr(text, group, level, col_offset, {})
+    except DslError as e:
+        e.line = line
+        raise
 
 
 _DIFF_SPEC_RE = re.compile(r"\s*(\d+)\s*:\s*(.*?)\s*->\s*(\S.*)$")
 
 
-def parse_diff_spec(
-    text: str,
-    group: CyclicGroup,
-    level: int | None = None,
-    line: int | None = None,
-    provenance: str = "user",
-) -> Differential:
+def parse_diff_spec(text: str, group: CyclicGroup) -> Differential:
     """Parse ``<r>: <source> -> <target>`` and check the bidegree laws."""
-    return _diff_spec(text, group, level, line, 0, provenance, {})
+    return _diff_spec(text, group, 0, {})
 
 
-def _diff_spec(
-    text: str,
-    group: CyclicGroup,
-    level: int | None,
-    line: int | None,
-    col_offset: int,
-    provenance: str,
-    memo: dict,
-) -> Differential:
+def _diff_spec(text: str, group: CyclicGroup, col_offset: int, memo: dict) -> Differential:
     m = _DIFF_SPEC_RE.fullmatch(text.rstrip())
     if not m:
-        raise DslSyntaxError(
-            f"expected '<r>: <source> -> <target>', got {text.strip()!r}", line
-        )
-    page = _int(m.group(1), line, col_offset + m.start(1))
-    source = _class_expr(m.group(2), group, level, line, col_offset + m.start(2), memo)
-    target = _class_expr(m.group(3), group, level, line, col_offset + m.start(3), memo)
+        raise DslSyntaxError(f"expected '<r>: <source> -> <target>', got {text.strip()!r}")
+    page = _int(m.group(1), col_offset + m.start(1))
+    source = _class_expr(m.group(2), group, None, col_offset + m.start(2), memo)
+    target = _class_expr(m.group(3), group, None, col_offset + m.start(3), memo)
     try:
-        d = Differential(group, page, source, target, provenance=provenance)
+        d = Differential(group, page, source, target)
     except DifferentialError as e:
-        raise DslSemanticError(str(e), line) from e
-    try:
-        problems = validate(d)
-    except ValueError as e:  # a degree too long to print in the message
-        raise DslSemanticError(f"invalid differential: {e}", line) from e
+        raise DslSemanticError(str(e)) from e
+    problems = validate(d)
     if problems:
-        raise DslSemanticError(problems[0], line)
+        raise DslSemanticError(problems[0])
     return d
 
 
@@ -407,106 +377,99 @@ def parse(text: str) -> ChartDocument:
     saw_grading = False
     names: set[str] = set()
     memo: dict = {}  # factor text -> factor, for this document only
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].rstrip()
-        if not body.strip():
-            continue
-        stmt = _STMT_RE.match(body)
-        if not stmt:
-            raise DslSyntaxError(f"unparseable statement {body.strip()!r}", line_no)
-        keyword, rest = stmt.group(1), stmt.group(2)
-        col = stmt.start(2)  # columns are positions in the line
-        if doc is None:
-            if keyword != "group":
-                raise DslSyntaxError(
-                    "the document must start with a group statement", line_no
-                )
-            group = parse_group_name(rest, line_no, col)
-            doc = ChartDocument(group=group, grading=VirtualRep.zero(group))
-            continue
-        if keyword == "group":
-            raise DslSemanticError("duplicate group statement", line_no)
-        elif keyword == "grading":
-            if saw_grading:
-                raise DslSemanticError("duplicate grading statement", line_no)
-            saw_grading = True
-            doc.grading = parse_rep(rest, doc.group, line_no, col)
-        elif keyword == "window":
-            if doc.window is not None:
-                raise DslSemanticError("duplicate window statement", line_no)
-            m = _WINDOW_RE.fullmatch(rest.strip())
-            if not m:
-                raise DslSyntaxError(
-                    "window takes three integers: x_min x_max s_max", line_no, col
-                )
-            x_min, x_max, s_max = (_int(g, line_no, col) for g in m.groups())
-            if x_min > x_max or s_max < 0:
-                raise DslSemanticError(
-                    f"degenerate window ({x_min}, {x_max}, {s_max})", line_no, col
-                )
-            doc.window = (x_min, x_max, s_max)
-        elif keyword == "class":
-            m = _CLASS_DECL_RE.fullmatch(rest)
-            if not m:
-                raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", line_no, col)
-            name, expr, lvl_text = m.groups()
-            if name in names:
-                raise DslSemanticError(f"duplicate class name {name!r}", line_no)
-            names.add(name)
-            level = None
-            if lvl_text is not None:
-                level = parse_group_name(lvl_text, line_no, col + m.start(3)).exponent
-                if level > doc.group.exponent:
+    try:
+        for line_no, raw in enumerate(text.splitlines(), 1):
+            body = raw.split("#", 1)[0].rstrip()
+            if not body.strip():
+                continue
+            stmt = _STMT_RE.match(body)
+            if not stmt:
+                raise DslSyntaxError(f"unparseable statement {body.strip()!r}")
+            keyword, rest = stmt.group(1), stmt.group(2)
+            col = stmt.start(2)  # columns are positions in the line
+            if doc is None:
+                if keyword != "group":
+                    raise DslSyntaxError("the document must start with a group statement")
+                group = parse_group_name(rest, col)
+                doc = ChartDocument(group=group, grading=VirtualRep.zero(group))
+                continue
+            if keyword == "group":
+                raise DslSemanticError("duplicate group statement")
+            elif keyword == "grading":
+                if saw_grading:
+                    raise DslSemanticError("duplicate grading statement")
+                saw_grading = True
+                doc.grading = parse_rep(rest, doc.group, col)
+            elif keyword == "window":
+                if doc.window is not None:
+                    raise DslSemanticError("duplicate window statement")
+                m = _WINDOW_RE.fullmatch(rest.strip())
+                if not m:
+                    raise DslSyntaxError("window takes three integers: x_min x_max s_max", col=col)
+                x_min, x_max, s_max = (_int(g, col) for g in m.groups())
+                if x_min > x_max or s_max < 0:
                     raise DslSemanticError(
-                        f"level {lvl_text} exceeds the chart group {doc.group}",
-                        line_no,
-                        col + m.start(3),
+                        f"degenerate window ({x_min}, {x_max}, {s_max})", col=col
                     )
-            mono = _class_expr(expr, doc.group, level, line_no, col + m.start(2), memo)
-            doc.classes.append((name, mono))
-        elif keyword == "diff":
-            doc.diffs.append(_diff_spec(rest, doc.group, None, line_no, col, "user", memo))
-        elif keyword == "guide":
-            doc.guides.append(_parse_guide(rest.strip(), doc, line_no, col))
-        else:
-            raise DslSyntaxError(f"unknown statement {keyword!r}", line_no)
+                doc.window = (x_min, x_max, s_max)
+            elif keyword == "class":
+                m = _CLASS_DECL_RE.fullmatch(rest)
+                if not m:
+                    raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", col=col)
+                name, expr, lvl_text = m.groups()
+                if name in names:
+                    raise DslSemanticError(f"duplicate class name {name!r}")
+                names.add(name)
+                level = None
+                if lvl_text is not None:
+                    level = parse_group_name(lvl_text, col + m.start(3)).exponent
+                    if level > doc.group.exponent:
+                        raise DslSemanticError(
+                            f"level {lvl_text} exceeds the chart group {doc.group}",
+                            col=col + m.start(3),
+                        )
+                mono = _class_expr(expr, doc.group, level, col + m.start(2), memo)
+                doc.classes.append((name, mono))
+            elif keyword == "diff":
+                doc.diffs.append(_diff_spec(rest, doc.group, col, memo))
+            elif keyword == "guide":
+                doc.guides.append(_parse_guide(rest.strip(), doc, col))
+            else:
+                raise DslSyntaxError(f"unknown statement {keyword!r}")
+    except DslError as e:
+        e.line = line_no
+        raise
     if doc is None:
         raise DslSyntaxError("empty document: a group statement is required")
     return doc
 
 
-def _parse_guide(rest: str, doc: ChartDocument, line_no: int, col: int) -> GuideSpec:
+def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
     m = _GUIDE_L_RE.fullmatch(rest)
     if m:
-        k = _int(m.group(1), line_no, col)
+        k = _int(m.group(1), col)
         if not 0 <= k <= doc.group.exponent:
-            raise DslSemanticError(
-                f"guide L{k} is out of range for {doc.group}", line_no
-            )
+            raise DslSemanticError(f"guide L{k} is out of range for {doc.group}")
         return GuideSpec("L", k=k)
     m = _GUIDE_VANISH_RE.fullmatch(rest)
     if m:
-        h, k = _int(m.group(1), line_no, col), _int(m.group(2), line_no, col)
+        h, k = _int(m.group(1), col), _int(m.group(2), col)
         n = doc.group.exponent - 1
         if n < 0:
-            raise DslSemanticError("vanishing guides need a group of at least C2", line_no)
+            raise DslSemanticError("vanishing guides need a group of at least C2")
         try:
             N_constant(h, n, k)
         except RepError as e:
-            raise DslSemanticError(str(e), line_no) from e
+            raise DslSemanticError(str(e)) from e
         if h % (1 << n):
-            raise DslSemanticError(
-                f"height {h} is not a multiple of 2^{n} for {doc.group}", line_no
-            )
+            raise DslSemanticError(f"height {h} is not a multiple of 2^{n} for {doc.group}")
         return GuideSpec("vanish", k=k, h=h)
     if rest == "boundary":
         if doc.group.exponent < 1:
-            raise DslSemanticError("boundary guides need a group of at least C2", line_no)
+            raise DslSemanticError("boundary guides need a group of at least C2")
         return GuideSpec("boundary")
     raise DslSyntaxError(
-        f"expected 'L<k>', 'vanish h=<h> k=<k>' or 'boundary', got {rest!r}",
-        line_no,
-        col,
+        f"expected 'L<k>', 'vanish h=<h> k=<k>' or 'boundary', got {rest!r}", col=col
     )
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "expand_orientation",
     "norm_class",
     "build_D",
-    "build_Dbar",
 ]
 
 
@@ -287,11 +286,3 @@ def build_D(n: int, m: int) -> ClassMonomial:
     if n < 1 or m < 1:
         raise MonomialError(f"D indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
     return ClassMonomial(CyclicGroup(n), n, norms=tuple(_d_norms(n, m)))
-
-
-def build_Dbar(n: int, m: int) -> ClassMonomial:
-    """As :func:`build_D` but omitting the k = 1 factor, so that
-    D = N(t_{2^(n-1) m}) * Dbar."""
-    if n < 1 or m < 1:
-        raise MonomialError(f"D indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
-    return ClassMonomial(CyclicGroup(n), n, norms=tuple(_d_norms(n, m)[1:]))

@@ -24,7 +24,6 @@ __all__ = [
     "boundary_line",
     "admissible",
     "max_length",
-    "region_classify",
 ]
 
 
@@ -55,10 +54,6 @@ class VanishingProfile:
     @property
     def group(self) -> CyclicGroup:
         return CyclicGroup(self.n + 1)
-
-    @property
-    def m(self) -> int:
-        return self.h >> self.n
 
 
 def N_constant(h: int, n: int, k: int) -> int:
@@ -184,22 +179,3 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
             )
         )
     return out
-
-
-def region_classify(
-    point: tuple[int, int], V: VirtualRep, n: int
-) -> int | None:
-    """Index of the conical region containing a chart point with x >= 0.
-
-    Returns the unique k (0 <= k <= n) with the point on or above the
-    slope-(2^k - 1) line and below the next one, or None when the point lies
-    below all of them (s < 0).
-    """
-    x, s = point
-    if x < 0:
-        raise RepError(f"region classification needs x >= 0, got x={x}")
-    best = None
-    for k in range(n + 1):
-        if line_L(V, k).on_or_above(x, s):
-            best = k
-    return best

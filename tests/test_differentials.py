@@ -21,7 +21,6 @@ from sliceshear import (
     periodicity_element,
     permanent_cycle_seeds,
     transport,
-    transport_permanent,
     validate,
 )
 from helpers import random_monomial
@@ -57,6 +56,15 @@ class TestValidate:
         tgt = ClassMonomial(C2, 1, a_exp=(4,))
         problems = validate(Differential(C2, 4, src, tgt))
         assert problems and problems[0].startswith("stem mismatch")
+
+    def test_degree_too_long_to_print(self, default_digit_limit):
+        # the degree mismatch message would print degrees with more digits
+        # than int-to-str allows
+        src = norm_class(C2, 20000)
+        d = Differential(C2, 2, src, src * ClassMonomial(C2, 1, a_exp=(1,)))
+        problems = validate(d)
+        assert len(problems) == 1
+        assert problems[0].startswith("invalid differential: Exceeds the limit")
 
     def test_page_minimum(self):
         src = ClassMonomial.one(C2, 1)
@@ -215,15 +223,6 @@ class TestPermanentCycles:
         assert facts[0].theory == "BPR<2>"
         assert facts[1].theory == "BP((C4))<1>"
         assert facts[4].theory == "BP((C4))<2>"
-
-    def test_transport_keeps_name_and_periodicity(self):
-        fact = permanent_cycle_seeds(1)[1]  # u_{4 sigma} over C4
-        for k in (1, 2, 3):
-            up = transport_permanent(fact, k)
-            assert up.group == C(2 + k)
-            assert up.theory == f"BP((C{1 << (2 + k)}))<1>"
-            assert up.u_class.u_exp[0] == 2
-            assert up.periodicity == fact.periodicity.pullback_to(up.group)
 
     def test_periodicity_element(self):
         v = VirtualRep.of(C2, sigma=2)

@@ -71,6 +71,20 @@ class TestRepLiterals:
             with pytest.raises(DslSyntaxError):
                 parse_rep(bad, g)
 
+    @pytest.mark.parametrize(
+        "text, exponent, message, col",
+        [
+            ("1+l5", 2, "l5 is not a basis element of RO(C4)", 6),
+            ("2 - 3s", 0, "s is not a basis element of RO(C1)", 9),
+            ("1-l0", 0, "l0 is not available over C1", 6),
+            ("s + 2l1", 1, "l1 is not a basis element of RO(C2)", 9),
+        ],
+    )
+    def test_semantic_error_points_at_the_term(self, text, exponent, message, col):
+        with pytest.raises(DslSemanticError) as exc:
+            parse_rep(text, C(exponent), 4)
+        assert (exc.value.reason, exc.value.col) == (message, col)
+
     def test_round_trip(self):
         rng = random.Random(51)
         for _ in range(300):
@@ -403,7 +417,8 @@ _LONG = "1" * 5000  # past the default int/str conversion limit of 4,300 digits
     [
         (f"group C{_LONG}\n", 1, 6),
         (f"group C2\ngrading {_LONG}\n", 2, 8),
-        (f"group C2\ngrading 1+l{_LONG}\n", 2, 8),
+        (f"group C2\ngrading 1+l{_LONG}\n", 2, 10),
+        (f"group C4\ngrading 2s - {_LONG}l1\n", 2, 12),
         (f"group C2\nwindow 0 {_LONG} 4\n", 2, 7),
         (f"group C4\nclass x = aL{_LONG}\n", 2, 10),
         (f"group C4\nclass x = aS*{_LONG}\n", 2, 13),
@@ -448,3 +463,24 @@ def test_diff_degree_too_long_to_print_is_semantic(default_digit_limit):
         parse("group C2\ndiff 2: Nt[20000,1] -> Nt[20000,1]*aS\n")
     assert exc.value.line == 2
     assert exc.value.reason.startswith("invalid differential: Exceeds the limit")
+
+
+@pytest.mark.parametrize(
+    "statement, error, col",
+    [
+        ("group C6", DslSemanticError, 6),
+        ("grading 1+l5", DslSemanticError, 10),
+        ("window 4 0 4", DslSemanticError, 7),
+        ("class x = aL5", DslSemanticError, 10),
+        ("class x = aS @C3", DslSemanticError, 14),
+        ("diff 3: u2S -> aS*aL5", DslSemanticError, 18),
+        ("guide diagonal", DslSyntaxError, 6),
+    ],
+)
+def test_error_on_line_3_carries_line_and_column(statement, error, col):
+    head = "# a chart\n\n" if statement.startswith("group") else "group C4\n\n"
+    with pytest.raises(DslError) as exc:
+        parse(head + statement + "\n")
+    assert type(exc.value) is error
+    assert (exc.value.line, exc.value.col) == (3, col)
+    assert str(exc.value).startswith(f"line 3, col {col}: ")

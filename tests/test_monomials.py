@@ -11,7 +11,6 @@ from sliceshear import (
     RepError,
     VirtualRep,
     build_D,
-    build_Dbar,
     expand_euler,
     expand_orientation,
     norm_class,
@@ -171,18 +170,11 @@ class TestBuildD:
         d = build_D(2, 1)
         assert d.norms == ((1, 2, 1), (2, 2, 1))
 
-    def test_bar_relation(self):
-        for n in range(1, 5):
-            for m in range(1, 3):
-                full = build_D(n, m)
-                top = norm_class(C(n), (1 << (n - 1)) * m)
-                assert build_Dbar(n, m) * top == full
-
     def test_bad_indices(self):
         with pytest.raises(MonomialError):
             build_D(0, 1)
         with pytest.raises(MonomialError):
-            build_Dbar(1, 0)
+            build_D(1, 0)
 
 
 @given(st.integers(0, 4), st.data())

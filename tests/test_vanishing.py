@@ -20,7 +20,6 @@ from sliceshear import (
     leibniz,
     line_L,
     max_length,
-    region_classify,
     transport,
     vanishing_line,
 )
@@ -240,22 +239,3 @@ class TestAgainstReference:
             skipped += d.source.stem < profile.grading.dimension
         assert clauses == {"length", "congruence", "target-region", "boundary"}
         assert skipped
-
-
-class TestRegionClassify:
-    def test_on_the_horizontal_line(self):
-        assert region_classify((10, 0), VirtualRep.zero(C(3)), 2) == 0
-
-    def test_between_slopes(self):
-        assert region_classify((2, 3), VirtualRep.zero(C(3)), 2) == 1
-
-    def test_vertical_axis(self):
-        for n in range(0, 4):
-            assert region_classify((0, 5), VirtualRep.zero(C(n + 1)), n) == n
-
-    def test_below_all(self):
-        assert region_classify((4, -1), VirtualRep.zero(C(2)), 1) is None
-
-    def test_negative_stem_rejected(self):
-        with pytest.raises(RepError):
-            region_classify((-1, 0), VirtualRep.zero(C(2)), 1)
