@@ -86,17 +86,11 @@ def _handle_rep(args) -> tuple[str, dict]:
     if args.op == "fixed":
         _require("rep fixed", k=args.k)
         W = V.fixed_points(args.k)
-        return (
-            f"{W} over {W.group}",
-            {"rep": str(W), "group": W.group.exponent},
-        )
     if args.op == "restrict":
         _require("rep restrict", m=args.m)
         W = V.restrict(args.m)
-        return (
-            f"{W} over {W.group}",
-            {"rep": str(W), "group": W.group.exponent},
-        )
+    if args.op in ("fixed", "restrict"):
+        return f"{W} over {W.group}", {"rep": str(W), "group": W.group.exponent}
     if args.op == "tau":
         _require("rep tau", k=args.k)
         value = tau(V, args.k)
@@ -105,7 +99,7 @@ def _handle_rep(args) -> tuple[str, dict]:
     payload = []
     for k in range(group.exponent + 1):
         line = line_L(V, k)
-        t = int(line.intercept)  # line_L's intercept is tau(V, k)
+        t = line.intercept
         rows.append(f"k={k}  slope={line.slope}  tau={t}  {line.equation()}")
         payload.append(
             {
@@ -345,10 +339,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit_error(code: int, kind: str, message: str, line: int | None = None) -> None:
+def _emit_error(
+    code: int, kind: str, message: str, line: int | None = None, col: int | None = None
+) -> None:
     err = {"code": code, "kind": kind, "message": message}
     if line is not None:
         err["line"] = line
+    if col is not None:
+        err["col"] = col
     print(json.dumps({"error": err}), file=sys.stderr)
 
 
@@ -361,10 +359,10 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(e.code, e.kind, e.message)
         return e.code
     except DslSyntaxError as e:
-        _emit_error(EXIT_PARSE, "parse", e.reason, e.line)
+        _emit_error(EXIT_PARSE, "parse", e.reason, e.line, e.col)
         return EXIT_PARSE
     except DslSemanticError as e:
-        _emit_error(EXIT_SEMANTIC, "semantic", e.reason, e.line)
+        _emit_error(EXIT_SEMANTIC, "semantic", e.reason, e.line, e.col)
         return EXIT_SEMANTIC
     except (
         RepError,

@@ -107,7 +107,9 @@ def parse_group_name(text: str, col: int | None = None) -> CyclicGroup:
     return CyclicGroup(exponent)
 
 
-_REP_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+)|(?P<lam>l\d+)|(?P<sig>s))")
+# One signed term per match.  Each group takes its token's leading whitespace,
+# so a group's start is where the scan of that token starts.
+_REP_TERM = re.compile(r"(?P<sign>\s*[+-])?(?P<num>\s*\d+)?(?P<basis>\s*(?:s|l\d+))?")
 
 
 def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
@@ -115,63 +117,47 @@ def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
     error points at the coefficient or basis element it is about; columns
     count from where the scan of a token starts."""
     n = group.exponent
-    triv = sigma = 0
-    lam = [0] * max(n, 1)
-    pos = 0
-    first = True
+    co = [0] * (n + 1)
     stripped = text.rstrip()
     if not stripped.strip():
         raise DslSyntaxError("empty representation literal", col=col_offset)
+    pos = 0
     while pos < len(stripped):
-        m = _REP_TOKEN.match(stripped, pos)
-        if not m:
+        m = _REP_TERM.match(stripped, pos)
+        sign, num, basis = m.group("sign", "num", "basis")
+        if num is None and basis is None:
+            if sign:
+                raise DslSyntaxError(
+                    "dangling sign in representation literal", col=col_offset + m.end("sign")
+                )
             raise DslSyntaxError(
                 f"unexpected {stripped[pos:].lstrip()[:1]!r} in representation literal",
                 col=col_offset + pos,
             )
-        sign = 1
-        if m.group("sign"):
-            sign = -1 if m.group("sign") == "-" else 1
-            pos = m.end()
-            m = _REP_TOKEN.match(stripped, pos)
-            if not m or m.group("sign"):
-                raise DslSyntaxError(
-                    "dangling sign in representation literal", col=col_offset + pos
-                )
-        elif not first:
+        if pos and not sign:
             raise DslSyntaxError("terms must be joined by + or -", col=col_offset + pos)
-        first = False
-        coeff = None
-        if m.group("num"):
-            coeff = _int(m.group("num"), col_offset + pos)
-            pos = m.end()
-            m = _REP_TOKEN.match(stripped, pos)
-        basis = None
-        if m and (m.group("lam") or m.group("sig")):
-            basis = m.group("lam") or m.group("sig")
-            col = col_offset + pos
-            pos = m.end()
-        if coeff is None and basis is None:
-            raise DslSyntaxError("expected a coefficient or basis element", col=col_offset + pos)
-        value = sign * (1 if coeff is None else coeff)
+        value = -1 if sign and sign[-1] == "-" else 1
+        if num is not None:
+            value *= _int(num.lstrip(), col_offset + m.start("num"))
+        pos = m.end()
         if basis is None:
-            triv += value
-        elif basis == "s":
+            co[0] += value
+            continue
+        basis, col = basis.lstrip(), col_offset + m.start("basis")
+        if basis == "s":
             if n == 0:
                 raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
-            sigma += value
+            co[1] += value
+        elif (i := _int(basis[1:], col)) == 0:
+            # l0 is parser sugar for 2s
+            if n == 0:
+                raise DslSemanticError(f"l0 is not available over {group}", col=col)
+            co[1] += 2 * value
+        elif i <= n - 1:
+            co[1 + i] += value
         else:
-            i = _int(basis[1:], col)
-            if i == 0:
-                # l0 is parser sugar for 2s
-                if n == 0:
-                    raise DslSemanticError(f"l0 is not available over {group}", col=col)
-                sigma += 2 * value
-            elif 1 <= i <= n - 1:
-                lam[i] += value
-            else:
-                raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
-    return VirtualRep.of(group, triv=triv, sigma=sigma, lam={i: c for i, c in enumerate(lam) if c})
+            raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
+    return VirtualRep(group, tuple(co))
 
 
 # -- class expressions --------------------------------------------------------
@@ -406,7 +392,7 @@ def parse(text: str) -> ChartDocument:
                 m = _WINDOW_RE.fullmatch(rest.strip())
                 if not m:
                     raise DslSyntaxError("window takes three integers: x_min x_max s_max", col=col)
-                x_min, x_max, s_max = (_int(g, col) for g in m.groups())
+                x_min, x_max, s_max = (_int(m.group(i), col + m.start(i)) for i in (1, 2, 3))
                 if x_min > x_max or s_max < 0:
                     raise DslSemanticError(
                         f"degenerate window ({x_min}, {x_max}, {s_max})", col=col
@@ -453,7 +439,7 @@ def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
         return GuideSpec("L", k=k)
     m = _GUIDE_VANISH_RE.fullmatch(rest)
     if m:
-        h, k = _int(m.group(1), col), _int(m.group(2), col)
+        h, k = _int(m.group(1), col + m.start(1)), _int(m.group(2), col + m.start(2))
         n = doc.group.exponent - 1
         if n < 0:
             raise DslSemanticError("vanishing guides need a group of at least C2")

@@ -4,8 +4,8 @@ Virtual representations of C_{2^n} are stored on the 2-local basis
 (1, sigma, lambda_1, ..., lambda_{n-1}): the trivial representation, the
 sign representation, and the two-dimensional rotation by pi/2^i.  lambda_0
 is never stored; it equals 2*sigma and is collapsed at parse time.  All
-coefficients are integers, line intercepts are exact rationals, and nothing
-in this module touches floating point.
+coefficients and line intercepts are integers, ``constant_C`` is an exact
+rational, and nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping
 
 __all__ = [
     "CyclicGroup",
@@ -235,49 +235,29 @@ class VirtualRep:
         sigma restricts to sigma only on the full group; lambda_i restricts to
         lambda_{i-(n-m)} when that rotation is still free on C_{2^m}, to
         2*sigma when it becomes rotation by pi, and to two trivial summands
-        once it is invisible.
+        once it is invisible.  With d = n - m < n: trivial = c_1 + c_sigma +
+        2 * sum_{i<d} c_lambda_i, sigma = 2 c_lambda_d, lambda_j = c_lambda_{j+d}.
         """
         n = self.group.exponent
         if not 0 <= m <= n:
             raise RepError(f"restriction level m={m} out of range for {self.group}")
-        sub = CyclicGroup(m)
-        out = [0] * (m + 1)
-        out[0] = self.c_triv
-        if n >= 1:
-            if m == n:
-                out[1] = self.c_sigma
-            else:
-                out[0] += self.c_sigma
-        for i in self.lambda_range:
-            c = self.c_lambda(i)
-            if i > n - m:
-                out[1 + (i - (n - m))] += c
-            elif i == n - m:
-                out[1] += 2 * c
-            else:
-                out[0] += 2 * c
-        return VirtualRep(sub, tuple(out))
+        if m == n:
+            return self
+        co, d = self.coeffs, n - m
+        moving = (2 * co[d + 1], *co[d + 2 :]) if m else ()
+        return VirtualRep(CyclicGroup(m), (co[0] + co[1] + 2 * sum(co[2 : d + 1]), *moving))
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
         """Literal form used by the chart DSL, e.g. ``2-2s`` or ``10-2s-4l1``."""
         parts: list[str] = []
-
-        def add(coeff: int, name: str) -> None:
-            if coeff == 0:
-                return
-            sign = "-" if coeff < 0 else ("+" if parts else "")
-            mag = abs(coeff)
-            if name == "":
-                parts.append(f"{sign}{mag}")
-            else:
-                parts.append(f"{sign}{'' if mag == 1 else mag}{name}")
-
-        add(self.c_triv, "")
-        for coeff, name in zip(self.coeffs[1:], basis_names(self.group.exponent)):
-            add(coeff, name)
-        return "".join(parts) if parts else "0"
+        for c, name in zip(self.coeffs, ("", *basis_names(self.group.exponent))):
+            if c:
+                mag = abs(c)
+                sign = "-" if c < 0 else "+" if parts else ""
+                parts.append(f"{sign}{'' if mag == 1 and name else mag}{name}")
+        return "".join(parts) or "0"
 
 
 def regular_rep(group: CyclicGroup) -> VirtualRep:
@@ -311,24 +291,22 @@ class Line:
     """A line s = slope*(t-s) + intercept on a fixed-grading chart page.
 
     Coordinates are (x, s) with x the stem t-s and s the filtration.  The
-    intercept is an exact rational; there is no floating point.
+    line has an integer slope and an integer intercept; ``at`` is exact for
+    a rational x too.  There is no floating point.
     """
 
     slope: int
-    intercept: Fraction
+    intercept: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
+    def at(self, x: int) -> int:
+        return self.slope * x + self.intercept
 
-    def at(self, x: Union[int, Fraction]) -> Fraction:
-        return Fraction(self.slope) * x + self.intercept
-
-    def on_or_above(self, x: Union[int, Fraction], s: Union[int, Fraction]) -> bool:
+    def on_or_above(self, x: int, s: int) -> bool:
         """True when the chart point (x, s) lies on or above the line."""
-        return Fraction(s) >= self.at(x)
+        return s >= self.at(x)
 
-    def shifted(self, ds: Union[int, Fraction]) -> "Line":
-        return Line(self.slope, self.intercept + Fraction(ds))
+    def shifted(self, ds: int) -> "Line":
+        return Line(self.slope, self.intercept + ds)
 
     def equation(self) -> str:
         lhs = f"s = {self.slope}(t-s)" if self.slope != 0 else "s ="
@@ -365,7 +343,7 @@ def tau_series(V: VirtualRep, k: int) -> list[int]:
 
 def line_L(V: VirtualRep, k: int) -> Line:
     """The slope-(2^k - 1) stratification line s = (2^k-1)(t-s) + tau(V, k)."""
-    return Line(slope=(1 << k) - 1, intercept=Fraction(tau(V, k)))
+    return Line(slope=(1 << k) - 1, intercept=tau(V, k))
 
 
 def constant_C(V: VirtualRep, k: int) -> Fraction:

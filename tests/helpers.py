@@ -28,6 +28,7 @@ from sliceshear import (
     regular_rep,
     vanishing_line,
 )
+from sliceshear.dsl import _int
 from sliceshear.monomials import _d_norms
 
 
@@ -224,6 +225,72 @@ def reference_parse_class_expr(
         return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
     except MonomialError as e:
         raise DslSemanticError(str(e), line, col_offset) from e
+
+
+_REFERENCE_REP_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+)|(?P<lam>l\d+)|(?P<sig>s))")
+
+
+def reference_parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
+    """The sign -> coefficient -> basis scanner that ``dsl.parse_rep``
+    replaced, kept as the oracle for its values and its errors."""
+    n = group.exponent
+    triv = sigma = 0
+    lam = [0] * max(n, 1)
+    pos = 0
+    first = True
+    stripped = text.rstrip()
+    if not stripped.strip():
+        raise DslSyntaxError("empty representation literal", col=col_offset)
+    while pos < len(stripped):
+        m = _REFERENCE_REP_TOKEN.match(stripped, pos)
+        if not m:
+            raise DslSyntaxError(
+                f"unexpected {stripped[pos:].lstrip()[:1]!r} in representation literal",
+                col=col_offset + pos,
+            )
+        sign = 1
+        if m.group("sign"):
+            sign = -1 if m.group("sign") == "-" else 1
+            pos = m.end()
+            m = _REFERENCE_REP_TOKEN.match(stripped, pos)
+            if not m or m.group("sign"):
+                raise DslSyntaxError(
+                    "dangling sign in representation literal", col=col_offset + pos
+                )
+        elif not first:
+            raise DslSyntaxError("terms must be joined by + or -", col=col_offset + pos)
+        first = False
+        coeff = None
+        if m.group("num"):
+            coeff = _int(m.group("num"), col_offset + pos)
+            pos = m.end()
+            m = _REFERENCE_REP_TOKEN.match(stripped, pos)
+        basis = None
+        if m and (m.group("lam") or m.group("sig")):
+            basis = m.group("lam") or m.group("sig")
+            col = col_offset + pos
+            pos = m.end()
+        if coeff is None and basis is None:
+            raise DslSyntaxError("expected a coefficient or basis element", col=col_offset + pos)
+        value = sign * (1 if coeff is None else coeff)
+        if basis is None:
+            triv += value
+        elif basis == "s":
+            if n == 0:
+                raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
+            sigma += value
+        else:
+            i = _int(basis[1:], col)
+            if i == 0:
+                # l0 is parser sugar for 2s
+                if n == 0:
+                    raise DslSemanticError(f"l0 is not available over {group}", col=col)
+                sigma += 2 * value
+            elif 1 <= i <= n - 1:
+                lam[i] += value
+            else:
+                raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
+    return VirtualRep.of(group, triv=triv, sigma=sigma, lam={i: c for i, c in enumerate(lam) if c})
 
 
 def reference_monomial_fields(group, level, coeff=1, norms=(), a_exp=(), u_exp=()):

@@ -201,6 +201,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
         assert code == 3
 
+    def test_error_object_carries_the_column(self, capsys, tmp_path):
+        src = tmp_path / "bad.dsl"
+        src.write_text("group C4\ngrading 1+l5\n")
+        code, _, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
+        assert code == 3
+        assert json.loads(err) == {
+            "error": {
+                "code": 3,
+                "kind": "semantic",
+                "message": "l5 is not a basis element of RO(C4)",
+                "line": 2,
+                "col": 10,
+            }
+        }
+        # a flag value has no line; its column is the position in the value
+        code, _, err = run(capsys, "rep", "dim", "--group", "C4", "--V", "2-x")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": {
+                "code": 2,
+                "kind": "parse",
+                "message": "dangling sign in representation literal",
+                "col": 2,
+            }
+        }
+
     def test_chart_literal_past_digit_limit_is_3(self, capsys, tmp_path, default_digit_limit):
         src = tmp_path / "big.dsl"
         src.write_text("group C" + "1" * 5000 + "\n")
@@ -212,6 +238,7 @@ class TestExitCodes:
                 "kind": "semantic",
                 "message": "integer literal of 5000 digits is too long",
                 "line": 1,
+                "col": 6,
             }
         }
 

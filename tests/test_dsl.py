@@ -26,6 +26,7 @@ from helpers import (
     random_monomial,
     random_rep,
     reference_parse_class_expr,
+    reference_parse_rep,
 )
 
 
@@ -409,6 +410,43 @@ def test_matches_reference_parser(text, exponent, level, col):
     assert _outcome(parse_class_expr, text, group, level, 2, col) == expected
 
 
+_REP_BASIS = st.sampled_from(["s", "l0", "l00", "l01", "l1", "l2", "l3", "l\u0661", "l"])
+_REP_JUNK = st.sampled_from(["x", "+", "-", "*", "S", "\u00b2", "\u3000"])
+
+
+@st.composite
+def rep_soups(draw):
+    """Terms of an optional sign, coefficient and basis element, each with
+    whitespace before it, mixed with unknown characters."""
+    text = ""
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            text += draw(_WS) + draw(_REP_JUNK)
+            continue
+        if draw(st.booleans()):
+            text += draw(_WS) + draw(st.sampled_from(["+", "-"]))
+        if draw(st.booleans()):
+            text += draw(_WS) + draw(_DIGITS)
+        if draw(st.booleans()):
+            text += draw(_WS) + draw(_REP_BASIS)
+        text += draw(_WS)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(rep_soups(), st.integers(0, 4), st.integers(0, 5))
+@example("2 s", 2, 3)
+@example("- 2 l1", 2, 3)
+@example("2+-s", 2, 3)
+@example("s2", 2, 3)
+@example("  x", 2, 3)
+@example("2-", 2, 3)
+def test_rep_matches_reference_parser(text, exponent, col):
+    group = C(exponent)
+    expected = _outcome(reference_parse_rep, text, group, col)
+    assert _outcome(parse_rep, text, group, col) == expected
+
+
 _LONG = "1" * 5000  # past the default int/str conversion limit of 4,300 digits
 
 
@@ -419,7 +457,7 @@ _LONG = "1" * 5000  # past the default int/str conversion limit of 4,300 digits
         (f"group C2\ngrading {_LONG}\n", 2, 8),
         (f"group C2\ngrading 1+l{_LONG}\n", 2, 10),
         (f"group C4\ngrading 2s - {_LONG}l1\n", 2, 12),
-        (f"group C2\nwindow 0 {_LONG} 4\n", 2, 7),
+        (f"group C2\nwindow 0 {_LONG} 4\n", 2, 9),
         (f"group C4\nclass x = aL{_LONG}\n", 2, 10),
         (f"group C4\nclass x = aS*{_LONG}\n", 2, 13),
         (f"group C4\nclass   x =   aS*{_LONG}\n", 2, 17),
@@ -430,7 +468,7 @@ _LONG = "1" * 5000  # past the default int/str conversion limit of 4,300 digits
         (f"group C2\ndiff {_LONG}: u2S -> aS\n", 2, 5),
         (f"group C2\ndiff 3: u2S -> aS*uL{_LONG}\n", 2, 18),
         (f"group C4\nguide L{_LONG}\n", 2, 6),
-        (f"group C4\nguide vanish h={_LONG} k=1\n", 2, 6),
+        (f"group C4\nguide vanish h={_LONG} k=1\n", 2, 15),
     ],
 )
 def test_integer_literal_past_digit_limit(default_digit_limit, text, line, col):

@@ -8,11 +8,13 @@ from sliceshear import (
     CyclicGroup,
     RepError,
     VirtualRep,
+    boundary_line,
     constant_C,
     line_L,
     regular_rep,
     rho_bar,
     tau,
+    vanishing_line,
 )
 from sliceshear.reps import basis_names, tau_series
 from helpers import fixed_dim_oracle, random_rep, restrict_oracle
@@ -209,6 +211,15 @@ class TestLineL:
     def test_two_sigma_intercept(self):
         line = line_L(VirtualRep.of(C(2), sigma=2), 1)
         assert line.slope == 1 and line.intercept == 2
+
+    def test_intercepts_are_ints(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            n = rng.randint(0, 4)
+            v = random_rep(rng, C(n + 1))
+            k = rng.randint(0, n)
+            lines = [line_L(v, k), vanishing_line(v, 1 << n, n, k), boundary_line(v, n)]
+            assert [type(line.intercept) for line in lines] == [int] * 3
 
 
 class TestConstantC:
