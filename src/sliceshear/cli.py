@@ -14,30 +14,10 @@ import os
 import sys
 import warnings
 
-from .differentials import DifferentialError, hhr_family, transport
-from .dsl import (
-    DslSemanticError,
-    DslSyntaxError,
-    parse,
-    parse_class_expr,
-    parse_diff_spec,
-    parse_group_name,
-    parse_rep,
-    print_canonical,
+from .reps import (
+    CyclicGroup, DslSemanticError, DslSyntaxError, _EngineError, line_L, parse_group_name,
+    parse_rep, tau,
 )
-from .jsonio import JsonSchemaError, differential_to_obj, monomial_to_obj
-from .monomials import MonomialError
-from .reps import CyclicGroup, RepError, line_L, tau
-from .shearing import (
-    ShearContext,
-    ShearError,
-    correspond_class,
-    region_of,
-    shear_degree,
-    tower_report,
-)
-from .svg import emit_svg
-from .vanishing import VanishingProfile, admissible, max_length, N_constant
 
 __all__ = ["main", "build_parser"]
 
@@ -76,6 +56,9 @@ def _require(parser_name: str, **needed):
 
 
 # -- handlers -----------------------------------------------------------------
+#
+# Each handler imports the modules it needs beyond ``reps``, so a one-shot
+# call loads only those.
 
 
 def _handle_rep(args) -> tuple[str, dict]:
@@ -113,6 +96,7 @@ def _handle_rep(args) -> tuple[str, dict]:
 
 
 def _handle_shear(args) -> tuple[str, dict]:
+    from .shearing import ShearContext, ShearError, shear_degree
     target = CyclicGroup(args.n + 1)
     if not 0 <= args.k <= args.n:
         raise ShearError(f"shear step k={args.k} out of range for n={args.n}")
@@ -126,6 +110,9 @@ def _handle_shear(args) -> tuple[str, dict]:
 
 
 def _handle_correspond(args) -> tuple[str, dict]:
+    from .dsl import parse_class_expr, print_canonical
+    from .jsonio import monomial_to_obj
+    from .shearing import ShearContext, correspond_class, region_of
     source_group = parse_group_name(args.group)
     level = None if args.level is None else parse_group_name(args.level).exponent
     m = parse_class_expr(args.expr, source_group, level)
@@ -146,6 +133,7 @@ def _handle_correspond(args) -> tuple[str, dict]:
 
 
 def _handle_tower(args) -> tuple[str, dict]:
+    from .shearing import tower_report
     group = CyclicGroup(args.n + 1)
     entries = tower_report(args.n, args.m, parse_rep(args.V, group))
     rows = []
@@ -169,11 +157,17 @@ def _handle_tower(args) -> tuple[str, dict]:
 
 
 def _handle_hhr(args) -> tuple[str, dict]:
+    from .differentials import hhr_family
+    from .dsl import print_canonical
+    from .jsonio import differential_to_obj
     d = hhr_family(args.n, args.i)
     return print_canonical(d), {"differential": differential_to_obj(d)}
 
 
 def _handle_transport(args) -> tuple[str, dict]:
+    from .differentials import transport
+    from .dsl import parse_diff_spec, print_canonical
+    from .jsonio import differential_to_obj
     source_group = parse_group_name(args.group)
     d = parse_diff_spec(args.diff, source_group)
     target = CyclicGroup(source_group.exponent + args.k)
@@ -190,6 +184,7 @@ def _handle_transport(args) -> tuple[str, dict]:
 
 
 def _handle_vanishing(args) -> tuple[str, dict]:
+    from .vanishing import N_constant, VanishingProfile, max_length
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
@@ -214,6 +209,8 @@ def _handle_vanishing(args) -> tuple[str, dict]:
 
 
 def _handle_check(args) -> tuple[str, dict]:
+    from .dsl import parse_diff_spec
+    from .vanishing import VanishingProfile, admissible
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     profile = VanishingProfile(args.n, args.h, V)
@@ -229,6 +226,8 @@ def _handle_check(args) -> tuple[str, dict]:
 
 
 def _handle_chart(args) -> tuple[str, dict]:
+    from .dsl import parse
+    from .svg import emit_svg
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -364,13 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except DslSemanticError as e:
         _emit_error(EXIT_SEMANTIC, "semantic", e.reason, e.line, e.col)
         return EXIT_SEMANTIC
-    except (
-        RepError,
-        MonomialError,
-        ShearError,
-        DifferentialError,
-        JsonSchemaError,
-    ) as e:
+    except _EngineError as e:
         _emit_error(EXIT_SEMANTIC, "semantic", str(e))
         return EXIT_SEMANTIC
     if args.json:

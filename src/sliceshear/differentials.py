@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .monomials import ClassMonomial, MonomialError
-from .reps import CyclicGroup, VirtualRep
+from .reps import CyclicGroup, VirtualRep, _EngineError
 from .shearing import ShearContext, correspond_class, region_of, shear_length
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 PROVENANCES = ("seed", "transported", "generated", "user")
 
 
-class DifferentialError(ValueError):
+class DifferentialError(_EngineError):
     """Raised for structurally ill-formed differential constructions."""
 
 

@@ -18,45 +18,20 @@ from dataclasses import dataclass, field
 
 from .differentials import Differential, DifferentialError, validate
 from .monomials import ClassMonomial, MonomialError, _d_norms
-from .reps import CyclicGroup, RepError, VirtualRep, basis_names
-from .vanishing import N_constant
+from .reps import (
+    CyclicGroup, DslError, DslSemanticError, DslSyntaxError, RepError, VirtualRep, _int,
+    basis_names, parse_group_name, parse_rep,
+)
 
+# The literal parsers and DSL errors come from reps, whose __all__ lists them.
 __all__ = [
-    "DslError",
-    "DslSyntaxError",
-    "DslSemanticError",
     "GuideSpec",
     "ChartDocument",
     "parse",
-    "parse_group_name",
-    "parse_rep",
     "parse_class_expr",
     "parse_diff_spec",
     "print_canonical",
 ]
-
-
-class DslError(ValueError):
-    """Base for DSL failures; carries the source position when known.  Only
-    ``parse`` and ``parse_class_expr`` fill in the line."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        super().__init__(message)
-        self.reason, self.line, self.col = message, line, col
-
-    def __str__(self) -> str:
-        if self.line is None:
-            return self.reason
-        col = "" if self.col is None else f", col {self.col}"
-        return f"line {self.line}{col}: {self.reason}"
-
-
-class DslSyntaxError(DslError):
-    """The text does not match the grammar."""
-
-
-class DslSemanticError(DslError):
-    """Well-formed text naming something the declared group cannot have."""
 
 
 @dataclass(frozen=True)
@@ -78,86 +53,6 @@ class ChartDocument:
     classes: list[tuple[str, ClassMonomial]] = field(default_factory=list)
     diffs: list[Differential] = field(default_factory=list)
     guides: list[GuideSpec] = field(default_factory=list)
-
-
-def _int(text: str, col: int | None = None) -> int:
-    """int() of a literal the grammar has matched.  A literal longer than the
-    interpreter converts (4,300 digits by default) is a semantic error."""
-    try:
-        return int(text)
-    except ValueError:
-        raise DslSemanticError(
-            f"integer literal of {len(text.lstrip('-'))} digits is too long", col=col
-        ) from None
-
-
-# -- group and representation literals ---------------------------------------
-
-_GROUP_RE = re.compile(r"C(\d+)")
-
-
-def parse_group_name(text: str, col: int | None = None) -> CyclicGroup:
-    m = _GROUP_RE.fullmatch(text.strip())
-    if not m:
-        raise DslSyntaxError(f"expected a group literal like C8, got {text.strip()!r}", col=col)
-    order = _int(m.group(1), col)
-    exponent = order.bit_length() - 1
-    if order < 1 or (1 << exponent) != order:
-        raise DslSemanticError(f"group order {order} is not a power of 2", col=col)
-    return CyclicGroup(exponent)
-
-
-# One signed term per match.  Each group takes its token's leading whitespace,
-# so a group's start is where the scan of that token starts.
-_REP_TERM = re.compile(r"(?P<sign>\s*[+-])?(?P<num>\s*\d+)?(?P<basis>\s*(?:s|l\d+))?")
-
-
-def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
-    """Parse a representation literal such as ``2-2s`` or ``4l1+2s``.  An
-    error points at the coefficient or basis element it is about; columns
-    count from where the scan of a token starts."""
-    n = group.exponent
-    co = [0] * (n + 1)
-    stripped = text.rstrip()
-    if not stripped.strip():
-        raise DslSyntaxError("empty representation literal", col=col_offset)
-    pos = 0
-    while pos < len(stripped):
-        m = _REP_TERM.match(stripped, pos)
-        sign, num, basis = m.group("sign", "num", "basis")
-        if num is None and basis is None:
-            if sign:
-                raise DslSyntaxError(
-                    "dangling sign in representation literal", col=col_offset + m.end("sign")
-                )
-            raise DslSyntaxError(
-                f"unexpected {stripped[pos:].lstrip()[:1]!r} in representation literal",
-                col=col_offset + pos,
-            )
-        if pos and not sign:
-            raise DslSyntaxError("terms must be joined by + or -", col=col_offset + pos)
-        value = -1 if sign and sign[-1] == "-" else 1
-        if num is not None:
-            value *= _int(num.lstrip(), col_offset + m.start("num"))
-        pos = m.end()
-        if basis is None:
-            co[0] += value
-            continue
-        basis, col = basis.lstrip(), col_offset + m.start("basis")
-        if basis == "s":
-            if n == 0:
-                raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
-            co[1] += value
-        elif (i := _int(basis[1:], col)) == 0:
-            # l0 is parser sugar for 2s
-            if n == 0:
-                raise DslSemanticError(f"l0 is not available over {group}", col=col)
-            co[1] += 2 * value
-        elif i <= n - 1:
-            co[1 + i] += value
-        else:
-            raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
-    return VirtualRep(group, tuple(co))
 
 
 # -- class expressions --------------------------------------------------------
@@ -380,15 +275,15 @@ def parse(text: str) -> ChartDocument:
                 doc = ChartDocument(group=group, grading=VirtualRep.zero(group))
                 continue
             if keyword == "group":
-                raise DslSemanticError("duplicate group statement")
+                raise DslSemanticError("duplicate group statement", col=col)
             elif keyword == "grading":
                 if saw_grading:
-                    raise DslSemanticError("duplicate grading statement")
+                    raise DslSemanticError("duplicate grading statement", col=col)
                 saw_grading = True
                 doc.grading = parse_rep(rest, doc.group, col)
             elif keyword == "window":
                 if doc.window is not None:
-                    raise DslSemanticError("duplicate window statement")
+                    raise DslSemanticError("duplicate window statement", col=col)
                 m = _WINDOW_RE.fullmatch(rest.strip())
                 if not m:
                     raise DslSyntaxError("window takes three integers: x_min x_max s_max", col=col)
@@ -404,7 +299,7 @@ def parse(text: str) -> ChartDocument:
                     raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", col=col)
                 name, expr, lvl_text = m.groups()
                 if name in names:
-                    raise DslSemanticError(f"duplicate class name {name!r}")
+                    raise DslSemanticError(f"duplicate class name {name!r}", col=col + m.start(1))
                 names.add(name)
                 level = None
                 if lvl_text is not None:
@@ -435,24 +330,28 @@ def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
     if m:
         k = _int(m.group(1), col)
         if not 0 <= k <= doc.group.exponent:
-            raise DslSemanticError(f"guide L{k} is out of range for {doc.group}")
+            raise DslSemanticError(f"guide L{k} is out of range for {doc.group}", col=col)
         return GuideSpec("L", k=k)
     m = _GUIDE_VANISH_RE.fullmatch(rest)
     if m:
-        h, k = _int(m.group(1), col + m.start(1)), _int(m.group(2), col + m.start(2))
+        from .vanishing import N_constant
+        h_col, k_col = col + m.start(1), col + m.start(2)
+        h, k = _int(m.group(1), h_col), _int(m.group(2), k_col)
         n = doc.group.exponent - 1
         if n < 0:
-            raise DslSemanticError("vanishing guides need a group of at least C2")
+            raise DslSemanticError("vanishing guides need a group of at least C2", col=col)
         try:
             N_constant(h, n, k)
-        except RepError as e:
-            raise DslSemanticError(str(e)) from e
+        except RepError as e:  # about k when it is out of range, else about h
+            raise DslSemanticError(str(e), col=k_col if k > n else h_col) from e
         if h % (1 << n):
-            raise DslSemanticError(f"height {h} is not a multiple of 2^{n} for {doc.group}")
+            raise DslSemanticError(
+                f"height {h} is not a multiple of 2^{n} for {doc.group}", col=h_col
+            )
         return GuideSpec("vanish", k=k, h=h)
     if rest == "boundary":
         if doc.group.exponent < 1:
-            raise DslSemanticError("boundary guides need a group of at least C2")
+            raise DslSemanticError("boundary guides need a group of at least C2", col=col)
         return GuideSpec("boundary")
     raise DslSyntaxError(
         f"expected 'L<k>', 'vanish h=<h> k=<k>' or 'boundary', got {rest!r}", col=col

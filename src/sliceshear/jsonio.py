@@ -15,7 +15,7 @@ from typing import Iterable, Union
 
 from .differentials import PROVENANCES, Differential, validate
 from .monomials import ClassMonomial, MonomialError
-from .reps import CyclicGroup, RepError, basis_names
+from .reps import CyclicGroup, RepError, _EngineError, basis_names
 
 __all__ = [
     "JsonSchemaError",
@@ -30,7 +30,7 @@ __all__ = [
 Item = Union[ClassMonomial, Differential]
 
 
-class JsonSchemaError(ValueError):
+class JsonSchemaError(_EngineError):
     """A schema violation, reported with the path to the offending field."""
 
     def __init__(self, path: str, message: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .reps import CyclicGroup, RepError, VirtualRep
+from .reps import CyclicGroup, RepError, VirtualRep, _EngineError
 
 __all__ = [
     "ClassMonomial",
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class MonomialError(ValueError):
+class MonomialError(_EngineError):
     """Raised for ill-formed monomials or mismatched products."""
 
 

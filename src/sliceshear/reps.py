@@ -6,10 +6,14 @@ sign representation, and the two-dimensional rotation by pi/2^i.  lambda_0
 is never stored; it equals 2*sigma and is collapsed at parse time.  All
 coefficients and line intercepts are integers, ``constant_C`` is an exact
 rational, and nothing in this module touches floating point.
+
+The group and representation literals that ``VirtualRep.__str__`` prints are
+parsed here too, with the DSL error classes those parsers raise.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,11 +31,43 @@ __all__ = [
     "tau_series",
     "line_L",
     "constant_C",
+    "DslError",
+    "DslSyntaxError",
+    "DslSemanticError",
+    "parse_group_name",
+    "parse_rep",
 ]
 
 
-class RepError(ValueError):
+class _EngineError(ValueError):
+    """Base of every engine error, so the CLI catches them all without importing their modules."""
+
+
+class RepError(_EngineError):
     """A malformed group or representation, or an out-of-range subgroup index."""
+
+
+class DslError(_EngineError):
+    """Base for DSL failures; carries the source position when known.  Only
+    ``parse`` and ``parse_class_expr`` fill in the line."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message)
+        self.reason, self.line, self.col = message, line, col
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.reason
+        col = "" if self.col is None else f", col {self.col}"
+        return f"line {self.line}{col}: {self.reason}"
+
+
+class DslSyntaxError(DslError):
+    """The text does not match the grammar."""
+
+
+class DslSemanticError(DslError):
+    """Well-formed text naming something the declared group cannot have."""
 
 
 @lru_cache(maxsize=128)
@@ -258,6 +294,87 @@ class VirtualRep:
                 sign = "-" if c < 0 else "+" if parts else ""
                 parts.append(f"{sign}{'' if mag == 1 and name else mag}{name}")
         return "".join(parts) or "0"
+
+
+# -- group and representation literals ---------------------------------------
+
+
+def _int(text: str, col: int | None = None) -> int:
+    """int() of a literal the grammar has matched.  A literal longer than the
+    interpreter converts (4,300 digits by default) is a semantic error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DslSemanticError(
+            f"integer literal of {len(text.lstrip('-'))} digits is too long", col=col
+        ) from None
+
+
+_GROUP_RE = re.compile(r"C(\d+)")
+
+
+def parse_group_name(text: str, col: int = 0) -> CyclicGroup:
+    m = _GROUP_RE.fullmatch(text.strip())
+    if not m:
+        raise DslSyntaxError(f"expected a group literal like C8, got {text.strip()!r}", col=col)
+    order = _int(m.group(1), col)
+    exponent = order.bit_length() - 1
+    if order < 1 or (1 << exponent) != order:
+        raise DslSemanticError(f"group order {order} is not a power of 2", col=col)
+    return CyclicGroup(exponent)
+
+
+# One signed term per match.  Each group takes its token's leading whitespace,
+# so a group's start is where the scan of that token starts.
+_REP_TERM = re.compile(r"(?P<sign>\s*[+-])?(?P<num>\s*\d+)?(?P<basis>\s*(?:s|l\d+))?")
+
+
+def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
+    """Parse a representation literal such as ``2-2s`` or ``4l1+2s``.  An
+    error points at the coefficient or basis element it is about; columns
+    count from where the scan of a token starts."""
+    n = group.exponent
+    co = [0] * (n + 1)
+    stripped = text.rstrip()
+    if not stripped.strip():
+        raise DslSyntaxError("empty representation literal", col=col_offset)
+    pos = 0
+    while pos < len(stripped):
+        m = _REP_TERM.match(stripped, pos)
+        sign, num, basis = m.group("sign", "num", "basis")
+        if num is None and basis is None:
+            if sign:
+                raise DslSyntaxError(
+                    "dangling sign in representation literal", col=col_offset + m.end("sign")
+                )
+            raise DslSyntaxError(
+                f"unexpected {stripped[pos:].lstrip()[:1]!r} in representation literal",
+                col=col_offset + pos,
+            )
+        if pos and not sign:
+            raise DslSyntaxError("terms must be joined by + or -", col=col_offset + pos)
+        value = -1 if sign and sign[-1] == "-" else 1
+        if num is not None:
+            value *= _int(num.lstrip(), col_offset + m.start("num"))
+        pos = m.end()
+        if basis is None:
+            co[0] += value
+            continue
+        basis, col = basis.lstrip(), col_offset + m.start("basis")
+        if basis == "s":
+            if n == 0:
+                raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
+            co[1] += value
+        elif (i := _int(basis[1:], col)) == 0:
+            # l0 is parser sugar for 2s
+            if n == 0:
+                raise DslSemanticError(f"l0 is not available over {group}", col=col)
+            co[1] += 2 * value
+        elif i <= n - 1:
+            co[1 + i] += value
+        else:
+            raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
+    return VirtualRep(group, tuple(co))
 
 
 def regular_rep(group: CyclicGroup) -> VirtualRep:

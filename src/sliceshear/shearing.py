@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monomials import ClassMonomial
-from .reps import CyclicGroup, Line, VirtualRep, constant_C, line_L
+from .reps import CyclicGroup, Line, VirtualRep, _EngineError, constant_C, line_L
 
 __all__ = [
     "ShearContext",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class ShearError(ValueError):
+class ShearError(_EngineError):
     """Raised for out-of-range shearing parameters or off-image lengths."""
 
 

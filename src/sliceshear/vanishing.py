@@ -12,9 +12,12 @@ never asserts that a differential exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .differentials import Differential
 from .reps import CyclicGroup, Line, RepError, VirtualRep, line_L, tau_series
+
+if TYPE_CHECKING:
+    from .differentials import Differential
 
 __all__ = [
     "VanishingProfile",

@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sliceshear
-from sliceshear import hhr_family, print_canonical
+from sliceshear import cli, hhr_family, print_canonical
 from sliceshear.cli import main
 
 
@@ -188,6 +190,29 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"]["kind"] == "semantic"
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (sliceshear.RepError("boom"), 3),
+            (sliceshear.MonomialError("boom"), 3),
+            (sliceshear.ShearError("boom"), 3),
+            (sliceshear.DifferentialError("boom"), 3),
+            (sliceshear.LeibnizZeroError("boom"), 3),
+            (sliceshear.JsonSchemaError("$", "boom"), 3),
+            (sliceshear.DslSemanticError("boom"), 3),
+            (sliceshear.DslSyntaxError("boom"), 2),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_every_engine_error_has_its_code(self, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_handle_hhr", fail)
+        kind = "parse" if code == 2 else "semantic"
+        err = {"error": {"code": code, "kind": kind, "message": str(error)}}
+        assert run(capsys, "hhr", "--n", "1", "--i", "1") == (code, "", json.dumps(err) + "\n")
+
     def test_chart_parse_error_is_2(self, capsys, tmp_path):
         src = tmp_path / "bad.dsl"
         src.write_text("group C2\nguide diagonal\n")
@@ -227,6 +252,22 @@ class TestExitCodes:
             }
         }
 
+    def test_group_flag_error_has_column_0(self, capsys):
+        for argv in (
+            ("rep", "dim", "--group", "C6", "--V", "0"),
+            ("correspond", "--group", "C2", "--level", "C6", "--k", "1", "aS"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 3
+            assert json.loads(err) == {
+                "error": {
+                    "code": 3,
+                    "kind": "semantic",
+                    "message": "group order 6 is not a power of 2",
+                    "col": 0,
+                }
+            }
+
     def test_chart_literal_past_digit_limit_is_3(self, capsys, tmp_path, default_digit_limit):
         src = tmp_path / "big.dsl"
         src.write_text("group C" + "1" * 5000 + "\n")
@@ -252,15 +293,56 @@ class TestExitCodes:
         assert error["message"].startswith("invalid differential: Exceeds the limit")
 
 
-def test_import_pulls_in_no_xml_or_network_modules():
+def _loaded(code: str) -> set[str]:
+    """The modules a fresh, isolated interpreter holds after running code."""
     src = str(Path(sliceshear.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import sliceshear.cli; "
-        "print(*sys.modules)"
-    )
+    code = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint(*sys.modules, file=sys.stderr)"
     proc = subprocess.run(
         [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
     )
-    loaded = set(proc.stdout.split())
+    return set(proc.stderr.split())
+
+
+def _engine(code: str) -> set[str]:
+    return {m.removeprefix("sliceshear.") for m in _loaded(code) if m.startswith("sliceshear.")}
+
+
+def _cli(*argv: str) -> str:
+    return f"from sliceshear.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_import_pulls_in_no_xml_or_network_modules():
+    loaded = _loaded("import sliceshear.cli")
     assert "sliceshear.cli" in loaded
     assert not loaded & {"xml.sax", "ssl", "http.client", "email", "urllib.request"}
+
+
+@pytest.mark.parametrize(
+    "code, modules",
+    [
+        ("import sliceshear", set()),
+        ("import sliceshear.reps", {"reps"}),
+        ("import sliceshear.cli", {"reps", "cli"}),
+        ("from sliceshear import cli", {"reps", "cli"}),
+        (_cli("rep", "dim", "--group", "C8", "--V", "2-2s"), {"reps", "cli"}),
+        (_cli("rep", "lines", "--group", "C8", "--V", "0", "--json"), {"reps", "cli"}),
+        (_cli("vanishing", "--h", "2", "--n", "1"), {"reps", "cli", "vanishing"}),
+    ],
+    ids=["package", "reps", "cli", "from-package", "rep-dim", "rep-lines", "vanishing"],
+)
+def test_entry_point_loads_only_its_modules(code, modules):
+    assert _engine(code) == modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shear", "--n", "2", "--k", "2", "--V", "0", "--t", "3", "--s", "1"),
+        ("tower", "--n", "2", "--m", "1", "--json"),
+    ],
+    ids=["shear", "tower"],
+)
+def test_shear_and_tower_skip_the_chart_modules(argv):
+    loaded = _engine(_cli(*argv))
+    assert "shearing" in loaded
+    assert not loaded & {"differentials", "dsl", "jsonio", "svg"}

@@ -346,6 +346,27 @@ def test_shared_factor_memo_keeps_level_and_column():
         assert (exc.value.reason, exc.value.line, exc.value.col) == (message, 3, col)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("group C2\ngroup C4\n", "duplicate group statement", 2, 6),
+        ("group C2\ngrading s\ngrading 1\n", "duplicate grading statement", 3, 8),
+        ("group C2\nwindow 0 4 4\nwindow 0 1 1\n", "duplicate window statement", 3, 7),
+        ("group C2\nclass a = aS\nclass a = 1\n", "duplicate class name 'a'", 3, 6),
+        ("group C4\nguide L9\n", "guide L9 is out of range for C4", 2, 6),
+        ("group C4\nguide vanish h=3 k=1\n", "height 3 is not divisible by 2^1", 2, 15),
+        ("group C4\nguide vanish h=3 k=0\n", "height 3 is not a multiple of 2^1 for C4", 2, 15),
+        ("group C4\nguide vanish h=4 k=2\n", "vanishing index k=2 out of range for n=1", 2, 19),
+        ("group C1\nguide vanish h=1 k=0\n", "vanishing guides need a group of at least C2", 2, 6),
+        ("group C1\nguide boundary\n", "boundary guides need a group of at least C2", 2, 6),
+    ],
+)
+def test_statement_errors_carry_the_column(text, message, line, col):
+    with pytest.raises(DslSemanticError) as exc:
+        parse(text)
+    assert (exc.value.reason, exc.value.line, exc.value.col) == (message, line, col)
+
+
 _WS = st.sampled_from(["", "", "", " ", "  ", "\t", "\u00a0", "\x1c"])
 # ASCII digits, a leading zero and Arabic-Indic digits (Unicode Nd, like \d)
 _DIGITS = st.sampled_from(["0", "1", "2", "3", "01", "12", "\u0661", "\u0662"])

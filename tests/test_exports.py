@@ -1,6 +1,8 @@
 import importlib
-import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,17 +18,26 @@ def test_all_names_exist(name):
 
 
 def test_package_exports_every_module_all():
-    """The public top-level names are the union of the modules' ``__all__``
-    (the CLI aside), each bound to the module's own object."""
-    public = {
-        n: v
-        for n, v in vars(sliceshear).items()
-        if not n.startswith("_") and not inspect.ismodule(v)
-    }
+    """The top-level names are the union of the modules' ``__all__`` (the CLI
+    aside), each the module's own object, whatever was resolved before."""
     exported = {}
     for name in MODULES:
         if name != "cli":
             module = importlib.import_module(f"sliceshear.{name}")
             exported.update((n, getattr(module, n)) for n in module.__all__)
-    assert public.keys() == exported.keys()
-    assert [n for n in public if public[n] is not exported[n]] == []
+    assert sorted(sliceshear.__all__) == sorted(exported)
+    assert [n for n in exported if getattr(sliceshear, n) is not exported[n]] == []
+    assert set(exported) <= set(dir(sliceshear))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(sliceshear, "no_such_name")
+    src = str(Path(sliceshear.__file__).resolve().parents[1])
+    # a submodule is an attribute of the package, as with eager imports
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sliceshear as _pkg; _svg = _pkg.svg; "
+        "from sliceshear import *; assert _svg.emit_svg is emit_svg; "
+        "print(*(n for n in dir() if not n.startswith('_')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert sorted(proc.stdout.split()) == sorted([*exported, "sys"])
