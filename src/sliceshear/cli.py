@@ -1,9 +1,17 @@
 """Command-line interface.
 
 Every subcommand accepts ``--json`` to switch the human output to a JSON
-payload.  Exit codes: 0 success, 1 usage, 2 DSL/literal parse error,
-3 semantic error.  Failures print a machine-readable JSON error object to
-stderr.  Set ``SLICESHEAR_COLOR=1`` to colorize human output.
+payload.  Set ``SLICESHEAR_COLOR=1`` to colorize human output.  A failure
+prints one JSON error object, ``{"error": {"code", "kind", "message"}}``, to
+stderr, adding ``"line"`` and ``"col"`` when a DSL or literal error knows
+them; every ``chart`` error on a line has both.  The error's class gives its
+exit code and kind:
+
+- 0: success
+- 1: ``usage`` (bad flags), ``io`` (a file cannot be read or written) or
+  ``internal`` (any other exception, as ``"<ExcType>: <text>"``)
+- 2: ``parse`` (DSL or literal syntax)
+- 3: ``semantic`` (every other engine error)
 """
 
 from __future__ import annotations
@@ -15,30 +23,26 @@ import sys
 import warnings
 
 from .reps import (
-    CyclicGroup, DslSemanticError, DslSyntaxError, _EngineError, line_L, parse_group_name,
-    parse_rep, tau,
+    CyclicGroup, DslError, _EngineError, line_L, parse_group_name, parse_rep, tau,
 )
 
 __all__ = ["main", "build_parser"]
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_SEMANTIC = 3
 
+class _CliFailure(_EngineError):
+    """A usage or file error; ``kind`` is "usage" or "io"."""
 
-class _CliFailure(Exception):
-    def __init__(self, code: int, kind: str, message: str):
-        self.code = code
-        self.kind = kind
-        self.message = message
+    code = 1
+
+    def __init__(self, kind: str, message: str):
         super().__init__(message)
+        self.kind = kind
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2) on usage problems; the documented usage code is 1
     def error(self, message):
-        raise _CliFailure(EXIT_USAGE, "usage", message)
+        raise _CliFailure("usage", message)
 
 
 def _color(text: str, code: str) -> str:
@@ -47,51 +51,37 @@ def _color(text: str, code: str) -> str:
     return text
 
 
-def _require(parser_name: str, **needed):
-    for flag, value in needed.items():
-        if value is None:
-            raise _CliFailure(
-                EXIT_USAGE, "usage", f"{parser_name} requires --{flag}"
-            )
-
-
 # -- handlers -----------------------------------------------------------------
 #
 # Each handler imports the modules it needs beyond ``reps``, so a one-shot
 # call loads only those.
 
+_REP_FLAG = {"fixed": "k", "restrict": "m", "tau": "k"}  # the flag each op needs
+
 
 def _handle_rep(args) -> tuple[str, dict]:
     group = parse_group_name(args.group)
     V = parse_rep(args.V, group)
+    flag = _REP_FLAG.get(args.op)
+    if flag and getattr(args, flag) is None:
+        raise _CliFailure("usage", f"rep {args.op} requires --{flag}")
     if args.op == "dim":
         return str(V.dimension), {"dimension": V.dimension}
-    if args.op == "fixed":
-        _require("rep fixed", k=args.k)
-        W = V.fixed_points(args.k)
-    if args.op == "restrict":
-        _require("rep restrict", m=args.m)
-        W = V.restrict(args.m)
-    if args.op in ("fixed", "restrict"):
-        return f"{W} over {W.group}", {"rep": str(W), "group": W.group.exponent}
     if args.op == "tau":
-        _require("rep tau", k=args.k)
         value = tau(V, args.k)
         return str(value), {"tau": value}
-    rows = []
-    payload = []
-    for k in range(group.exponent + 1):
-        line = line_L(V, k)
-        t = line.intercept
-        rows.append(f"k={k}  slope={line.slope}  tau={t}  {line.equation()}")
-        payload.append(
-            {
-                "k": k,
-                "slope": line.slope,
-                "tau": t,
-                "intercept": str(line.intercept),
-            }
-        )
+    if args.op != "lines":
+        W = V.fixed_points(args.k) if args.op == "fixed" else V.restrict(args.m)
+        return f"{W} over {W.group}", {"rep": str(W), "group": W.group.exponent}
+    lines = [line_L(V, k) for k in range(group.exponent + 1)]
+    rows = [
+        f"k={k}  slope={line.slope}  tau={line.intercept}  {line.equation()}"
+        for k, line in enumerate(lines)
+    ]
+    payload = [
+        {"k": k, "slope": line.slope, "tau": line.intercept, "intercept": str(line.intercept)}
+        for k, line in enumerate(lines)
+    ]
     return "\n".join(rows), {"lines": payload}
 
 
@@ -103,10 +93,7 @@ def _handle_shear(args) -> tuple[str, dict]:
     V = parse_rep(args.V, target)
     ctx = ShearContext(CyclicGroup(args.n + 1 - args.k), target, args.k, V)
     t_prime, s_prime = shear_degree(ctx, args.t, args.s)
-    return (
-        f"(t', s') = ({t_prime}, {s_prime})",
-        {"t_prime": t_prime, "s_prime": s_prime},
-    )
+    return f"(t', s') = ({t_prime}, {s_prime})", {"t_prime": t_prime, "s_prime": s_prime}
 
 
 def _handle_correspond(args) -> tuple[str, dict]:
@@ -120,39 +107,34 @@ def _handle_correspond(args) -> tuple[str, dict]:
     ctx = ShearContext(source_group, target, args.k, parse_rep(args.V, target))
     out = correspond_class(m, ctx)
     region = region_of(m, ctx)
-    text = print_canonical(out)
+    text = canonical = print_canonical(out)
     if region == "boundary":
         text += "\nnote: source lies on the isomorphism boundary; matched only if it survives localization"
     elif region == "outside":
         text += "\nnote: source lies outside the proven isomorphism region"
-    return text, {
-        "class": monomial_to_obj(out),
-        "canonical": print_canonical(out),
-        "region": region,
-    }
+    return text, {"class": monomial_to_obj(out), "canonical": canonical, "region": region}
 
 
 def _handle_tower(args) -> tuple[str, dict]:
     from .shearing import tower_report
     group = CyclicGroup(args.n + 1)
     entries = tower_report(args.n, args.m, parse_rep(args.V, group))
-    rows = []
-    payload = []
-    for e in entries:
-        rows.append(
-            f"k={e.k}  {e.line.equation()}  C={e.threshold}  ->  {e.target_group} "
-            f"at height {e.target_height}"
-        )
-        payload.append(
-            {
-                "k": e.k,
-                "slope": e.line.slope,
-                "intercept": str(e.line.intercept),
-                "threshold": str(e.threshold),
-                "target_group": e.target_group.exponent,
-                "target_height": e.target_height,
-            }
-        )
+    rows = [
+        f"k={e.k}  {e.line.equation()}  C={e.threshold}  ->  {e.target_group} "
+        f"at height {e.target_height}"
+        for e in entries
+    ]
+    payload = [
+        {
+            "k": e.k,
+            "slope": e.line.slope,
+            "intercept": str(e.line.intercept),
+            "threshold": str(e.threshold),
+            "target_group": e.target_group.exponent,
+            "target_height": e.target_height,
+        }
+        for e in entries
+    ]
     return "\n".join(rows), {"tower": payload}
 
 
@@ -172,15 +154,13 @@ def _handle_transport(args) -> tuple[str, dict]:
     d = parse_diff_spec(args.diff, source_group)
     target = CyclicGroup(source_group.exponent + args.k)
     grading = None if args.V is None else parse_rep(args.V, target)
-    notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = transport(d, args.k, grading)
-    for w in caught:
-        notes.append(str(w.message))
-        print(f"warning: {w.message}", file=sys.stderr)
-    text = print_canonical(out)
-    return text, {"differential": differential_to_obj(out), "warnings": notes}
+    notes = [str(w.message) for w in caught]
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    return print_canonical(out), {"differential": differential_to_obj(out), "warnings": notes}
 
 
 def _handle_vanishing(args) -> tuple[str, dict]:
@@ -188,24 +168,18 @@ def _handle_vanishing(args) -> tuple[str, dict]:
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
-    rows = []
-    payload = []
-    for k in range(args.n + 1):
-        slope = (1 << k) - 1
-        nk = N_constant(args.h, args.n, k)
-        bound = max_length(args.h, args.n, k)
-        t = tau(V, k)
-        rows.append(f"k={k}  slope={slope}  tau={t}  N={nk}  max_length={bound}")
-        payload.append(
-            {
-                "k": k,
-                "slope": slope,
-                "tau": t,
-                "N": nk,
-                "max_length": bound,
-            }
-        )
-    return "\n".join(rows), {"vanishing": payload}
+    rows = [
+        {
+            "k": k,
+            "slope": (1 << k) - 1,
+            "tau": tau(V, k),
+            "N": N_constant(args.h, args.n, k),
+            "max_length": max_length(args.h, args.n, k),
+        }
+        for k in range(args.n + 1)
+    ]
+    text = "\n".join("  ".join(f"{key}={value}" for key, value in row.items()) for row in rows)
+    return text, {"vanishing": rows}
 
 
 def _handle_check(args) -> tuple[str, dict]:
@@ -219,9 +193,7 @@ def _handle_check(args) -> tuple[str, dict]:
     if not violations:
         return _color("ok", "32"), {"admissible": True, "violations": []}
     rows = [_color(str(v), "31") for v in violations]
-    payload = [
-        {"k": v.k, "clause": v.clause, "message": v.message} for v in violations
-    ]
+    payload = [{"k": v.k, "clause": v.clause, "message": v.message} for v in violations]
     return "\n".join(rows), {"admissible": False, "violations": payload}
 
 
@@ -232,23 +204,20 @@ def _handle_chart(args) -> tuple[str, dict]:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise _CliFailure(EXIT_USAGE, "io", f"cannot read {args.input}: {e}")
+        raise _CliFailure("io", f"cannot read {args.input}: {e}")
     doc = parse(text)
     data = emit_svg(doc)
     try:
         with open(args.output, "wb") as fh:
             fh.write(data)
     except OSError as e:
-        raise _CliFailure(EXIT_USAGE, "io", f"cannot write {args.output}: {e}")
-    return (
-        f"wrote {args.output} ({len(data)} bytes)",
-        {
-            "output": args.output,
-            "bytes": len(data),
-            "classes": len(doc.classes),
-            "differentials": len(doc.diffs),
-        },
-    )
+        raise _CliFailure("io", f"cannot write {args.output}: {e}")
+    return f"wrote {args.output} ({len(data)} bytes)", {
+        "output": args.output,
+        "bytes": len(data),
+        "classes": len(doc.classes),
+        "differentials": len(doc.diffs),
+    }
 
 
 # -- parser -------------------------------------------------------------------
@@ -338,39 +307,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit_error(
-    code: int, kind: str, message: str, line: int | None = None, col: int | None = None
-) -> None:
-    err = {"code": code, "kind": kind, "message": message}
-    if line is not None:
-        err["line"] = line
-    if col is not None:
-        err["col"] = col
-    print(json.dumps({"error": err}), file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         text, payload = args.handler(args)
-    except _CliFailure as e:
-        _emit_error(e.code, e.kind, e.message)
-        return e.code
-    except DslSyntaxError as e:
-        _emit_error(EXIT_PARSE, "parse", e.reason, e.line, e.col)
-        return EXIT_PARSE
-    except DslSemanticError as e:
-        _emit_error(EXIT_SEMANTIC, "semantic", e.reason, e.line, e.col)
-        return EXIT_SEMANTIC
+        print(json.dumps(payload, indent=2) if args.json else text)
+        return 0
     except _EngineError as e:
-        _emit_error(EXIT_SEMANTIC, "semantic", str(e))
-        return EXIT_SEMANTIC
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
-    return EXIT_OK
+        err = {"code": e.code, "kind": e.kind}
+        err["message"] = e.reason if isinstance(e, DslError) else str(e)
+        for key in ("line", "col"):
+            if getattr(e, key, None) is not None:
+                err[key] = getattr(e, key)
+    except Exception as e:  # last resort: no failure leaves as a traceback
+        err = {"code": 1, "kind": "internal", "message": f"{type(e).__name__}: {e}"}
+    print(json.dumps({"error": err}), file=sys.stderr)
+    return err["code"]
 
 
 if __name__ == "__main__":

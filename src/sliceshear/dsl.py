@@ -229,17 +229,19 @@ def parse_diff_spec(text: str, group: CyclicGroup) -> Differential:
 def _diff_spec(text: str, group: CyclicGroup, col_offset: int, memo: dict) -> Differential:
     m = _DIFF_SPEC_RE.fullmatch(text.rstrip())
     if not m:
-        raise DslSyntaxError(f"expected '<r>: <source> -> <target>', got {text.strip()!r}")
+        raise DslSyntaxError(
+            f"expected '<r>: <source> -> <target>', got {text.strip()!r}", col=col_offset
+        )
     page = _int(m.group(1), col_offset + m.start(1))
     source = _class_expr(m.group(2), group, None, col_offset + m.start(2), memo)
     target = _class_expr(m.group(3), group, None, col_offset + m.start(3), memo)
     try:
         d = Differential(group, page, source, target)
     except DifferentialError as e:
-        raise DslSemanticError(str(e)) from e
+        raise DslSemanticError(str(e), col=col_offset + m.start(1)) from e  # the page
     problems = validate(d)
     if problems:
-        raise DslSemanticError(problems[0])
+        raise DslSemanticError(problems[0], col=col_offset)
     return d
 
 
@@ -265,12 +267,15 @@ def parse(text: str) -> ChartDocument:
                 continue
             stmt = _STMT_RE.match(body)
             if not stmt:
-                raise DslSyntaxError(f"unparseable statement {body.strip()!r}")
+                col = len(body) - len(body.lstrip())
+                raise DslSyntaxError(f"unparseable statement {body.strip()!r}", col=col)
             keyword, rest = stmt.group(1), stmt.group(2)
             col = stmt.start(2)  # columns are positions in the line
             if doc is None:
                 if keyword != "group":
-                    raise DslSyntaxError("the document must start with a group statement")
+                    raise DslSyntaxError(
+                        "the document must start with a group statement", col=stmt.start(1)
+                    )
                 group = parse_group_name(rest, col)
                 doc = ChartDocument(group=group, grading=VirtualRep.zero(group))
                 continue
@@ -316,7 +321,7 @@ def parse(text: str) -> ChartDocument:
             elif keyword == "guide":
                 doc.guides.append(_parse_guide(rest.strip(), doc, col))
             else:
-                raise DslSyntaxError(f"unknown statement {keyword!r}")
+                raise DslSyntaxError(f"unknown statement {keyword!r}", col=stmt.start(1))
     except DslError as e:
         e.line = line_no
         raise

@@ -40,7 +40,10 @@ __all__ = [
 
 
 class _EngineError(ValueError):
-    """Base of every engine error, so the CLI catches them all without importing their modules."""
+    """Base of every engine error, so the CLI catches them all without importing their modules.
+    ``code`` and ``kind`` are the CLI's exit code and error kind for the class."""
+
+    code, kind = 3, "semantic"
 
 
 class RepError(_EngineError):
@@ -64,6 +67,8 @@ class DslError(_EngineError):
 
 class DslSyntaxError(DslError):
     """The text does not match the grammar."""
+
+    code, kind = 2, "parse"
 
 
 class DslSemanticError(DslError):

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -292,14 +293,203 @@ class TestExitCodes:
         assert (error["code"], error["kind"], error["line"]) == (3, "semantic", 2)
         assert error["message"].startswith("invalid differential: Exceeds the limit")
 
+    def test_diff_spec_error_has_column_0(self, capsys):
+        code, _, err = run(capsys, "transport", "--group", "C2", "--k", "1", "--diff", "nonsense")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": {
+                "code": 2,
+                "kind": "parse",
+                "message": "expected '<r>: <source> -> <target>', got 'nonsense'",
+                "col": 0,
+            }
+        }
+
+
+class TestLastResort:
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+    def test_integer_past_digit_limit_is_internal(self, capsys, default_digit_limit, flags):
+        # N_k = 2^20001 has more digits than int-to-str allows
+        code, out, err = run(capsys, "vanishing", "--h", "20000", "--n", "0", *flags)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert (error.keys(), error["code"], error["kind"]) == (
+            {"code", "kind", "message"}, 1, "internal"
+        )
+        assert error["message"].startswith("ValueError: Exceeds the limit")
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError(), "MemoryError: "),
+            (RecursionError("maximum recursion depth exceeded"),
+             "RecursionError: maximum recursion depth exceeded"),
+        ],
+        ids=["MemoryError", "RecursionError"],
+    )
+    def test_any_other_exception_is_internal(self, capsys, monkeypatch, error, message):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_handle_hhr", fail)
+        err = {"error": {"code": 1, "kind": "internal", "message": message}}
+        assert run(capsys, "hhr", "--n", "1", "--i", "1") == (1, "", json.dumps(err) + "\n")
+
+    def test_help_and_interrupt_pass_through(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
+        def interrupt(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_handle_hhr", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["hhr", "--n", "1", "--i", "1"])
+
+
+# The exact output of every README command: (command, human stdout, --json
+# payload, printed by json.dumps with indent=2).
+README_CALLS = [
+    ("rep dim --group C8 --V '2-2s'", "0\n", {"dimension": 0}),
+    ("rep fixed --group C8 --V 'l1' --k 1", "l1 over C4\n", {"rep": "l1", "group": 2}),
+    (
+        "rep lines --group C8 --V '0'",
+        "k=0  slope=0  tau=0  s = 0\n"
+        "k=1  slope=1  tau=0  s = 1(t-s)\n"
+        "k=2  slope=3  tau=0  s = 3(t-s)\n"
+        "k=3  slope=7  tau=0  s = 7(t-s)\n",
+        {
+            "lines": [
+                {"k": 0, "slope": 0, "tau": 0, "intercept": "0"},
+                {"k": 1, "slope": 1, "tau": 0, "intercept": "0"},
+                {"k": 2, "slope": 3, "tau": 0, "intercept": "0"},
+                {"k": 3, "slope": 7, "tau": 0, "intercept": "0"},
+            ]
+        },
+    ),
+    (
+        "shear --n 2 --k 2 --V '0' --t 3 --s 1",
+        "(t', s') = (12, 10)\n",
+        {"t_prime": 12, "s_prime": 10},
+    ),
+    (
+        "correspond --group C2 --k 1 'Nt[1,1]*aS^3'",
+        "Nt[1,2]*aL1*aS^3\nnote: source lies outside the proven isomorphism region\n",
+        {
+            "class": {
+                "group": 2, "level": 2, "coeff": 1, "norms": [[1, 2, 1]],
+                "a": {"s": 3, "l1": 1}, "u": {},
+            },
+            "canonical": "Nt[1,2]*aL1*aS^3",
+            "region": "outside",
+        },
+    ),
+    (
+        "tower --n 2 --m 1",
+        "k=1  s = 1(t-s)  C=0  ->  C4 at height 2\nk=2  s = 3(t-s)  C=0  ->  C2 at height 1\n",
+        {
+            "tower": [
+                {
+                    "k": 1, "slope": 1, "intercept": "0", "threshold": "0",
+                    "target_group": 2, "target_height": 2,
+                },
+                {
+                    "k": 2, "slope": 3, "intercept": "0", "threshold": "0",
+                    "target_group": 1, "target_height": 1,
+                },
+            ]
+        },
+    ),
+    (
+        "hhr --n 1 --i 1",
+        "diff 5: u2S -> Nt[1,2]*aL1*aS^3\n",
+        {
+            "differential": {
+                "group": 2,
+                "page": 5,
+                "source": {
+                    "group": 2, "level": 2, "coeff": 1, "norms": [], "a": {}, "u": {"2s": 1},
+                },
+                "target": {
+                    "group": 2, "level": 2, "coeff": 1, "norms": [[1, 2, 1]],
+                    "a": {"s": 3, "l1": 1}, "u": {},
+                },
+                "provenance": "generated",
+            }
+        },
+    ),
+    (
+        "transport --group C2 --k 3 --diff '3: u2S -> Nt[1,1]*aS^3'",
+        "diff 17: u2S -> Nt[1,4]*aL3^4*aL2^2*aL1*aS^3\n",
+        {
+            "differential": {
+                "group": 4,
+                "page": 17,
+                "source": {
+                    "group": 4, "level": 4, "coeff": 1, "norms": [], "a": {}, "u": {"2s": 1},
+                },
+                "target": {
+                    "group": 4, "level": 4, "coeff": 1, "norms": [[1, 4, 1]],
+                    "a": {"s": 3, "l1": 1, "l2": 2, "l3": 4}, "u": {},
+                },
+                "provenance": "transported",
+            },
+            "warnings": [],
+        },
+    ),
+    (
+        "vanishing --h 4 --n 2",
+        "k=0  slope=0  tau=0  N=121  max_length=121\n"
+        "k=1  slope=1  tau=0  N=26  max_length=25\n"
+        "k=2  slope=3  tau=0  N=12  max_length=9\n",
+        {
+            "vanishing": [
+                {"k": 0, "slope": 0, "tau": 0, "N": 121, "max_length": 121},
+                {"k": 1, "slope": 1, "tau": 0, "N": 26, "max_length": 25},
+                {"k": 2, "slope": 3, "tau": 0, "N": 12, "max_length": 9},
+            ]
+        },
+    ),
+    (
+        "check --h 2 --n 1 --V '2-2s' --diff '5: u2S -> Nt[1,2]*aL1*aS^3'",
+        "ok\n",
+        {"admissible": True, "violations": []},
+    ),
+    (
+        "chart chart.dsl -o chart.svg",
+        "wrote chart.svg (2496 bytes)\n",
+        {"output": "chart.svg", "bytes": 2496, "classes": 0, "differentials": 1},
+    ),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+@pytest.mark.parametrize(
+    "command, human, payload", README_CALLS, ids=[c[0].split(" -")[0] for c in README_CALLS]
+)
+def test_readme_command_output(capsys, tmp_path, monkeypatch, command, human, payload, as_json):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICESHEAR_COLOR", raising=False)
+    (tmp_path / "chart.dsl").write_text("group C2\nwindow -2 4 4\ndiff 3: u2S -> Nt[1,1]*aS^3\n")
+    argv = shlex.split(command) + ["--json"] * as_json
+    out = json.dumps(payload, indent=2) + "\n" if as_json else human
+    assert run(capsys, *argv) == (0, out, "")
+
+
+_SRC = str(Path(sliceshear.__file__).resolve().parents[1])
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh, isolated interpreter that imports this tree's sliceshear."""
+    code = f"import sys; sys.path.insert(0, {_SRC!r})\n{code}"
+    return subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
+
 
 def _loaded(code: str) -> set[str]:
     """The modules a fresh, isolated interpreter holds after running code."""
-    src = str(Path(sliceshear.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint(*sys.modules, file=sys.stderr)"
-    proc = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
-    )
+    proc = _child(f"{code}\nprint(*sys.modules, file=sys.stderr)")
+    proc.check_returncode()
     return set(proc.stderr.split())
 
 
@@ -346,3 +536,32 @@ def test_shear_and_tower_skip_the_chart_modules(argv):
     loaded = _engine(_cli(*argv))
     assert "shearing" in loaded
     assert not loaded & {"differentials", "dsl", "jsonio", "svg"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (("hhr", "--n", "1", "--i", "1"), 0, None),
+        (("rep", "dim", "--group", "C8"), 1, "usage"),
+        (("vanishing", "--h", "20000", "--n", "0"), 1, "internal"),
+        (("rep", "dim", "--group", "C8", "--V", "2++s"), 2, "parse"),
+        (("rep", "dim", "--group", "C2", "--V", "l3", "--json"), 3, "semantic"),
+    ],
+    ids=["ok", "usage", "internal", "parse", "semantic"],
+)
+def test_module_entry_point_prints_at_most_one_error_line(argv, code, kind):
+    """``python -m sliceshear.cli``, as a user runs it: the exit code, and on
+    stderr nothing or one JSON error line, never a traceback."""
+    if kind == "internal" and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    proc = _child(
+        f"import runpy; sys.argv[1:] = {list(argv)!r}\n"
+        "runpy.run_module('sliceshear.cli', run_name='__main__', alter_sys=True)"
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stdout + proc.stderr
+    if kind is None:
+        assert proc.stdout and proc.stderr == ""
+    else:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"].items() >= {"code": code, "kind": kind}.items()

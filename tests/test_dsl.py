@@ -543,3 +543,72 @@ def test_error_on_line_3_carries_line_and_column(statement, error, col):
     assert type(exc.value) is error
     assert (exc.value.line, exc.value.col) == (3, col)
     assert str(exc.value).startswith(f"line 3, col {col}: ")
+
+
+# Documents that fail on a line, one for each way a statement can fail: the
+# statement errors, the diff errors about the whole spec, and every
+# class-expression error of ERROR_CORPUS in a class and in a diff statement
+# (but not one with @, which starts a class statement's level).
+_LINE_ERRORS = [
+    "grading 0\n",
+    "@x\n",
+    "group C6\n",
+    "group X2\n",
+    "group C2\n  ^^\n",
+    "group C2\nfoo 1\n",
+    "group C2\ngroup C2\n",
+    "group C4\ngrading 1+l5\n",
+    "group C4\ngrading 2++s\n",
+    "group C2\ngrading s\ngrading s\n",
+    "group C2\nwindow 0 4\n",
+    "group C2\nwindow 4 0 4\n",
+    "group C2\nwindow 0 4 4\nwindow 0 4 4\n",
+    "group C2\nclass = aS\n",
+    "group C2\nclass a = aS\nclass a = aS\n",
+    "group C2\nclass a = aS @C6\n",
+    "group C2\nclass a = aS @C4\n",
+    "group C2\ndiff u2S -> aS\n",
+    "group C2\ndiff 1: u2S -> aS\n",
+    "group C2\nclass ok = u2S\ndiff 4: u2S -> aS^4\n",
+    "group C2\ndiff 3: u2S -> u2S\n",
+    "group C4\nguide L9\n",
+    "group C4\nguide vanish h=3 k=1\n",
+    "group C4\nguide vanish h=4 k=2\n",
+    "group C1\nguide vanish h=1 k=0\n",
+    "group C1\nguide boundary\n",
+    "group C4\nguide diagonal\n",
+] + [
+    doc
+    for text, level, *_ in ERROR_CORPUS
+    if level is None and "@" not in text
+    for doc in (f"group C4\nclass x = {text}\n", f"group C4\ndiff 3: {text} -> aS\n")
+]
+
+
+@pytest.mark.parametrize("text", _LINE_ERRORS)
+def test_every_error_on_a_line_carries_line_and_column(text):
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    assert exc.value.line is not None and exc.value.col is not None
+    # the empty document fails on no line and keeps neither
+    with pytest.raises(DslError) as exc:
+        parse("# no statements\n")
+    assert (exc.value.line, exc.value.col) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "text, error, line, col",
+    [
+        ("group C2\ndiff u2S -> aS\n", DslSyntaxError, 2, 5),
+        ("group C2\nclass ok = u2S\ndiff 4: u2S -> aS^4\n", DslSemanticError, 3, 5),
+        ("group C2\ndiff 1: u2S -> aS\n", DslSemanticError, 2, 5),
+        ("group C2\n@x\n", DslSyntaxError, 2, 0),
+        ("group C2\n  ^^\n", DslSyntaxError, 2, 2),
+        ("group C2\nfoo 1\n", DslSyntaxError, 2, 0),
+        ("grading 0\n", DslSyntaxError, 1, 0),
+    ],
+)
+def test_statement_and_spec_errors_point_at_their_start(text, error, line, col):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
