@@ -103,9 +103,9 @@ def validate(d: Differential) -> list[str]:
                 f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
                 f"expected, target has {tgt_filt}"
             )
-        lg = d.source.level_group
-        want = d.source.degree() - VirtualRep.of(lg, triv=1)
-        if d.target.degree() != want:
+        src = d.source.degree().coeffs
+        if d.target.degree().coeffs != (src[0] - 1, *src[1:]):
+            want = d.source.degree() - VirtualRep.of(d.source.level_group, triv=1)
             problems.append(
                 f"degree mismatch: target degree {d.target.degree()} is not source "
                 f"degree minus one trivial summand ({want})"

@@ -339,14 +339,14 @@ def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
         return GuideSpec("L", k=k)
     m = _GUIDE_VANISH_RE.fullmatch(rest)
     if m:
-        from .vanishing import N_constant
+        from .vanishing import _check_vanishing_index
         h_col, k_col = col + m.start(1), col + m.start(2)
         h, k = _int(m.group(1), h_col), _int(m.group(2), k_col)
         n = doc.group.exponent - 1
         if n < 0:
             raise DslSemanticError("vanishing guides need a group of at least C2", col=col)
         try:
-            N_constant(h, n, k)
+            _check_vanishing_index(h, n, k)
         except RepError as e:  # about k when it is out of range, else about h
             raise DslSemanticError(str(e), col=k_col if k > n else h_col) from e
         if h % (1 << n):

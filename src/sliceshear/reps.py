@@ -237,12 +237,6 @@ class VirtualRep:
 
     # -- change of group ---------------------------------------------------
 
-    def _fixed_coeffs(self, k: int) -> tuple[int, ...]:
-        n = self.group.exponent
-        if not 0 <= k <= n:
-            raise RepError(f"fixed-point index k={k} out of range for {self.group}")
-        return self.coeffs[: 2 if k < n else 1] + self.coeffs[2 : n - k + 1]
-
     def fixed_points(self, k: int) -> "VirtualRep":
         """The C_{2^k}-fixed representation, as a representation of the quotient.
 
@@ -250,13 +244,24 @@ class VirtualRep:
         kernel C_{2^(n-1)}; lambda_i survives iff C_{2^k} lies in its kernel
         C_{2^(n-i-1)}.  Surviving elements keep their names in the quotient.
         """
-        return VirtualRep(self.group.quotient(k), self._fixed_coeffs(k))
+        quotient, co, n = self.group.quotient(k), self.coeffs, self.group.exponent
+        return VirtualRep(quotient, co[: 2 if k < n else 1] + co[2 : n - k + 1])
 
     def fixed_dimension(self, k: int) -> int:
-        """``fixed_points(k).dimension`` without building the quotient rep:
-        c_1 + [k <= n-1] c_sigma + 2 * sum_{i <= n-1-k} c_lambda_i."""
-        co = self._fixed_coeffs(k)
-        return sum(co[:2]) + 2 * sum(co[2:])
+        """``fixed_points(k).dimension`` without building the quotient rep."""
+        if not 0 <= k <= self.group.exponent:
+            raise RepError(f"fixed-point index k={k} out of range for {self.group}")
+        return self._fixed_series()[k]
+
+    def _fixed_series(self) -> list[int]:
+        """|V^{C_{2^j}}| for j = 0..n in one O(n) pass; entry 0 is |V|.  Entry j
+        is c_1 + [j <= n-1] c_sigma + 2 * sum_{i <= n-1-j} c_lambda_i, summed
+        from j = n down."""
+        co = self.coeffs
+        series = [co[0]] if len(co) == 1 else [co[0], co[0] + co[1]]
+        for c in co[2:]:
+            series.append(series[-1] + 2 * c)
+        return series[::-1]
 
     def pullback_to(self, group: CyclicGroup) -> "VirtualRep":
         """Name-preserving pullback along the quotient map onto this rep's group.
@@ -451,15 +456,17 @@ def tau(V: VirtualRep, k: int) -> int:
 
 
 def tau_series(V: VirtualRep, k: int) -> list[int]:
-    """``[tau(V, 0), ..., tau(V, k)]`` in one pass: the running maximum over
-    j of |V^{C_{2^j}}|*2^j - |V|."""
+    """``[tau(V, 0), ..., tau(V, k)]``: the running maximum over j of
+    |V^{C_{2^j}}|*2^j - |V|, compared in integers on one O(n) pass over the
+    coefficients (``V._fixed_series()``)."""
     if not 0 <= k <= V.group.exponent:
         raise RepError(f"tau index k={k} out of range for {V.group}")
-    dim = V.dimension
-    series: list[int] = []
+    fixed, series, top = V._fixed_series(), [], 0
     for j in range(k + 1):
-        term = (V.fixed_dimension(j) << j) - dim
-        series.append(term if not series or term > series[-1] else series[-1])
+        term = (fixed[j] << j) - fixed[0]
+        if term > top:
+            top = term
+        series.append(top)
     return series
 
 
@@ -472,10 +479,11 @@ def constant_C(V: VirtualRep, k: int) -> Fraction:
     """Horizontal threshold on the sheared-down side of the slope-(2^k - 1) region.
 
     Equals (tau(V, k) - (|V^{C_{2^k}}|*2^k - |V|)) / 2^k; non-negative because
-    tau is the max over a set containing that term.
+    tau is the max over a set containing that term.  The numerator is an
+    integer from one fixed series; the ``Fraction`` is built only to return it.
     """
     n_plus_1 = V.group.exponent
     if not 1 <= k <= n_plus_1 - 1:
         raise RepError(f"threshold index k={k} out of range for {V.group}")
-    gap = (V.fixed_dimension(k) << k) - V.dimension
-    return Fraction(tau(V, k) - gap, 1 << k)
+    fixed = V._fixed_series()
+    return Fraction(tau(V, k) - (fixed[k] << k) + fixed[0], 1 << k)

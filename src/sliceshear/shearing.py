@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monomials import ClassMonomial
-from .reps import CyclicGroup, Line, VirtualRep, _EngineError, constant_C, line_L
+from .reps import CyclicGroup, Line, VirtualRep, _EngineError, constant_C, tau, tau_series
 
 __all__ = [
     "ShearContext",
@@ -123,7 +123,8 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
     coordinate t - s is preserved.
     """
-    offset = (ctx.grading.fixed_dimension(ctx.k) << ctx.k) - ctx.grading.dimension
+    fixed = ctx.grading._fixed_series()
+    offset = (fixed[ctx.k] << ctx.k) - fixed[0]
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s
     return t_prime, s_prime
@@ -181,14 +182,15 @@ def region_of(m: ClassMonomial, ctx: ShearContext) -> str:
 
     Returns ``"interior"``, ``"boundary"`` (exactly on the horizontal
     threshold line: treated as in-region, but only classes surviving
-    localization are matched there), or ``"outside"``.
+    localization are matched there), or ``"outside"``.  The test runs in
+    integers: s * 2^k against the numerator of ``ctx.source_threshold``, with
+    x = stem - |V^{C_{2^k}}| read from one fixed series of the grading.
     """
-    threshold = ctx.source_threshold
-    x = m.stem - ctx.source_grading.dimension
-    s = m.filtration
-    if x < 0 or s < threshold:
+    k, fixed = ctx.k, ctx.grading._fixed_series()
+    scaled_s, threshold = m.filtration << k, tau(ctx.grading, k) - (fixed[k] << k) + fixed[0]
+    if m.stem < fixed[k] or scaled_s < threshold:
         return "outside"
-    if s == threshold:
+    if scaled_s == threshold:
         return "boundary"
     return "interior"
 
@@ -209,7 +211,7 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
 
     Entry k (1 <= k <= n) pairs the region on or above the slope-(2^k - 1)
     line with the full chart of the height-(h / 2^k) theory over
-    C_{2^(n-k+1)}.
+    C_{2^(n-k+1)}.  All rows read one fixed series and one tau series: O(n).
     """
     if n < 1 or m < 1:
         raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
@@ -218,15 +220,14 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
     if V.group != group:
         raise ShearError(f"tower grading must live over {group}, got {V.group}")
     h = (1 << n) * m
-    entries = []
-    for k in range(1, n + 1):
-        entries.append(
-            TowerEntry(
-                k=k,
-                line=line_L(V, k),
-                threshold=constant_C(V, k),
-                target_group=CyclicGroup(n - k + 1),
-                target_height=h >> k,
-            )
+    fixed, taus = V._fixed_series(), tau_series(V, n)
+    return [
+        TowerEntry(
+            k=k,
+            line=Line((1 << k) - 1, taus[k]),
+            threshold=Fraction(taus[k] - (fixed[k] << k) + fixed[0], 1 << k),
+            target_group=CyclicGroup(n - k + 1),
+            target_height=h >> k,
         )
-    return entries
+        for k in range(1, n + 1)
+    ]

@@ -61,11 +61,16 @@ class VanishingProfile:
 
 def N_constant(h: int, n: int, k: int) -> int:
     """The vanishing offset N_k = 2^(h/2^k + n + 1) - 2^(n+1) + 2^k."""
+    _check_vanishing_index(h, n, k)
+    return (1 << (h // (1 << k) + n + 1)) - (1 << (n + 1)) + (1 << k)
+
+
+def _check_vanishing_index(h: int, n: int, k: int) -> None:
+    """Raise the RepError ``N_constant`` raises for (h, n, k), building nothing."""
     if not 0 <= k <= n:
         raise RepError(f"vanishing index k={k} out of range for n={n}")
     if h < 1 or h % (1 << k):
         raise RepError(f"height {h} is not divisible by 2^{k}")
-    return (1 << (h // (1 << k) + n + 1)) - (1 << (n + 1)) + (1 << k)
 
 
 def max_length(h: int, n: int, k: int) -> int:
@@ -85,17 +90,17 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     Slope |G| - 1 and intercept -|V| + |G| * max_H |V^H|, the maximum running
     over all subgroups.
     """
-    return Line(*_boundary(V, n))
-
-
-def _boundary(V: VirtualRep, n: int) -> tuple[int, int]:
-    """The boundary's slope and intercept, as integers."""
     group = CyclicGroup(n + 1)
     if V.group != group:
         raise RepError(f"boundary grading must live over {group}, got {V.group}")
-    top = max(V.fixed_dimension(j) for j in range(n + 2))
-    order = 1 << (n + 1)
-    return order - 1, -V.dimension + order * top
+    return Line(*_boundary(V._fixed_series()))
+
+
+def _boundary(fixed: list[int]) -> tuple[int, int]:
+    """The boundary's slope and intercept, as integers, from the fixed series
+    of a grading over C_{2^(n+1)} (n + 2 entries, entry 0 is |V|)."""
+    order = 1 << (len(fixed) - 1)
+    return order - 1, -fixed[0] + order * max(fixed)
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,10 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
             f"differential over {d.group} does not match profile over {profile.group}"
         )
     V = profile.grading
-    x_src = d.source.stem - V.dimension
+    fixed = V._fixed_series()
+    x_src = d.source.stem - fixed[0]
     s_src = d.source.filtration
-    x_tgt = d.target.stem - V.dimension
+    x_tgt = d.target.stem - fixed[0]
     s_tgt = d.target.filtration
     if x_src < 0:
         return []
@@ -171,7 +177,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         f"the vanishing line {Line(slope, ceiling).equation()}",
                     )
                 )
-    slope, intercept = _boundary(V, n)
+    slope, intercept = _boundary(fixed)
     if s_tgt > slope * x_tgt + intercept:
         out.append(
             Violation(

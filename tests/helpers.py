@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from fractions import Fraction
 
 from sliceshear import (
     ClassMonomial,
@@ -17,8 +18,12 @@ from sliceshear import (
     Differential,
     DslSemanticError,
     DslSyntaxError,
+    Line,
     MonomialError,
     RepError,
+    ShearContext,
+    ShearError,
+    TowerEntry,
     VanishingProfile,
     Violation,
     VirtualRep,
@@ -398,6 +403,154 @@ def reference_admissible(d: Differential, profile: VanishingProfile) -> list[Vio
             )
         )
     return out
+
+
+# The fixed-point, tau, threshold, boundary, region, tower and validate code
+# that one fixed series per grading replaced, kept verbatim as its oracle.  A
+# call into replaced code goes to the copy here; ``VirtualRep`` methods are
+# copied as functions of V.
+def _reference_fixed_coeffs(V: VirtualRep, k: int) -> tuple[int, ...]:
+    n = V.group.exponent
+    if not 0 <= k <= n:
+        raise RepError(f"fixed-point index k={k} out of range for {V.group}")
+    return V.coeffs[: 2 if k < n else 1] + V.coeffs[2 : n - k + 1]
+
+
+def reference_fixed_dimension(V: VirtualRep, k: int) -> int:
+    """``fixed_points(k).dimension`` without building the quotient rep:
+    c_1 + [k <= n-1] c_sigma + 2 * sum_{i <= n-1-k} c_lambda_i."""
+    co = _reference_fixed_coeffs(V, k)
+    return sum(co[:2]) + 2 * sum(co[2:])
+
+
+def reference_tau_series(V: VirtualRep, k: int) -> list[int]:
+    """``[tau(V, 0), ..., tau(V, k)]`` in one pass: the running maximum over
+    j of |V^{C_{2^j}}|*2^j - |V|."""
+    if not 0 <= k <= V.group.exponent:
+        raise RepError(f"tau index k={k} out of range for {V.group}")
+    dim = V.dimension
+    series: list[int] = []
+    for j in range(k + 1):
+        term = (reference_fixed_dimension(V, j) << j) - dim
+        series.append(term if not series or term > series[-1] else series[-1])
+    return series
+
+
+def reference_constant_C(V: VirtualRep, k: int) -> Fraction:
+    """Horizontal threshold on the sheared-down side of the slope-(2^k - 1) region.
+
+    Equals (tau(V, k) - (|V^{C_{2^k}}|*2^k - |V|)) / 2^k; non-negative because
+    tau is the max over a set containing that term.
+    """
+    n_plus_1 = V.group.exponent
+    if not 1 <= k <= n_plus_1 - 1:
+        raise RepError(f"threshold index k={k} out of range for {V.group}")
+    gap = (reference_fixed_dimension(V, k) << k) - V.dimension
+    return Fraction(reference_tau_series(V, k)[k] - gap, 1 << k)
+
+
+def reference_boundary(V: VirtualRep, n: int) -> tuple[int, int]:
+    """The boundary's slope and intercept, as integers."""
+    group = CyclicGroup(n + 1)
+    if V.group != group:
+        raise RepError(f"boundary grading must live over {group}, got {V.group}")
+    top = max(reference_fixed_dimension(V, j) for j in range(n + 2))
+    order = 1 << (n + 1)
+    return order - 1, -V.dimension + order * top
+
+
+def reference_region_of(m: ClassMonomial, ctx: ShearContext) -> str:
+    """Where a source-chart class sits relative to the isomorphism region.
+
+    Returns ``"interior"``, ``"boundary"`` (exactly on the horizontal
+    threshold line: treated as in-region, but only classes surviving
+    localization are matched there), or ``"outside"``.
+    """
+    # ctx.source_threshold, as ShearContext computed it
+    threshold = Fraction(0) if ctx.k == 0 else reference_constant_C(ctx.grading, ctx.k)
+    x = m.stem - ctx.source_grading.dimension
+    s = m.filtration
+    if x < 0 or s < threshold:
+        return "outside"
+    if s == threshold:
+        return "boundary"
+    return "interior"
+
+
+def reference_tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[TowerEntry]:
+    """The tower for the height-(2^n * m) theory over C_{2^(n+1)}.
+
+    Entry k (1 <= k <= n) pairs the region on or above the slope-(2^k - 1)
+    line with the full chart of the height-(h / 2^k) theory over
+    C_{2^(n-k+1)}.
+    """
+    if n < 1 or m < 1:
+        raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
+    group = CyclicGroup(n + 1)
+    V = VirtualRep.zero(group) if grading is None else grading
+    if V.group != group:
+        raise ShearError(f"tower grading must live over {group}, got {V.group}")
+    h = (1 << n) * m
+    entries = []
+    for k in range(1, n + 1):
+        entries.append(
+            TowerEntry(
+                k=k,
+                # line_L(V, k)
+                line=Line(slope=(1 << k) - 1, intercept=reference_tau_series(V, k)[k]),
+                threshold=reference_constant_C(V, k),
+                target_group=CyclicGroup(n - k + 1),
+                target_height=h >> k,
+            )
+        )
+    return entries
+
+
+def reference_validate(d: Differential) -> list[str]:
+    """Check the bidegree constraints; an empty list means the arrow is valid.
+
+    Violations are reported in a fixed order (group/level, endpoints, stem,
+    filtration, degree), so the first entry is the first violated equation.
+    A message with more digits than int-to-str allows becomes the one entry
+    "invalid differential: <error>".
+    """
+    problems: list[str] = []
+    if d.source.group != d.group or d.target.group != d.group:
+        problems.append(
+            f"endpoint group mismatch: source over {d.source.group}, "
+            f"target over {d.target.group}, differential over {d.group}"
+        )
+    if d.source.level != d.target.level:
+        problems.append(
+            f"level mismatch: source level {d.source.level} vs target level "
+            f"{d.target.level}"
+        )
+        return problems
+    if d.source.is_zero or d.target.is_zero:
+        problems.append("differential endpoints must be nonzero classes")
+        return problems
+    try:
+        src_stem, src_filt, _ = d.source.bidegree()
+        tgt_stem, tgt_filt, _ = d.target.bidegree()
+        if tgt_stem != src_stem - 1:
+            problems.append(
+                f"stem mismatch: {src_stem} - 1 = {src_stem - 1} expected, target has {tgt_stem}"
+            )
+        if tgt_filt != src_filt + d.page:
+            problems.append(
+                f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
+                f"expected, target has {tgt_filt}"
+            )
+        lg = d.source.level_group
+        want = d.source.degree() - VirtualRep.of(lg, triv=1)
+        if d.target.degree() != want:
+            problems.append(
+                f"degree mismatch: target degree {d.target.degree()} is not source "
+                f"degree minus one trivial summand ({want})"
+            )
+    except ValueError as e:  # a degree too long to print in the message
+        return [f"invalid differential: {e}"]
+    return problems
 
 
 def random_rep(rng: random.Random, group: CyclicGroup, span: int = 6) -> VirtualRep:

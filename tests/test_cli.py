@@ -480,10 +480,12 @@ def test_readme_command_output(capsys, tmp_path, monkeypatch, command, human, pa
 _SRC = str(Path(sliceshear.__file__).resolve().parents[1])
 
 
-def _child(code: str) -> subprocess.CompletedProcess:
+def _child(code: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     """Run code in a fresh, isolated interpreter that imports this tree's sliceshear."""
     code = f"import sys; sys.path.insert(0, {_SRC!r})\n{code}"
-    return subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=timeout
+    )
 
 
 def _loaded(code: str) -> set[str]:
@@ -565,3 +567,31 @@ def test_module_entry_point_prints_at_most_one_error_line(argv, code, kind):
     else:
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["error"].items() >= {"code": code, "kind": kind}.items()
+
+
+_TOP = (1 << 3000) - 1  # the slope of the k = 3000 line
+
+
+@pytest.mark.parametrize(
+    "argv, first, last",
+    [
+        (
+            ("tower", "--n", "3000", "--m", "1"),
+            f"k=1  s = 1(t-s)  C=0  ->  C{1 << 3000} at height {1 << 2999}",
+            f"k=3000  s = {_TOP}(t-s)  C=0  ->  C2 at height 1",
+        ),
+        (
+            ("rep", "lines", "--group", f"C{1 << 3000}", "--V", "0"),
+            "k=0  slope=0  tau=0  s = 0",
+            f"k=3000  slope={_TOP}  tau=0  s = {_TOP}(t-s)",
+        ),
+    ],
+    ids=["tower", "rep-lines"],
+)
+def test_tables_over_C_2_to_the_3000_are_linear(argv, first, last):
+    """Every row reads one fixed series, so 3,000 rows take well under 10 s;
+    a per-row tau recomputation (cubic in n) takes minutes."""
+    proc = _child(_cli(*argv), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert (len(rows), rows[0], rows[-1]) == (3000 + (argv[0] == "rep"), first, last)

@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sliceshear.vanishing  # noqa: F401 -- imported before the allocation test measures
 from sliceshear import (
     ClassMonomial,
     CyclicGroup,
     DslError,
     DslSemanticError,
     DslSyntaxError,
+    GuideSpec,
     VirtualRep,
     build_D,
     hhr_family,
@@ -249,6 +252,17 @@ class TestDocuments:
             parse("group C4\nguide vanish h=3 k=1\n")
         with pytest.raises(DslSyntaxError):
             parse("group C4\nguide diagonal\n")
+
+    def test_vanishing_guide_builds_no_offset_at_parse_time(self):
+        # N_0 = 2^(h + 2) - 2 would take 25 MB; parsing only checks (h, k)
+        tracemalloc.start()
+        try:
+            doc = parse("group C2\nwindow 0 4 4\nguide vanish h=200000000 k=0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc.guides == [GuideSpec("vanish", k=0, h=200000000)]
+        assert peak < 1 << 20
 
     def test_order_insensitive_sections(self):
         text = (
