@@ -23,7 +23,7 @@ import sys
 import warnings
 
 from .reps import (
-    CyclicGroup, DslError, _EngineError, Line, parse_group_name, parse_rep, tau, tau_series,
+    CyclicGroup, DslError, _EngineError, line_L, parse_group_name, parse_rep, tau,
 )
 
 __all__ = ["main", "build_parser"]
@@ -73,7 +73,7 @@ def _handle_rep(args) -> tuple[str, dict]:
     if args.op != "lines":
         W = V.fixed_points(args.k) if args.op == "fixed" else V.restrict(args.m)
         return f"{W} over {W.group}", {"rep": str(W), "group": W.group.exponent}
-    lines = [Line((1 << k) - 1, tau_k) for k, tau_k in enumerate(tau_series(V, group.exponent))]
+    lines = [line_L(V, k) for k in range(group.exponent + 1)]
     rows = [
         f"k={k}  slope={line.slope}  tau={line.intercept}  {line.equation()}"
         for k, line in enumerate(lines)
@@ -169,9 +169,9 @@ def _handle_vanishing(args) -> tuple[str, dict]:
     V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
     rows = []
-    for k, tau_k in enumerate(tau_series(V, args.n)):
+    for k in range(args.n + 1):
         N, slope = N_constant(args.h, args.n, k), (1 << k) - 1
-        rows.append({"k": k, "slope": slope, "tau": tau_k, "N": N, "max_length": N - slope})
+        rows.append({"k": k, "slope": slope, "tau": tau(V, k), "N": N, "max_length": N - slope})
     text = "\n".join("  ".join(f"{key}={value}" for key, value in row.items()) for row in rows)
     return text, {"vanishing": rows}
 

@@ -5,7 +5,9 @@ Virtual representations of C_{2^n} are stored on the 2-local basis
 sign representation, and the two-dimensional rotation by pi/2^i.  lambda_0
 is never stored; it equals 2*sigma and is collapsed at parse time.  All
 coefficients and line intercepts are integers, ``constant_C`` is an exact
-rational, and nothing in this module touches floating point.
+rational, and nothing in this module touches floating point.  The tower's
+per-k numbers (``fixed_dimension``, ``tau``, ``line_L``, ``constant_C``) each
+read one series that a representation memoizes on first use.
 
 The group and representation literals that ``VirtualRep.__str__`` prints are
 parsed here too, with the DSL error classes those parsers raise.
@@ -16,7 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Mapping
 
 __all__ = [
@@ -251,17 +254,16 @@ class VirtualRep:
         """``fixed_points(k).dimension`` without building the quotient rep."""
         if not 0 <= k <= self.group.exponent:
             raise RepError(f"fixed-point index k={k} out of range for {self.group}")
-        return self._fixed_series()[k]
+        return self._series[0][k]
 
-    def _fixed_series(self) -> list[int]:
-        """|V^{C_{2^j}}| for j = 0..n in one O(n) pass; entry 0 is |V|.  Entry j
-        is c_1 + [j <= n-1] c_sigma + 2 * sum_{i <= n-1-j} c_lambda_i, summed
-        from j = n down."""
+    @cached_property
+    def _series(self) -> tuple[list[int], list[int]]:
+        """|V^{C_{2^j}}| and tau_j for j = 0..n, computed on first read.  The first
+        sums c_1 + [j < n] c_sigma + 2 c_lambda_i from j = n down (entry 0 is |V|);
+        tau_j is the running maximum of |V^{C_{2^j}}|*2^j - |V|."""
         co = self.coeffs
-        series = [co[0]] if len(co) == 1 else [co[0], co[0] + co[1]]
-        for c in co[2:]:
-            series.append(series[-1] + 2 * c)
-        return series[::-1]
+        fixed = list(accumulate([co[0], *co[1:2], *(2 * c for c in co[2:])]))[::-1]
+        return fixed, list(accumulate(((f << j) - fixed[0] for j, f in enumerate(fixed)), max))
 
     def pullback_to(self, group: CyclicGroup) -> "VirtualRep":
         """Name-preserving pullback along the quotient map onto this rep's group.
@@ -452,22 +454,26 @@ def tau(V: VirtualRep, k: int) -> int:
     subgroups of order at most 2^k contributes exactly j = 0..k.  The j = 0
     term vanishes, hence tau(V, k) >= 0 and tau(V, 0) = 0.
     """
-    return tau_series(V, k)[k]
+    if not 0 <= k <= V.group.exponent:
+        raise RepError(f"tau index k={k} out of range for {V.group}")
+    return V._series[1][k]
 
 
 def tau_series(V: VirtualRep, k: int) -> list[int]:
-    """``[tau(V, 0), ..., tau(V, k)]``: the running maximum over j of
-    |V^{C_{2^j}}|*2^j - |V|, compared in integers on one O(n) pass over the
-    coefficients (``V._fixed_series()``)."""
-    if not 0 <= k <= V.group.exponent:
-        raise RepError(f"tau index k={k} out of range for {V.group}")
-    fixed, series, top = V._fixed_series(), [], 0
-    for j in range(k + 1):
-        term = (fixed[j] << j) - fixed[0]
-        if term > top:
-            top = term
-        series.append(top)
-    return series
+    """``[tau(V, 0), ..., tau(V, k)]``, read from V's memoized series."""
+    tau(V, k)  # the range check
+    return V._series[1][: k + 1]
+
+
+def _shift(V: VirtualRep, k: int) -> int:
+    """|V^{C_{2^k}}|*2^k - |V|: how far a shear by k moves a stem."""
+    fixed = V._series[0]
+    return (fixed[k] << k) - fixed[0]
+
+
+def _threshold(V: VirtualRep, k: int) -> int:
+    """tau(V, k) - shift: 2^k times the source threshold of a shear by k."""
+    return tau(V, k) - _shift(V, k)
 
 
 def line_L(V: VirtualRep, k: int) -> Line:
@@ -478,12 +484,10 @@ def line_L(V: VirtualRep, k: int) -> Line:
 def constant_C(V: VirtualRep, k: int) -> Fraction:
     """Horizontal threshold on the sheared-down side of the slope-(2^k - 1) region.
 
-    Equals (tau(V, k) - (|V^{C_{2^k}}|*2^k - |V|)) / 2^k; non-negative because
-    tau is the max over a set containing that term.  The numerator is an
-    integer from one fixed series; the ``Fraction`` is built only to return it.
+    Equals (tau(V, k) - (|V^{C_{2^k}}|*2^k - |V|)) / 2^k, both read from V's
+    memoized series; non-negative because tau is the max over a set
+    containing that term.
     """
-    n_plus_1 = V.group.exponent
-    if not 1 <= k <= n_plus_1 - 1:
+    if not 1 <= k < V.group.exponent:
         raise RepError(f"threshold index k={k} out of range for {V.group}")
-    fixed = V._fixed_series()
-    return Fraction(tau(V, k) - (fixed[k] << k) + fixed[0], 1 << k)
+    return Fraction(_threshold(V, k), 1 << k)

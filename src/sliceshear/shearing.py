@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monomials import ClassMonomial
-from .reps import CyclicGroup, Line, VirtualRep, _EngineError, constant_C, tau, tau_series
+from .reps import CyclicGroup, Line, VirtualRep, _EngineError, _shift, _threshold
+from .reps import constant_C, line_L
 
 __all__ = [
     "ShearContext",
@@ -123,8 +124,7 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
     coordinate t - s is preserved.
     """
-    fixed = ctx.grading._fixed_series()
-    offset = (fixed[ctx.k] << ctx.k) - fixed[0]
+    offset = _shift(ctx.grading, ctx.k)
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s
     return t_prime, s_prime
@@ -184,11 +184,11 @@ def region_of(m: ClassMonomial, ctx: ShearContext) -> str:
     threshold line: treated as in-region, but only classes surviving
     localization are matched there), or ``"outside"``.  The test runs in
     integers: s * 2^k against the numerator of ``ctx.source_threshold``, with
-    x = stem - |V^{C_{2^k}}| read from one fixed series of the grading.
+    x = stem - |V^{C_{2^k}}|.
     """
-    k, fixed = ctx.k, ctx.grading._fixed_series()
-    scaled_s, threshold = m.filtration << k, tau(ctx.grading, k) - (fixed[k] << k) + fixed[0]
-    if m.stem < fixed[k] or scaled_s < threshold:
+    k, V = ctx.k, ctx.grading
+    scaled_s, threshold = m.filtration << k, _threshold(V, k)
+    if m.stem < V.fixed_dimension(k) or scaled_s < threshold:
         return "outside"
     if scaled_s == threshold:
         return "boundary"
@@ -211,7 +211,7 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
 
     Entry k (1 <= k <= n) pairs the region on or above the slope-(2^k - 1)
     line with the full chart of the height-(h / 2^k) theory over
-    C_{2^(n-k+1)}.  All rows read one fixed series and one tau series: O(n).
+    C_{2^(n-k+1)}.  Each row costs O(1) after one O(n) pass over the grading.
     """
     if n < 1 or m < 1:
         raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
@@ -220,14 +220,7 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
     if V.group != group:
         raise ShearError(f"tower grading must live over {group}, got {V.group}")
     h = (1 << n) * m
-    fixed, taus = V._fixed_series(), tau_series(V, n)
     return [
-        TowerEntry(
-            k=k,
-            line=Line((1 << k) - 1, taus[k]),
-            threshold=Fraction(taus[k] - (fixed[k] << k) + fixed[0], 1 << k),
-            target_group=CyclicGroup(n - k + 1),
-            target_height=h >> k,
-        )
+        TowerEntry(k, line_L(V, k), constant_C(V, k), CyclicGroup(n - k + 1), h >> k)
         for k in range(1, n + 1)
     ]

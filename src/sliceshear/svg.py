@@ -14,7 +14,7 @@ from typing import Union
 
 from .dsl import ChartDocument, DslSemanticError, GuideSpec
 from .reps import Line, line_L
-from .vanishing import boundary_line, vanishing_line
+from .vanishing import _check_vanishing_index, boundary_line, vanishing_line
 
 __all__ = ["emit_svg"]
 
@@ -46,12 +46,18 @@ def _fmt(v: Union[int, Fraction]) -> str:
     return "0" if s == "-0" else s
 
 
-def _guide_line(g: GuideSpec, doc: ChartDocument) -> tuple[Line, str]:
+def _guide_line(g: GuideSpec, doc: ChartDocument) -> tuple[Line | None, str]:
+    """The guide's line and label; no line for a vanishing guide above the window.
+    N_k >= 2^(h/2^k + n) and the slope is >= 0, so that line clears the window
+    once the bound alone exceeds the room above line_L at x_min."""
     n = doc.group.exponent - 1
     if g.kind == "L":
         return line_L(doc.grading, g.k), f"L{g.k}"
     if g.kind == "vanish":
-        return vanishing_line(doc.grading, g.h, n, g.k), f"N k={g.k}"
+        room = doc.window[2] - line_L(doc.grading, g.k).at(doc.window[0])
+        _check_vanishing_index(g.h, n, g.k)
+        above = (g.h >> g.k) + n >= max(room, 0).bit_length()
+        return None if above else vanishing_line(doc.grading, g.h, n, g.k), f"N k={g.k}"
     return boundary_line(doc.grading, n), "boundary"
 
 
@@ -134,7 +140,7 @@ def emit_svg(doc: ChartDocument) -> bytes:
 
     for g in doc.guides:
         line, label = _guide_line(g, doc)
-        seg = _clip(line, doc.window)
+        seg = line and _clip(line, doc.window)
         if seg is None:
             continue
         (xa, sa), (xb, sb) = seg

@@ -90,17 +90,12 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     Slope |G| - 1 and intercept -|V| + |G| * max_H |V^H|, the maximum running
     over all subgroups.
     """
-    group = CyclicGroup(n + 1)
-    if V.group != group:
-        raise RepError(f"boundary grading must live over {group}, got {V.group}")
-    return Line(*_boundary(V._fixed_series()))
-
-
-def _boundary(fixed: list[int]) -> tuple[int, int]:
-    """The boundary's slope and intercept, as integers, from the fixed series
-    of a grading over C_{2^(n+1)} (n + 2 entries, entry 0 is |V|)."""
-    order = 1 << (len(fixed) - 1)
-    return order - 1, -fixed[0] + order * max(fixed)
+    # the group is built only to word the error, which it raises itself for a bad n
+    if type(n + 1) is not int or V.group.exponent != n + 1:
+        raise RepError(f"boundary grading must live over {CyclicGroup(n + 1)}, got {V.group}")
+    order = 1 << (n + 1)
+    top = max(map(V.fixed_dimension, range(n + 2)))
+    return Line(order - 1, order * top - V.fixed_dimension(0))
 
 
 @dataclass(frozen=True)
@@ -131,18 +126,18 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
             f"differential over {d.group} does not match profile over {profile.group}"
         )
     V = profile.grading
-    fixed = V._fixed_series()
-    x_src = d.source.stem - fixed[0]
+    dim = V.fixed_dimension(0)
+    x_src = d.source.stem - dim
     s_src = d.source.filtration
-    x_tgt = d.target.stem - fixed[0]
+    x_tgt = d.target.stem - dim
     s_tgt = d.target.filtration
     if x_src < 0:
         return []
     h, n = profile.h, profile.n
     out: list[Violation] = []
-    # every line is tested in integers, as slope * x + intercept: the stratum
-    # line_L has intercept tau_k, the vanishing line tau_k + N_k; a Line is
-    # built only to print the clause that fires
+    # the stratum and vanishing lines are tested in integers, as slope * x +
+    # intercept: line_L has intercept tau_k, the vanishing line tau_k + N_k;
+    # their Line objects are built only to print the clause that fires
     for k, tau_k in enumerate(tau_series(V, n)):
         slope = (1 << k) - 1
         if s_src >= slope * x_src + tau_k:
@@ -153,7 +148,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         k,
                         "length",
                         f"length {d.page} exceeds the bound {bound} for sources "
-                        f"on or above {Line(slope, tau_k).equation()}",
+                        f"on or above {line_L(V, k).equation()}",
                     )
                 )
             step = 1 << k
@@ -163,7 +158,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         k,
                         "congruence",
                         f"length {d.page} is not 1 mod 2^{k}, which shearing "
-                        f"forces on or above {Line(slope, tau_k).equation()}",
+                        f"forces on or above {line_L(V, k).equation()}",
                     )
                 )
         else:
@@ -174,17 +169,17 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         k,
                         "target-region",
                         f"target at ({x_tgt}, {s_tgt}) is not strictly below "
-                        f"the vanishing line {Line(slope, ceiling).equation()}",
+                        f"the vanishing line {vanishing_line(V, h, n, k).equation()}",
                     )
                 )
-    slope, intercept = _boundary(fixed)
-    if s_tgt > slope * x_tgt + intercept:
+    border = boundary_line(V, n)
+    if s_tgt > border.at(x_tgt):
         out.append(
             Violation(
                 None,
                 "boundary",
                 f"target at ({x_tgt}, {s_tgt}) lies above the positive-cone "
-                f"boundary {Line(slope, intercept).equation()}",
+                f"boundary {border.equation()}",
             )
         )
     return out

@@ -589,7 +589,7 @@ _TOP = (1 << 3000) - 1  # the slope of the k = 3000 line
     ids=["tower", "rep-lines"],
 )
 def test_tables_over_C_2_to_the_3000_are_linear(argv, first, last):
-    """Every row reads one fixed series, so 3,000 rows take well under 10 s;
+    """Every row reads one memoized series, so 3,000 rows take well under 10 s;
     a per-row tau recomputation (cubic in n) takes minutes."""
     proc = _child(_cli(*argv), timeout=10)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,17 @@ def test_package_exports_every_module_all():
         [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
     )
     assert sorted(proc.stdout.split()) == sorted([*exported, "sys"])
+
+
+def test_only_reps_touches_the_per_k_series():
+    """One module owns the tower's per-k numbers: every other module reads them
+    through ``fixed_dimension``, ``tau``, ``line_L`` and ``constant_C``, never
+    through the memoized series, and no private boundary helper comes back."""
+    offenders = []
+    for path in sorted(Path(sliceshear.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "reps.py" and re.search(r"\b_(?:fixed_)?series\b", text):
+            offenders.append(f"{path.name} names the series")
+        if re.search(r"\b_boundary\b", text):
+            offenders.append(f"{path.name} names _boundary")
+    assert offenders == []

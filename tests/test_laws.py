@@ -4,7 +4,9 @@ Every tau, threshold, boundary, region verdict and tower row is read from one
 fixed series per grading.  The functions in ``helpers`` named ``reference_*``
 are the earlier per-k implementations, kept verbatim; each test here compares
 the two on random gradings over C_{2^n}, n <= 8, and checks the laws the
-paper's tower rests on.
+paper's tower rests on: the tau laws, and that shearing k_1 steps and then k_2
+is shearing k_1 + k_2, with fixed points, restriction and pullback composing
+and inverting the same way.
 """
 
 import math
@@ -12,7 +14,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sliceshear import (
     ClassMonomial,
@@ -24,9 +26,12 @@ from sliceshear import (
     VirtualRep,
     boundary_line,
     constant_C,
+    correspond_class,
     hhr_family,
     line_L,
     region_of,
+    shear_degree,
+    shear_length,
     tau_series,
     tower_report,
     transport,
@@ -233,3 +238,94 @@ def test_tower_entry_k_is_line_L_and_constant_C_at_k(case):
         assert e.threshold == constant_C(V, e.k)
         assert e.target_group == CyclicGroup(n - e.k + 1)
         assert e.target_height == ((1 << n) * m) >> e.k
+
+
+# -- composition and inverse laws -----------------------------------------------
+
+steps = st.integers(0, 3)
+# half hypothesis's default example count keeps these laws under a second
+laws = settings(max_examples=50)
+
+
+@st.composite
+def shearable(draw, group: CyclicGroup | None = None, level: int | None = None):
+    """A monomial over C_{2^a}, 1 <= a <= 3, with norm factors at every level up
+    to its own, so each Euler-class range of the correspondence is exercised."""
+    group = group or CyclicGroup(draw(st.integers(1, 3)))
+    level = draw(st.integers(0, group.exponent)) if level is None else level
+    norm = st.tuples(st.integers(1, 4), st.integers(1, max(level, 1)), st.integers(1, 3))
+    norms = draw(st.lists(norm, max_size=2 if level else 0))
+    a, u = (draw(st.lists(st.integers(0, 4), min_size=level, max_size=level)) for _ in "au")
+    return ClassMonomial(group, level, 1, tuple(norms), tuple(a), tuple(u))
+
+
+@laws
+@given(shearable(), steps, steps)
+def test_correspond_class_composes(m, k1, k2):
+    once = correspond_class(m, ShearContext.lift(m.group, k1))
+    twice = correspond_class(once, ShearContext.lift(once.group, k2))
+    assert twice == correspond_class(m, ShearContext.lift(m.group, k1 + k2))
+
+
+@laws
+@given(st.integers(2, 10**6), steps, steps)
+def test_shear_length_composes(r, k1, k2):
+    assert shear_length(shear_length(r, k1), k2) == shear_length(r, k1 + k2)
+
+
+@st.composite
+def differentials(draw):
+    """A seed or family arrow, or one between random classes at one level."""
+    if draw(st.booleans()):
+        return hhr_family(draw(st.integers(0, 2)), draw(st.integers(1, 4)))
+    source = draw(shearable())
+    target = draw(shearable(source.group, source.level))
+    return Differential(source.group, draw(st.integers(2, 40)), source, target)
+
+
+@laws
+@given(differentials(), steps, steps)
+def test_transport_composes(d, k1, k2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegionWarning)
+        assert transport(transport(d, k1), k2) == transport(d, k1 + k2)
+
+
+@laws
+@given(st.integers(1, 3), steps, steps, st.randoms(use_true_random=False))
+def test_shear_degree_composes_through_the_fixed_grading(a, k1, k2, rng):
+    """Shearing by k_1 on the page graded by W^{C_{2^k_2}}, then by k_2 on the
+    W-graded page, is shearing by k_1 + k_2 on the W-graded page."""
+    W = random_rep(rng, CyclicGroup(a + k1 + k2), span=rng.choice([2, 9, 40]))
+    t, s = rng.randint(-50, 50), rng.randint(-50, 50)
+    inner = ShearContext.lift(CyclicGroup(a), k1, W.fixed_points(k2))
+    outer = ShearContext.lift(inner.target_group, k2, W)
+    whole = ShearContext.lift(CyclicGroup(a), k1 + k2, W)
+    assert shear_degree(outer, *shear_degree(inner, t, s)) == shear_degree(whole, t, s)
+
+
+@laws
+@given(gradings(), st.data())
+def test_restrict_composes(V, data):
+    m1 = data.draw(st.integers(0, V.group.exponent))
+    m2 = data.draw(st.integers(0, m1))
+    assert V.restrict(m1).restrict(m2) == V.restrict(m2)
+
+
+@laws
+@given(gradings(), st.data())
+def test_fixed_points_compose(V, data):
+    a = data.draw(st.integers(0, V.group.exponent))
+    b = data.draw(st.integers(0, V.group.exponent - a))
+    assert V.fixed_points(a).fixed_points(b) == V.fixed_points(a + b)
+
+
+@laws
+@given(gradings(max_exponent=6), st.integers(0, 3))
+def test_pullback_is_inverse_to_fixed_points(V, extra):
+    """Fixed points undo a pullback, and a pulled-back (so fixed) representation
+    is the pullback of its fixed points."""
+    group = CyclicGroup(V.group.exponent + extra)
+    W = V.pullback_to(group)
+    assert W.fixed_points(extra) == V
+    assert W.fixed_points(extra).pullback_to(group) == W

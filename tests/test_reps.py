@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -194,6 +195,41 @@ class TestTau:
             terms = [fixed_dim_oracle(v, j) * 2**j - v.dimension for j in range(k + 1)]
             assert tau_series(v, k) == [max(terms[: j + 1]) for j in range(k + 1)]
             assert tau_series(v, k) == [tau(v, j) for j in range(k + 1)]
+
+
+class TestSeriesMemo:
+    """The per-k numbers are memoized on the representation, invisibly."""
+
+    @given(reps())
+    def test_reading_the_series_changes_no_field_equality_hash_or_repr(self, v):
+        twin = VirtualRep(v.group, v.coeffs)
+        before = (dataclasses.fields(VirtualRep), repr(v), hash(v), str(v))
+        assert tau_series(v, v.group.exponent) == tau_series(twin, v.group.exponent)
+        fresh = VirtualRep(v.group, v.coeffs)
+        assert (dataclasses.fields(VirtualRep), repr(v), hash(v), str(v)) == before
+        assert [f.name for f in dataclasses.fields(VirtualRep)] == ["group", "coeffs"]
+        assert v == fresh and fresh == v and hash(fresh) == hash(v) and repr(fresh) == repr(v)
+        assert len({v, fresh, twin}) == 1
+
+    def test_replace_computes_its_own_series(self):
+        v = VirtualRep.of(C(3), triv=1, sigma=2, lam={1: 3, 2: -1})
+        assert tau_series(v, 3) == [0, 11, 11, 11]
+        w = dataclasses.replace(v, coeffs=(0, 0, 0, 5))
+        same = dataclasses.replace(v)
+        assert "_series" in vars(v)
+        assert "_series" not in vars(w) and "_series" not in vars(same)
+        assert tau_series(w, 3) == [
+            max(fixed_dim_oracle(w, i) * 2**i - w.dimension for i in range(j + 1))
+            for j in range(4)
+        ]
+        assert tau_series(same, 3) == [0, 11, 11, 11]
+        assert vars(same)["_series"] is not vars(v)["_series"]
+
+    def test_a_returned_series_is_the_callers_own(self):
+        v = VirtualRep.of(C(2), sigma=-3, lam={1: 2})
+        first = tau_series(v, 2)
+        first[:] = [99] * len(first)
+        assert tau_series(v, 2) == [tau(v, k) for k in range(3)] != first
 
 
 class TestLineL:

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,11 +9,14 @@ from sliceshear import (
     ClassMonomial,
     CyclicGroup,
     DslSemanticError,
+    GuideSpec,
     VirtualRep,
     emit_svg,
     parse,
+    vanishing_line,
 )
-from helpers import random_document
+from sliceshear.svg import _clip, _guide_line
+from helpers import random_document, random_rep
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -169,3 +173,46 @@ FORMATTING_SVG = """\
 
 def test_pixel_formatting_matches_fraction_rendering():
     assert emit_svg(parse(FORMATTING_DOC)) == FORMATTING_SVG.encode()
+
+
+# -- vanishing guides above the window ----------------------------------------
+
+
+def test_vanishing_guide_above_the_window_builds_no_offset():
+    """N_0 at h = 2*10^8 has 2*10^8 bits; a window 4 high never needs it."""
+    doc = parse("group C2\nwindow 0 4 4\nguide vanish h=200000000 k=0\n")
+    plain = emit_svg(parse("group C2\nwindow 0 4 4\n"))
+    tracemalloc.start()
+    try:
+        data = emit_svg(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert data == plain
+
+
+def test_a_vanishing_guide_is_skipped_only_where_clip_drops_its_line():
+    """Over small h, the bound on N_k skips a guide only where the full
+    vanishing line clips to nothing; every other guide keeps its line."""
+    rng = random.Random(23)
+    skipped = drawn = 0
+    for _ in range(1500):
+        group = CyclicGroup(rng.randint(1, 4))
+        n = group.exponent - 1
+        grading = random_rep(rng, group, span=rng.choice([1, 4, 20]))
+        doc = ChartDocument(group=group, grading=grading)
+        x_min = rng.randint(-30, 10)
+        doc.window = (x_min, x_min + rng.randint(0, 12), rng.randint(0, 60))
+        k = rng.randint(0, n)
+        g = GuideSpec("vanish", k=k, h=rng.randint(1, 5) << k)
+        line, label = _guide_line(g, doc)
+        full = vanishing_line(doc.grading, g.h, n, k)
+        assert label == f"N k={k}"
+        if line is None:
+            assert _clip(full, doc.window) is None
+            skipped += 1
+        else:
+            assert line == full
+            drawn += _clip(full, doc.window) is not None
+    assert skipped > 100 and drawn > 100
