@@ -164,14 +164,15 @@ def _handle_transport(args) -> tuple[str, dict]:
 
 
 def _handle_vanishing(args) -> tuple[str, dict]:
-    from .vanishing import N_constant, VanishingProfile
+    from .vanishing import N_constant, VanishingProfile, max_length
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
     rows = []
     for k in range(args.n + 1):
-        N, slope = N_constant(args.h, args.n, k), (1 << k) - 1
-        rows.append({"k": k, "slope": slope, "tau": tau(V, k), "N": N, "max_length": N - slope})
+        line, N = line_L(V, k), N_constant(args.h, args.n, k)
+        rows.append({"k": k, "slope": line.slope, "tau": line.intercept, "N": N,
+                     "max_length": max_length(args.h, args.n, k)})
     text = "\n".join("  ".join(f"{key}={value}" for key, value in row.items()) for row in rows)
     return text, {"vanishing": rows}
 

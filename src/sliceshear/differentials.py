@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .monomials import ClassMonomial, MonomialError
+from .monomials import ClassMonomial, MonomialError, expand_orientation
 from .reps import CyclicGroup, VirtualRep, _EngineError
 from .shearing import ShearContext, correspond_class, region_of, shear_length
 
@@ -119,14 +119,12 @@ def hu_kriz_seed(i: int) -> Differential:
     """The length-(2^(i+1) - 1) differential on u_{2sigma}^(2^(i-1)) over C_2.
 
     These arrows, d(u_{2sigma}^(2^(i-1))) = t_i a_sigma^(2^(i+1)-1), are the
-    classical seed family that transports up the tower.
+    classical seed family that transports up the tower: the n = 0 member of
+    :func:`hhr_family`, built by the same code.
     """
     if i < 1:
         raise DifferentialError(f"seed index must be >= 1, got {i}")
-    c2 = CyclicGroup(1)
-    source = ClassMonomial(c2, 1, u_exp=(1 << (i - 1),))
-    target = ClassMonomial(c2, 1, norms=((i, 1, 1),), a_exp=((1 << (i + 1)) - 1,))
-    return Differential(c2, (1 << (i + 1)) - 1, source, target, provenance="seed")
+    return _slice_differential(0, i, "seed")
 
 
 def hhr_family(n: int, i: int) -> Differential:
@@ -139,13 +137,18 @@ def hhr_family(n: int, i: int) -> Differential:
         raise DifferentialError(f"group index must be >= 0, got {n}")
     if i < 1:
         raise DifferentialError(f"family index must be >= 1, got {i}")
+    return _slice_differential(n, i, "generated")
+
+
+def _slice_differential(n: int, i: int, provenance: str) -> Differential:
     group = CyclicGroup(n + 1)
     source = ClassMonomial(group, n + 1, u_exp=(1 << (i - 1),) + (0,) * n)
     power = (1 << i) - 1
+    # a_rhobar^power * a_sigma^(2^i) inline for speed; a law test pins it to expand_euler
     a = [power + (1 << i)] + [(1 << (m - 1)) * power for m in range(1, n + 1)]
     target = ClassMonomial(group, n + 1, norms=((i, n + 1, 1),), a_exp=tuple(a))
     page = (1 << (n + 1)) * power + 1
-    return Differential(group, page, source, target, provenance="generated")
+    return Differential(group, page, source, target, provenance=provenance)
 
 
 def transport(
@@ -209,8 +212,17 @@ class PermanentCycleFact:
     citation: str
 
     def __post_init__(self) -> None:
+        if type(self.truncation) is not int:
+            raise DifferentialError(
+                f"theory truncation index must be an integer, got {self.truncation!r}"
+            )
         if self.truncation < 1:
             raise DifferentialError("theory truncation index must be >= 1")
+        if self.u_class.group != self.group:
+            raise DifferentialError(
+                f"orientation class over {self.u_class.group} does not match the fact's "
+                f"group {self.group}"
+            )
         if (
             self.u_class.coeff != 1
             or self.u_class.norms
@@ -247,20 +259,16 @@ def permanent_cycle_seeds(m: int) -> list[PermanentCycleFact]:
     if m < 1:
         raise DifferentialError(f"height index must be >= 1, got {m}")
     c2, c4 = CyclicGroup(1), CyclicGroup(2)
-
-    def u(group: CyclicGroup, two_sigma: int = 0, l1: int = 0) -> ClassMonomial:
-        vec = (two_sigma,) if group is c2 else (two_sigma, l1)
-        return ClassMonomial(group, group.exponent, u_exp=vec)
-
-    return [
-        PermanentCycleFact(c2, m, u(c2, two_sigma=1 << m), "Hu-Kriz"),
-        PermanentCycleFact(c4, 1, u(c4, two_sigma=2), "Hill-Hopkins-Ravenel"),
-        PermanentCycleFact(c4, 1, u(c4, l1=8), "Hill-Hopkins-Ravenel"),
-        PermanentCycleFact(c4, 1, u(c4, two_sigma=1, l1=4), "Hill-Hopkins-Ravenel"),
-        PermanentCycleFact(c4, 2, u(c4, two_sigma=4), "Hill-Shi-Wang-Xu"),
-        PermanentCycleFact(c4, 2, u(c4, l1=32), "Hill-Shi-Wang-Xu"),
-        PermanentCycleFact(c4, 2, u(c4, two_sigma=2, l1=16), "Hill-Shi-Wang-Xu"),
+    facts = [
+        (c2, m, VirtualRep.of(c2, sigma=2 << m), "Hu-Kriz"),
+        (c4, 1, VirtualRep.of(c4, sigma=4), "Hill-Hopkins-Ravenel"),
+        (c4, 1, VirtualRep.of(c4, lam={1: 8}), "Hill-Hopkins-Ravenel"),
+        (c4, 1, VirtualRep.of(c4, sigma=2, lam={1: 4}), "Hill-Hopkins-Ravenel"),
+        (c4, 2, VirtualRep.of(c4, sigma=8), "Hill-Shi-Wang-Xu"),
+        (c4, 2, VirtualRep.of(c4, lam={1: 32}), "Hill-Shi-Wang-Xu"),
+        (c4, 2, VirtualRep.of(c4, sigma=4, lam={1: 16}), "Hill-Shi-Wang-Xu"),
     ]
+    return [PermanentCycleFact(g, t, expand_orientation(V), who) for g, t, V, who in facts]
 
 
 def periodicity_element(V: VirtualRep) -> VirtualRep:

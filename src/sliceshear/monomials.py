@@ -138,6 +138,7 @@ class ClassMonomial:
         """
         if self._degree is None:
             co = [0] * (self.level + 1)
+            # regular_rep's weights, inline for speed; a law test pins the two together
             for i, j, e in self.norms:
                 c = e * ((1 << i) - 1)
                 co[0] += c
@@ -235,17 +236,22 @@ def _merged_norms(
     return tuple((i, j, e) for (j, i), e in sorted(merged.items()))
 
 
+def _check_class_rep(V: VirtualRep, kind: str) -> None:
+    """The precondition of ``expand_euler`` and ``expand_orientation``."""
+    if not V.is_actual() or V.c_triv != 0:
+        raise RepError(
+            f"{kind} classes require an actual representation with no trivial "
+            f"summand, got {V}"
+        )
+
+
 def expand_euler(V: VirtualRep) -> ClassMonomial:
     """The Euler class of an actual representation, a_V = prod a_W^(c_W).
 
     V must have non-negative multiplicities and no trivial summand.  The
     result is a top-level monomial over V's group.
     """
-    if not V.is_actual() or V.c_triv != 0:
-        raise RepError(
-            f"Euler classes require an actual representation with no trivial "
-            f"summand, got {V}"
-        )
+    _check_class_rep(V, "Euler")
     return ClassMonomial(V.group, V.group.exponent, a_exp=V.coeffs[1:])
 
 
@@ -255,11 +261,7 @@ def expand_orientation(V: VirtualRep) -> ClassMonomial:
     The sigma multiplicity must be even (the 2*sigma basis slot absorbs
     pairs); no trivial summand is allowed.
     """
-    if not V.is_actual() or V.c_triv != 0:
-        raise RepError(
-            f"orientation classes require an actual representation with no "
-            f"trivial summand, got {V}"
-        )
+    _check_class_rep(V, "orientation")
     if V.c_sigma % 2:
         raise RepError(f"{V} is not orientable: odd sigma multiplicity")
     n = V.group.exponent

@@ -265,6 +265,11 @@ class VirtualRep:
         fixed = list(accumulate([co[0], *co[1:2], *(2 * c for c in co[2:])]))[::-1]
         return fixed, list(accumulate(((f << j) - fixed[0] for j, f in enumerate(fixed)), max))
 
+    @cached_property
+    def _lines(self) -> list[Line]:
+        """``line_L`` for k = 0..n, built on first read and shared (a Line is immutable)."""
+        return [Line((1 << k) - 1, t) for k, t in enumerate(self._series[1])]
+
     def pullback_to(self, group: CyclicGroup) -> "VirtualRep":
         """Name-preserving pullback along the quotient map onto this rep's group.
 
@@ -390,13 +395,9 @@ def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
 
 
 def regular_rep(group: CyclicGroup) -> VirtualRep:
-    """The regular representation: 1 + sigma + sum_i 2^(i-1) lambda_i."""
-    n = group.exponent
-    if n == 0:
-        return VirtualRep.of(group, triv=1)
-    return VirtualRep.of(
-        group, triv=1, sigma=1, lam={i: 1 << (i - 1) for i in range(1, n)}
-    )
+    """The regular representation 1 + rho_bar; ``rho_bar`` is the one home of its weights."""
+    one = VirtualRep.of(group, triv=1)
+    return one + rho_bar(group.exponent) if group.exponent else one
 
 
 def rho_bar(n_plus_1: int, k: int = 0) -> VirtualRep:
@@ -438,10 +439,10 @@ class Line:
         return Line(self.slope, self.intercept + ds)
 
     def equation(self) -> str:
-        lhs = f"s = {self.slope}(t-s)" if self.slope != 0 else "s ="
         c = self.intercept
         if self.slope == 0:
             return f"s = {c}"
+        lhs = f"s = {self.slope}(t-s)"
         if c == 0:
             return lhs
         return f"{lhs} {'+' if c > 0 else '-'} {abs(c)}"
@@ -477,8 +478,9 @@ def _threshold(V: VirtualRep, k: int) -> int:
 
 
 def line_L(V: VirtualRep, k: int) -> Line:
-    """The slope-(2^k - 1) stratification line s = (2^k-1)(t-s) + tau(V, k)."""
-    return Line(slope=(1 << k) - 1, intercept=tau(V, k))
+    """The slope-(2^k - 1) stratification line s = (2^k-1)(t-s) + tau(V, k), memoized on V."""
+    tau(V, k)  # the range check
+    return V._lines[k]
 
 
 def constant_C(V: VirtualRep, k: int) -> Fraction:

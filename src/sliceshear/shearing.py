@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monomials import ClassMonomial
+from .monomials import ClassMonomial, expand_euler
 from .reps import CyclicGroup, Line, VirtualRep, _EngineError, _shift, _threshold
-from .reps import constant_C, line_L
+from .reps import constant_C, line_L, rho_bar
 
 __all__ = [
     "ShearContext",
@@ -50,8 +50,7 @@ class ShearContext:
     grading: VirtualRep
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ShearError(f"shear step k must be >= 0, got {self.k}")
+        _check_step(self.k)
         if self.target_group.exponent != self.source_group.exponent + self.k:
             raise ShearError(
                 f"{self.target_group} is not {self.k} doublings above {self.source_group}"
@@ -87,10 +86,22 @@ class ShearContext:
         return constant_C(self.grading, self.k)
 
 
-def shear_length(r: int, k: int) -> int:
-    """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k."""
+def _check_int(value, name: str) -> None:
+    # plain ints only, as for group exponents and pages: bools and floats are refused
+    if type(value) is not int:
+        raise ShearError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_step(k: int) -> None:
+    _check_int(k, "shear step k")
     if k < 0:
         raise ShearError(f"shear step k must be >= 0, got {k}")
+
+
+def shear_length(r: int, k: int) -> int:
+    """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k."""
+    _check_step(k)
+    _check_int(r, "differential length")
     if r < 2:
         raise ShearError(f"differential length must be >= 2, got {r}")
     return (1 << k) * r - ((1 << k) - 1)
@@ -103,8 +114,8 @@ def unshear_length(r_prime: int, k: int) -> int:
     such a length is not in the image of shearing, so no differential of that
     length can exist in the sheared region.
     """
-    if k < 0:
-        raise ShearError(f"shear step k must be >= 0, got {k}")
+    _check_step(k)
+    _check_int(r_prime, "sheared length")
     if k == 0:
         return r_prime
     if r_prime < 3:
@@ -136,17 +147,15 @@ def euler_ratio(k: int, j: int, power: int) -> ClassMonomial:
     Expanding the ratio of the Euler classes of the two reduced-regular
     representations of C_{2^(k+j)} gives a_lambda_m to the power 2^(m-1) for
     j <= m <= k+j-1; ``power`` scales every exponent.  The result is a
-    top-level monomial over C_{2^(k+j)}.
+    top-level monomial over C_{2^(k+j)}, built from ``rho_bar`` and
+    ``expand_euler``, the homes of those weights and that expansion.
     """
     if k < 1 or j < 1:
         raise ShearError(f"euler_ratio indices must satisfy k, j >= 1, got ({k}, {j})")
+    _check_int(power, "euler_ratio power")
     if power < 0:
         raise ShearError(f"euler_ratio power must be >= 0, got {power}")
-    group = CyclicGroup(k + j)
-    a = [0] * (k + j)
-    for m in range(j, k + j):
-        a[m] = (1 << (m - 1)) * power
-    return ClassMonomial(group, k + j, a_exp=tuple(a))
+    return expand_euler((rho_bar(k + j) - rho_bar(k + j, k)) * power)
 
 
 def correspond_class(m: ClassMonomial, ctx: ShearContext) -> ClassMonomial:
@@ -167,6 +176,7 @@ def correspond_class(m: ClassMonomial, ctx: ShearContext) -> ClassMonomial:
     a = list(m.a_exp) + [0] * ctx.k
     u = list(m.u_exp) + [0] * ctx.k
     norms = []
+    # euler_ratio's rho_bar weights, inline for speed; a law test pins the two together
     for i, j, e in m.norms:
         norms.append((i, j + ctx.k, e))
         power = ((1 << i) - 1) * e

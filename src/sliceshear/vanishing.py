@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, RepError, VirtualRep, line_L, tau_series
+from .reps import CyclicGroup, Line, RepError, VirtualRep, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -135,12 +135,9 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
         return []
     h, n = profile.h, profile.n
     out: list[Violation] = []
-    # the stratum and vanishing lines are tested in integers, as slope * x +
-    # intercept: line_L has intercept tau_k, the vanishing line tau_k + N_k;
-    # their Line objects are built only to print the clause that fires
-    for k, tau_k in enumerate(tau_series(V, n)):
-        slope = (1 << k) - 1
-        if s_src >= slope * x_src + tau_k:
+    for k in range(n + 1):
+        line = line_L(V, k)
+        if line.on_or_above(x_src, s_src):
             bound = max_length(h, n, k)
             if d.page > bound:
                 out.append(
@@ -148,7 +145,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         k,
                         "length",
                         f"length {d.page} exceeds the bound {bound} for sources "
-                        f"on or above {line_L(V, k).equation()}",
+                        f"on or above {line.equation()}",
                     )
                 )
             step = 1 << k
@@ -158,18 +155,18 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         k,
                         "congruence",
                         f"length {d.page} is not 1 mod 2^{k}, which shearing "
-                        f"forces on or above {line_L(V, k).equation()}",
+                        f"forces on or above {line.equation()}",
                     )
                 )
         else:
-            ceiling = tau_k + N_constant(h, n, k)
-            if s_tgt >= slope * x_tgt + ceiling:
+            ceiling = line.shifted(N_constant(h, n, k))
+            if ceiling.on_or_above(x_tgt, s_tgt):
                 out.append(
                     Violation(
                         k,
                         "target-region",
                         f"target at ({x_tgt}, {s_tgt}) is not strictly below "
-                        f"the vanishing line {vanishing_line(V, h, n, k).equation()}",
+                        f"the vanishing line {ceiling.equation()}",
                     )
                 )
     border = boundary_line(V, n)

@@ -1,0 +1,77 @@
+"""A stdlib-only smoke test of the CLI.
+
+It runs every ``sliceshear`` command in README.md, in human form and with
+``--json``, each in a fresh isolated interpreter, and checks that each exits 0
+with output and nothing on stderr, and that each ``--json`` output is JSON.
+It then renders the two SVG goldens with ``sliceshear chart`` and compares
+them byte for byte.  It needs no pytest, so it runs on any Python 3.10+:
+
+    python3 tests/smoke.py    (from the repository root)
+
+Exits 0 when every check holds, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import shlex
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDENS = ROOT / "tests" / "goldens"
+# the chart.dsl that README's `sliceshear chart chart.dsl -o chart.svg` reads
+CHART = "group C2\nwindow -2 4 4\ndiff 3: u2S -> Nt[1,1]*aS^3\n"
+MAIN = (
+    f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+    "from sliceshear.cli import main; sys.exit(main())"
+)
+
+
+def readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("sliceshear ")]
+
+
+def cli(argv: list[str], cwd: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-I", "-B", "-c", MAIN, *argv],
+        cwd=cwd, capture_output=True, text=True, timeout=60,
+    )
+
+
+def main() -> int:
+    failures = []
+    commands = readme_commands()
+    if not commands:
+        failures.append("README.md names no sliceshear command")
+    with tempfile.TemporaryDirectory() as tmp:
+        pathlib.Path(tmp, "chart.dsl").write_text(CHART)
+        for argv in commands:
+            for extra in ([], ["--json"]):
+                proc = cli(argv + extra, tmp)
+                shown = shlex.join(["sliceshear", *argv, *extra])
+                if proc.returncode or proc.stderr or not proc.stdout.strip():
+                    failures.append(f"{shown}: exit {proc.returncode}, stderr {proc.stderr!r}")
+                elif extra:
+                    try:
+                        json.loads(proc.stdout)
+                    except ValueError as e:
+                        failures.append(f"{shown}: output is not JSON ({e})")
+        for golden in sorted(GOLDENS.glob("*.dsl")):
+            out = pathlib.Path(tmp, golden.stem + ".svg")
+            proc = cli(["chart", str(golden), "-o", str(out)], tmp)
+            want = golden.with_suffix(".svg").read_bytes()
+            if proc.returncode or not out.exists() or out.read_bytes() != want:
+                failures.append(f"chart {golden.name}: output differs from {golden.stem}.svg")
+    print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
+          f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(failures)} failures")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -234,6 +234,17 @@ class TestPermanentCycles:
             assert not f.u_class.norms and not any(f.u_class.a_exp)
             assert f.u_class == expand_orientation(f.oriented_rep)
 
+    def test_rejects_a_class_over_another_group(self):
+        u = ClassMonomial(C(2), 2, u_exp=(1, 0))
+        with pytest.raises(DifferentialError, match="does not match"):
+            PermanentCycleFact(C2, 1, u, "x")
+
+    @pytest.mark.parametrize("truncation", [1.5, 1.0, True, "1"])
+    def test_rejects_a_non_integer_truncation(self, truncation):
+        u = ClassMonomial(C2, 1, u_exp=(1,))
+        with pytest.raises(DifferentialError, match="must be an integer"):
+            PermanentCycleFact(C2, truncation, u, "x")
+
     def test_oriented_rep_slots(self):
         u = ClassMonomial(C(3), 3, u_exp=(1, 2, 3))
         assert PermanentCycleFact(C(3), 1, u, "x").oriented_rep.coeffs == (0, 2, 2, 3)

@@ -6,9 +6,15 @@ are the earlier per-k implementations, kept verbatim; each test here compares
 the two on random gradings over C_{2^n}, n <= 8, and checks the laws the
 paper's tower rests on: the tau laws, and that shearing k_1 steps and then k_2
 is shearing k_1 + k_2, with fixed points, restriction and pullback composing
-and inverting the same way.
+and inverting the same way.  Then: the three closed forms kept inline for speed
+(``ClassMonomial.degree``, ``correspond_class`` and ``hhr_family``'s target)
+equal what their homes, ``rho_bar``, ``expand_euler``, ``expand_orientation``
+and ``euler_ratio``, build; the HHR families violate only the length clauses
+the closed form predicts; and the constructor, JSON and the DSL accept or
+reject the same raw classes and differentials.
 """
 
+import itertools
 import math
 import random
 import warnings
@@ -20,16 +26,34 @@ from sliceshear import (
     ClassMonomial,
     CyclicGroup,
     Differential,
+    DifferentialError,
+    DslError,
+    JsonSchemaError,
     Line,
+    MonomialError,
     RepError,
     ShearContext,
+    VanishingProfile,
     VirtualRep,
+    admissible,
+    basis_names,
     boundary_line,
     constant_C,
     correspond_class,
+    euler_ratio,
+    expand_euler,
+    expand_orientation,
     hhr_family,
     line_L,
+    norm_class,
+    obj_to_differential,
+    obj_to_monomial,
+    parse_class_expr,
+    parse_diff_spec,
+    periodicity_element,
+    regular_rep,
     region_of,
+    rho_bar,
     shear_degree,
     shear_length,
     tau_series,
@@ -329,3 +353,203 @@ def test_pullback_is_inverse_to_fixed_points(V, extra):
     W = V.pullback_to(group)
     assert W.fixed_points(extra) == V
     assert W.fixed_points(extra).pullback_to(group) == W
+
+
+# -- the inline closed forms against their homes --------------------------------
+
+
+@laws
+@given(shearable())
+def test_degree_is_the_sum_of_its_factors_degrees(m):
+    """N(t_i)^e normed from C_{2^j} adds e(2^i - 1) regular representations of
+    C_{2^j}; the Euler class a_A adds -A and the orientation class u_U adds |U| - U."""
+    L = m.level_group
+    A = VirtualRep(L, (0, *m.a_exp))
+    U = VirtualRep(L, (0, 2 * m.u_exp[0], *m.u_exp[1:]) if m.level else (0,))
+    assert expand_euler(A).a_exp == m.a_exp and expand_orientation(U).u_exp == m.u_exp
+    norms = VirtualRep.zero(L)
+    for i, j, e in m.norms:
+        norms += e * ((1 << i) - 1) * regular_rep(CyclicGroup(j)).pullback_to(L)
+    assert m.degree() == norms - A + periodicity_element(U)
+
+
+def test_correspond_class_trades_each_norm_for_its_euler_ratio():
+    """N(t_i)^e normed from C_{2^j}, at every j <= level, shears to the norm from
+    C_{2^(j+k)} times euler_ratio(k, j, (2^i - 1) e)."""
+    for exponent in range(1, 4):
+        group = CyclicGroup(exponent)
+        grid = itertools.product(range(1, exponent + 1), range(1, 4), range(1, 5), range(3))
+        for level, k, i, e in grid:
+            ctx = ShearContext.lift(group, k)
+            for j in range(1, level + 1):
+                ratio = euler_ratio(k, j, ((1 << i) - 1) * e)
+                want = norm_class(ctx.target_group, i, j + k, level + k, e) * ClassMonomial(
+                    ctx.target_group, level + k, a_exp=ratio.a_exp
+                )
+                assert correspond_class(norm_class(group, i, j, level, e), ctx) == want
+
+
+def test_hhr_family_is_its_named_classes():
+    """d(u_{2^i sigma}) = N(t_i) a_{(2^i - 1) rho_bar + 2^i sigma} over C_{2^(n+1)}."""
+    for n, i in itertools.product(range(5), range(1, 6)):
+        group, power = CyclicGroup(n + 1), (1 << i) - 1
+        d = hhr_family(n, i)
+        assert d.source == expand_orientation(VirtualRep.of(group, sigma=1 << i))
+        euler = expand_euler(power * rho_bar(n + 1) + VirtualRep.of(group, sigma=1 << i))
+        assert d.target == norm_class(group, i) * euler
+
+
+def test_hhr_families_violate_only_the_predicted_length_clauses():
+    """Against VanishingProfile(n, 2^n m, 2^i - 2^i sigma), hhr_family(n, i)
+    violates exactly the length clauses at the k with i > m 2^(n-k)."""
+    for n, i, m in itertools.product(range(6), range(1, 7), (1, 2, 3, 4, 8)):
+        group = CyclicGroup(n + 1)
+        grading = VirtualRep.of(group, triv=1 << i, sigma=-(1 << i))
+        got = admissible(hhr_family(n, i), VanishingProfile(n, (1 << n) * m, grading))
+        want = [(k, "length") for k in range(n + 1) if i > m << (n - k)]
+        assert [(v.k, v.clause) for v in got] == want
+
+
+# -- agreement between the front ends -------------------------------------------
+#
+# Raw fields, invalid ones included, go to the constructor, to JSON objects and
+# to DSL text that writes out every slot (zero exponents too).  The messages may
+# differ; the verdicts, and the objects accepted, may not.
+
+
+def _verdict(call, *args):
+    try:
+        return call(*args)
+    except (MonomialError, DifferentialError, RepError, JsonSchemaError, DslError):
+        return None
+
+
+def _agree(*results) -> bool:
+    """All rejected, or all accepted as one object."""
+    return all(r is None for r in results) or (
+        None not in results and all(r == results[0] for r in results)
+    )
+
+
+def _raw_field(rng: random.Random, low: int = 0, high: int = 4) -> int:
+    # one value in eight is one below the range
+    return low - 1 if rng.random() < 0.125 else rng.randint(low, high)
+
+
+def _raw_class(rng: random.Random, level: int) -> tuple:
+    """(coeff, norms, a, u); a vector is one slot too long one time in ten."""
+    norms = [
+        (_raw_field(rng, 1), _raw_field(rng, 1, max(level, 0) + 1), _raw_field(rng))
+        for _ in range(rng.randint(0, 2))
+    ]
+    vectors = []
+    for _ in "au":
+        size = max(level, 0) + (rng.random() < 0.1)
+        vectors.append([_raw_field(rng) for _ in range(size)])
+    return rng.randint(-4, 4), norms, *vectors
+
+
+def _class_obj(exponent: int, level: int, coeff, norms, a, u) -> dict:
+    return {
+        "group": exponent,
+        "level": level,
+        "coeff": coeff,
+        "norms": [list(t) for t in norms],
+        "a": dict(zip(basis_names(len(a), "s"), a)),
+        "u": dict(zip(basis_names(len(u), "2s"), u)),
+    }
+
+
+def _class_text(coeff, norms, a, u) -> str:
+    factors = [str(coeff), *(f"Nt[{i},{j}]^{e}" for i, j, e in norms)]
+    factors += [f"{name}^{e}" for name, e in zip(basis_names(len(a), "aS", "aL"), a)]
+    factors += [f"{name}^{e}" for name, e in zip(basis_names(len(u), "u2S", "uL"), u)]
+    return "*".join(factors)
+
+
+def _class(group: CyclicGroup, level: int, coeff, norms, a, u) -> ClassMonomial:
+    return ClassMonomial(group, level, coeff, tuple(map(tuple, norms)), tuple(a), tuple(u))
+
+
+def _class_verdicts(exponent: int, level: int, raw: tuple) -> list:
+    group = CyclicGroup(exponent)
+    return [
+        _verdict(_class, group, level, *raw),
+        _verdict(obj_to_monomial, _class_obj(exponent, level, *raw)),
+        _verdict(parse_class_expr, _class_text(*raw), group, level),
+    ]
+
+
+def test_front_ends_agree_on_classes():
+    rng = random.Random(13)
+    accepted = rejected = 0
+    for _ in range(1500):
+        exponent = rng.randint(0, 3)
+        level = rng.randint(-1, exponent + 1) if rng.random() < 0.2 else rng.randint(0, exponent)
+        verdicts = _class_verdicts(exponent, level, _raw_class(rng, level))
+        assert _agree(*verdicts), verdicts
+        accepted += verdicts[0] is not None
+        rejected += verdicts[0] is None
+    assert accepted > 300 and rejected > 300
+
+
+def _raw_differential(rng: random.Random) -> tuple:
+    """(exponent, page, source, target): an HHR family arrow with one field
+    nudged, or two random classes."""
+    n, i = rng.randint(0, 2), rng.randint(1, 3)
+    d = hhr_family(n, i)
+    ends = [
+        [m.coeff, [list(t) for t in m.norms], list(m.a_exp), list(m.u_exp)]
+        for m in (d.source, d.target)
+    ]
+    page, kind = d.page, rng.choice(["valid", "page", "field", "field", "random"])
+    if kind == "page":
+        page = rng.randint(-1, 3) if rng.random() < 0.5 else page + rng.choice([-2, 2])
+    elif kind == "field":
+        end = rng.choice(ends)
+        slot = rng.choice([s for s in (0, 1, 2, 3) if s != 1 or end[1]])
+        if slot == 0:
+            end[0] = rng.randint(-2, 3)
+        elif slot == 1:
+            end[1][0][2] += rng.choice([-2, -1, 1])
+        else:
+            vec = end[slot]
+            vec[rng.randrange(len(vec))] += rng.choice([-2, -1, 1, 2])
+    elif kind == "random":
+        ends = [list(_raw_class(rng, n + 1)) for _ in "st"]
+        page = rng.randint(1, 40)
+    return n + 1, page, *ends
+
+
+def _differential_verdicts(exponent: int, page: int, source, target) -> list:
+    group = CyclicGroup(exponent)
+
+    def construct():
+        ends = (_class(group, exponent, *end) for end in (source, target))
+        d = Differential(group, page, *ends)
+        return None if validate(d) else d
+
+    obj = {
+        "group": exponent,
+        "page": page,
+        "source": _class_obj(exponent, exponent, *source),
+        "target": _class_obj(exponent, exponent, *target),
+        "provenance": "user",
+    }
+    text = f"{page}: {_class_text(*source)} -> {_class_text(*target)}"
+    return [
+        _verdict(construct),
+        _verdict(obj_to_differential, obj),
+        _verdict(parse_diff_spec, text, group),
+    ]
+
+
+def test_front_ends_agree_on_differentials():
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for _ in range(600):
+        verdicts = _differential_verdicts(*_raw_differential(rng))
+        assert _agree(*verdicts), verdicts
+        accepted += verdicts[0] is not None
+        rejected += verdicts[0] is None
+    assert accepted > 100 and rejected > 200

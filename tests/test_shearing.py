@@ -68,6 +68,26 @@ class TestLengthMaps:
         with pytest.raises(ShearError):
             shear_length(1, 1)
 
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (shear_length, (3.0, 1)),
+            (shear_length, (3, 1.5)),
+            (shear_length, (3, True)),
+            (unshear_length, (5.0, 1)),
+            (unshear_length, (5.0, 0)),
+            (unshear_length, (5, 1.0)),
+        ],
+    )
+    def test_rejects_non_integer_lengths_and_steps(self, call, args):
+        with pytest.raises(ShearError, match="must be an integer"):
+            call(*args)
+
+    def test_context_rejects_a_non_integer_step(self):
+        for k in (1.0, True):
+            with pytest.raises(ShearError, match="must be an integer"):
+                ShearContext(C(1), C(2), k, VirtualRep.zero(C(2)))
+
 
 class TestShearDegree:
     def test_zero_grading_formula(self):
@@ -122,6 +142,11 @@ class TestEulerRatio:
     def test_bad_indices(self):
         with pytest.raises(ShearError):
             euler_ratio(0, 1, 1)
+
+    def test_rejects_a_non_integer_power(self):
+        for power in (1.5, True):
+            with pytest.raises(ShearError, match="must be an integer"):
+                euler_ratio(1, 1, power)
 
 
 class TestCorrespond:
