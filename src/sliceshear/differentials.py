@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
-from .reps import CyclicGroup, VirtualRep, _EngineError
+from .reps import CyclicGroup, VirtualRep, _EngineError, _check_int
 from .shearing import ShearContext, correspond_class, region_of, shear_length
 
 __all__ = [
@@ -122,8 +122,7 @@ def hu_kriz_seed(i: int) -> Differential:
     classical seed family that transports up the tower: the n = 0 member of
     :func:`hhr_family`, built by the same code.
     """
-    if i < 1:
-        raise DifferentialError(f"seed index must be >= 1, got {i}")
+    _check_index(i, "seed index", 1)
     return _slice_differential(0, i, "seed")
 
 
@@ -133,11 +132,15 @@ def hhr_family(n: int, i: int) -> Differential:
     Page 2^(n+1) (2^i - 1) + 1, target N(t_i) * a_rhobar^(2^i - 1) *
     a_sigma^(2^i) in canonical form; n = 0 reproduces :func:`hu_kriz_seed`.
     """
-    if n < 0:
-        raise DifferentialError(f"group index must be >= 0, got {n}")
-    if i < 1:
-        raise DifferentialError(f"family index must be >= 1, got {i}")
+    _check_index(n, "group index", 0)
+    _check_index(i, "family index", 1)
     return _slice_differential(n, i, "generated")
+
+
+def _check_index(value: int, name: str, least: int) -> None:
+    _check_int(value, name, DifferentialError)
+    if value < least:
+        raise DifferentialError(f"{name} must be >= {least}, got {value}")
 
 
 def _slice_differential(n: int, i: int, provenance: str) -> Differential:
@@ -256,8 +259,7 @@ def permanent_cycle_seeds(m: int) -> list[PermanentCycleFact]:
     The C_2 fact u_{2^(m+1) sigma} is parametrized by the height index m; the
     six C_4 facts are the computed truncation-1 and truncation-2 cycles.
     """
-    if m < 1:
-        raise DifferentialError(f"height index must be >= 1, got {m}")
+    _check_index(m, "height index", 1)
     c2, c4 = CyclicGroup(1), CyclicGroup(2)
     facts = [
         (c2, m, VirtualRep.of(c2, sigma=2 << m), "Hu-Kriz"),

@@ -58,11 +58,12 @@ class ChartDocument:
 # -- class expressions --------------------------------------------------------
 #
 # A class expression is split on "*" and each piece is read with the token
-# grammar _CLASS_TOKEN.  parse() shares one memo of the factors that pieces
-# spell between the class and diff lines of a document.  An unknown character
-# raises at once, so it comes first wherever it stands.  Any other error waits
-# in its place as an "err" factor, and _build, the one home of the semantic
-# checks, raises it once the factors before it have passed theirs.
+# grammar _CLASS_TOKEN.  parse() shares one memo between the class and diff
+# lines of a document: it maps the text of a valid piece to its factor, and
+# (text, level) of a parsed expression to its monomial.  _class_expr, the one
+# home of the semantic checks, multiplies out each factor as it reads it.  An
+# unknown character raises at once, so it comes first wherever it stands; the
+# first other error waits while the scan goes on, and raises at its end.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -85,9 +86,9 @@ _CLASS_TOKEN = re.compile(
 # factor's column is that of its piece.
 
 
-def _piece(piece: str, col: int, factors: list, memo: dict) -> None:
-    """Append the (factor, column) pairs that one piece spells to factors;
-    memoize its factor when the piece is a valid one."""
+def _piece(piece: str, col: int, memo: dict):
+    """The factor that one piece spells and the error that follows it, if any;
+    memoize the factor when the piece is a valid one."""
     stripped = piece.rstrip()
     tokens = []
     pos = 0
@@ -121,86 +122,94 @@ def _piece(piece: str, col: int, factors: list, memo: dict) -> None:
             x, y = _int(m.group(g + 1), col), _int(m.group(g + 2), col)
         elif kind == "pow" or kind == "mul":
             raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", col=col)
-        factors.append(((kind, x, y, e), col))
-        if tokens:
-            t = tokens[0]
-            raise DslSyntaxError(
-                f"expected * between factors, got {t.group(0).strip()!r}", col=col + t.start()
-            )
-        memo[piece] = kind, x, y, e
     except DslError as err:
-        factors.append((("err", err, 0, 0), col))
-
-
-def _build(factors, group: CyclicGroup, lv: int, col_offset: int):
-    """Multiply out (factor, column) pairs in order, with the semantic checks."""
-    coeff = 1
-    a = [0] * lv
-    u = [0] * lv
-    norms: list[tuple[int, int, int]] = []
-    for (kind, x, y, e), col in factors:
-        if kind == "aS" or kind == "u2S":
-            if lv < 1:
-                raise DslSemanticError(f"{kind} needs a level of at least C2", col=col)
-            (a if kind == "aS" else u)[0] += e
-        elif kind == "aL" or kind == "uL":
-            if not 1 <= x <= lv - 1:
-                raise DslSemanticError(
-                    f"{kind}{x} is not in the basis at level C{1 << lv}", col=col
-                )
-            (a if kind == "aL" else u)[x] += e
-        elif kind == "nt":
-            if x < 1:
-                raise DslSemanticError(f"Nt[{x},{y}]: generator index must be >= 1", col=col)
-            if not 1 <= y <= lv:
-                raise DslSemanticError(
-                    f"Nt[{x},{y}]: norm level must lie between 1 and the class "
-                    f"level {lv}", col=col
-                )
-            norms.append((x, y, e))
-        elif kind == "num":
-            coeff *= x**e
-        elif kind == "dd":
-            if x < 1 or y < 1:
-                raise DslSemanticError(f"D[{x},{y}]: both indices must be >= 1", col=col)
-            if x > lv:
-                raise DslSemanticError(
-                    f"D[{x},{y}] needs a level of at least {CyclicGroup(x)}", col=col
-                )
-            norms += _d_norms(x, y, e)
-        else:
-            raise x
-    try:
-        return ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
-    except MonomialError as e:
-        raise DslSemanticError(str(e), col=col_offset) from e
+        return ("err", err, 0, 0), None
+    if tokens:
+        t = tokens[0]
+        return (kind, x, y, e), DslSyntaxError(
+            f"expected * between factors, got {t.group(0).strip()!r}", col=col + t.start()
+        )
+    memo[piece] = factor = kind, x, y, e
+    return factor, None
 
 
 def _class_expr(
     text: str, group: CyclicGroup, level: int | None, col_offset: int, memo: dict
 ) -> ClassMonomial:
     lv = group.exponent if level is None else level
-    factors = []
+    mono = memo.get((text, lv))
+    if mono is not None:  # a monomial is immutable, so lines share it
+        return mono
+    coeff = 1
+    a = [0] * lv
+    u = [0] * lv
+    norms: list[tuple[int, int, int]] = []
+    first = None  # the first error, raised once the scan is done
     col = col_offset
     pieces = iter(text.split("*"))
     for piece in pieces:
-        factor = memo.get(piece)
+        factor, after = memo.get(piece), None
         if factor is None:
-            if not piece.strip() and col - col_offset + len(piece) < len(text):
-                # the * that follows stands where a factor should
-                piece += "*" + next(pieces)
-            elif not piece.strip():  # the text is blank or ends in *
-                # the scan of that * starts after the factor before it
-                mul = col_offset + len(text[: col - col_offset - 1].rstrip())
-                reason = "dangling * at end of" if factors else "empty"
-                err = DslSyntaxError(f"{reason} class expression", col=mul)
-                factors.append((("err", err, 0, 0), mul))
-                break
-            _piece(piece, col, factors, memo)
-        else:
-            factors.append((factor, col))
+            if not piece.strip():
+                if col - col_offset + len(piece) < len(text):
+                    # the * that follows stands where a factor should
+                    piece += "*" + next(pieces)
+                else:  # the text is blank or ends in *
+                    # the scan of that * starts after the factor before it
+                    mul = col_offset + len(text[: col - col_offset - 1].rstrip())
+                    reason = "dangling * at end of" if col > col_offset else "empty"
+                    first = first or DslSyntaxError(f"{reason} class expression", col=mul)
+                    break
+            factor, after = _piece(piece, col, memo)
+        if first is None:
+            kind, x, y, e = factor
+            try:
+                if kind == "aS" or kind == "u2S":
+                    if lv < 1:
+                        raise DslSemanticError(f"{kind} needs a level of at least C2", col=col)
+                    (a if kind == "aS" else u)[0] += e
+                elif kind == "aL" or kind == "uL":
+                    if not 1 <= x <= lv - 1:
+                        raise DslSemanticError(
+                            f"{kind}{x} is not in the basis at level C{1 << lv}", col=col
+                        )
+                    (a if kind == "aL" else u)[x] += e
+                elif kind == "nt":
+                    if x < 1:
+                        raise DslSemanticError(
+                            f"Nt[{x},{y}]: generator index must be >= 1", col=col
+                        )
+                    if not 1 <= y <= lv:
+                        raise DslSemanticError(
+                            f"Nt[{x},{y}]: norm level must lie between 1 and the class "
+                            f"level {lv}", col=col
+                        )
+                    norms.append((x, y, e))
+                elif kind == "num":
+                    coeff *= x**e
+                elif kind == "dd":
+                    if x < 1 or y < 1:
+                        raise DslSemanticError(f"D[{x},{y}]: both indices must be >= 1", col=col)
+                    if x > lv:
+                        raise DslSemanticError(
+                            f"D[{x},{y}] needs a level of at least {CyclicGroup(x)}", col=col
+                        )
+                    norms += _d_norms(x, y, e)
+                else:
+                    raise x
+                if after is not None:
+                    raise after
+            except DslError as err:
+                first = err
         col += len(piece) + 1
-    return _build(factors, group, lv, col_offset)
+    if first is not None:
+        raise first
+    try:
+        mono = ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
+    except MonomialError as e:
+        raise DslSemanticError(str(e), col=col_offset) from e
+    memo[text, lv] = mono
+    return mono
 
 
 def parse_class_expr(
@@ -248,8 +257,9 @@ def _diff_spec(text: str, group: CyclicGroup, col_offset: int, memo: dict) -> Di
 # -- documents ----------------------------------------------------------------
 
 _STMT_RE = re.compile(r"\s*(\w+)\s*(.*)$")
+# a whole class statement, the hot path: groups name, expression and level
+_CLASS_RE = re.compile(r"\s*class(?!\w)\s*([A-Za-z_]\w*)\s*=\s*([^@]*)(?:@\s*(.*))?")
 _WINDOW_RE = re.compile(r"(-?\d+)\s+(-?\d+)\s+(-?\d+)")
-_CLASS_DECL_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*([^@]*)(?:@\s*(.*))?$")
 _GUIDE_L_RE = re.compile(r"L(\d+)")
 _GUIDE_VANISH_RE = re.compile(r"vanish\s+h\s*=\s*(\d+)\s+k\s*=\s*(\d+)")
 
@@ -259,11 +269,27 @@ def parse(text: str) -> ChartDocument:
     doc: ChartDocument | None = None
     saw_grading = False
     names: set[str] = set()
-    memo: dict = {}  # factor text -> factor, for this document only
+    memo: dict = {}  # see _class_expr; for this document only
     try:
         for line_no, raw in enumerate(text.splitlines(), 1):
             body = raw.split("#", 1)[0].rstrip()
-            if not body.strip():
+            if not body:
+                continue
+            m = doc is not None and _CLASS_RE.fullmatch(body)
+            if m:
+                name, expr, lvl_text = m.groups()
+                if name in names:
+                    raise DslSemanticError(f"duplicate class name {name!r}", col=m.start(1))
+                names.add(name)
+                level = None
+                if lvl_text is not None:
+                    level = parse_group_name(lvl_text, m.start(3)).exponent
+                    if level > doc.group.exponent:
+                        raise DslSemanticError(
+                            f"level {lvl_text} exceeds the chart group {doc.group}",
+                            col=m.start(3),
+                        )
+                doc.classes.append((name, _class_expr(expr, doc.group, level, m.start(2), memo)))
                 continue
             stmt = _STMT_RE.match(body)
             if not stmt:
@@ -298,24 +324,8 @@ def parse(text: str) -> ChartDocument:
                         f"degenerate window ({x_min}, {x_max}, {s_max})", col=col
                     )
                 doc.window = (x_min, x_max, s_max)
-            elif keyword == "class":
-                m = _CLASS_DECL_RE.fullmatch(rest)
-                if not m:
-                    raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", col=col)
-                name, expr, lvl_text = m.groups()
-                if name in names:
-                    raise DslSemanticError(f"duplicate class name {name!r}", col=col + m.start(1))
-                names.add(name)
-                level = None
-                if lvl_text is not None:
-                    level = parse_group_name(lvl_text, col + m.start(3)).exponent
-                    if level > doc.group.exponent:
-                        raise DslSemanticError(
-                            f"level {lvl_text} exceeds the chart group {doc.group}",
-                            col=col + m.start(3),
-                        )
-                mono = _class_expr(expr, doc.group, level, col + m.start(2), memo)
-                doc.classes.append((name, mono))
+            elif keyword == "class":  # one that _CLASS_RE does not match
+                raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", col=col)
             elif keyword == "diff":
                 doc.diffs.append(_diff_spec(rest, doc.group, col, memo))
             elif keyword == "guide":

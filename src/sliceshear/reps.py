@@ -78,6 +78,12 @@ class DslSemanticError(DslError):
     """Well-formed text naming something the declared group cannot have."""
 
 
+def _check_int(value, name: str, error: type[_EngineError] = RepError) -> None:
+    # plain ints only, as for group exponents and pages: bools and floats are refused
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 @lru_cache(maxsize=128)
 def basis_names(n: int, sigma: str = "s", lam: str = "l") -> tuple[str, ...]:
     """Names of the basis slots of RO(C_{2^n}) after the trivial one:
@@ -269,6 +275,13 @@ class VirtualRep:
     def _lines(self) -> list[Line]:
         """``line_L`` for k = 0..n, built on first read and shared (a Line is immutable)."""
         return [Line((1 << k) - 1, t) for k, t in enumerate(self._series[1])]
+
+    @cached_property
+    def _cone_line(self) -> Line:
+        """``boundary_line``: slope |G| - 1 and intercept |G| * max_j |V^{C_{2^j}}| - |V|."""
+        fixed = self._series[0]
+        order = 1 << self.group.exponent
+        return Line(order - 1, order * max(fixed) - fixed[0])
 
     def pullback_to(self, group: CyclicGroup) -> "VirtualRep":
         """Name-preserving pullback along the quotient map onto this rep's group.

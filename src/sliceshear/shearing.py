@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monomials import ClassMonomial, expand_euler
-from .reps import CyclicGroup, Line, VirtualRep, _EngineError, _shift, _threshold
+from .reps import CyclicGroup, Line, VirtualRep, _EngineError, _check_int, _shift, _threshold
 from .reps import constant_C, line_L, rho_bar
 
 __all__ = [
@@ -86,14 +86,8 @@ class ShearContext:
         return constant_C(self.grading, self.k)
 
 
-def _check_int(value, name: str) -> None:
-    # plain ints only, as for group exponents and pages: bools and floats are refused
-    if type(value) is not int:
-        raise ShearError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_step(k: int) -> None:
-    _check_int(k, "shear step k")
+    _check_int(k, "shear step k", ShearError)
     if k < 0:
         raise ShearError(f"shear step k must be >= 0, got {k}")
 
@@ -101,7 +95,7 @@ def _check_step(k: int) -> None:
 def shear_length(r: int, k: int) -> int:
     """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k."""
     _check_step(k)
-    _check_int(r, "differential length")
+    _check_int(r, "differential length", ShearError)
     if r < 2:
         raise ShearError(f"differential length must be >= 2, got {r}")
     return (1 << k) * r - ((1 << k) - 1)
@@ -115,7 +109,7 @@ def unshear_length(r_prime: int, k: int) -> int:
     length can exist in the sheared region.
     """
     _check_step(k)
-    _check_int(r_prime, "sheared length")
+    _check_int(r_prime, "sheared length", ShearError)
     if k == 0:
         return r_prime
     if r_prime < 3:
@@ -152,7 +146,7 @@ def euler_ratio(k: int, j: int, power: int) -> ClassMonomial:
     """
     if k < 1 or j < 1:
         raise ShearError(f"euler_ratio indices must satisfy k, j >= 1, got ({k}, {j})")
-    _check_int(power, "euler_ratio power")
+    _check_int(power, "euler_ratio power", ShearError)
     if power < 0:
         raise ShearError(f"euler_ratio power must be >= 0, got {power}")
     return expand_euler((rho_bar(k + j) - rho_bar(k + j, k)) * power)

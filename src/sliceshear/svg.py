@@ -153,28 +153,28 @@ def emit_svg(doc: ChartDocument) -> bytes:
             f'y="{_fmt(Y(sb) - 4)}">{label}</text>'
         )
 
+    # item positions are integer pixels, which str writes as _fmt would:
+    # X(x) = x0 + x * CELL and Y(s) = y0 - s * CELL
+    x0, y0 = PAD - x_min * CELL, height - PAD
     visible = 0
     for d in doc.diffs:
-        sx, sy = d.source.stem, d.source.filtration
-        tx, ty = d.target.stem, d.target.filtration
+        sx, sy, _ = d.source.bidegree()
+        tx, ty, _ = d.target.bidegree()
         if not (inside(sx, sy) and inside(tx, ty)):
             continue
         visible += 1
         out.append(
-            f'  <line class="d-{d.provenance}" x1="{_fmt(X(sx))}" y1="{_fmt(Y(sy))}" '
-            f'x2="{_fmt(X(tx))}" y2="{_fmt(Y(ty))}" marker-end="url(#arrow)"/>'
+            f'  <line class="d-{d.provenance}" x1="{x0 + sx * CELL}" y1="{y0 - sy * CELL}" '
+            f'x2="{x0 + tx * CELL}" y2="{y0 - ty * CELL}" marker-end="url(#arrow)"/>'
         )
     for name, m in doc.classes:
-        x, s = m.stem, m.filtration
+        x, s, _ = m.bidegree()
         if m.is_zero or not inside(x, s):
             continue
         visible += 1
-        out.append(
-            f'  <circle class="cls" cx="{_fmt(X(x))}" cy="{_fmt(Y(s))}" r="3.5"/>'
-        )
-        out.append(
-            f'  <text x="{_fmt(X(x) + 6)}" y="{_fmt(Y(s) - 6)}">{escape(name, quote=False)}</text>'
-        )
+        px, py = x0 + x * CELL, y0 - s * CELL
+        out.append(f'  <circle class="cls" cx="{px}" cy="{py}" r="3.5"/>')
+        out.append(f'  <text x="{px + 6}" y="{py - 6}">{escape(name, quote=False)}</text>')
 
     if (doc.classes or doc.diffs) and visible == 0:
         out.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, RepError, VirtualRep, line_L
+from .reps import CyclicGroup, Line, RepError, VirtualRep, _check_int, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -43,6 +43,8 @@ class VanishingProfile:
     grading: VirtualRep
 
     def __post_init__(self) -> None:
+        _check_int(self.n, "profile index n")
+        _check_int(self.h, "height")
         if self.n < 0:
             raise RepError(f"profile index n must be >= 0, got {self.n}")
         if self.h < 1 or self.h % (1 << self.n):
@@ -67,6 +69,9 @@ def N_constant(h: int, n: int, k: int) -> int:
 
 def _check_vanishing_index(h: int, n: int, k: int) -> None:
     """Raise the RepError ``N_constant`` raises for (h, n, k), building nothing."""
+    if not type(h) is type(n) is type(k) is int:  # one test on the hot path
+        for value, name in ((h, "height"), (n, "group index n"), (k, "vanishing index k")):
+            _check_int(value, name)
     if not 0 <= k <= n:
         raise RepError(f"vanishing index k={k} out of range for n={n}")
     if h < 1 or h % (1 << k):
@@ -93,9 +98,7 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     # the group is built only to word the error, which it raises itself for a bad n
     if type(n + 1) is not int or V.group.exponent != n + 1:
         raise RepError(f"boundary grading must live over {CyclicGroup(n + 1)}, got {V.group}")
-    order = 1 << (n + 1)
-    top = max(map(V.fixed_dimension, range(n + 2)))
-    return Line(order - 1, order * top - V.fixed_dimension(0))
+    return V._cone_line
 
 
 @dataclass(frozen=True)

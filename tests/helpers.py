@@ -11,6 +11,8 @@ import math
 import random
 import re
 from fractions import Fraction
+from html import escape
+from typing import Union
 
 from sliceshear import (
     ClassMonomial,
@@ -33,7 +35,8 @@ from sliceshear import (
     regular_rep,
     vanishing_line,
 )
-from sliceshear.dsl import _int
+from sliceshear.dsl import ChartDocument, _int
+from sliceshear.svg import _STYLE, CELL, PAD, _clip, _fmt, _guide_line
 from sliceshear.monomials import _d_norms
 
 
@@ -631,3 +634,114 @@ def random_document(rng: random.Random):
         else:
             doc.guides.append(GuideSpec("boundary"))
     return doc
+
+
+def reference_emit_svg(doc: ChartDocument) -> bytes:
+    """``svg.emit_svg`` as it was before item positions were written as
+    integers, kept as the oracle for its bytes."""
+    if doc.window is None:
+        raise DslSemanticError("cannot render a chart without a window")
+    x_min, x_max, s_max = doc.window
+    width = 2 * PAD + (x_max - x_min) * CELL
+    height = 2 * PAD + s_max * CELL
+
+    def X(x: Union[int, Fraction]) -> Union[int, Fraction]:
+        return PAD + (x - x_min) * CELL
+
+    def Y(s: Union[int, Fraction]) -> Union[int, Fraction]:
+        return height - PAD - s * CELL
+
+    def inside(x: int, s: int) -> bool:
+        return x_min <= x <= x_max and 0 <= s <= s_max
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        _STYLE,
+        "  <defs>",
+        '    <marker id="arrow" viewBox="0 0 8 8" refX="7" refY="4" '
+        'markerWidth="6" markerHeight="6" orient="auto-start-reverse">',
+        '      <path d="M 0 0 L 8 4 L 0 8 z" fill="context-stroke"/>',
+        "    </marker>",
+        "  </defs>",
+    ]
+
+    # grid and integer tick labels
+    for x in range(x_min, x_max + 1):
+        px = _fmt(X(x))
+        out.append(
+            f'  <line class="grid" x1="{px}" y1="{_fmt(Y(0))}" '
+            f'x2="{px}" y2="{_fmt(Y(s_max))}"/>'
+        )
+        out.append(
+            f'  <text x="{px}" y="{_fmt(Y(0) + 14)}" text-anchor="middle">{x}</text>'
+        )
+    for s in range(0, s_max + 1):
+        py = _fmt(Y(s))
+        out.append(
+            f'  <line class="grid" x1="{_fmt(X(x_min))}" y1="{py}" '
+            f'x2="{_fmt(X(x_max))}" y2="{py}"/>'
+        )
+        out.append(
+            f'  <text x="{_fmt(X(x_min) - 8)}" y="{_fmt(Y(s) + 3)}" '
+            f'text-anchor="end">{s}</text>'
+        )
+
+    # axes: the filtration-0 row and, when visible, the stem-0 column
+    out.append(
+        f'  <line class="axis" x1="{_fmt(X(x_min))}" y1="{_fmt(Y(0))}" '
+        f'x2="{_fmt(X(x_max))}" y2="{_fmt(Y(0))}"/>'
+    )
+    if x_min <= 0 <= x_max:
+        out.append(
+            f'  <line class="axis" x1="{_fmt(X(0))}" y1="{_fmt(Y(0))}" '
+            f'x2="{_fmt(X(0))}" y2="{_fmt(Y(s_max))}"/>'
+        )
+
+    for g in doc.guides:
+        line, label = _guide_line(g, doc)
+        seg = line and _clip(line, doc.window)
+        if seg is None:
+            continue
+        (xa, sa), (xb, sb) = seg
+        out.append(
+            f'  <line class="guide" x1="{_fmt(X(xa))}" y1="{_fmt(Y(sa))}" '
+            f'x2="{_fmt(X(xb))}" y2="{_fmt(Y(sb))}"/>'
+        )
+        out.append(
+            f'  <text class="guide-label" x="{_fmt(X(xb) + 4)}" '
+            f'y="{_fmt(Y(sb) - 4)}">{label}</text>'
+        )
+
+    visible = 0
+    for d in doc.diffs:
+        sx, sy = d.source.stem, d.source.filtration
+        tx, ty = d.target.stem, d.target.filtration
+        if not (inside(sx, sy) and inside(tx, ty)):
+            continue
+        visible += 1
+        out.append(
+            f'  <line class="d-{d.provenance}" x1="{_fmt(X(sx))}" y1="{_fmt(Y(sy))}" '
+            f'x2="{_fmt(X(tx))}" y2="{_fmt(Y(ty))}" marker-end="url(#arrow)"/>'
+        )
+    for name, m in doc.classes:
+        x, s = m.stem, m.filtration
+        if m.is_zero or not inside(x, s):
+            continue
+        visible += 1
+        out.append(
+            f'  <circle class="cls" cx="{_fmt(X(x))}" cy="{_fmt(Y(s))}" r="3.5"/>'
+        )
+        out.append(
+            f'  <text x="{_fmt(X(x) + 6)}" y="{_fmt(Y(s) - 6)}">{escape(name, quote=False)}</text>'
+        )
+
+    if (doc.classes or doc.diffs) and visible == 0:
+        out.append(
+            f'  <text class="warning" x="{PAD}" y="{PAD - 24}">'
+            "warning: window excludes every declared item</text>"
+        )
+
+    out.append("</svg>")
+    return ("\n".join(out) + "\n").encode("utf-8")

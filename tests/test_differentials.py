@@ -96,6 +96,14 @@ class TestSeeds:
         with pytest.raises(DifferentialError):
             hu_kriz_seed(0)
 
+    @pytest.mark.parametrize("i", [1.5, 1.0, True])
+    def test_rejects_a_non_integer_index(self, i):
+        # a float once leaked a bare TypeError, and True a MonomialError
+        with pytest.raises(DifferentialError, match=f"seed index must be an integer, got {i!r}"):
+            hu_kriz_seed(i)
+        with pytest.raises(DifferentialError, match="seed index must be >= 1, got 0"):
+            hu_kriz_seed(0)
+
 
 class TestFamily:
     def test_n0_is_seed(self):
@@ -106,6 +114,20 @@ class TestFamily:
         d = hhr_family(1, 1)
         assert d.page == 5
         assert d.target == norm_class(C(2), 1) * ClassMonomial(C(2), 2, a_exp=(3, 1))
+
+    @pytest.mark.parametrize(
+        "n, i, message",
+        [
+            (1, 1.5, "family index must be an integer, got 1.5"),
+            (1, True, "family index must be an integer, got True"),
+            (1.0, 1, "group index must be an integer, got 1.0"),
+            (1, 0, "family index must be >= 1, got 0"),
+            (-1, 1, "group index must be >= 0, got -1"),
+        ],
+    )
+    def test_rejects_a_bad_index(self, n, i, message):
+        with pytest.raises(DifferentialError, match=message):
+            hhr_family(n, i)
 
     def test_page_congruence(self):
         for n in range(0, 5):
@@ -244,6 +266,18 @@ class TestPermanentCycles:
         u = ClassMonomial(C2, 1, u_exp=(1,))
         with pytest.raises(DifferentialError, match="must be an integer"):
             PermanentCycleFact(C2, truncation, u, "x")
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (1.5, "height index must be an integer, got 1.5"),
+            (True, "height index must be an integer, got True"),
+            (0, "height index must be >= 1, got 0"),
+        ],
+    )
+    def test_seeds_reject_a_bad_height_index(self, m, message):
+        with pytest.raises(DifferentialError, match=message):
+            permanent_cycle_seeds(m)
 
     def test_oriented_rep_slots(self):
         u = ClassMonomial(C(3), 3, u_exp=(1, 2, 3))

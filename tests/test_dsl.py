@@ -358,6 +358,37 @@ def test_shared_factor_memo_keeps_level_and_column():
             parse(text)
         assert type(exc.value) is error
         assert (exc.value.reason, exc.value.line, exc.value.col) == (message, 3, col)
+    # whole expressions are memoized too: the same text at two levels keeps
+    # each line's level, and a diff restating a class equals a fresh parse (no
+    # space before "@", which would belong to the expression's text)
+    target = "Nt[1,3]*aL2^2*aL1*aS^3"
+    doc = parse(
+        f"group C8\nclass a = aS*aL1\nclass b = aS*aL1@C4\nclass c = aS*aL1\n"
+        f"class t = {target}\ndiff 9: u2S -> {target}\n"
+    )
+    (_, a), (_, b), (_, c), (_, t) = doc.classes
+    assert (a.level, b.level) == (3, 2)
+    assert a == c == parse_class_expr("aS*aL1", C(3))
+    assert b == parse_class_expr("aS*aL1", C(3), level=2)
+    assert t == doc.diffs[0].target == parse_class_expr(target, C(3))
+    # the memo lives for one document: the next one, over another group, gets
+    # monomials over that group
+    doc = parse("group C16\nclass a = aS*aL1@C8\nclass b = aS\n")
+    assert [m for _, m in doc.classes] == [
+        parse_class_expr("aS*aL1", C(4), level=3), parse_class_expr("aS", C(4))
+    ]
+    # an invalid expression raises at its first line and at its first error,
+    # in this document and again at its own column in the next: failures are
+    # never memoized
+    for text, line, col in [
+        ("group C4\nclass a = aS*aL5*aL6\nclass b = aS*aL5*aL6\n", 2, 13),
+        ("group C4\nclass longer = aS*aL5*aL6\n", 2, 18),
+    ]:
+        with pytest.raises(DslSemanticError) as exc:
+            parse(text)
+        assert (exc.value.reason, exc.value.line, exc.value.col) == (
+            "aL5 is not in the basis at level C4", line, col
+        )
 
 
 @pytest.mark.parametrize(

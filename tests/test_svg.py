@@ -16,7 +16,7 @@ from sliceshear import (
     vanishing_line,
 )
 from sliceshear.svg import _clip, _guide_line
-from helpers import random_document, random_rep
+from helpers import random_document, random_rep, reference_emit_svg
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -93,6 +93,7 @@ class TestRendering:
             data = emit_svg(doc)
             assert data.startswith(b"<?xml") and data.endswith(b"</svg>\n")
             assert emit_svg(doc) == data
+            assert data == reference_emit_svg(doc)
             rendered += 1
         assert rendered > 20
 

@@ -64,6 +64,44 @@ class TestNConstant:
         with pytest.raises(RepError):
             N_constant(2, 1, 1) and N_constant(1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((4, 2, 1.0), "vanishing index k must be an integer, got 1.0"),
+            ((4, True, 1), "group index n must be an integer, got True"),
+            ((4.0, 2, 1), "height must be an integer, got 4.0"),
+            ((4, 2, 3), "vanishing index k=3 out of range for n=2"),
+        ],
+    )
+    def test_rejects_a_non_integer_index(self, args, message):
+        # a float once leaked a bare TypeError, and n = True was accepted
+        with pytest.raises(RepError, match=message):
+            N_constant(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((4.0, 2, 1), "height must be an integer, got 4.0"),
+            ((3, 2, 1), "height 3 is not divisible by 2"),
+        ],
+    )
+    def test_max_length_rejects_a_non_integer_height(self, args, message):
+        with pytest.raises(RepError, match=message):
+            max_length(*args)
+
+    @pytest.mark.parametrize(
+        "n, h, message",
+        [
+            (1.0, 2, "profile index n must be an integer, got 1.0"),
+            (1, 2.0, "height must be an integer, got 2.0"),
+            (1, True, "height must be an integer, got True"),
+            (1, 3, "height 3 is not a positive multiple of 2"),
+        ],
+    )
+    def test_profile_rejects_a_non_integer_index(self, n, h, message):
+        with pytest.raises(RepError, match=message):
+            VanishingProfile(n, h, VirtualRep.zero(C(2)))
+
 
 class TestVanishingLine:
     def test_horizontal(self):
