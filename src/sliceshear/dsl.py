@@ -57,13 +57,15 @@ class ChartDocument:
 
 # -- class expressions --------------------------------------------------------
 #
-# A class expression is split on "*" and each piece is read with the token
-# grammar _CLASS_TOKEN.  parse() shares one memo between the class and diff
-# lines of a document: it maps the text of a valid piece to its factor, and
-# (text, level) of a parsed expression to its monomial.  _class_expr, the one
-# home of the semantic checks, multiplies out each factor as it reads it.  An
-# unknown character raises at once, so it comes first wherever it stands; the
-# first other error waits while the scan goes on, and raises at its end.
+# A class expression is split on "*" and each piece is read as one factor with
+# the token grammar _CLASS_TOKEN.  _factor checks a factor at the class level
+# and raises the first error it finds, so an expression's errors come in
+# reading order; only when one is raised does _class_expr scan the whole text,
+# because an unknown character anywhere comes first.  parse() shares one memo
+# between the class and diff lines of a document: it maps (level, piece) of a
+# valid piece to its factor, and (text, level) of a parsed expression to its
+# monomial.  Columns count from where the scan of a token starts, i.e. before
+# its leading whitespace, so a factor's column is that of its piece.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -80,16 +82,10 @@ _CLASS_TOKEN = re.compile(
     re.X,
 )
 
-# A factor is (kind, x, y, exponent): kind is a _CLASS_TOKEN group name and x,
-# y its integers, or kind "err" and x the error to raise.  Columns count from
-# where the scan of a token starts, i.e. before its leading whitespace, so a
-# factor's column is that of its piece.
 
-
-def _piece(piece: str, col: int, memo: dict):
-    """The factor that one piece spells and the error that follows it, if any;
-    memoize the factor when the piece is a valid one."""
-    stripped = piece.rstrip()
+def _tokens(text: str, col: int) -> list[re.Match]:
+    """The _CLASS_TOKEN matches that spell text, which starts at column col."""
+    stripped = text.rstrip()
     tokens = []
     pos = 0
     while pos < len(stripped):
@@ -100,37 +96,62 @@ def _piece(piece: str, col: int, memo: dict):
             )
         tokens.append(m)
         pos = m.end()
-    m, *tokens = tokens
-    kind, x, y, e = m.lastgroup, 0, 0, 1
-    try:
-        if tokens and tokens[0].lastgroup == "pow":
-            if len(tokens) < 2 or tokens[1].lastgroup != "num":
-                raise DslSyntaxError("expected an integer exponent after ^", col=col)
-            ecol = col + tokens[1].start()
-            e = _int(tokens[1].group("num"), ecol)
-            # rejected before the indices are read, so it comes before an
-            # error for an index past the digit limit
-            if e < 0:
-                raise DslSemanticError("negative exponents are not allowed", col=ecol)
-            del tokens[:2]
-        if kind == "num":
-            x = _int(m.group("num"), col)
-        elif kind == "aL" or kind == "uL":
-            x = _int(m.group(kind + "_i"), col)
-        elif kind == "nt" or kind == "dd":
-            g = m.lastindex
-            x, y = _int(m.group(g + 1), col), _int(m.group(g + 2), col)
-        elif kind == "pow" or kind == "mul":
-            raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", col=col)
-    except DslError as err:
-        return ("err", err, 0, 0), None
+    return tokens
+
+
+def _factor(piece: str, col: int, lv: int, memo: dict) -> tuple:
+    """The factor that one piece spells at level lv, memoized under (lv, piece):
+    ("a" or "u", basis index, exponent), ("n", norms, 1) or ("c", coefficient, 1)."""
+    m, *tokens = _tokens(piece, col)
+    kind, e = m.lastgroup, 1
+    if tokens and tokens[0].lastgroup == "pow":
+        if len(tokens) < 2 or tokens[1].lastgroup != "num":
+            raise DslSyntaxError("expected an integer exponent after ^", col=col)
+        ecol = col + tokens[1].start()
+        e = _int(tokens[1].group("num"), ecol)
+        # rejected before the indices are read, so it comes before an
+        # error for an index past the digit limit
+        if e < 0:
+            raise DslSemanticError("negative exponents are not allowed", col=ecol)
+        del tokens[:2]
+    if kind == "aS" or kind == "u2S":
+        if lv < 1:
+            raise DslSemanticError(f"{kind} needs a level of at least C2", col=col)
+        factor = kind[0], 0, e
+    elif kind == "aL" or kind == "uL":
+        i = _int(m.group(kind + "_i"), col)
+        if not 1 <= i <= lv - 1:
+            raise DslSemanticError(f"{kind}{i} is not in the basis at level C{1 << lv}", col=col)
+        factor = kind[0], i, e
+    elif kind == "num":
+        factor = "c", _int(m.group("num"), col) ** e, 1
+    elif kind == "nt":
+        i, j = _int(m.group("nt_i"), col), _int(m.group("nt_j"), col)
+        if i < 1:
+            raise DslSemanticError(f"Nt[{i},{j}]: generator index must be >= 1", col=col)
+        if not 1 <= j <= lv:
+            raise DslSemanticError(
+                f"Nt[{i},{j}]: norm level must lie between 1 and the class level {lv}", col=col
+            )
+        factor = "n", ((i, j, e),), 1
+    elif kind == "dd":
+        i, j = _int(m.group("d_n"), col), _int(m.group("d_m"), col)
+        if i < 1 or j < 1:
+            raise DslSemanticError(f"D[{i},{j}]: both indices must be >= 1", col=col)
+        if i > lv:
+            raise DslSemanticError(
+                f"D[{i},{j}] needs a level of at least {CyclicGroup(i)}", col=col
+            )
+        factor = "n", tuple(_d_norms(i, j, e)), 1
+    else:  # a ^ or * where a factor should be
+        raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", col=col)
     if tokens:
         t = tokens[0]
-        return (kind, x, y, e), DslSyntaxError(
+        raise DslSyntaxError(
             f"expected * between factors, got {t.group(0).strip()!r}", col=col + t.start()
         )
-    memo[piece] = factor = kind, x, y, e
-    return factor, None
+    memo[lv, piece] = factor
+    return factor
 
 
 def _class_expr(
@@ -144,66 +165,33 @@ def _class_expr(
     a = [0] * lv
     u = [0] * lv
     norms: list[tuple[int, int, int]] = []
-    first = None  # the first error, raised once the scan is done
     col = col_offset
     pieces = iter(text.split("*"))
-    for piece in pieces:
-        factor, after = memo.get(piece), None
-        if factor is None:
-            if not piece.strip():
-                if col - col_offset + len(piece) < len(text):
-                    # the * that follows stands where a factor should
-                    piece += "*" + next(pieces)
-                else:  # the text is blank or ends in *
-                    # the scan of that * starts after the factor before it
-                    mul = col_offset + len(text[: col - col_offset - 1].rstrip())
-                    reason = "dangling * at end of" if col > col_offset else "empty"
-                    first = first or DslSyntaxError(f"{reason} class expression", col=mul)
-                    break
-            factor, after = _piece(piece, col, memo)
-        if first is None:
-            kind, x, y, e = factor
-            try:
-                if kind == "aS" or kind == "u2S":
-                    if lv < 1:
-                        raise DslSemanticError(f"{kind} needs a level of at least C2", col=col)
-                    (a if kind == "aS" else u)[0] += e
-                elif kind == "aL" or kind == "uL":
-                    if not 1 <= x <= lv - 1:
-                        raise DslSemanticError(
-                            f"{kind}{x} is not in the basis at level C{1 << lv}", col=col
-                        )
-                    (a if kind == "aL" else u)[x] += e
-                elif kind == "nt":
-                    if x < 1:
-                        raise DslSemanticError(
-                            f"Nt[{x},{y}]: generator index must be >= 1", col=col
-                        )
-                    if not 1 <= y <= lv:
-                        raise DslSemanticError(
-                            f"Nt[{x},{y}]: norm level must lie between 1 and the class "
-                            f"level {lv}", col=col
-                        )
-                    norms.append((x, y, e))
-                elif kind == "num":
-                    coeff *= x**e
-                elif kind == "dd":
-                    if x < 1 or y < 1:
-                        raise DslSemanticError(f"D[{x},{y}]: both indices must be >= 1", col=col)
-                    if x > lv:
-                        raise DslSemanticError(
-                            f"D[{x},{y}] needs a level of at least {CyclicGroup(x)}", col=col
-                        )
-                    norms += _d_norms(x, y, e)
-                else:
-                    raise x
-                if after is not None:
-                    raise after
-            except DslError as err:
-                first = err
-        col += len(piece) + 1
-    if first is not None:
-        raise first
+    try:
+        for piece in pieces:
+            factor = memo.get((lv, piece))
+            if factor is None:
+                if not piece.strip():
+                    if col - col_offset + len(piece) < len(text):
+                        # the * that follows stands where a factor should
+                        piece += "*" + next(pieces)
+                    else:  # the text is blank or ends in *
+                        # the scan of that * starts after the factor before it
+                        mul = col_offset + len(text[: col - col_offset - 1].rstrip())
+                        reason = "dangling * at end of" if col > col_offset else "empty"
+                        raise DslSyntaxError(f"{reason} class expression", col=mul)
+                factor = _factor(piece, col, lv, memo)
+            kind, x, e = factor
+            if kind == "c":
+                coeff *= x
+            elif kind == "n":
+                norms += x
+            else:
+                (a if kind == "a" else u)[x] += e
+            col += len(piece) + 1
+    except DslError:
+        _tokens(text, col_offset)  # an unknown character anywhere comes first
+        raise
     try:
         mono = ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
     except MonomialError as e:

@@ -258,6 +258,7 @@ class VirtualRep:
 
     def fixed_dimension(self, k: int) -> int:
         """``fixed_points(k).dimension`` without building the quotient rep."""
+        _check_int(k, "fixed-point index k")
         if not 0 <= k <= self.group.exponent:
             raise RepError(f"fixed-point index k={k} out of range for {self.group}")
         return self._series[0][k]
@@ -305,6 +306,7 @@ class VirtualRep:
         2 * sum_{i<d} c_lambda_i, sigma = 2 c_lambda_d, lambda_j = c_lambda_{j+d}.
         """
         n = self.group.exponent
+        _check_int(m, "restriction level m")
         if not 0 <= m <= n:
             raise RepError(f"restriction level m={m} out of range for {self.group}")
         if m == n:
@@ -421,6 +423,7 @@ def rho_bar(n_plus_1: int, k: int = 0) -> VirtualRep:
     representation.
     """
     n = n_plus_1 - 1
+    _check_int(k, "rho_bar index k")
     if n_plus_1 < 1 or not 0 <= k <= n:
         raise RepError(f"rho_bar index k={k} out of range for C_(2^{n_plus_1})")
     group = CyclicGroup(n_plus_1)
@@ -468,7 +471,8 @@ def tau(V: VirtualRep, k: int) -> int:
     subgroups of order at most 2^k contributes exactly j = 0..k.  The j = 0
     term vanishes, hence tau(V, k) >= 0 and tau(V, 0) = 0.
     """
-    if not 0 <= k <= V.group.exponent:
+    if type(k) is not int or not 0 <= k <= V.group.exponent:  # one test on line_L's path
+        _check_int(k, "tau index k")
         raise RepError(f"tau index k={k} out of range for {V.group}")
     return V._series[1][k]
 
@@ -503,6 +507,7 @@ def constant_C(V: VirtualRep, k: int) -> Fraction:
     memoized series; non-negative because tau is the max over a set
     containing that term.
     """
+    _check_int(k, "threshold index k")
     if not 1 <= k < V.group.exponent:
         raise RepError(f"threshold index k={k} out of range for {V.group}")
     return Fraction(_threshold(V, k), 1 << k)

@@ -84,11 +84,10 @@ def emit_svg(doc: ChartDocument) -> bytes:
     width = 2 * PAD + (x_max - x_min) * CELL
     height = 2 * PAD + s_max * CELL
 
-    def X(x: Union[int, Fraction]) -> Union[int, Fraction]:
-        return PAD + (x - x_min) * CELL
-
-    def Y(s: Union[int, Fraction]) -> Union[int, Fraction]:
-        return height - PAD - s * CELL
+    # stem x sits at pixel x0 + x * CELL and filtration s at y0 - s * CELL;
+    # positions are ints except at guide ends, which _fmt writes
+    x0, y0 = PAD - x_min * CELL, height - PAD
+    left, right, top = x0 + x_min * CELL, x0 + x_max * CELL, y0 - s_max * CELL
 
     def inside(x: int, s: int) -> bool:
         return x_min <= x <= x_max and 0 <= s <= s_max
@@ -108,35 +107,18 @@ def emit_svg(doc: ChartDocument) -> bytes:
 
     # grid and integer tick labels
     for x in range(x_min, x_max + 1):
-        px = _fmt(X(x))
-        out.append(
-            f'  <line class="grid" x1="{px}" y1="{_fmt(Y(0))}" '
-            f'x2="{px}" y2="{_fmt(Y(s_max))}"/>'
-        )
-        out.append(
-            f'  <text x="{px}" y="{_fmt(Y(0) + 14)}" text-anchor="middle">{x}</text>'
-        )
+        px = x0 + x * CELL
+        out.append(f'  <line class="grid" x1="{px}" y1="{y0}" x2="{px}" y2="{top}"/>')
+        out.append(f'  <text x="{px}" y="{y0 + 14}" text-anchor="middle">{x}</text>')
     for s in range(0, s_max + 1):
-        py = _fmt(Y(s))
-        out.append(
-            f'  <line class="grid" x1="{_fmt(X(x_min))}" y1="{py}" '
-            f'x2="{_fmt(X(x_max))}" y2="{py}"/>'
-        )
-        out.append(
-            f'  <text x="{_fmt(X(x_min) - 8)}" y="{_fmt(Y(s) + 3)}" '
-            f'text-anchor="end">{s}</text>'
-        )
+        py = y0 - s * CELL
+        out.append(f'  <line class="grid" x1="{left}" y1="{py}" x2="{right}" y2="{py}"/>')
+        out.append(f'  <text x="{left - 8}" y="{py + 3}" text-anchor="end">{s}</text>')
 
     # axes: the filtration-0 row and, when visible, the stem-0 column
-    out.append(
-        f'  <line class="axis" x1="{_fmt(X(x_min))}" y1="{_fmt(Y(0))}" '
-        f'x2="{_fmt(X(x_max))}" y2="{_fmt(Y(0))}"/>'
-    )
+    out.append(f'  <line class="axis" x1="{left}" y1="{y0}" x2="{right}" y2="{y0}"/>')
     if x_min <= 0 <= x_max:
-        out.append(
-            f'  <line class="axis" x1="{_fmt(X(0))}" y1="{_fmt(Y(0))}" '
-            f'x2="{_fmt(X(0))}" y2="{_fmt(Y(s_max))}"/>'
-        )
+        out.append(f'  <line class="axis" x1="{x0}" y1="{y0}" x2="{x0}" y2="{top}"/>')
 
     for g in doc.guides:
         line, label = _guide_line(g, doc)
@@ -145,17 +127,14 @@ def emit_svg(doc: ChartDocument) -> bytes:
             continue
         (xa, sa), (xb, sb) = seg
         out.append(
-            f'  <line class="guide" x1="{_fmt(X(xa))}" y1="{_fmt(Y(sa))}" '
-            f'x2="{_fmt(X(xb))}" y2="{_fmt(Y(sb))}"/>'
+            f'  <line class="guide" x1="{_fmt(x0 + xa * CELL)}" y1="{_fmt(y0 - sa * CELL)}" '
+            f'x2="{_fmt(x0 + xb * CELL)}" y2="{_fmt(y0 - sb * CELL)}"/>'
         )
         out.append(
-            f'  <text class="guide-label" x="{_fmt(X(xb) + 4)}" '
-            f'y="{_fmt(Y(sb) - 4)}">{label}</text>'
+            f'  <text class="guide-label" x="{_fmt(x0 + xb * CELL + 4)}" '
+            f'y="{_fmt(y0 - sb * CELL - 4)}">{label}</text>'
         )
 
-    # item positions are integer pixels, which str writes as _fmt would:
-    # X(x) = x0 + x * CELL and Y(s) = y0 - s * CELL
-    x0, y0 = PAD - x_min * CELL, height - PAD
     visible = 0
     for d in doc.diffs:
         sx, sy, _ = d.source.bidegree()

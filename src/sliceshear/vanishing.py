@@ -95,8 +95,9 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     Slope |G| - 1 and intercept -|V| + |G| * max_H |V^H|, the maximum running
     over all subgroups.
     """
+    _check_int(n, "boundary group index n")
     # the group is built only to word the error, which it raises itself for a bad n
-    if type(n + 1) is not int or V.group.exponent != n + 1:
+    if V.group.exponent != n + 1:
         raise RepError(f"boundary grading must live over {CyclicGroup(n + 1)}, got {V.group}")
     return V._cone_line
 

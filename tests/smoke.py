@@ -4,7 +4,9 @@ It runs every ``sliceshear`` command in README.md, in human form and with
 ``--json``, each in a fresh isolated interpreter, and checks that each exits 0
 with output and nothing on stderr, and that each ``--json`` output is JSON.
 It then renders the two SVG goldens with ``sliceshear chart`` and compares
-them byte for byte.  It needs no pytest, so it runs on any Python 3.10+:
+them byte for byte, and runs README's four documented error examples, checking
+each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
+on stderr.  It needs no pytest, so it runs on any Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -24,6 +26,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "tests" / "goldens"
 # the chart.dsl that README's `sliceshear chart chart.dsl -o chart.svg` reads
 CHART = "group C2\nwindow -2 4 4\ndiff 3: u2S -> Nt[1,1]*aS^3\n"
+# README's error examples: (bad.dsl text, argv, exit code, kind, line, col)
+ERRORS = [
+    ("group C2\nclass x = aS  y\n", ["chart", "bad.dsl", "-o", "bad.svg"], 2, "parse", 2, 12),
+    ("group C4\ngrading 1+l5\n", ["chart", "bad.dsl", "-o", "bad.svg"], 3, "semantic", 2, 10),
+    (None, ["rep", "dim", "--group", "C8", "--V", "2-x"], 2, "parse", None, 2),
+    (None, ["rep", "dim", "--group", "C6", "--V", "0"], 3, "semantic", None, 0),
+]
 MAIN = (
     f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
     "from sliceshear.cli import main; sys.exit(main())"
@@ -66,8 +75,21 @@ def main() -> int:
             want = golden.with_suffix(".svg").read_bytes()
             if proc.returncode or not out.exists() or out.read_bytes() != want:
                 failures.append(f"chart {golden.name}: output differs from {golden.stem}.svg")
+        for dsl, argv, code, kind, line, col in ERRORS:
+            if dsl is not None:
+                pathlib.Path(tmp, "bad.dsl").write_text(dsl)
+            proc = cli(argv, tmp)
+            try:
+                err = json.loads(proc.stderr)["error"]
+                got = (proc.returncode, err["kind"], err.get("line"), err.get("col"))
+            except (ValueError, KeyError, TypeError):
+                got = (proc.returncode, proc.stderr)
+            if got != (code, kind, line, col):
+                failures.append(f"{shlex.join(argv)} ({dsl!r}): got {got}, "
+                                f"want {(code, kind, line, col)}")
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
-          f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(failures)} failures")
+          f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(ERRORS)} error examples, "
+          f"{len(failures)} failures")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

@@ -352,6 +352,15 @@ def test_shared_factor_memo_keeps_level_and_column():
             "group C4\nclass a = aS*aL1\ndiff 3: aS*aL1 -> aS*aL1 x\n",
             DslSyntaxError, "unexpected 'x' in class expression", 24,
         ),
+        # a factor valid at one level is checked again at another
+        (
+            "group C8\nclass x = aL2\nclass y = aL2*aS @C4\n",
+            DslSemanticError, "aL2 is not in the basis at level C4", 10,
+        ),
+        (
+            "group C8\nclass x = Nt[1,3]\nclass y = Nt[1,3]*aS @C4\n",
+            DslSemanticError, "Nt[1,3]: norm level must lie between 1 and the class level 2", 10,
+        ),
     ]
     for text, error, message, col in cases:
         with pytest.raises(DslError) as exc:

@@ -17,7 +17,7 @@ from sliceshear import (
     tau,
     vanishing_line,
 )
-from sliceshear.reps import basis_names, tau_series
+from sliceshear.reps import basis_names, parse_rep, tau_series
 from helpers import fixed_dim_oracle, random_rep, restrict_oracle
 
 
@@ -195,6 +195,44 @@ class TestTau:
             terms = [fixed_dim_oracle(v, j) * 2**j - v.dimension for j in range(k + 1)]
             assert tau_series(v, k) == [max(terms[: j + 1]) for j in range(k + 1)]
             assert tau_series(v, k) == [tau(v, j) for j in range(k + 1)]
+
+
+_PER_K_READERS = {
+    "tau": tau,
+    "tau_series": tau_series,
+    "line_L": line_L,
+    "constant_C": constant_C,
+    "fixed_dimension": VirtualRep.fixed_dimension,
+    "restrict": VirtualRep.restrict,
+    "rho_bar": lambda V, k: rho_bar(3, k),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, k, message",
+    [
+        ("tau", 1.0, "tau index k must be an integer, got 1.0"),
+        ("tau", True, "tau index k must be an integer, got True"),
+        ("tau_series", 1.0, "tau index k must be an integer, got 1.0"),
+        ("line_L", 1.0, "tau index k must be an integer, got 1.0"),
+        ("constant_C", 1.0, "threshold index k must be an integer, got 1.0"),
+        ("fixed_dimension", 1.0, "fixed-point index k must be an integer, got 1.0"),
+        ("restrict", 1.0, "restriction level m must be an integer, got 1.0"),
+        ("rho_bar", 1.0, "rho_bar index k must be an integer, got 1.0"),
+        # the messages for ints are unchanged
+        ("tau", 4, "tau index k=4 out of range for C8"),
+        ("line_L", -1, "tau index k=-1 out of range for C8"),
+        ("constant_C", 3, "threshold index k=3 out of range for C8"),
+        ("fixed_dimension", 4, "fixed-point index k=4 out of range for C8"),
+        ("restrict", 4, "restriction level m=4 out of range for C8"),
+        ("rho_bar", 3, r"rho_bar index k=3 out of range for C_\(2\^3\)"),
+    ],
+)
+def test_per_k_readers_reject_a_non_integer_index(reader, k, message):
+    # a float once leaked a bare TypeError from list or tuple indexing, and
+    # tau(V, True) returned tau(V, 1)
+    with pytest.raises(RepError, match=f"^{message}$"):
+        _PER_K_READERS[reader](parse_rep("3-2s+l1", C(3)), k)
 
 
 class TestSeriesMemo:

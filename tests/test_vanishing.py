@@ -138,6 +138,19 @@ class TestBoundary:
         assert line.intercept == 3
         assert line.slope == 3
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (True, "boundary group index n must be an integer, got True"),
+            (1.0, "boundary group index n must be an integer, got 1.0"),
+            (2, "boundary grading must live over C8, got C4"),
+        ],
+    )
+    def test_rejects_a_non_integer_index(self, n, message):
+        # n = True was once accepted, as True + 1 is an int
+        with pytest.raises(RepError, match=message):
+            boundary_line(VirtualRep.zero(C(2)), n)
+
     def test_family_target_is_on_the_boundary(self):
         for n in range(0, 4):
             for i in range(1, 4):
