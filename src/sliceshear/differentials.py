@@ -145,11 +145,13 @@ def _check_index(value: int, name: str, least: int) -> None:
 
 def _slice_differential(n: int, i: int, provenance: str) -> Differential:
     group = CyclicGroup(n + 1)
-    source = ClassMonomial(group, n + 1, u_exp=(1 << (i - 1),) + (0,) * n)
+    zero = (0,) * (n + 1)
+    # the callers admit n >= 0 and i >= 1, so every field below is admitted
+    source = ClassMonomial._trusted(group, n + 1, 1, (), zero, (1 << (i - 1),) + (0,) * n)
     power = (1 << i) - 1
     # a_rhobar^power * a_sigma^(2^i) inline for speed; a law test pins it to expand_euler
     a = [power + (1 << i)] + [(1 << (m - 1)) * power for m in range(1, n + 1)]
-    target = ClassMonomial(group, n + 1, norms=((i, n + 1, 1),), a_exp=tuple(a))
+    target = ClassMonomial._trusted(group, n + 1, 1, ((i, n + 1, 1),), tuple(a), zero)
     page = (1 << (n + 1)) * power + 1
     return Differential(group, page, source, target, provenance=provenance)
 

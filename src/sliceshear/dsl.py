@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .differentials import Differential, DifferentialError, validate
-from .monomials import ClassMonomial, MonomialError, _d_norms
+from .monomials import ClassMonomial, _d_norms
 from .reps import (
     CyclicGroup, DslError, DslSemanticError, DslSyntaxError, RepError, VirtualRep, _int,
     basis_names, parse_group_name, parse_rep,
@@ -192,10 +192,8 @@ def _class_expr(
     except DslError:
         _tokens(text, col_offset)  # an unknown character anywhere comes first
         raise
-    try:
-        mono = ClassMonomial(group, lv, coeff, tuple(norms), tuple(a), tuple(u))
-    except MonomialError as e:
-        raise DslSemanticError(str(e), col=col_offset) from e
+    # the callers admit the level and _factor every index and exponent
+    mono = ClassMonomial._trusted(group, lv, coeff, norms, tuple(a), tuple(u))
     memo[text, lv] = mono
     return mono
 
@@ -209,6 +207,10 @@ def parse_class_expr(
 ) -> ClassMonomial:
     """Parse a class expression such as ``Nt[3,4]*aS^8*u2S^2``."""
     try:
+        if level is not None and (type(level) is not int or not 0 <= level <= group.exponent):
+            raise DslSemanticError(
+                f"level {level} out of range for ambient group {group}", col=col_offset
+            )
         return _class_expr(text, group, level, col_offset, {})
     except DslError as e:
         e.line = line

@@ -9,6 +9,7 @@ Groups are recorded by their exponent, so ``3`` means C8.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Iterable, Union
@@ -80,50 +81,81 @@ def _int(value, path: str, minimum: int | None = None) -> int:
 _LAMBDA_KEY_RE = re.compile(r"l[1-9]\d*", re.ASCII)
 
 
-def _exp_vector(value, path: str, level: int, zero_key: str) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=64)
+def _slots(level: int, zero_key: str) -> dict[str, int]:
+    """basis_names(level, zero_key) as a name -> slot map."""
+    return {k: slot for slot, k in enumerate(basis_names(level, zero_key))}
+
+
+def _exp_vector(value, path: str, name: str, level: int, zero_key: str, plain: bool):
+    """The vector the basis map ``path.name`` spells, and ``plain`` and-ed with
+    whether each entry was a plain int (see obj_to_monomial)."""
     if not isinstance(value, dict):
-        raise JsonSchemaError(path, f"expected an object, got {value!r}")
+        raise JsonSchemaError(f"{path}.{name}", f"expected an object, got {value!r}")
     vec = [0] * level
-    names = basis_names(level, zero_key)
+    # a level past any chart's gets a fresh map, so the memo holds only small ones
+    slots = (_slots if level <= 64 else _slots.__wrapped__)(level, zero_key)
     for key, e in value.items():
-        if key not in names:
+        slot = slots.get(key)
+        if slot is None:
             if not isinstance(key, str) or (
                 key != zero_key and not _LAMBDA_KEY_RE.fullmatch(key)
             ):
-                raise JsonSchemaError(f"{path}.{key}", "unknown basis key")
-            raise JsonSchemaError(f"{path}.{key}", f"basis slot out of range at level {level}")
-        vec[names.index(key)] = _int(e, f"{path}.{key}", minimum=0)
-    return tuple(vec)
+                raise JsonSchemaError(f"{path}.{name}.{key}", "unknown basis key")
+            raise JsonSchemaError(
+                f"{path}.{name}.{key}", f"basis slot out of range at level {level}"
+            )
+        if type(e) is not int or e < 0:
+            e, plain = _int(e, f"{path}.{name}.{key}", minimum=0), False
+        vec[slot] = e
+    return tuple(vec), plain
 
 
 def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     if not isinstance(obj, dict):
         raise JsonSchemaError(path, f"expected an object, got {obj!r}")
-    group = _int(_need(obj, "group", path), f"{path}.group", minimum=0)
-    level = _int(_need(obj, "level", path), f"{path}.level", minimum=0)
-    coeff = _int(_need(obj, "coeff", path), f"{path}.coeff")
+    # each field is tested once, inline, and a path is built only to word an
+    # error: on a miss, _int words it, or passes an int subclass, and then
+    # plain turns false and sends the fields through the checking constructor
+    plain = True
+    group = _need(obj, "group", path)
+    if type(group) is not int or group < 0:
+        group, plain = _int(group, f"{path}.group", minimum=0), False
+    level = _need(obj, "level", path)
+    if type(level) is not int or level < 0:
+        level, plain = _int(level, f"{path}.level", minimum=0), False
+    coeff = _need(obj, "coeff", path)
+    if type(coeff) is not int:
+        coeff, plain = _int(coeff, f"{path}.coeff"), False
     raw_norms = _need(obj, "norms", path)
     if not isinstance(raw_norms, list):
         raise JsonSchemaError(f"{path}.norms", "expected a list of [i, j, e] triples")
     norms = []
-    for idx, triple in enumerate(raw_norms):
+    for idx, t in enumerate(raw_norms):
+        if type(t) is list and len(t) == 3:
+            i, j, e = t
+            if type(i) is type(j) is type(e) is int and i >= 1 and j >= 1 and e >= 0:
+                norms.append((i, j, e))
+                continue
         tpath = f"{path}.norms[{idx}]"
-        if not isinstance(triple, list) or len(triple) != 3:
+        if not isinstance(t, list) or len(t) != 3:
             raise JsonSchemaError(tpath, "expected an [i, j, e] triple")
-        norms.append(
-            (
-                _int(triple[0], f"{tpath}[0]", minimum=1),
-                _int(triple[1], f"{tpath}[1]", minimum=1),
-                _int(triple[2], f"{tpath}[2]", minimum=0),
-            )
-        )
+        i = _int(t[0], f"{tpath}[0]", minimum=1)
+        j = _int(t[1], f"{tpath}[1]", minimum=1)
+        norms.append((i, j, _int(t[2], f"{tpath}[2]", minimum=0)))
+        plain = False
     if level > group:
         # rejected here, before the exponent maps build a basis table of that length
         raise JsonSchemaError(
             path, f"level {level} out of range for ambient group {CyclicGroup(group)}"
         )
-    a = _exp_vector(_need(obj, "a", path), f"{path}.a", level, "s")
-    u = _exp_vector(_need(obj, "u", path), f"{path}.u", level, "2s")
+    a, plain = _exp_vector(_need(obj, "a", path), path, "a", level, "s", plain)
+    u, plain = _exp_vector(_need(obj, "u", path), path, "u", level, "2s", plain)
+    if plain:
+        for i, j, e in norms:
+            if j > level:
+                raise JsonSchemaError(path, f"norm factor ({i}, {j}) out of range at level {level}")
+        return ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
     try:
         return ClassMonomial(CyclicGroup(group), level, coeff, tuple(norms), a, u)
     except (MonomialError, RepError) as e:

@@ -6,6 +6,13 @@ A :class:`ClassMonomial` is an integer multiple of a product of Euler classes
 and bidegree are integer closed forms in the stored exponents, computed once
 per monomial on first read; monomials are immutable and always kept in
 canonical form, including torsion reduction of the coefficient.
+
+A monomial has two doors.  ``ClassMonomial(...)`` admits: it checks every
+field, for values from outside the engine.  ``ClassMonomial._trusted(...)``
+only canonicalizes, for the producers whose fields are admitted by
+construction (JSON import after its schema checks, the DSL after its factor
+checks, the class correspondence and the HHR families).  Both run one
+canonicalizing body.
 """
 
 from __future__ import annotations
@@ -66,15 +73,44 @@ class ClassMonomial:
         a_exp: tuple[int, ...] = (),
         u_exp: tuple[int, ...] = (),
     ) -> None:
-        # validates and canonicalizes first, then sets every field once
-        # exported fields admit plain ints only, so bools and floats are refused
+        # admits every field, then canonicalizes; exported fields admit plain
+        # ints only, so bools and floats are refused
         if type(level) is not int or not 0 <= level <= group.exponent:
             raise MonomialError(f"level {level} out of range for ambient group {group}")
         if type(coeff) is not int:
             raise MonomialError(f"coefficient must be an integer, got {coeff!r}")
         a = _sized("a_exp", a_exp, level)
         u = _sized("u_exp", u_exp, level)
-        norms = () if norms == () else _merged_norms(norms, level)
+        norms = tuple(norms)  # any iterable, read here and again to merge
+        for i, j, e in norms:
+            if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
+                raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
+            if type(e) is not int or e < 0:
+                raise MonomialError("norm exponents must be non-negative integers")
+        self._canonicalize(group, level, coeff, norms, a, u)
+
+    @classmethod
+    def _trusted(cls, group, level, coeff, norms, a, u) -> "ClassMonomial":
+        """``cls(group, level, coeff, norms, a, u)`` with no checks, for a
+        producer whose fields are admitted by construction: ``level`` and
+        ``coeff`` plain ints, 0 <= level <= group.exponent; ``a`` and ``u``
+        tuples of ``level`` plain ints >= 0; each norm (i, j, e) plain ints,
+        i >= 1, 1 <= j <= level, e >= 0, in any order and not yet merged."""
+        m = object.__new__(cls)
+        m._canonicalize(group, level, coeff, norms, a, u)
+        return m
+
+    def _canonicalize(self, group, level, coeff, norms, a, u) -> None:
+        """Merge and sort the norms, reduce the coefficient by torsion, and
+        set every field; the one body behind both constructors."""
+        if norms:
+            merged: dict[tuple[int, int], int] = {}
+            for i, j, e in norms:
+                if e:
+                    merged[j, i] = merged.get((j, i), 0) + e
+            norms = tuple([(i, j, e) for (j, i), e in sorted(merged.items())])
+        else:
+            norms = ()
         # torsion: a_sigma kills 2 and a_lambda_i kills 2^(i+1), so the first
         # Euler class present gives the smallest modulus
         for i, e in enumerate(a):
@@ -84,17 +120,13 @@ class ClassMonomial:
         if coeff == 0:
             a = u = (0,) * level
             norms = ()
-        setattr = object.__setattr__
-        setattr(self, "group", group)
-        setattr(self, "level", level)
-        setattr(self, "coeff", coeff)
-        setattr(self, "norms", norms)
-        setattr(self, "a_exp", a)
-        setattr(self, "u_exp", u)
-        # grading caches, filled on first read; preset so that all instances
-        # share one attribute layout, which keeps field reads fast
-        setattr(self, "_degree", None)
-        setattr(self, "_bidegree", None)
+        # every field in one step, on the frozen dataclass's instance dict; the
+        # grading caches are filled on first read, and preset so that all
+        # instances share one attribute layout, which keeps field reads fast
+        self.__dict__.update(
+            group=group, level=level, coeff=coeff, norms=norms, a_exp=a, u_exp=u,
+            _degree=None, _bidegree=None,
+        )
 
     # -- constructors --------------------------------------------------------
 
@@ -220,20 +252,6 @@ def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
     if len(vec) == level and type(vec) is tuple:
         return vec
     return tuple(vec) + (0,) * (level - len(vec))
-
-
-def _merged_norms(
-    norms: Iterable[tuple[int, int, int]], level: int
-) -> tuple[tuple[int, int, int], ...]:
-    merged: dict[tuple[int, int], int] = {}
-    for i, j, e in norms:
-        if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
-            raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
-        if type(e) is not int or e < 0:
-            raise MonomialError("norm exponents must be non-negative integers")
-        if e:
-            merged[(j, i)] = merged.get((j, i), 0) + e
-    return tuple((i, j, e) for (j, i), e in sorted(merged.items()))
 
 
 def _check_class_rep(V: VirtualRep, kind: str) -> None:

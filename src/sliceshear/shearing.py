@@ -176,8 +176,9 @@ def correspond_class(m: ClassMonomial, ctx: ShearContext) -> ClassMonomial:
         power = ((1 << i) - 1) * e
         for t in range(j, ctx.k + j):
             a[t] += (1 << (t - 1)) * power
-    return ClassMonomial(
-        ctx.target_group, new_level, m.coeff, tuple(norms), tuple(a), tuple(u)
+    # the fields of an admitted monomial, shifted up k levels, stay admitted
+    return ClassMonomial._trusted(
+        ctx.target_group, new_level, m.coeff, norms, tuple(a), tuple(u)
     )
 
 

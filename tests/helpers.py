@@ -20,6 +20,7 @@ from sliceshear import (
     Differential,
     DslSemanticError,
     DslSyntaxError,
+    JsonSchemaError,
     Line,
     MonomialError,
     RepError,
@@ -29,6 +30,7 @@ from sliceshear import (
     VanishingProfile,
     Violation,
     VirtualRep,
+    basis_names,
     boundary_line,
     line_L,
     max_length,
@@ -554,6 +556,76 @@ def reference_validate(d: Differential) -> list[str]:
     except ValueError as e:  # a degree too long to print in the message
         return [f"invalid differential: {e}"]
     return problems
+
+
+# The JSON monomial reader that checked each field twice (once here, once in
+# the ClassMonomial constructor), kept verbatim as the oracle of import's
+# messages and paths.
+def _reference_need(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise JsonSchemaError(f"{path}.{key}", "required field is missing")
+    return obj[key]
+
+
+def _reference_int(value, path: str, minimum: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise JsonSchemaError(path, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise JsonSchemaError(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+_REFERENCE_LAMBDA_KEY_RE = re.compile(r"l[1-9]\d*", re.ASCII)
+
+
+def _reference_exp_vector(value, path: str, level: int, zero_key: str) -> tuple[int, ...]:
+    if not isinstance(value, dict):
+        raise JsonSchemaError(path, f"expected an object, got {value!r}")
+    vec = [0] * level
+    names = basis_names(level, zero_key)
+    for key, e in value.items():
+        if key not in names:
+            if not isinstance(key, str) or (
+                key != zero_key and not _REFERENCE_LAMBDA_KEY_RE.fullmatch(key)
+            ):
+                raise JsonSchemaError(f"{path}.{key}", "unknown basis key")
+            raise JsonSchemaError(f"{path}.{key}", f"basis slot out of range at level {level}")
+        vec[names.index(key)] = _reference_int(e, f"{path}.{key}", minimum=0)
+    return tuple(vec)
+
+
+def reference_obj_to_monomial(obj, path: str = "") -> ClassMonomial:
+    if not isinstance(obj, dict):
+        raise JsonSchemaError(path, f"expected an object, got {obj!r}")
+    group = _reference_int(_reference_need(obj, "group", path), f"{path}.group", minimum=0)
+    level = _reference_int(_reference_need(obj, "level", path), f"{path}.level", minimum=0)
+    coeff = _reference_int(_reference_need(obj, "coeff", path), f"{path}.coeff")
+    raw_norms = _reference_need(obj, "norms", path)
+    if not isinstance(raw_norms, list):
+        raise JsonSchemaError(f"{path}.norms", "expected a list of [i, j, e] triples")
+    norms = []
+    for idx, triple in enumerate(raw_norms):
+        tpath = f"{path}.norms[{idx}]"
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise JsonSchemaError(tpath, "expected an [i, j, e] triple")
+        norms.append(
+            (
+                _reference_int(triple[0], f"{tpath}[0]", minimum=1),
+                _reference_int(triple[1], f"{tpath}[1]", minimum=1),
+                _reference_int(triple[2], f"{tpath}[2]", minimum=0),
+            )
+        )
+    if level > group:
+        # rejected here, before the exponent maps build a basis table of that length
+        raise JsonSchemaError(
+            path, f"level {level} out of range for ambient group {CyclicGroup(group)}"
+        )
+    a = _reference_exp_vector(_reference_need(obj, "a", path), f"{path}.a", level, "s")
+    u = _reference_exp_vector(_reference_need(obj, "u", path), f"{path}.u", level, "2s")
+    try:
+        return ClassMonomial(CyclicGroup(group), level, coeff, tuple(norms), a, u)
+    except (MonomialError, RepError) as e:
+        raise JsonSchemaError(path, str(e)) from e
 
 
 def random_rep(rng: random.Random, group: CyclicGroup, span: int = 6) -> VirtualRep:

@@ -6,7 +6,10 @@ with output and nothing on stderr, and that each ``--json`` output is JSON.
 It then renders the two SVG goldens with ``sliceshear chart`` and compares
 them byte for byte, and runs README's four documented error examples, checking
 each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
-on stderr.  It needs no pytest, so it runs on any Python 3.10+:
+on stderr.  In process, it round-trips the HHR families through JSON, which
+builds every monomial through the unchecked constructor, and checks the exact
+error text for three malformed objects.  It needs no pytest, so it runs on any
+Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -33,6 +36,15 @@ ERRORS = [
     (None, ["rep", "dim", "--group", "C8", "--V", "2-x"], 2, "parse", None, 2),
     (None, ["rep", "dim", "--group", "C6", "--V", "0"], 3, "semantic", None, 0),
 ]
+# malformed JSON monomials and the exact JsonSchemaError text of each
+BAD_JSON = [
+    ('[{"group": 1, "level": 1, "coeff": 1, "norms": [[1, 2, 1]], "a": {}, "u": {}}]',
+     "items[0]: norm factor (1, 2) out of range at level 1"),
+    ('[{"group": 2, "level": 2, "coeff": 1, "norms": [], "a": {}, "u": {"l2": 1}}]',
+     "items[0].u.l2: basis slot out of range at level 2"),
+    ('[{"group": 1, "page": 3, "source": {"group": 1, "level": 1, "coeff": true}}]',
+     "items[0].source.coeff: expected an integer, got True"),
+]
 MAIN = (
     f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
     "from sliceshear.cli import main; sys.exit(main())"
@@ -51,8 +63,26 @@ def cli(argv: list[str], cwd: str) -> subprocess.CompletedProcess:
     )
 
 
+def json_failures() -> list[str]:
+    sys.path.insert(0, str(ROOT / "src"))
+    from sliceshear import JsonSchemaError, export_json, hhr_family, import_json
+
+    items = [hhr_family(n, i) for n in range(4) for i in range(1, 4)]
+    items += [m for d in items for m in (d.source, d.target)]
+    failures = [] if import_json(export_json(items)) == items else ["JSON round trip differs"]
+    for text, want in BAD_JSON:
+        try:
+            import_json(text)
+            got = "accepted"
+        except JsonSchemaError as e:
+            got = str(e)
+        if got != want:
+            failures.append(f"import_json({text}): got {got!r}, want {want!r}")
+    return failures
+
+
 def main() -> int:
-    failures = []
+    failures = json_failures()
     commands = readme_commands()
     if not commands:
         failures.append("README.md names no sliceshear command")
@@ -89,6 +119,7 @@ def main() -> int:
                                 f"want {(code, kind, line, col)}")
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
           f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(ERRORS)} error examples, "
+          f"{len(BAD_JSON)} malformed JSON objects, "
           f"{len(failures)} failures")
     for failure in failures:
         print(f"FAIL {failure}")

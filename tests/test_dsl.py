@@ -325,6 +325,12 @@ ERROR_CORPUS = [
     ("aS^-1*x", None, DslSyntaxError, "unexpected 'x' in class expression", 10),
     ("u2S", 0, DslSemanticError, "u2S needs a level of at least C2", 4),
     ("1", 3, DslSemanticError, "level 3 out of range for ambient group C4", 4),
+    # the level is admitted before any factor is read
+    ("aS", 3, DslSemanticError, "level 3 out of range for ambient group C4", 4),
+    ("aS", True, DslSemanticError, "level True out of range for ambient group C4", 4),
+    ("aS", 1.0, DslSemanticError, "level 1.0 out of range for ambient group C4", 4),
+    ("aS", -1, DslSemanticError, "level -1 out of range for ambient group C4", 4),
+    ("x*aL5", -1, DslSemanticError, "level -1 out of range for ambient group C4", 4),
 ]
 
 

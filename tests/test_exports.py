@@ -56,3 +56,15 @@ def test_only_reps_touches_the_per_k_series():
         if re.search(r"\b_boundary\b", text):
             offenders.append(f"{path.name} names _boundary")
     assert offenders == []
+
+
+def test_only_the_admitting_producers_build_trusted_monomials():
+    """``ClassMonomial._trusted`` checks nothing, so only the producers whose
+    fields are admitted by construction may name it."""
+    allowed = {"monomials.py", "jsonio.py", "shearing.py", "differentials.py", "dsl.py"}
+    offenders = [
+        path.name
+        for path in sorted(Path(sliceshear.__file__).parent.glob("*.py"))
+        if path.name not in allowed and re.search(r"\b_trusted\b", path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

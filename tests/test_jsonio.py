@@ -16,6 +16,7 @@ from sliceshear import (
     MonomialError,
     RegionWarning,
     RepError,
+    basis_names,
     build_D,
     export_json,
     hhr_family,
@@ -28,7 +29,7 @@ from sliceshear import (
 from sliceshear import jsonio
 from sliceshear.differentials import PROVENANCES
 from sliceshear.jsonio import differential_to_obj, monomial_to_obj, obj_to_monomial
-from helpers import random_monomial
+from helpers import random_monomial, reference_obj_to_monomial
 
 
 class TestRoundTrip:
@@ -324,3 +325,96 @@ class TestWriter:
         else:
             (back,) = import_json(export_json([d]))
             assert back == d and back.provenance == d.provenance
+
+
+class _Int(int):
+    """An int subclass: the reader's fallback passes it, and the checking
+    constructor refuses it, as before."""
+
+
+class _List(list):
+    pass
+
+
+_BAD_VALUES = [True, False, 1.5, 2.0, "3", -1, -7, None, [], {}, _Int(2)]
+
+
+def _mutate(rng: random.Random, obj: dict) -> None:
+    """One random change to a monomial object, malformed or not."""
+    level = obj.get("level") if type(obj.get("level")) is int else 2
+    kind = rng.randrange(12)
+    if kind == 0:  # a missing key
+        obj.pop(rng.choice(["group", "level", "coeff", "norms", "a", "u"]), None)
+    elif kind == 1:  # a bad value at a scalar field
+        obj[rng.choice(["group", "level", "coeff"])] = rng.choice(_BAD_VALUES)
+    elif kind == 2:  # level above the group, or at its edge
+        group = obj.get("group")
+        obj["level"] = group + rng.choice([0, 1, 2]) if type(group) is int else 1
+    elif kind == 3:  # norms that are not a list
+        obj["norms"] = rng.choice([None, {}, "[]", (1, 1, 1), 3])
+    elif kind == 4 and isinstance(obj.get("norms"), list):  # a malformed triple
+        obj["norms"].append(rng.choice([[1, 1], [1, 1, 1, 1], [], "abc", (1, 1, 1), 5, None]))
+    elif kind == 5 and isinstance(obj.get("norms"), list):  # a bad value in a triple
+        triple = [rng.randint(1, 4), rng.randint(1, max(level, 1)), rng.randint(0, 3)]
+        triple[rng.randrange(3)] = rng.choice(_BAD_VALUES + [0])
+        obj["norms"].insert(rng.randint(0, len(obj["norms"])), triple)
+    elif kind == 6 and isinstance(obj.get("norms"), list):  # j above the level
+        j = level + rng.randint(1, 3)
+        obj["norms"].insert(rng.randint(0, len(obj["norms"])), [rng.randint(1, 4), j, 1])
+    elif kind == 7 and isinstance(obj.get("norms"), list):  # unsorted, repeated, zero exponents
+        obj["norms"] += [[rng.randint(1, 3), rng.randint(1, max(level, 1)), rng.randint(0, 2)]
+                         for _ in range(rng.randint(1, 4))]
+        rng.shuffle(obj["norms"])
+    elif kind == 8:  # an exponent map that is not an object
+        obj[rng.choice("au")] = rng.choice([None, [], "s", 1])
+    elif kind == 9 and isinstance(obj.get("a"), dict) and isinstance(obj.get("u"), dict):
+        # a non-str, unknown or out-of-range basis key
+        obj[rng.choice("au")][rng.choice(
+            [1, None, 1.5, "x", "l0", "l01", "L1", "2s", "s", "s ", "l١",
+             f"l{level}", f"l{level + 5}", "l" + "9" * 30]
+        )] = 1
+    elif kind == 10 and isinstance(obj.get("a"), dict) and isinstance(obj.get("u"), dict):
+        # a bad value at a valid basis key
+        if level > 0:
+            name = rng.choice(("a", "u"))
+            key = rng.choice(basis_names(level, "s" if name == "a" else "2s"))
+            obj[name][key] = rng.choice(_BAD_VALUES + [0, 10**30])
+    elif kind == 11 and isinstance(obj.get("norms"), list):  # a list subclass triple
+        obj["norms"].append(_List([1, 1, 1]))
+
+
+def _outcome(read, obj, path):
+    try:
+        m = read(obj, path)
+    except Exception as e:  # the type and text are what is compared
+        return type(e), str(e)
+    return repr(m), tuple(map(type, (m.level, m.coeff, *m.a_exp, *m.u_exp)))
+
+
+def test_import_messages_match_the_reference_reader():
+    """obj_to_monomial accepts the monomial the two-pass reader accepted and
+    raises its exception type and text, path included, on 3,600 random objects:
+    valid ones, and ones with each kind of malformed field."""
+    rng = random.Random(16)
+    seen = {"accepted": 0}
+    for _ in range(3600):
+        group = CyclicGroup(rng.randint(0, 5))
+        obj = monomial_to_obj(random_monomial(rng, group, rng.randint(0, group.exponent)))
+        obj["norms"] = [list(t) for t in obj["norms"]]
+        obj["coeff"] = rng.randint(-4, 4)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            _mutate(rng, obj)
+        path = rng.choice(["", "items[3]", "items[0].source"])
+        got = _outcome(obj_to_monomial, obj, path)
+        assert got == _outcome(reference_obj_to_monomial, obj, path), obj
+        key = "accepted" if isinstance(got[0], str) else got[1].split(": ", 1)[-1][:18]
+        seen[key] = seen.get(key, 0) + 1
+    assert seen["accepted"] > 500
+    for message in [
+        "required field is missing", "expected an integer", "must be >= 0", "must be >= 1",
+        "level ", "expected a list of", "expected an [i, j, e]", "norm factor (",
+        "unknown basis key", "basis slot out of range", "expected an object",
+        "coefficient must be", "group exponent must", "a_exp entries must", "u_exp entries must",
+        "norm exponents must",
+    ]:
+        assert any(k.startswith(message[:18]) for k in seen), (message, sorted(seen))

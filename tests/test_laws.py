@@ -14,6 +14,7 @@ the closed form predicts; and the constructor, JSON and the DSL accept or
 reject the same raw classes and differentials.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -44,6 +45,7 @@ from sliceshear import (
     expand_euler,
     expand_orientation,
     hhr_family,
+    hu_kriz_seed,
     line_L,
     norm_class,
     obj_to_differential,
@@ -68,6 +70,7 @@ from helpers import (
     reference_boundary,
     reference_constant_C,
     reference_fixed_dimension,
+    reference_monomial_fields,
     reference_region_of,
     reference_tau_series,
     reference_tower_report,
@@ -553,3 +556,78 @@ def test_front_ends_agree_on_differentials():
         accepted += verdicts[0] is not None
         rejected += verdicts[0] is None
     assert accepted > 100 and rejected > 200
+
+
+# -- the trusted producers --------------------------------------------------------
+#
+# correspond_class, hhr_family and hu_kriz_seed, obj_to_monomial and the DSL
+# build monomials through ClassMonomial._trusted, which checks nothing.  Each
+# law rebuilds what a producer returns through the checking constructor: the
+# two must agree field for field, as plain ints, and behave alike as dataclasses.
+# Where the raw fields are at hand, the result is also their canonical form as
+# ``reference_monomial_fields`` computes it, since both constructors share one
+# canonicalizing body.
+
+
+def _assert_as_checked(m: ClassMonomial) -> None:
+    checked = ClassMonomial(m.group, m.level, m.coeff, m.norms, m.a_exp, m.u_exp)
+    fields = [f.name for f in dataclasses.fields(m)]
+    assert fields == [f.name for f in dataclasses.fields(checked)]
+    assert [getattr(m, f) for f in fields] == [getattr(checked, f) for f in fields]
+    ints = (m.level, m.coeff, *m.a_exp, *m.u_exp, *itertools.chain(*m.norms))
+    assert {type(x) for x in ints} <= {int} and type(m.norms) is type(m.a_exp) is tuple
+    assert list(vars(m)) == list(vars(checked))  # one attribute layout
+    assert (hash(m), repr(m)) == (hash(checked), repr(checked))
+    assert dataclasses.replace(m, coeff=3) == dataclasses.replace(checked, coeff=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.coeff = 3
+    assert (m.degree(), m.bidegree()) == (checked.degree(), checked.bidegree())
+
+
+@laws
+@given(shearable(), st.integers(-9, 9), steps)
+def test_correspond_class_builds_what_the_constructor_builds(m, coeff, k):
+    m = dataclasses.replace(m, coeff=coeff)
+    _assert_as_checked(correspond_class(m, ShearContext.lift(m.group, k)))
+
+
+@laws
+@given(st.integers(0, 6), st.integers(1, 7))
+def test_family_arrows_build_what_the_constructor_builds(n, i):
+    for d in (hhr_family(n, i), hu_kriz_seed(i)):
+        _assert_as_checked(d.source)
+        _assert_as_checked(d.target)
+
+
+@st.composite
+def raw_classes(draw):
+    """(exponent, level, coeff, norms, a, u) that every front end admits: norms
+    unsorted, repeated and with zero exponents, coefficients reduced or not."""
+    exponent = draw(st.integers(0, 4))
+    level = draw(st.integers(0, exponent))
+    norm = st.tuples(st.integers(1, 5), st.integers(1, max(level, 1)), st.integers(0, 3))
+    norms = draw(st.lists(norm, max_size=4 if level else 0))
+    a, u = (draw(st.lists(st.integers(0, 5), min_size=level, max_size=level)) for _ in "au")
+    return exponent, level, draw(st.integers(-20, 20)), norms, a, u
+
+
+def _assert_canonical_form_of(m: ClassMonomial, raw: tuple) -> None:
+    """m is the canonical form of the raw fields, as the earlier constructor made it."""
+    _assert_as_checked(m)
+    exponent, level, coeff, norms, a, u = raw
+    want = reference_monomial_fields(CyclicGroup(exponent), level, coeff, norms, a, u)
+    assert (m.group, m.level, m.coeff, m.norms, m.a_exp, m.u_exp) == want
+
+
+@laws
+@given(raw_classes())
+def test_json_import_builds_what_the_constructor_builds(raw):
+    _assert_canonical_form_of(obj_to_monomial(_class_obj(*raw)), raw)
+
+
+@laws
+@given(raw_classes())
+def test_class_expressions_build_what_the_constructor_builds(raw):
+    exponent, level, *fields = raw
+    m = parse_class_expr(_class_text(*fields), CyclicGroup(exponent), level)
+    _assert_canonical_form_of(m, raw)
