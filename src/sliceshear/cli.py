@@ -23,7 +23,7 @@ import sys
 import warnings
 
 from .reps import (
-    CyclicGroup, DslError, _EngineError, line_L, parse_group_name, parse_rep, tau,
+    CyclicGroup, DslError, _admit, _EngineError, line_L, parse_group_name, parse_rep, tau,
 )
 
 __all__ = ["main", "build_parser"]
@@ -88,8 +88,7 @@ def _handle_rep(args) -> tuple[str, dict]:
 def _handle_shear(args) -> tuple[str, dict]:
     from .shearing import ShearContext, ShearError, shear_degree
     target = CyclicGroup(args.n + 1)
-    if not 0 <= args.k <= args.n:
-        raise ShearError(f"shear step k={args.k} out of range for n={args.n}")
+    _admit(args.k, "shear step k", 0, args.n, f"n={args.n}", ShearError)
     V = parse_rep(args.V, target)
     ctx = ShearContext(CyclicGroup(args.n + 1 - args.k), target, args.k, V)
     t_prime, s_prime = shear_degree(ctx, args.t, args.s)

@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
-from .reps import CyclicGroup, VirtualRep, _EngineError, _check_int
-from .shearing import ShearContext, correspond_class, region_of, shear_length
+from .reps import CyclicGroup, VirtualRep, _admit, _EngineError
+from .shearing import ShearContext, ShearError, correspond_class, region_of, shear_length
 
 __all__ = [
     "Differential",
@@ -122,7 +122,7 @@ def hu_kriz_seed(i: int) -> Differential:
     classical seed family that transports up the tower: the n = 0 member of
     :func:`hhr_family`, built by the same code.
     """
-    _check_index(i, "seed index", 1)
+    _admit(i, "seed index", 1, error=DifferentialError)
     return _slice_differential(0, i, "seed")
 
 
@@ -132,15 +132,9 @@ def hhr_family(n: int, i: int) -> Differential:
     Page 2^(n+1) (2^i - 1) + 1, target N(t_i) * a_rhobar^(2^i - 1) *
     a_sigma^(2^i) in canonical form; n = 0 reproduces :func:`hu_kriz_seed`.
     """
-    _check_index(n, "group index", 0)
-    _check_index(i, "family index", 1)
+    _admit(n, "group index", 0, error=DifferentialError)
+    _admit(i, "family index", 1, error=DifferentialError)
     return _slice_differential(n, i, "generated")
-
-
-def _check_index(value: int, name: str, least: int) -> None:
-    _check_int(value, name, DifferentialError)
-    if value < least:
-        raise DifferentialError(f"{name} must be >= {least}, got {value}")
 
 
 def _slice_differential(n: int, i: int, provenance: str) -> Differential:
@@ -167,6 +161,7 @@ def transport(
     :class:`RegionWarning` is emitted when the source sits strictly outside
     the proven isomorphism region for that grading.
     """
+    _admit(k, "shear step k", error=ShearError)  # ShearContext checks its range
     if grading is None:
         grading = d.source.degree().pullback_to(CyclicGroup(d.group.exponent + k))
     ctx = ShearContext.lift(d.group, k, grading)
@@ -217,12 +212,7 @@ class PermanentCycleFact:
     citation: str
 
     def __post_init__(self) -> None:
-        if type(self.truncation) is not int:
-            raise DifferentialError(
-                f"theory truncation index must be an integer, got {self.truncation!r}"
-            )
-        if self.truncation < 1:
-            raise DifferentialError("theory truncation index must be >= 1")
+        _admit(self.truncation, "theory truncation index", 1, error=DifferentialError)
         if self.u_class.group != self.group:
             raise DifferentialError(
                 f"orientation class over {self.u_class.group} does not match the fact's "
@@ -261,7 +251,7 @@ def permanent_cycle_seeds(m: int) -> list[PermanentCycleFact]:
     The C_2 fact u_{2^(m+1) sigma} is parametrized by the height index m; the
     six C_4 facts are the computed truncation-1 and truncation-2 cycles.
     """
-    _check_index(m, "height index", 1)
+    _admit(m, "height index", 1, error=DifferentialError)
     c2, c4 = CyclicGroup(1), CyclicGroup(2)
     facts = [
         (c2, m, VirtualRep.of(c2, sigma=2 << m), "Hu-Kriz"),

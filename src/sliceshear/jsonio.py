@@ -4,7 +4,9 @@ The schema uses stable field order so exported bytes are deterministic:
 monomials are ``{group, level, coeff, norms, a, u}`` with ``norms`` a list of
 ``[i, j, e]`` triples and ``a``/``u`` maps keyed by basis names (``s``/``2s``
 and ``l<i>``); differentials are ``{group, page, source, target, provenance}``.
-Groups are recorded by their exponent, so ``3`` means C8.
+Groups are recorded by their exponent, so ``3`` means C8.  Every integer
+field must be a plain int, the engine's one admission rule; the reader checks
+each field once and builds the monomial without a second check.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import re
 from typing import Iterable, Union
 
 from .differentials import PROVENANCES, Differential, validate
-from .monomials import ClassMonomial, MonomialError
-from .reps import CyclicGroup, RepError, _EngineError, basis_names
+from .monomials import ClassMonomial
+from .reps import CyclicGroup, _EngineError, basis_names
 
 __all__ = [
     "JsonSchemaError",
@@ -69,7 +71,7 @@ def _need(obj: dict, key: str, path: str):
 
 
 def _int(value, path: str, minimum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # bools, floats and int subclasses, as reps._admit
         raise JsonSchemaError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise JsonSchemaError(path, f"must be >= {minimum}, got {value}")
@@ -87,9 +89,8 @@ def _slots(level: int, zero_key: str) -> dict[str, int]:
     return {k: slot for slot, k in enumerate(basis_names(level, zero_key))}
 
 
-def _exp_vector(value, path: str, name: str, level: int, zero_key: str, plain: bool):
-    """The vector the basis map ``path.name`` spells, and ``plain`` and-ed with
-    whether each entry was a plain int (see obj_to_monomial)."""
+def _exp_vector(value, path: str, name: str, level: int, zero_key: str) -> tuple[int, ...]:
+    """The vector the basis map ``path.name`` spells."""
     if not isinstance(value, dict):
         raise JsonSchemaError(f"{path}.{name}", f"expected an object, got {value!r}")
     vec = [0] * level
@@ -106,27 +107,25 @@ def _exp_vector(value, path: str, name: str, level: int, zero_key: str, plain: b
                 f"{path}.{name}.{key}", f"basis slot out of range at level {level}"
             )
         if type(e) is not int or e < 0:
-            e, plain = _int(e, f"{path}.{name}.{key}", minimum=0), False
+            _int(e, f"{path}.{name}.{key}", minimum=0)
         vec[slot] = e
-    return tuple(vec), plain
+    return tuple(vec)
 
 
 def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     if not isinstance(obj, dict):
         raise JsonSchemaError(path, f"expected an object, got {obj!r}")
-    # each field is tested once, inline, and a path is built only to word an
-    # error: on a miss, _int words it, or passes an int subclass, and then
-    # plain turns false and sends the fields through the checking constructor
-    plain = True
+    # each field is tested once, inline, and a path is built only when _int
+    # words the error that a failed test leads to
     group = _need(obj, "group", path)
     if type(group) is not int or group < 0:
-        group, plain = _int(group, f"{path}.group", minimum=0), False
+        _int(group, f"{path}.group", minimum=0)
     level = _need(obj, "level", path)
     if type(level) is not int or level < 0:
-        level, plain = _int(level, f"{path}.level", minimum=0), False
+        _int(level, f"{path}.level", minimum=0)
     coeff = _need(obj, "coeff", path)
     if type(coeff) is not int:
-        coeff, plain = _int(coeff, f"{path}.coeff"), False
+        _int(coeff, f"{path}.coeff")
     raw_norms = _need(obj, "norms", path)
     if not isinstance(raw_norms, list):
         raise JsonSchemaError(f"{path}.norms", "expected a list of [i, j, e] triples")
@@ -137,29 +136,23 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
             if type(i) is type(j) is type(e) is int and i >= 1 and j >= 1 and e >= 0:
                 norms.append((i, j, e))
                 continue
-        tpath = f"{path}.norms[{idx}]"
+        tpath = f"{path}.norms[{idx}]"  # a bad triple, or a good one in a list subclass
         if not isinstance(t, list) or len(t) != 3:
             raise JsonSchemaError(tpath, "expected an [i, j, e] triple")
         i = _int(t[0], f"{tpath}[0]", minimum=1)
         j = _int(t[1], f"{tpath}[1]", minimum=1)
         norms.append((i, j, _int(t[2], f"{tpath}[2]", minimum=0)))
-        plain = False
     if level > group:
         # rejected here, before the exponent maps build a basis table of that length
         raise JsonSchemaError(
             path, f"level {level} out of range for ambient group {CyclicGroup(group)}"
         )
-    a, plain = _exp_vector(_need(obj, "a", path), path, "a", level, "s", plain)
-    u, plain = _exp_vector(_need(obj, "u", path), path, "u", level, "2s", plain)
-    if plain:
-        for i, j, e in norms:
-            if j > level:
-                raise JsonSchemaError(path, f"norm factor ({i}, {j}) out of range at level {level}")
-        return ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
-    try:
-        return ClassMonomial(CyclicGroup(group), level, coeff, tuple(norms), a, u)
-    except (MonomialError, RepError) as e:
-        raise JsonSchemaError(path, str(e)) from e
+    a = _exp_vector(_need(obj, "a", path), path, "a", level, "s")
+    u = _exp_vector(_need(obj, "u", path), path, "u", level, "2s")
+    for i, j, e in norms:
+        if j > level:
+            raise JsonSchemaError(path, f"norm factor ({i}, {j}) out of range at level {level}")
+    return ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
 
 
 def obj_to_differential(obj, path: str = "") -> Differential:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .reps import CyclicGroup, RepError, VirtualRep, _EngineError
+from .reps import CyclicGroup, RepError, VirtualRep, _admit, _EngineError
 
 __all__ = [
     "ClassMonomial",
@@ -77,8 +77,7 @@ class ClassMonomial:
         # ints only, so bools and floats are refused
         if type(level) is not int or not 0 <= level <= group.exponent:
             raise MonomialError(f"level {level} out of range for ambient group {group}")
-        if type(coeff) is not int:
-            raise MonomialError(f"coefficient must be an integer, got {coeff!r}")
+        _admit(coeff, "coefficient", error=MonomialError)
         a = _sized("a_exp", a_exp, level)
         u = _sized("u_exp", u_exp, level)
         norms = tuple(norms)  # any iterable, read here and again to merge
@@ -229,7 +228,7 @@ class ClassMonomial:
         )
 
     def __pow__(self, e: int) -> "ClassMonomial":
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise MonomialError("monomial powers must be non-negative integers")
         if e == 0:
             return ClassMonomial.one(self.group, self.level)
@@ -303,6 +302,8 @@ def _d_norms(n: int, m: int, e: int = 1) -> list[tuple[int, int, int]]:
 
 def build_D(n: int, m: int) -> ClassMonomial:
     """The top-level product of norms N_{C_2}^{C_{2^n}}(t_{2^(n-k) m}), k = 1..n."""
+    _admit(n, "D index n", error=MonomialError)
+    _admit(m, "D index m", error=MonomialError)
     if n < 1 or m < 1:
         raise MonomialError(f"D indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
     return ClassMonomial(CyclicGroup(n), n, norms=tuple(_d_norms(n, m)))

@@ -9,6 +9,9 @@ rational, and nothing in this module touches floating point.  The tower's
 per-k numbers (``fixed_dimension``, ``tau``, ``line_L``, ``constant_C``) each
 read one series that a representation memoizes on first use.
 
+``_admit`` is the engine's one admission rule for an integer handed in from
+outside: every module that checks an index, step, page or height calls it.
+
 The group and representation literals that ``VirtualRep.__str__`` prints are
 parsed here too, with the DSL error classes those parsers raise.
 """
@@ -78,10 +81,18 @@ class DslSemanticError(DslError):
     """Well-formed text naming something the declared group cannot have."""
 
 
-def _check_int(value, name: str, error: type[_EngineError] = RepError) -> None:
-    # plain ints only, as for group exponents and pages: bools and floats are refused
+def _admit(value, name: str, least=None, most=None, where=None, error=RepError) -> int:
+    """``value`` if it is a plain int in [least, most] (None: unbounded), else
+    ``error``.  Bools, floats and int subclasses are refused.  A value out of
+    range is worded "{name}={value} out of range for {where}" when ``where`` is
+    given, else "{name} must be >= {least}"; a ``most`` comes with a ``where``."""
     if type(value) is not int:
         raise error(f"{name} must be an integer, got {value!r}")
+    if not ((least is None or least <= value) and (most is None or value <= most)):
+        if where is None:
+            raise error(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name}={value} out of range for {where}")
+    return value
 
 
 @lru_cache(maxsize=128)
@@ -117,12 +128,12 @@ class CyclicGroup:
         return 1 << self.exponent
 
     def subgroup(self, k: int) -> "CyclicGroup":
-        if not 0 <= k <= self.exponent:
+        if not 0 <= _admit(k, "subgroup index k") <= self.exponent:
             raise RepError(f"C_(2^{k}) is not a subgroup of {self}")
         return CyclicGroup(k)
 
     def quotient(self, k: int) -> "CyclicGroup":
-        if not 0 <= k <= self.exponent:
+        if not 0 <= _admit(k, "subgroup index k") <= self.exponent:
             raise RepError(f"cannot form the quotient of {self} by C_(2^{k})")
         return CyclicGroup(self.exponent - k)
 
@@ -154,7 +165,7 @@ class VirtualRep:
                 f"got {len(self.coeffs)}"
             )
         for c in self.coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise RepError(f"coefficients must be integers, got {c!r}")
 
     # -- constructors ------------------------------------------------------
@@ -180,9 +191,9 @@ class VirtualRep:
                 raise RepError("sigma is not a basis element over the trivial group")
             co[1] = sigma
         for i, c in (lam or {}).items():
-            if not 1 <= i <= n - 1:
+            if not 1 <= _admit(i, "lambda index") <= n - 1:
                 raise RepError(f"lambda_{i} is not a basis element of RO({group})")
-            co[1 + i] += c
+            co[1 + i] = c  # each i once, so the coefficient check sees c itself
         return cls(group, tuple(co))
 
     # -- coefficient access ------------------------------------------------
@@ -194,15 +205,6 @@ class VirtualRep:
     @property
     def c_sigma(self) -> int:
         return self.coeffs[1] if self.group.exponent >= 1 else 0
-
-    def c_lambda(self, i: int) -> int:
-        if not 1 <= i <= self.group.exponent - 1:
-            raise RepError(f"lambda_{i} is not a basis element of RO({self.group})")
-        return self.coeffs[1 + i]
-
-    @property
-    def lambda_range(self) -> range:
-        return range(1, max(self.group.exponent, 1))
 
     @property
     def dimension(self) -> int:
@@ -258,9 +260,7 @@ class VirtualRep:
 
     def fixed_dimension(self, k: int) -> int:
         """``fixed_points(k).dimension`` without building the quotient rep."""
-        _check_int(k, "fixed-point index k")
-        if not 0 <= k <= self.group.exponent:
-            raise RepError(f"fixed-point index k={k} out of range for {self.group}")
+        _admit(k, "fixed-point index k", 0, self.group.exponent, self.group)
         return self._series[0][k]
 
     @cached_property
@@ -306,9 +306,7 @@ class VirtualRep:
         2 * sum_{i<d} c_lambda_i, sigma = 2 c_lambda_d, lambda_j = c_lambda_{j+d}.
         """
         n = self.group.exponent
-        _check_int(m, "restriction level m")
-        if not 0 <= m <= n:
-            raise RepError(f"restriction level m={m} out of range for {self.group}")
+        _admit(m, "restriction level m", 0, n, self.group)
         if m == n:
             return self
         co, d = self.coeffs, n - m
@@ -423,9 +421,7 @@ def rho_bar(n_plus_1: int, k: int = 0) -> VirtualRep:
     representation.
     """
     n = n_plus_1 - 1
-    _check_int(k, "rho_bar index k")
-    if n_plus_1 < 1 or not 0 <= k <= n:
-        raise RepError(f"rho_bar index k={k} out of range for C_(2^{n_plus_1})")
+    _admit(k, "rho_bar index k", 0, n, f"C_(2^{n_plus_1})")  # no k for n_plus_1 < 1
     group = CyclicGroup(n_plus_1)
     return VirtualRep.of(
         group, sigma=1, lam={m: 1 << (m - 1) for m in range(1, n - k + 1)}
@@ -472,8 +468,7 @@ def tau(V: VirtualRep, k: int) -> int:
     term vanishes, hence tau(V, k) >= 0 and tau(V, 0) = 0.
     """
     if type(k) is not int or not 0 <= k <= V.group.exponent:  # one test on line_L's path
-        _check_int(k, "tau index k")
-        raise RepError(f"tau index k={k} out of range for {V.group}")
+        _admit(k, "tau index k", 0, V.group.exponent, V.group)
     return V._series[1][k]
 
 
@@ -507,7 +502,5 @@ def constant_C(V: VirtualRep, k: int) -> Fraction:
     memoized series; non-negative because tau is the max over a set
     containing that term.
     """
-    _check_int(k, "threshold index k")
-    if not 1 <= k < V.group.exponent:
-        raise RepError(f"threshold index k={k} out of range for {V.group}")
+    _admit(k, "threshold index k", 1, V.group.exponent - 1, V.group)
     return Fraction(_threshold(V, k), 1 << k)

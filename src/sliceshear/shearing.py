@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monomials import ClassMonomial, expand_euler
-from .reps import CyclicGroup, Line, VirtualRep, _EngineError, _check_int, _shift, _threshold
+from .reps import CyclicGroup, Line, VirtualRep, _admit, _EngineError, _shift, _threshold
 from .reps import constant_C, line_L, rho_bar
 
 __all__ = [
@@ -50,7 +50,7 @@ class ShearContext:
     grading: VirtualRep
 
     def __post_init__(self) -> None:
-        _check_step(self.k)
+        _admit(self.k, "shear step k", 0, error=ShearError)
         if self.target_group.exponent != self.source_group.exponent + self.k:
             raise ShearError(
                 f"{self.target_group} is not {self.k} doublings above {self.source_group}"
@@ -68,15 +68,11 @@ class ShearContext:
         cls, source_group: CyclicGroup, k: int, grading: VirtualRep | None = None
     ) -> "ShearContext":
         """Context shearing ``source_group`` up k steps; default grading 0."""
+        _admit(k, "shear step k", error=ShearError)  # the constructor checks its range
         target = CyclicGroup(source_group.exponent + k)
         if grading is None:
             grading = VirtualRep.zero(target)
         return cls(source_group, target, k, grading)
-
-    @property
-    def source_grading(self) -> VirtualRep:
-        """The grading of the source-side page: C_{2^k}-fixed points."""
-        return self.grading.fixed_points(self.k)
 
     @property
     def source_threshold(self) -> Fraction:
@@ -86,18 +82,10 @@ class ShearContext:
         return constant_C(self.grading, self.k)
 
 
-def _check_step(k: int) -> None:
-    _check_int(k, "shear step k", ShearError)
-    if k < 0:
-        raise ShearError(f"shear step k must be >= 0, got {k}")
-
-
 def shear_length(r: int, k: int) -> int:
     """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k."""
-    _check_step(k)
-    _check_int(r, "differential length", ShearError)
-    if r < 2:
-        raise ShearError(f"differential length must be >= 2, got {r}")
+    _admit(k, "shear step k", 0, error=ShearError)
+    _admit(r, "differential length", 2, error=ShearError)
     return (1 << k) * r - ((1 << k) - 1)
 
 
@@ -108,8 +96,8 @@ def unshear_length(r_prime: int, k: int) -> int:
     such a length is not in the image of shearing, so no differential of that
     length can exist in the sheared region.
     """
-    _check_step(k)
-    _check_int(r_prime, "sheared length", ShearError)
+    _admit(k, "shear step k", 0, error=ShearError)
+    _admit(r_prime, "sheared length", error=ShearError)
     if k == 0:
         return r_prime
     if r_prime < 3:
@@ -144,11 +132,11 @@ def euler_ratio(k: int, j: int, power: int) -> ClassMonomial:
     top-level monomial over C_{2^(k+j)}, built from ``rho_bar`` and
     ``expand_euler``, the homes of those weights and that expansion.
     """
+    _admit(k, "euler_ratio index k", error=ShearError)
+    _admit(j, "euler_ratio index j", error=ShearError)
     if k < 1 or j < 1:
         raise ShearError(f"euler_ratio indices must satisfy k, j >= 1, got ({k}, {j})")
-    _check_int(power, "euler_ratio power", ShearError)
-    if power < 0:
-        raise ShearError(f"euler_ratio power must be >= 0, got {power}")
+    _admit(power, "euler_ratio power", 0, error=ShearError)
     return expand_euler((rho_bar(k + j) - rho_bar(k + j, k)) * power)
 
 
@@ -218,6 +206,8 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
     line with the full chart of the height-(h / 2^k) theory over
     C_{2^(n-k+1)}.  Each row costs O(1) after one O(n) pass over the grading.
     """
+    _admit(n, "tower index n", error=ShearError)
+    _admit(m, "tower index m", error=ShearError)
     if n < 1 or m < 1:
         raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
     group = CyclicGroup(n + 1)

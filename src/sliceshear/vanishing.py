@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, RepError, VirtualRep, _check_int, line_L
+from .reps import CyclicGroup, Line, RepError, VirtualRep, _admit, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -43,10 +43,9 @@ class VanishingProfile:
     grading: VirtualRep
 
     def __post_init__(self) -> None:
-        _check_int(self.n, "profile index n")
-        _check_int(self.h, "height")
-        if self.n < 0:
-            raise RepError(f"profile index n must be >= 0, got {self.n}")
+        _admit(self.n, "profile index n")
+        _admit(self.h, "height")  # both types before n's range, as the messages go
+        _admit(self.n, "profile index n", 0)
         if self.h < 1 or self.h % (1 << self.n):
             raise RepError(
                 f"height {self.h} is not a positive multiple of 2^{self.n}"
@@ -69,11 +68,10 @@ def N_constant(h: int, n: int, k: int) -> int:
 
 def _check_vanishing_index(h: int, n: int, k: int) -> None:
     """Raise the RepError ``N_constant`` raises for (h, n, k), building nothing."""
-    if not type(h) is type(n) is type(k) is int:  # one test on the hot path
-        for value, name in ((h, "height"), (n, "group index n"), (k, "vanishing index k")):
-            _check_int(value, name)
-    if not 0 <= k <= n:
-        raise RepError(f"vanishing index k={k} out of range for n={n}")
+    if not (type(h) is type(n) is type(k) is int and 0 <= k <= n):  # one test on the hot path
+        _admit(h, "height")
+        _admit(n, "group index n")
+        _admit(k, "vanishing index k", 0, n, f"n={n}")
     if h < 1 or h % (1 << k):
         raise RepError(f"height {h} is not divisible by 2^{k}")
 
@@ -95,7 +93,7 @@ def boundary_line(V: VirtualRep, n: int) -> Line:
     Slope |G| - 1 and intercept -|V| + |G| * max_H |V^H|, the maximum running
     over all subgroups.
     """
-    _check_int(n, "boundary group index n")
+    _admit(n, "boundary group index n")
     # the group is built only to word the error, which it raises itself for a bad n
     if V.group.exponent != n + 1:
         raise RepError(f"boundary grading must live over {CyclicGroup(n + 1)}, got {V.group}")

@@ -48,8 +48,8 @@ def character(V: VirtualRep, j: int) -> float:
     value = float(V.c_triv)
     if n >= 1:
         value += V.c_sigma * (-1.0) ** j
-        for i in V.lambda_range:
-            value += V.c_lambda(i) * 2.0 * math.cos(2.0 * math.pi * j / (1 << (i + 1)))
+        for i in range(1, n):
+            value += V.coeffs[1 + i] * 2.0 * math.cos(2.0 * math.pi * j / (1 << (i + 1)))
     return value
 
 
@@ -473,7 +473,7 @@ def reference_region_of(m: ClassMonomial, ctx: ShearContext) -> str:
     """
     # ctx.source_threshold, as ShearContext computed it
     threshold = Fraction(0) if ctx.k == 0 else reference_constant_C(ctx.grading, ctx.k)
-    x = m.stem - ctx.source_grading.dimension
+    x = m.stem - ctx.grading.fixed_points(ctx.k).dimension
     s = m.filtration
     if x < 0 or s < threshold:
         return "outside"

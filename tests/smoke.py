@@ -8,8 +8,10 @@ them byte for byte, and runs README's four documented error examples, checking
 each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
 on stderr.  In process, it round-trips the HHR families through JSON, which
 builds every monomial through the unchecked constructor, and checks the exact
-error text for three malformed objects.  It needs no pytest, so it runs on any
-Python 3.10+:
+error text for three malformed objects.  Last, it hands a few public calls a
+bool, a float, an int subclass or an out-of-range int, and checks the exact
+exception class and text of each, so the engine's one admission rule runs on
+every supported Python.  It needs no pytest, so it runs on any Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -81,8 +83,48 @@ def json_failures() -> list[str]:
     return failures
 
 
+class _Int(int):
+    """An int subclass, which the admission rule refuses like a bool or a float."""
+
+
+def admission_checks() -> list:
+    """(what is called, the call, its exception class, its exact text) for each check."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import sliceshear as s
+
+    page = s.differential_to_obj(s.hhr_family(1, 1))
+    page["page"] = _Int(page["page"])
+    return [
+        ("tau(V, True)", lambda: s.tau(s.VirtualRep.zero(s.CyclicGroup(3)), True),
+         s.RepError, "tau index k must be an integer, got True"),
+        ("shear_length(3, 1.0)", lambda: s.shear_length(3, 1.0),
+         s.ShearError, "shear step k must be an integer, got 1.0"),
+        ("hhr_family(1, 0)", lambda: s.hhr_family(1, 0),
+         s.DifferentialError, "family index must be >= 1, got 0"),
+        ("tower_report(1, 1.5)", lambda: s.tower_report(1, 1.5),
+         s.ShearError, "tower index m must be an integer, got 1.5"),
+        ("obj_to_differential(<int subclass page>)",
+         lambda: s.obj_to_differential(page, "items[0]"),
+         s.JsonSchemaError, "items[0].page: expected an integer, got 5"),
+    ]
+
+
+def admission_failures(checks: list) -> list[str]:
+    failures = []
+    for shown, call, error, text in checks:
+        try:
+            call()
+            got = "accepted"
+        except Exception as e:  # the class and text are what is checked
+            got = (type(e), str(e))
+        if got != (error, text):
+            failures.append(f"{shown}: got {got!r}, want {(error, text)!r}")
+    return failures
+
+
 def main() -> int:
-    failures = json_failures()
+    checks = admission_checks()
+    failures = json_failures() + admission_failures(checks)
     commands = readme_commands()
     if not commands:
         failures.append("README.md names no sliceshear command")
@@ -119,7 +161,7 @@ def main() -> int:
                                 f"want {(code, kind, line, col)}")
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
           f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(ERRORS)} error examples, "
-          f"{len(BAD_JSON)} malformed JSON objects, "
+          f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
           f"{len(failures)} failures")
     for failure in failures:
         print(f"FAIL {failure}")

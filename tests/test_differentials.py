@@ -10,6 +10,7 @@ from sliceshear import (
     LeibnizZeroError,
     PermanentCycleFact,
     RegionWarning,
+    ShearError,
     VirtualRep,
     correspond_class,
     ShearContext,
@@ -169,6 +170,12 @@ class TestTransport:
             for i in range(1, 6):
                 assert validate(transport(hu_kriz_seed(i), n)) == []
 
+    @pytest.mark.parametrize("grading", [None, VirtualRep.zero(CyclicGroup(2))])
+    def test_rejects_a_non_integer_step(self, grading):
+        # 1.0 once named the group exponent 2.0
+        with pytest.raises(ShearError, match="^shear step k must be an integer, got 1.0$"):
+            transport(hu_kriz_seed(1), 1.0, grading)
+
 
 class TestLeibniz:
     def test_unit(self):
@@ -266,6 +273,11 @@ class TestPermanentCycles:
         u = ClassMonomial(C2, 1, u_exp=(1,))
         with pytest.raises(DifferentialError, match="must be an integer"):
             PermanentCycleFact(C2, truncation, u, "x")
+
+    def test_rejects_a_truncation_below_one(self):
+        u = ClassMonomial(C2, 1, u_exp=(1,))
+        with pytest.raises(DifferentialError, match="^theory truncation index must be >= 1, got 0$"):
+            PermanentCycleFact(C2, 0, u, "x")
 
     @pytest.mark.parametrize(
         "m, message",

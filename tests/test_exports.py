@@ -58,6 +58,19 @@ def test_only_reps_touches_the_per_k_series():
     assert offenders == []
 
 
+def test_only_reps_words_the_admission_rule():
+    """One rule admits an integer: ``reps._admit`` words its type error, and
+    none of the per-module helpers it replaced comes back."""
+    offenders = []
+    for path in sorted(Path(sliceshear.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for helper in re.findall(r"\bdef (_check_(?:int|index|step))\b", text):
+            offenders.append(f"{path.name} defines {helper}")
+        if path.name != "reps.py" and "must be an integer, got" in text:
+            offenders.append(f"{path.name} words the integer type error")
+    assert offenders == []
+
+
 def test_only_the_admitting_producers_build_trusted_monomials():
     """``ClassMonomial._trusted`` checks nothing, so only the producers whose
     fields are admitted by construction may name it."""

@@ -205,6 +205,32 @@ class TestInvalidDifferentials:
         obj["source"]["coeff"] = 0
         self._rejected(obj, "differential endpoints must be nonzero classes")
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            ("page",), ("group",), ("source", "group"), ("source", "level"),
+            ("source", "coeff"), ("target", "norms", 0, 0), ("target", "norms", 0, 1),
+            ("target", "norms", 0, 2), ("target", "a", "s"), ("target", "a", "l1"),
+            ("source", "u", "2s"),
+        ],
+        ids=lambda field: ".".join(map(str, field)),
+    )
+    def test_int_subclass_is_refused_at_its_field(self, field):
+        # it once reached the constructors, which raised a bare DifferentialError
+        # or RepError, or a JsonSchemaError worded by the monomial constructor
+        obj = differential_to_obj(hhr_family(1, 1))
+        obj["target"]["norms"] = [list(t) for t in obj["target"]["norms"]]
+        *parents, last = field
+        holder = obj
+        for key in parents:
+            holder = holder[key]
+        holder[last] = _Int(holder[last])
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in field)
+        want = f"items[0]{where}: expected an integer, got {holder[last]!r}"
+        with pytest.raises(JsonSchemaError) as e:
+            jsonio.obj_to_differential(obj, "items[0]")
+        assert str(e.value) == want
+
     def test_degree_too_long_to_print(self, default_digit_limit):
         obj = differential_to_obj(hhr_family(0, 1))
         obj["target"]["norms"] = [[20000, 1, 1]]
@@ -328,8 +354,16 @@ class TestWriter:
 
 
 class _Int(int):
-    """An int subclass: the reader's fallback passes it, and the checking
-    constructor refuses it, as before."""
+    """An int subclass: the reader refuses it at its field, by the engine's one
+    admission rule, where the reference reader passes it to the constructor."""
+
+
+def _holds_int_subclass(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(_holds_int_subclass, value.values()))
+    if isinstance(value, list):
+        return any(map(_holds_int_subclass, value))
+    return type(value) is _Int
 
 
 class _List(list):
@@ -394,7 +428,8 @@ def _outcome(read, obj, path):
 def test_import_messages_match_the_reference_reader():
     """obj_to_monomial accepts the monomial the two-pass reader accepted and
     raises its exception type and text, path included, on 3,600 random objects:
-    valid ones, and ones with each kind of malformed field."""
+    valid ones, and ones with each kind of malformed field.  An object holding
+    an int subclass need only raise JsonSchemaError."""
     rng = random.Random(16)
     seen = {"accepted": 0}
     for _ in range(3600):
@@ -406,7 +441,10 @@ def test_import_messages_match_the_reference_reader():
             _mutate(rng, obj)
         path = rng.choice(["", "items[3]", "items[0].source"])
         got = _outcome(obj_to_monomial, obj, path)
-        assert got == _outcome(reference_obj_to_monomial, obj, path), obj
+        if _holds_int_subclass(obj):
+            assert got[0] is JsonSchemaError, (obj, got)
+        else:
+            assert got == _outcome(reference_obj_to_monomial, obj, path), obj
         key = "accepted" if isinstance(got[0], str) else got[1].split(": ", 1)[-1][:18]
         seen[key] = seen.get(key, 0) + 1
     assert seen["accepted"] > 500
@@ -414,7 +452,5 @@ def test_import_messages_match_the_reference_reader():
         "required field is missing", "expected an integer", "must be >= 0", "must be >= 1",
         "level ", "expected a list of", "expected an [i, j, e]", "norm factor (",
         "unknown basis key", "basis slot out of range", "expected an object",
-        "coefficient must be", "group exponent must", "a_exp entries must", "u_exp entries must",
-        "norm exponents must",
     ]:
         assert any(k.startswith(message[:18]) for k in seen), (message, sorted(seen))

@@ -108,6 +108,12 @@ class TestMultiply:
         assert ClassMonomial(g, 2, coeff=4, a_exp=(0, 1)).is_zero
         assert ClassMonomial(g, 2, coeff=2, a_exp=(1, 1)).is_zero  # min modulus 2
 
+    @pytest.mark.parametrize("e", [True, 1.5, -1])
+    def test_power_rejects_a_non_integer_exponent(self, e):
+        # True once passed the isinstance test
+        with pytest.raises(MonomialError, match="^monomial powers must be non-negative integers$"):
+            ClassMonomial(C(1), 1, a_exp=(1,)) ** e
+
     def test_mismatch_rejected(self):
         with pytest.raises(MonomialError):
             ClassMonomial.one(C2, 1) * ClassMonomial.one(C(2), 2)
@@ -175,6 +181,14 @@ class TestBuildD:
             build_D(0, 1)
         with pytest.raises(MonomialError):
             build_D(1, 0)
+        # True and 1.5 once named the group exponent
+        for n, m, message in [
+            (True, 1, "D index n must be an integer, got True"),
+            (1.5, 1, "D index n must be an integer, got 1.5"),
+            (1, 1.5, "D index m must be an integer, got 1.5"),
+        ]:
+            with pytest.raises(MonomialError, match=f"^{message}$"):
+                build_D(n, m)
 
 
 @given(st.integers(0, 4), st.data())

@@ -50,6 +50,15 @@ class TestGroup:
         with pytest.raises(RepError):
             CyclicGroup(-1)
 
+    def test_coefficients_are_plain_ints(self):
+        # a bool passed the isinstance test, directly or added to a zero slot
+        for make in (
+            lambda: VirtualRep(C(3), (True, 0, 0, 0)),
+            lambda: VirtualRep.of(C(3), lam={1: True}),
+        ):
+            with pytest.raises(RepError, match="^coefficients must be integers, got True$"):
+                make()
+
     def test_str(self):
         assert str(C(0)) == "C1"
         assert str(C(4)) == "C16"
@@ -205,6 +214,10 @@ _PER_K_READERS = {
     "fixed_dimension": VirtualRep.fixed_dimension,
     "restrict": VirtualRep.restrict,
     "rho_bar": lambda V, k: rho_bar(3, k),
+    "fixed_points": VirtualRep.fixed_points,
+    "quotient": lambda V, k: V.group.quotient(k),
+    "subgroup": lambda V, k: V.group.subgroup(k),
+    "lambda": lambda V, k: VirtualRep.of(V.group, lam={k: 1}),
 }
 
 
@@ -219,6 +232,12 @@ _PER_K_READERS = {
         ("fixed_dimension", 1.0, "fixed-point index k must be an integer, got 1.0"),
         ("restrict", 1.0, "restriction level m must be an integer, got 1.0"),
         ("rho_bar", 1.0, "rho_bar index k must be an integer, got 1.0"),
+        ("fixed_points", 1.0, "subgroup index k must be an integer, got 1.0"),
+        ("fixed_points", True, "subgroup index k must be an integer, got True"),
+        ("quotient", True, "subgroup index k must be an integer, got True"),
+        ("subgroup", 1.0, "subgroup index k must be an integer, got 1.0"),
+        ("lambda", 1.5, "lambda index must be an integer, got 1.5"),
+        ("lambda", True, "lambda index must be an integer, got True"),
         # the messages for ints are unchanged
         ("tau", 4, "tau index k=4 out of range for C8"),
         ("line_L", -1, "tau index k=-1 out of range for C8"),
@@ -226,11 +245,15 @@ _PER_K_READERS = {
         ("fixed_dimension", 4, "fixed-point index k=4 out of range for C8"),
         ("restrict", 4, "restriction level m=4 out of range for C8"),
         ("rho_bar", 3, r"rho_bar index k=3 out of range for C_\(2\^3\)"),
+        ("quotient", 4, r"cannot form the quotient of C8 by C_\(2\^4\)"),
+        ("subgroup", -1, r"C_\(2\^-1\) is not a subgroup of C8"),
+        ("lambda", 3, r"lambda_3 is not a basis element of RO\(C8\)"),
     ],
 )
 def test_per_k_readers_reject_a_non_integer_index(reader, k, message):
-    # a float once leaked a bare TypeError from list or tuple indexing, and
-    # tau(V, True) returned tau(V, 1)
+    # a float once leaked a bare TypeError from list or tuple indexing, or
+    # named the group exponent; tau(V, True) returned tau(V, 1), and
+    # fixed_points(True) a representation of C4
     with pytest.raises(RepError, match=f"^{message}$"):
         _PER_K_READERS[reader](parse_rep("3-2s+l1", C(3)), k)
 
@@ -343,7 +366,7 @@ class TestRhoBar:
             assert v.c_sigma == 1 and v.c_triv == 0
             for m in range(1, 5):
                 want = (1 << (m - 1)) if m <= 4 - k else 0
-                assert v.c_lambda(m) == want
+                assert v.coeffs[1 + m] == want
             assert v.dimension == (1 << (5 - k)) - 1
 
     def test_difference_is_upper_lambda_block(self):

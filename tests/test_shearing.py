@@ -87,6 +87,9 @@ class TestLengthMaps:
         for k in (1.0, True):
             with pytest.raises(ShearError, match="must be an integer"):
                 ShearContext(C(1), C(2), k, VirtualRep.zero(C(2)))
+            # lift once named the group exponent 2.0
+            with pytest.raises(ShearError, match=f"^shear step k must be an integer, got {k!r}$"):
+                ShearContext.lift(C(1), k)
 
 
 class TestShearDegree:
@@ -142,6 +145,14 @@ class TestEulerRatio:
     def test_bad_indices(self):
         with pytest.raises(ShearError):
             euler_ratio(0, 1, 1)
+        # 1.5 once named the group exponent 2.5, and True built a class
+        for k, j, message in [
+            (1.5, 1, "euler_ratio index k must be an integer, got 1.5"),
+            (1, True, "euler_ratio index j must be an integer, got True"),
+            (0, 1, r"euler_ratio indices must satisfy k, j >= 1, got \(0, 1\)"),
+        ]:
+            with pytest.raises(ShearError, match=f"^{message}$"):
+                euler_ratio(k, j, 1)
 
     def test_rejects_a_non_integer_power(self):
         for power in (1.5, True):
@@ -261,3 +272,12 @@ class TestTower:
     def test_bad_indices(self):
         with pytest.raises(ShearError):
             tower_report(0, 1)
+        # 1.5 once leaked a TypeError or named the group exponent, and True built a table
+        for n, m, message in [
+            (1, 1.5, "tower index m must be an integer, got 1.5"),
+            (True, 1, "tower index n must be an integer, got True"),
+            (1.5, 1, "tower index n must be an integer, got 1.5"),
+            (0, 1, r"tower indices must satisfy n >= 1, m >= 1, got \(0, 1\)"),
+        ]:
+            with pytest.raises(ShearError, match=f"^{message}$"):
+                tower_report(n, m)
