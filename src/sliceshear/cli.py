@@ -90,7 +90,7 @@ def _handle_shear(args) -> tuple[str, dict]:
     target = CyclicGroup(args.n + 1)
     _admit(args.k, "shear step k", 0, args.n, f"n={args.n}", ShearError)
     V = parse_rep(args.V, target)
-    ctx = ShearContext(CyclicGroup(args.n + 1 - args.k), target, args.k, V)
+    ctx = ShearContext(CyclicGroup(args.n + 1 - args.k), args.k, V)
     t_prime, s_prime = shear_degree(ctx, args.t, args.s)
     return f"(t', s') = ({t_prime}, {s_prime})", {"t_prime": t_prime, "s_prime": s_prime}
 
@@ -103,7 +103,7 @@ def _handle_correspond(args) -> tuple[str, dict]:
     level = None if args.level is None else parse_group_name(args.level).exponent
     m = parse_class_expr(args.expr, source_group, level)
     target = CyclicGroup(source_group.exponent + args.k)
-    ctx = ShearContext(source_group, target, args.k, parse_rep(args.V, target))
+    ctx = ShearContext(source_group, args.k, parse_rep(args.V, target))
     out = correspond_class(m, ctx)
     region = region_of(m, ctx)
     text = canonical = print_canonical(out)
@@ -226,16 +226,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON payload")
-
     p = sub.add_parser("rep", help="representation arithmetic")
     p.add_argument("op", choices=["dim", "fixed", "restrict", "tau", "lines"])
     p.add_argument("--group", "-g", required=True, help="ambient group, e.g. C8")
     p.add_argument("--V", required=True, help="representation literal, e.g. 2-2s")
     p.add_argument("--k", type=int, help="subgroup index for fixed/tau")
     p.add_argument("--m", type=int, help="subgroup index for restrict")
-    common(p)
     p.set_defaults(handler=_handle_rep)
 
     p = sub.add_parser("shear", help="bidegree transform between chart pages")
@@ -244,7 +240,6 @@ def build_parser() -> _Parser:
     p.add_argument("--V", required=True, help="grading over the target group")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    common(p)
     p.set_defaults(handler=_handle_shear)
 
     p = sub.add_parser("correspond", help="transport a class up the tower")
@@ -253,20 +248,17 @@ def build_parser() -> _Parser:
     p.add_argument("--group", "-g", required=True, help="source group, e.g. C2")
     p.add_argument("--level", help="source class level, e.g. C2 (default: top)")
     p.add_argument("--V", default="0", help="grading over the target group (default 0)")
-    common(p)
     p.set_defaults(handler=_handle_correspond)
 
     p = sub.add_parser("tower", help="tower of shearing isomorphism regions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help="height index, h = 2^n * m")
     p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
-    common(p)
     p.set_defaults(handler=_handle_tower)
 
     p = sub.add_parser("hhr", help="slice differential family over C_(2^(n+1))")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
-    common(p)
     p.set_defaults(handler=_handle_hhr)
 
     p = sub.add_parser("transport", help="shear a differential up the tower")
@@ -274,14 +266,12 @@ def build_parser() -> _Parser:
     p.add_argument("--group", "-g", required=True, help="source group, e.g. C2")
     p.add_argument("--diff", required=True, help="'<r>: <source> -> <target>'")
     p.add_argument("--V", help="grading over the target group (default: source degree)")
-    common(p)
     p.set_defaults(handler=_handle_transport)
 
     p = sub.add_parser("vanishing", help="vanishing line table")
     p.add_argument("--h", type=int, required=True, help="chromatic height, 2^n * m")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
-    common(p)
     p.set_defaults(handler=_handle_vanishing)
 
     p = sub.add_parser("check", help="admissibility report for a differential")
@@ -289,15 +279,15 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--diff", required=True, help="'<r>: <source> -> <target>'")
     p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
-    common(p)
     p.set_defaults(handler=_handle_check)
 
     p = sub.add_parser("chart", help="render a chart DSL file to SVG")
     p.add_argument("input", help="path to the .dsl file")
     p.add_argument("-o", "--output", required=True, help="path of the SVG to write")
-    common(p)
     p.set_defaults(handler=_handle_chart)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON payload")
     return parser
 
 

@@ -121,7 +121,7 @@ def _factor(piece: str, col: int, lv: int, memo: dict) -> tuple:
     elif kind == "aL" or kind == "uL":
         i = _int(m.group(kind + "_i"), col)
         if not 1 <= i <= lv - 1:
-            raise DslSemanticError(f"{kind}{i} is not in the basis at level C{1 << lv}", col=col)
+            raise DslSemanticError(f"{kind}{i} is not in the basis at level {CyclicGroup(lv)}", col=col)
         factor = kind[0], i, e
     elif kind == "num":
         factor = "c", _int(m.group("num"), col) ** e, 1
@@ -401,7 +401,7 @@ def _print_document(doc: ChartDocument) -> str:
     if doc.window is not None:
         lines.append("window {} {} {}".format(*doc.window))
     for name, m in doc.classes:
-        suffix = "" if m.level == doc.group.exponent else f" @C{1 << m.level}"
+        suffix = "" if m.level == doc.group.exponent else f" @{m.level_group}"
         lines.append(f"class {name} = {_print_monomial(m)}{suffix}")
     for d in doc.diffs:
         lines.append(_print_differential(d))

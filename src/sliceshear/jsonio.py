@@ -42,26 +42,13 @@ class JsonSchemaError(_EngineError):
 
 
 def monomial_to_obj(m: ClassMonomial) -> dict:
-    a, u = m.a_exp, m.u_exp
-    # most classes carry only a's or only u's; an all-zero side skips the table
-    return {
-        "group": m.group.exponent,
-        "level": m.level,
-        "coeff": m.coeff,
-        "norms": [[i, j, e] for i, j, e in m.norms],
-        "a": {k: e for k, e in zip(basis_names(m.level, "s"), a) if e} if any(a) else {},
-        "u": {k: e for k, e in zip(basis_names(m.level, "2s"), u) if e} if any(u) else {},
-    }
+    """The object ``export_json`` writes for ``m``, parsed."""
+    return json.loads(_monomial_text(m, ""))
 
 
 def differential_to_obj(d: Differential) -> dict:
-    return {
-        "group": d.group.exponent,
-        "page": d.page,
-        "source": monomial_to_obj(d.source),
-        "target": monomial_to_obj(d.target),
-        "provenance": d.provenance,
-    }
+    """The object ``export_json`` writes for ``d``, parsed."""
+    return json.loads(_differential_text(d, ""))
 
 
 def _need(obj: dict, key: str, path: str):
@@ -173,11 +160,11 @@ def obj_to_differential(obj, path: str = "") -> Differential:
     return d
 
 
-# The writer below lays out exactly the bytes of json.dumps(objs, indent=2),
-# objs being the *_to_obj dicts, without the pure-Python indent encoder.  Its
-# template needs no escaping: keys come from basis_names and provenance from
-# PROVENANCES, and every integer field is a plain int, for which str is the
-# text json writes.
+# The writer below is the one definition of the layout: it lays out the bytes
+# json.dumps(objs, indent=2) would give for the objects it writes, without the
+# pure-Python indent encoder.  Its template needs no escaping: keys come from
+# basis_names and provenance from PROVENANCES, and every integer field is a
+# plain int, for which str is the text json writes.
 
 
 def _exponents_text(exps: tuple[int, ...], names: tuple[str, ...], pad: str) -> str:
@@ -186,7 +173,7 @@ def _exponents_text(exps: tuple[int, ...], names: tuple[str, ...], pad: str) -> 
 
 
 def _monomial_text(m: ClassMonomial, pad: str) -> str:
-    """``monomial_to_obj(m)`` as laid out with its braces at indent ``pad``."""
+    """The JSON text of ``m``, laid out with its braces at indent ``pad``."""
     p1 = pad + "  "
     p2 = p1 + "  "
     p3 = p2 + "  "
@@ -205,7 +192,7 @@ def _monomial_text(m: ClassMonomial, pad: str) -> str:
 
 
 def _differential_text(d: Differential, pad: str) -> str:
-    """``differential_to_obj(d)`` as laid out with its braces at indent ``pad``."""
+    """The JSON text of ``d``, laid out with its braces at indent ``pad``."""
     p1 = pad + "  "
     return (
         f'{{\n{p1}"group": {d.group.exponent},\n{p1}"page": {d.page},\n'

@@ -230,8 +230,6 @@ class ClassMonomial:
     def __pow__(self, e: int) -> "ClassMonomial":
         if type(e) is not int or e < 0:
             raise MonomialError("monomial powers must be non-negative integers")
-        if e == 0:
-            return ClassMonomial.one(self.group, self.level)
         return ClassMonomial(
             self.group,
             self.level,

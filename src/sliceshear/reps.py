@@ -138,10 +138,13 @@ class CyclicGroup:
         return CyclicGroup(self.exponent - k)
 
     def __str__(self) -> str:
-        try:
-            return f"C{self.order}"
-        except ValueError:  # the order has more digits than int-to-str allows
-            return f"C_(2^{self.exponent})"
+        # 2^14284 has 4,300 digits, int-to-str's default limit: no larger order is built
+        if self.exponent <= 14284:
+            try:
+                return f"C{self.order}"
+            except ValueError:  # a lowered limit
+                pass
+        return f"C_(2^{self.exponent})"
 
 
 @dataclass(frozen=True)
@@ -420,7 +423,7 @@ def rho_bar(n_plus_1: int, k: int = 0) -> VirtualRep:
     dimension 2^(n+1-k) - 1.  k = 0 recovers the full reduced regular
     representation.
     """
-    n = n_plus_1 - 1
+    n = _admit(n_plus_1, "rho_bar group index n+1") - 1
     _admit(k, "rho_bar index k", 0, n, f"C_(2^{n_plus_1})")  # no k for n_plus_1 < 1
     group = CyclicGroup(n_plus_1)
     return VirtualRep.of(

@@ -45,34 +45,33 @@ class ShearContext:
     """
 
     source_group: CyclicGroup
-    target_group: CyclicGroup
     k: int
     grading: VirtualRep
 
     def __post_init__(self) -> None:
         _admit(self.k, "shear step k", 0, error=ShearError)
-        if self.target_group.exponent != self.source_group.exponent + self.k:
-            raise ShearError(
-                f"{self.target_group} is not {self.k} doublings above {self.source_group}"
-            )
         if self.k > 0 and self.source_group.exponent < 1:
             raise ShearError("the source group of a nontrivial shear cannot be trivial")
-        if self.grading.group != self.target_group:
+        if self.grading.group.exponent != self.source_group.exponent + self.k:
             raise ShearError(
                 f"grading {self.grading} lives over {self.grading.group}, "
-                f"expected {self.target_group}"
+                f"expected {CyclicGroup(self.source_group.exponent + self.k)}"
             )
+
+    @property
+    def target_group(self) -> CyclicGroup:
+        """The group k doublings above the source: the grading's group."""
+        return self.grading.group
 
     @classmethod
     def lift(
         cls, source_group: CyclicGroup, k: int, grading: VirtualRep | None = None
     ) -> "ShearContext":
         """Context shearing ``source_group`` up k steps; default grading 0."""
-        _admit(k, "shear step k", error=ShearError)  # the constructor checks its range
-        target = CyclicGroup(source_group.exponent + k)
         if grading is None:
-            grading = VirtualRep.zero(target)
-        return cls(source_group, target, k, grading)
+            _admit(k, "shear step k", error=ShearError)  # the constructor checks its range
+            grading = VirtualRep.zero(CyclicGroup(source_group.exponent + k))
+        return cls(source_group, k, grading)
 
     @property
     def source_threshold(self) -> Fraction:
@@ -99,7 +98,7 @@ def unshear_length(r_prime: int, k: int) -> int:
     _admit(k, "shear step k", 0, error=ShearError)
     _admit(r_prime, "sheared length", error=ShearError)
     if k == 0:
-        return r_prime
+        return shear_length(r_prime, 0)
     if r_prime < 3:
         raise ShearError(f"sheared lengths are >= 3, got {r_prime}")
     step = 1 << k

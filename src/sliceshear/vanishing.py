@@ -161,7 +161,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                     )
                 )
         else:
-            ceiling = line.shifted(N_constant(h, n, k))
+            ceiling = vanishing_line(V, h, n, k)
             if ceiling.on_or_above(x_tgt, s_tgt):
                 out.append(
                     Violation(

@@ -11,7 +11,9 @@ builds every monomial through the unchecked constructor, and checks the exact
 error text for three malformed objects.  Last, it hands a few public calls a
 bool, a float, an int subclass or an out-of-range int, and checks the exact
 exception class and text of each, so the engine's one admission rule runs on
-every supported Python.  It needs no pytest, so it runs on any Python 3.10+:
+every supported Python; three inputs that once slipped past the engine's
+errors and the 14,284/14,285 edge where a group name stops printing its order
+are checked the same way.  It needs no pytest, so it runs on any Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -88,12 +90,14 @@ class _Int(int):
 
 
 def admission_checks() -> list:
-    """(what is called, the call, its exception class, its exact text) for each check."""
+    """(what is called, the call, its exception class or None, its exact text) for each check."""
     sys.path.insert(0, str(ROOT / "src"))
     import sliceshear as s
 
     page = s.differential_to_obj(s.hhr_family(1, 1))
     page["page"] = _Int(page["page"])
+    huge = s.differential_to_obj(s.hhr_family(1, 1))
+    huge["group"] = 10**30
     return [
         ("tau(V, True)", lambda: s.tau(s.VirtualRep.zero(s.CyclicGroup(3)), True),
          s.RepError, "tau index k must be an integer, got True"),
@@ -106,6 +110,17 @@ def admission_checks() -> list:
         ("obj_to_differential(<int subclass page>)",
          lambda: s.obj_to_differential(page, "items[0]"),
          s.JsonSchemaError, "items[0].page: expected an integer, got 5"),
+        # each returned its input, leaked a TypeError or an OverflowError
+        ("unshear_length(1, 0)", lambda: s.unshear_length(1, 0),
+         s.ShearError, "differential length must be >= 2, got 1"),
+        ("rho_bar('1', 0)", lambda: s.rho_bar("1", 0),
+         s.RepError, "rho_bar group index n+1 must be an integer, got '1'"),
+        ("import_json(<group 10**30>)", lambda: s.import_json(json.dumps([huge])),
+         s.JsonSchemaError, "items[0]: endpoint group mismatch: source over C4, target over "
+         f"C4, differential over C_(2^{10**30})"),
+        # None: the call returns the text; 2^14284 has 4,300 digits, 2^14285 4,301
+        ("str(CyclicGroup(14284))", lambda: str(s.CyclicGroup(14284)), None, f"C{1 << 14284}"),
+        ("str(CyclicGroup(14285))", lambda: str(s.CyclicGroup(14285)), None, "C_(2^14285)"),
     ]
 
 
@@ -113,8 +128,7 @@ def admission_failures(checks: list) -> list[str]:
     failures = []
     for shown, call, error, text in checks:
         try:
-            call()
-            got = "accepted"
+            got = (None, call())
         except Exception as e:  # the class and text are what is checked
             got = (type(e), str(e))
         if got != (error, text):

@@ -170,12 +170,29 @@ class TestChart:
         )
         assert code == 1 and json.loads(err)["error"]["kind"] == "io"
 
+    def test_unwritable_output_is_io(self, capsys, tmp_path):
+        src = tmp_path / "chart.dsl"
+        src.write_text("group C2\nwindow 0 4 4\n")
+        out_path = tmp_path / "missing" / "x.svg"
+        code, out, err = run(capsys, "chart", str(src), "-o", str(out_path))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["code"]) == ("io", 1)
+        assert error["message"].startswith(f"cannot write {out_path}: ")
+
 
 class TestExitCodes:
     def test_usage(self, capsys):
         code, _, err = run(capsys, "rep", "dim", "--group", "C8")
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "usage"
+
+    def test_rep_op_without_its_flag_is_usage(self, capsys):
+        code, out, err = run(capsys, "rep", "tau", "--group", "C4", "--V", "0")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": {"code": 1, "kind": "usage", "message": "rep tau requires --k"}
+        }
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

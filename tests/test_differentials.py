@@ -34,6 +34,12 @@ def C(n):
 C2 = C(1)
 
 
+def test_rejects_an_unknown_provenance():
+    d = hu_kriz_seed(1)
+    with pytest.raises(DifferentialError, match="^unknown provenance 'bogus'$"):
+        Differential(d.group, d.page, d.source, d.target, provenance="bogus")
+
+
 class TestValidate:
     def test_seeds_valid(self):
         for i in range(1, 9):
@@ -206,6 +212,14 @@ class TestLeibniz:
         with pytest.raises(LeibnizZeroError, match="class killed is zero"):
             leibniz(d, two)
 
+    def test_zero_source_reported(self):
+        # 2 kills a_sigma but not a_lambda_1, whose torsion is 4
+        C4 = C(2)
+        a_s, a_l1 = ClassMonomial(C4, 2, a_exp=(1, 0)), ClassMonomial(C4, 2, a_exp=(0, 1))
+        d = Differential(C4, 3, a_s, a_l1)
+        with pytest.raises(LeibnizZeroError, match="^supporting class is zero$"):
+            leibniz(d, ClassMonomial(C4, 2, coeff=2))
+
     def test_mismatch(self):
         d = hu_kriz_seed(1)
         with pytest.raises(Exception):
@@ -262,6 +276,20 @@ class TestPermanentCycles:
             assert f.u_class.coeff == 1
             assert not f.u_class.norms and not any(f.u_class.a_exp)
             assert f.u_class == expand_orientation(f.oriented_rep)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            ClassMonomial(C2, 1, coeff=3, u_exp=(1,)),
+            ClassMonomial(C2, 1, norms=((1, 1, 1),), u_exp=(1,)),
+            ClassMonomial(C2, 1, a_exp=(1,), u_exp=(1,)),
+        ],
+        ids=["coefficient", "norm", "euler"],
+    )
+    def test_rejects_a_class_that_is_not_pure_orientation(self, u):
+        message = "^permanent-cycle facts must carry a pure orientation class with coefficient 1$"
+        with pytest.raises(DifferentialError, match=message):
+            PermanentCycleFact(C2, 1, u, "x")
 
     def test_rejects_a_class_over_another_group(self):
         u = ClassMonomial(C(2), 2, u_exp=(1, 0))

@@ -156,6 +156,11 @@ class TestCanonicalStrings:
         assert print_canonical(ClassMonomial.one(C(1), 1)) == "1"
         assert print_canonical(ClassMonomial.zero(C(1), 1)) == "0"
 
+    def test_representation_and_other_values(self):
+        assert print_canonical(VirtualRep.of(C(2), triv=2, sigma=-2)) == "2-2s"
+        with pytest.raises(TypeError, match="^cannot print object canonically$"):
+            print_canonical(object())
+
     def test_norms_sorted_by_level_then_index(self):
         g = C(2)
         m = norm_class(g, 2, j=2) * norm_class(g, 1, j=1) * norm_class(g, 1, j=2)

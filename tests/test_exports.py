@@ -81,3 +81,14 @@ def test_only_the_admitting_producers_build_trusted_monomials():
         if path.name not in allowed and re.search(r"\b_trusted\b", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_only_cyclic_group_names_a_group():
+    """``CyclicGroup.__str__`` is the one home of a group's name, so no module
+    spells ``C<order>`` from a shift of its own."""
+    offenders = [
+        path.name
+        for path in sorted(Path(sliceshear.__file__).parent.glob("*.py"))
+        if re.search(r"C\{1 <<", path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

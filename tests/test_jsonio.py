@@ -144,6 +144,12 @@ class TestSchema:
         with pytest.raises(JsonSchemaError):
             import_json(b'{"group": 1}')
 
+    def test_items_must_be_objects(self):
+        with pytest.raises(JsonSchemaError, match=r"^items\[0\]: expected an object, got 1$"):
+            import_json("[1]")
+        with pytest.raises(JsonSchemaError, match=r"^\$: expected an object, got \[\]$"):
+            jsonio.obj_to_differential([])
+
     def test_not_json(self):
         with pytest.raises(JsonSchemaError):
             import_json(b"@@@")
@@ -198,6 +204,15 @@ class TestInvalidDifferentials:
         obj["group"] = 3
         self._rejected(
             obj, r"endpoint group mismatch: source over C4, target over C4, differential over C8$"
+        )
+
+    def test_group_too_large_to_print_the_order_of(self):
+        # naming C_(2^(10^30)) once raised OverflowError from 1 << 10**30
+        obj = differential_to_obj(hhr_family(1, 1))
+        obj["group"] = 10**30
+        self._rejected(
+            obj, r"endpoint group mismatch: source over C4, target over C4, "
+            r"differential over C_\(2\^1000000000000000000000000000000\)$"
         )
 
     def test_zero_endpoint(self):

@@ -202,6 +202,14 @@ def test_power_matches_repeated_multiply(n, data):
     assert m**e == expect
 
 
+def test_zeroth_power_is_one():
+    # the general power gives coeff ** 0 == 1, and zero exponents merge away
+    m = ClassMonomial(C(2), 2, 3, ((1, 1, 2), (2, 2, 1)), (1, 0), (0, 2))
+    for x in (m, ClassMonomial.zero(C(2), 1), ClassMonomial.one(C(0), 0)):
+        assert x**0 == ClassMonomial.one(x.group, x.level)
+        assert (x**0).is_one
+
+
 def test_zero_class_canonical_form():
     z = ClassMonomial(C2, 1, coeff=0, norms=((1, 1, 1),), a_exp=(3,), u_exp=(2,))
     assert z.is_zero

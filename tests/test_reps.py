@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +69,38 @@ class TestGroup:
         # 2^14284 has 4,300 digits and still prints; 2^14285 has 4,301
         assert str(C(14284)) == f"C{1 << 14284}"
         assert str(C(14285)) == "C_(2^14285)"
+
+    @pytest.mark.parametrize(
+        "limit, exponent, text",
+        [
+            (0, 14284, f"C{1 << 14284}"),
+            (0, 14285, "C_(2^14285)"),  # no limit, but the order is not built past the edge
+            (0, 10**30, f"C_(2^{10**30})"),  # 1 << 10**30 would not fit in memory
+            (640, 2000, f"C{1 << 2000}"),  # 603 digits
+            (640, 14284, "C_(2^14284)"),  # a lowered limit falls back
+        ],
+        ids=["edge", "past-edge", "huge", "lowered-limit", "past-lowered-limit"],
+    )
+    def test_str_decides_from_the_exponent(self, default_digit_limit, limit, exponent, text):
+        # an exponent of 10**30 once raised OverflowError from 1 << exponent
+        sys.set_int_max_str_digits(limit)
+        assert str(C(exponent)) == text
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: VirtualRep(C(3), (0, 0)), r"expected 4 basis coefficients for RO\(C8\), got 2"),
+            (lambda: VirtualRep.of(C(0), sigma=1), "sigma is not a basis element over the trivial group"),
+            (lambda: VirtualRep.zero(C(1)) + VirtualRep.zero(C(2)),
+             "representations live over different groups: C2 vs C4"),
+            (lambda: VirtualRep.zero(C(2)) - VirtualRep.zero(C(1)),
+             "representations live over different groups: C4 vs C2"),
+        ],
+        ids=["coefficient-count", "sigma-over-C1", "add", "sub"],
+    )
+    def test_rejects_a_malformed_representation(self, make, message):
+        with pytest.raises(RepError, match=f"^{message}$"):
+            make()
 
 
 class TestDimension:
@@ -382,6 +416,25 @@ class TestRhoBar:
     def test_out_of_range(self):
         with pytest.raises(RepError):
             rho_bar(3, 3)
+
+    @pytest.mark.parametrize(
+        "n_plus_1, k, message",
+        [
+            ("1", 0, "rho_bar group index n+1 must be an integer, got '1'"),
+            (None, 0, "rho_bar group index n+1 must be an integer, got None"),
+            (2.5, 0, "rho_bar group index n+1 must be an integer, got 2.5"),
+            (True, 0, "rho_bar group index n+1 must be an integer, got True"),
+            # the messages for ints are unchanged
+            (0, 0, "rho_bar index k=0 out of range for C_(2^0)"),
+            (-2, 0, "rho_bar index k=0 out of range for C_(2^-2)"),
+            (2, 2, "rho_bar index k=2 out of range for C_(2^2)"),
+        ],
+    )
+    def test_rejects_a_bad_group_index(self, n_plus_1, k, message):
+        # a str or None once leaked a bare TypeError from n_plus_1 - 1, and a
+        # float or bool was worded as a group exponent
+        with pytest.raises(RepError, match=f"^{re.escape(message)}$"):
+            rho_bar(n_plus_1, k)
 
 
 class TestRepFormat:

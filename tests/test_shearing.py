@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -86,10 +87,43 @@ class TestLengthMaps:
     def test_context_rejects_a_non_integer_step(self):
         for k in (1.0, True):
             with pytest.raises(ShearError, match="must be an integer"):
-                ShearContext(C(1), C(2), k, VirtualRep.zero(C(2)))
+                ShearContext(C(1), k, VirtualRep.zero(C(2)))
             # lift once named the group exponent 2.0
             with pytest.raises(ShearError, match=f"^shear step k must be an integer, got {k!r}$"):
                 ShearContext.lift(C(1), k)
+
+    @pytest.mark.parametrize(
+        "r_prime, k, message",
+        [
+            (-5, 0, "differential length must be >= 2, got -5"),
+            (1, 0, "differential length must be >= 2, got 1"),
+            (1, 1, "sheared lengths are >= 3, got 1"),
+        ],
+    )
+    def test_unshear_rejects_what_no_shear_gives(self, r_prime, k, message):
+        # k = 0 once returned r_prime unchecked, though shear_length(r_prime, 0) raises
+        with pytest.raises(ShearError, match=f"^{message}$"):
+            unshear_length(r_prime, k)
+
+
+class TestContext:
+    def test_fields_and_target_group(self):
+        ctx = ShearContext.lift(C(1), 2, VirtualRep.of(C(3), triv=1))
+        assert [f.name for f in dataclasses.fields(ctx)] == ["source_group", "k", "grading"]
+        assert ctx.target_group == C(3) == ctx.grading.group
+        assert ShearContext.lift(C(2), 0).target_group == C(2)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((C(0), 1), "the source group of a nontrivial shear cannot be trivial"),
+            ((C(1), 1, VirtualRep.zero(C(3))), "grading 0 lives over C8, expected C4"),
+            ((C(1), 2, VirtualRep.of(C(2), sigma=1)), "grading s lives over C4, expected C8"),
+        ],
+    )
+    def test_lift_rejects(self, args, message):
+        with pytest.raises(ShearError, match=f"^{message}$"):
+            ShearContext.lift(*args)
 
 
 class TestShearDegree:
@@ -104,14 +138,14 @@ class TestShearDegree:
     def test_balanced_origin_fixed(self):
         # |V^{C_{2^k}}| * 2^k == |V| keeps the origin fixed
         V = VirtualRep.of(C(2), triv=2, lam={1: 1})  # dim 4, fixed dim 2, k=1
-        ctx = ShearContext(C(1), C(2), 1, V)
+        ctx = ShearContext(C(1), 1, V)
         assert shear_degree(ctx, 0, 0) == (0, 0)
 
     def test_seed_target_lands_on_family_filtration(self):
         for n in range(1, 5):
             for i in range(1, 5):
                 V = VirtualRep.of(C(n + 1), triv=1 << i, sigma=-(1 << i))
-                ctx = ShearContext(C(1), C(n + 1), n, V)
+                ctx = ShearContext(C(1), n, V)
                 t, s = (1 << (i + 1)) - 2, (1 << (i + 1)) - 1
                 tp, sp = shear_degree(ctx, t, s)
                 assert sp == (1 << (n + 1)) * ((1 << i) - 1) + 1
@@ -237,7 +271,7 @@ class TestRegion:
     def test_interior_boundary_outside(self):
         # V = lambda_1 over C4 gives threshold 1 on the source side
         V = VirtualRep.of(C(2), lam={1: 1})
-        ctx = ShearContext(C(1), C(2), 1, V)
+        ctx = ShearContext(C(1), 1, V)
         assert ctx.source_threshold == 1
         high = norm_class(C(1), 2) * ClassMonomial(C(1), 1, a_exp=(2,))  # (4, 2)
         assert region_of(high, ctx) == "interior"
@@ -281,3 +315,7 @@ class TestTower:
         ]:
             with pytest.raises(ShearError, match=f"^{message}$"):
                 tower_report(n, m)
+
+    def test_rejects_a_grading_over_another_group(self):
+        with pytest.raises(ShearError, match="^tower grading must live over C8, got C4$"):
+            tower_report(2, 1, VirtualRep.zero(C(2)))

@@ -96,6 +96,7 @@ class TestNConstant:
             (1, 2.0, "height must be an integer, got 2.0"),
             (1, True, "height must be an integer, got True"),
             (1, 3, "height 3 is not a positive multiple of 2"),
+            (2, 4, "profile grading must live over C8, got C4"),
         ],
     )
     def test_profile_rejects_a_non_integer_index(self, n, h, message):
@@ -144,6 +145,7 @@ class TestBoundary:
             (True, "boundary group index n must be an integer, got True"),
             (1.0, "boundary group index n must be an integer, got 1.0"),
             (2, "boundary grading must live over C8, got C4"),
+            (10**30, r"boundary grading must live over C_\(2\^1000000000000000000000000000001\)"),
         ],
     )
     def test_rejects_a_non_integer_index(self, n, message):
