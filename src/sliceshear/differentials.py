@@ -204,41 +204,29 @@ def leibniz(d: Differential, p: ClassMonomial) -> Differential:
 
 @dataclass(frozen=True)
 class PermanentCycleFact:
-    """An orientation class recorded as a permanent cycle in a named theory."""
+    """The orientation class u_V of ``oriented_rep`` recorded as a permanent cycle."""
 
-    group: CyclicGroup
     truncation: int
-    u_class: ClassMonomial
+    oriented_rep: VirtualRep
     citation: str
 
     def __post_init__(self) -> None:
         _admit(self.truncation, "theory truncation index", 1, error=DifferentialError)
-        if self.u_class.group != self.group:
-            raise DifferentialError(
-                f"orientation class over {self.u_class.group} does not match the fact's "
-                f"group {self.group}"
-            )
-        if (
-            self.u_class.coeff != 1
-            or self.u_class.norms
-            or any(self.u_class.a_exp)
-        ):
-            raise DifferentialError(
-                "permanent-cycle facts must carry a pure orientation class "
-                "with coefficient 1"
-            )
+        expand_orientation(self.oriented_rep)
+
+    @property
+    def group(self) -> CyclicGroup:
+        return self.oriented_rep.group
+
+    @property
+    def u_class(self) -> ClassMonomial:
+        return expand_orientation(self.oriented_rep)
 
     @property
     def theory(self) -> str:
         if self.group.exponent == 1:
             return f"BPR<{self.truncation}>"
         return f"BP(({self.group}))<{self.truncation}>"
-
-    @property
-    def oriented_rep(self) -> VirtualRep:
-        """The representation V with u_class = u_V."""
-        u = self.u_class.u_exp
-        return VirtualRep(self.u_class.level_group, (0, 2 * u[0], *u[1:]) if u else (0,))
 
     @property
     def periodicity(self) -> VirtualRep:
@@ -254,15 +242,15 @@ def permanent_cycle_seeds(m: int) -> list[PermanentCycleFact]:
     _admit(m, "height index", 1, error=DifferentialError)
     c2, c4 = CyclicGroup(1), CyclicGroup(2)
     facts = [
-        (c2, m, VirtualRep.of(c2, sigma=2 << m), "Hu-Kriz"),
-        (c4, 1, VirtualRep.of(c4, sigma=4), "Hill-Hopkins-Ravenel"),
-        (c4, 1, VirtualRep.of(c4, lam={1: 8}), "Hill-Hopkins-Ravenel"),
-        (c4, 1, VirtualRep.of(c4, sigma=2, lam={1: 4}), "Hill-Hopkins-Ravenel"),
-        (c4, 2, VirtualRep.of(c4, sigma=8), "Hill-Shi-Wang-Xu"),
-        (c4, 2, VirtualRep.of(c4, lam={1: 32}), "Hill-Shi-Wang-Xu"),
-        (c4, 2, VirtualRep.of(c4, sigma=4, lam={1: 16}), "Hill-Shi-Wang-Xu"),
+        (m, VirtualRep.of(c2, sigma=2 << m), "Hu-Kriz"),
+        (1, VirtualRep.of(c4, sigma=4), "Hill-Hopkins-Ravenel"),
+        (1, VirtualRep.of(c4, lam={1: 8}), "Hill-Hopkins-Ravenel"),
+        (1, VirtualRep.of(c4, sigma=2, lam={1: 4}), "Hill-Hopkins-Ravenel"),
+        (2, VirtualRep.of(c4, sigma=8), "Hill-Shi-Wang-Xu"),
+        (2, VirtualRep.of(c4, lam={1: 32}), "Hill-Shi-Wang-Xu"),
+        (2, VirtualRep.of(c4, sigma=4, lam={1: 16}), "Hill-Shi-Wang-Xu"),
     ]
-    return [PermanentCycleFact(g, t, expand_orientation(V), who) for g, t, V, who in facts]
+    return [PermanentCycleFact(t, V, who) for t, V, who in facts]
 
 
 def periodicity_element(V: VirtualRep) -> VirtualRep:

@@ -367,8 +367,6 @@ def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
 
 
 def _print_monomial(m: ClassMonomial) -> str:
-    if m.is_zero:
-        return "0"
     factors: list[str] = []
 
     def push(token: str, e: int) -> None:

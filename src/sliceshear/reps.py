@@ -239,9 +239,6 @@ class VirtualRep:
         self._same_group(other)
         return VirtualRep(self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "VirtualRep":
-        return VirtualRep(self.group, tuple(-a for a in self.coeffs))
-
     def __mul__(self, scalar: int) -> "VirtualRep":
         if not isinstance(scalar, int):
             return NotImplemented

@@ -57,8 +57,8 @@ def _guide_line(g: GuideSpec, doc: ChartDocument) -> tuple[Line | None, str]:
         room = doc.window[2] - line_L(doc.grading, g.k).at(doc.window[0])
         _check_vanishing_index(g.h, n, g.k)
         above = (g.h >> g.k) + n >= max(room, 0).bit_length()
-        return None if above else vanishing_line(doc.grading, g.h, n, g.k), f"N k={g.k}"
-    return boundary_line(doc.grading, n), "boundary"
+        return None if above else vanishing_line(doc.grading, g.h, g.k), f"N k={g.k}"
+    return boundary_line(doc.grading), "boundary"
 
 
 def _clip(line: Line, window: tuple[int, int, int]):

@@ -50,14 +50,14 @@ class VanishingProfile:
             raise RepError(
                 f"height {self.h} is not a positive multiple of 2^{self.n}"
             )
-        if self.grading.group != self.group:
+        if self.grading.group.exponent != self.n + 1:
             raise RepError(
-                f"profile grading must live over {self.group}, got {self.grading.group}"
+                f"profile grading must live over {CyclicGroup(self.n + 1)}, got {self.grading.group}"
             )
 
     @property
     def group(self) -> CyclicGroup:
-        return CyclicGroup(self.n + 1)
+        return self.grading.group
 
 
 def N_constant(h: int, n: int, k: int) -> int:
@@ -82,21 +82,17 @@ def max_length(h: int, n: int, k: int) -> int:
     return N_constant(h, n, k) - ((1 << k) - 1)
 
 
-def vanishing_line(V: VirtualRep, h: int, n: int, k: int) -> Line:
-    """The slope-(2^k - 1) stratification line shifted up by N_k."""
-    return line_L(V, k).shifted(N_constant(h, n, k))
+def vanishing_line(V: VirtualRep, h: int, k: int) -> Line:
+    """The slope-(2^k - 1) stratification line shifted up by N_k; n comes from V's group."""
+    return line_L(V, k).shifted(N_constant(h, V.group.exponent - 1, k))
 
 
-def boundary_line(V: VirtualRep, n: int) -> Line:
-    """The boundary of the positive cone on the V-graded page over C_{2^(n+1)}.
+def boundary_line(V: VirtualRep) -> Line:
+    """The boundary of the positive cone on the V-graded page over V's group G.
 
     Slope |G| - 1 and intercept -|V| + |G| * max_H |V^H|, the maximum running
     over all subgroups.
     """
-    _admit(n, "boundary group index n")
-    # the group is built only to word the error, which it raises itself for a bad n
-    if V.group.exponent != n + 1:
-        raise RepError(f"boundary grading must live over {CyclicGroup(n + 1)}, got {V.group}")
     return V._cone_line
 
 
@@ -161,7 +157,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                     )
                 )
         else:
-            ceiling = vanishing_line(V, h, n, k)
+            ceiling = vanishing_line(V, h, k)
             if ceiling.on_or_above(x_tgt, s_tgt):
                 out.append(
                     Violation(
@@ -171,7 +167,7 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
                         f"the vanishing line {ceiling.equation()}",
                     )
                 )
-    border = boundary_line(V, n)
+    border = boundary_line(V)
     if s_tgt > border.at(x_tgt):
         out.append(
             Violation(

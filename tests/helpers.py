@@ -387,7 +387,7 @@ def reference_admissible(d: Differential, profile: VanishingProfile) -> list[Vio
                     )
                 )
         else:
-            ceiling = vanishing_line(V, profile.h, profile.n, k)
+            ceiling = vanishing_line(V, profile.h, k)
             if s_tgt >= ceiling.at(x_tgt):
                 out.append(
                     Violation(
@@ -397,7 +397,7 @@ def reference_admissible(d: Differential, profile: VanishingProfile) -> list[Vio
                         f"the vanishing line {ceiling.equation()}",
                     )
                 )
-    border = boundary_line(V, profile.n)
+    border = boundary_line(V)
     if s_tgt > border.at(x_tgt):
         out.append(
             Violation(

@@ -13,7 +13,9 @@ bool, a float, an int subclass or an out-of-range int, and checks the exact
 exception class and text of each, so the engine's one admission rule runs on
 every supported Python; three inputs that once slipped past the engine's
 errors and the 14,284/14,285 edge where a group name stops printing its order
-are checked the same way.  It needs no pytest, so it runs on any Python 3.10+:
+are checked the same way, and so are the calls that read n and the group
+from the grading: ``vanishing_line``, ``boundary_line`` and a permanent-cycle
+fact.  It needs no pytest, so it runs on any Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -98,6 +100,8 @@ def admission_checks() -> list:
     page["page"] = _Int(page["page"])
     huge = s.differential_to_obj(s.hhr_family(1, 1))
     huge["group"] = 10**30
+    c4, c8 = s.CyclicGroup(2), s.CyclicGroup(3)
+    two_s, three_s = (s.VirtualRep.of(s.CyclicGroup(1), sigma=e) for e in (2, 3))
     return [
         ("tau(V, True)", lambda: s.tau(s.VirtualRep.zero(s.CyclicGroup(3)), True),
          s.RepError, "tau index k must be an integer, got True"),
@@ -121,6 +125,15 @@ def admission_checks() -> list:
         # None: the call returns the text; 2^14284 has 4,300 digits, 2^14285 4,301
         ("str(CyclicGroup(14284))", lambda: str(s.CyclicGroup(14284)), None, f"C{1 << 14284}"),
         ("str(CyclicGroup(14285))", lambda: str(s.CyclicGroup(14285)), None, "C_(2^14285)"),
+        # n and the group come from the grading
+        ("vanishing_line(0 over C8, 4, 1)", lambda: s.vanishing_line(s.VirtualRep.zero(c8), 4, 1),
+         None, s.Line(1, 26)),
+        ("boundary_line(s over C4)", lambda: s.boundary_line(s.VirtualRep.of(c4, sigma=1)),
+         None, s.Line(3, 3)),
+        ("PermanentCycleFact(1, 2s, 'x').u_class",
+         lambda: s.print_canonical(s.PermanentCycleFact(1, two_s, "x").u_class), None, "u2S"),
+        ("PermanentCycleFact(1, 3s, 'x')", lambda: s.PermanentCycleFact(1, three_s, "x"),
+         s.RepError, "3s is not orientable: odd sigma multiplicity"),
     ]
 
 

@@ -244,6 +244,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
         assert code == 3
 
+    def test_chart_without_a_window_has_no_line_or_column(self, capsys, tmp_path):
+        src = tmp_path / "nowin.dsl"
+        src.write_text("group C2\nclass x = aS\n")
+        out = tmp_path / "x.svg"
+        err = {"error": {"code": 3, "kind": "semantic", "message": "cannot render a chart without a window"}}
+        assert run(capsys, "chart", str(src), "-o", str(out)) == (3, "", json.dumps(err) + "\n")
+        assert not out.exists()
+
     def test_error_object_carries_the_column(self, capsys, tmp_path):
         src = tmp_path / "bad.dsl"
         src.write_text("group C4\ngrading 1+l5\n")

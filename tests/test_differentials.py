@@ -10,6 +10,7 @@ from sliceshear import (
     LeibnizZeroError,
     PermanentCycleFact,
     RegionWarning,
+    RepError,
     ShearError,
     VirtualRep,
     correspond_class,
@@ -278,34 +279,28 @@ class TestPermanentCycles:
             assert f.u_class == expand_orientation(f.oriented_rep)
 
     @pytest.mark.parametrize(
-        "u",
+        "V, message",
         [
-            ClassMonomial(C2, 1, coeff=3, u_exp=(1,)),
-            ClassMonomial(C2, 1, norms=((1, 1, 1),), u_exp=(1,)),
-            ClassMonomial(C2, 1, a_exp=(1,), u_exp=(1,)),
+            (VirtualRep.of(C2, sigma=3), "^3s is not orientable: odd sigma multiplicity$"),
+            (VirtualRep.of(C2, triv=1, sigma=2), "^orientation classes require an actual "
+             "representation with no trivial summand, got 1\\+2s$"),
+            (VirtualRep.of(C(2), sigma=2, lam={1: -2}), "^orientation classes require an actual "
+             "representation with no trivial summand, got 2s-2l1$"),
         ],
-        ids=["coefficient", "norm", "euler"],
+        ids=["odd-sigma", "trivial-summand", "negative-multiplicity"],
     )
-    def test_rejects_a_class_that_is_not_pure_orientation(self, u):
-        message = "^permanent-cycle facts must carry a pure orientation class with coefficient 1$"
-        with pytest.raises(DifferentialError, match=message):
-            PermanentCycleFact(C2, 1, u, "x")
-
-    def test_rejects_a_class_over_another_group(self):
-        u = ClassMonomial(C(2), 2, u_exp=(1, 0))
-        with pytest.raises(DifferentialError, match="does not match"):
-            PermanentCycleFact(C2, 1, u, "x")
+    def test_rejects_a_rep_without_an_orientation_class(self, V, message):
+        with pytest.raises(RepError, match=message):
+            PermanentCycleFact(1, V, "x")
 
     @pytest.mark.parametrize("truncation", [1.5, 1.0, True, "1"])
     def test_rejects_a_non_integer_truncation(self, truncation):
-        u = ClassMonomial(C2, 1, u_exp=(1,))
         with pytest.raises(DifferentialError, match="must be an integer"):
-            PermanentCycleFact(C2, truncation, u, "x")
+            PermanentCycleFact(truncation, VirtualRep.of(C2, sigma=2), "x")
 
     def test_rejects_a_truncation_below_one(self):
-        u = ClassMonomial(C2, 1, u_exp=(1,))
         with pytest.raises(DifferentialError, match="^theory truncation index must be >= 1, got 0$"):
-            PermanentCycleFact(C2, 0, u, "x")
+            PermanentCycleFact(0, VirtualRep.of(C2, sigma=2), "x")
 
     @pytest.mark.parametrize(
         "m, message",
@@ -320,7 +315,6 @@ class TestPermanentCycles:
             permanent_cycle_seeds(m)
 
     def test_oriented_rep_slots(self):
-        u = ClassMonomial(C(3), 3, u_exp=(1, 2, 3))
-        assert PermanentCycleFact(C(3), 1, u, "x").oriented_rep.coeffs == (0, 2, 2, 3)
-        bare = PermanentCycleFact(C(2), 1, ClassMonomial(C(2), 0), "x")
-        assert bare.oriented_rep == VirtualRep.zero(C(0))
+        fact = PermanentCycleFact(1, VirtualRep(C(3), (0, 2, 2, 3)), "x")
+        assert fact.u_class == ClassMonomial(C(3), 3, u_exp=(1, 2, 3))
+        assert fact.group == C(3)

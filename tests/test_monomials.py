@@ -114,6 +114,10 @@ class TestMultiply:
         with pytest.raises(MonomialError, match="^monomial powers must be non-negative integers$"):
             ClassMonomial(C(1), 1, a_exp=(1,)) ** e
 
+    def test_multiplies_only_by_a_monomial(self):
+        with pytest.raises(TypeError):
+            ClassMonomial(C2, 1, a_exp=(1,)) * 2
+
     def test_mismatch_rejected(self):
         with pytest.raises(MonomialError):
             ClassMonomial.one(C2, 1) * ClassMonomial.one(C(2), 2)

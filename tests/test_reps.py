@@ -116,6 +116,12 @@ class TestDimension:
         v = VirtualRep.of(C(2), triv=2, sigma=-2)
         assert v.dimension == 0
 
+    def test_scales_only_by_an_integer(self):
+        v = VirtualRep.of(C(2), triv=1, sigma=2)
+        assert v * 3 == VirtualRep.of(C(2), triv=3, sigma=6)
+        with pytest.raises(TypeError):
+            v * 1.5
+
 
 class TestFixedPoints:
     def test_sigma_over_c4(self):
@@ -349,7 +355,7 @@ class TestLineL:
             n = rng.randint(0, 4)
             v = random_rep(rng, C(n + 1))
             k = rng.randint(0, n)
-            lines = [line_L(v, k), vanishing_line(v, 1 << n, n, k), boundary_line(v, n)]
+            lines = [line_L(v, k), vanishing_line(v, 1 << n, k), boundary_line(v)]
             assert [type(line.intercept) for line in lines] == [int] * 3
 
 

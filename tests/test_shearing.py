@@ -113,6 +113,9 @@ class TestContext:
         assert ctx.target_group == C(3) == ctx.grading.group
         assert ShearContext.lift(C(2), 0).target_group == C(2)
 
+    def test_no_shear_has_threshold_zero(self):
+        assert ShearContext.lift(C(1), 0).source_threshold == 0
+
     @pytest.mark.parametrize(
         "args, message",
         [

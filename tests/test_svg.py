@@ -208,7 +208,7 @@ def test_a_vanishing_guide_is_skipped_only_where_clip_drops_its_line():
         k = rng.randint(0, n)
         g = GuideSpec("vanish", k=k, h=rng.randint(1, 5) << k)
         line, label = _guide_line(g, doc)
-        full = vanishing_line(doc.grading, g.h, n, k)
+        full = vanishing_line(doc.grading, g.h, k)
         assert label == f"N k={k}"
         if line is None:
             assert _clip(full, doc.window) is None

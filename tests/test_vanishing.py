@@ -106,11 +106,11 @@ class TestNConstant:
 
 class TestVanishingLine:
     def test_horizontal(self):
-        line = vanishing_line(VirtualRep.zero(C(1)), 1, 0, 0)
+        line = vanishing_line(VirtualRep.zero(C(1)), 1, 0)
         assert line.slope == 0 and line.intercept == 3
 
     def test_slope_one_offset(self):
-        line = vanishing_line(VirtualRep.zero(C(3)), 4, 2, 1)
+        line = vanishing_line(VirtualRep.zero(C(3)), 4, 1)
         assert line.slope == 1 and line.intercept == 26
 
     def test_is_shifted_stratification_line(self):
@@ -122,7 +122,7 @@ class TestVanishingLine:
             k = rng.randint(0, n)
             V = random_rep(rng, C(n + 1))
             base = line_L(V, k)
-            shifted = vanishing_line(V, h, n, k)
+            shifted = vanishing_line(V, h, k)
             assert shifted.slope == base.slope
             assert shifted.intercept == base.intercept + N_constant(h, n, k)
 
@@ -130,35 +130,21 @@ class TestVanishingLine:
 class TestBoundary:
     def test_zero_grading(self):
         for n in range(0, 4):
-            line = boundary_line(VirtualRep.zero(C(n + 1)), n)
+            line = boundary_line(VirtualRep.zero(C(n + 1)))
             assert line.slope == (1 << (n + 1)) - 1
             assert line.intercept == 0
 
     def test_sigma_over_c4(self):
-        line = boundary_line(VirtualRep.of(C(2), sigma=1), 1)
+        line = boundary_line(VirtualRep.of(C(2), sigma=1))
         assert line.intercept == 3
         assert line.slope == 3
-
-    @pytest.mark.parametrize(
-        "n, message",
-        [
-            (True, "boundary group index n must be an integer, got True"),
-            (1.0, "boundary group index n must be an integer, got 1.0"),
-            (2, "boundary grading must live over C8, got C4"),
-            (10**30, r"boundary grading must live over C_\(2\^1000000000000000000000000000001\)"),
-        ],
-    )
-    def test_rejects_a_non_integer_index(self, n, message):
-        # n = True was once accepted, as True + 1 is an int
-        with pytest.raises(RepError, match=message):
-            boundary_line(VirtualRep.zero(C(2)), n)
 
     def test_family_target_is_on_the_boundary(self):
         for n in range(0, 4):
             for i in range(1, 4):
                 d = hhr_family(n, i)
                 prof = family_profile(n, i, i)
-                border = boundary_line(prof.grading, n)
+                border = boundary_line(prof.grading)
                 x = d.target.stem - prof.grading.dimension
                 assert d.target.filtration == border.at(x)
 
