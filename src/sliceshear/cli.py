@@ -17,7 +17,6 @@ exit code and kind:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -54,7 +53,9 @@ def _color(text: str, code: str) -> str:
 # -- handlers -----------------------------------------------------------------
 #
 # Each handler imports the modules it needs beyond ``reps``, so a one-shot
-# call loads only those.
+# call loads only those.  A payload holds the engine's monomials and
+# differentials as they are: ``main`` prints it with ``json.dumps``, whose
+# ``default=`` hook converts them through ``jsonio``, only under ``--json``.
 
 _REP_FLAG = {"fixed": "k", "restrict": "m", "tau": "k"}  # the flag each op needs
 
@@ -87,6 +88,7 @@ def _handle_rep(args) -> tuple[str, dict]:
 
 def _handle_shear(args) -> tuple[str, dict]:
     from .shearing import ShearContext, ShearError, shear_degree
+    _admit(args.n, "target group index n", 0, error=ShearError)
     target = CyclicGroup(args.n + 1)
     _admit(args.k, "shear step k", 0, args.n, f"n={args.n}", ShearError)
     V = parse_rep(args.V, target)
@@ -97,11 +99,11 @@ def _handle_shear(args) -> tuple[str, dict]:
 
 def _handle_correspond(args) -> tuple[str, dict]:
     from .dsl import parse_class_expr, print_canonical
-    from .jsonio import monomial_to_obj
-    from .shearing import ShearContext, correspond_class, region_of
+    from .shearing import ShearContext, ShearError, correspond_class, region_of
     source_group = parse_group_name(args.group)
     level = None if args.level is None else parse_group_name(args.level).exponent
     m = parse_class_expr(args.expr, source_group, level)
+    _admit(args.k, "shear step k", 0, error=ShearError)
     target = CyclicGroup(source_group.exponent + args.k)
     ctx = ShearContext(source_group, args.k, parse_rep(args.V, target))
     out = correspond_class(m, ctx)
@@ -111,13 +113,14 @@ def _handle_correspond(args) -> tuple[str, dict]:
         text += "\nnote: source lies on the isomorphism boundary; matched only if it survives localization"
     elif region == "outside":
         text += "\nnote: source lies outside the proven isomorphism region"
-    return text, {"class": monomial_to_obj(out), "canonical": canonical, "region": region}
+    return text, {"class": out, "canonical": canonical, "region": region}
 
 
 def _handle_tower(args) -> tuple[str, dict]:
     from .shearing import tower_report
-    group = CyclicGroup(args.n + 1)
-    entries = tower_report(args.n, args.m, parse_rep(args.V, group))
+    # without a grading, tower_report words a negative n before any group is built
+    V = parse_rep(args.V, CyclicGroup(args.n + 1)) if args.n >= 0 else None
+    entries = tower_report(args.n, args.m, V)
     rows = [
         f"k={e.k}  {e.line.equation()}  C={e.threshold}  ->  {e.target_group} "
         f"at height {e.target_height}"
@@ -140,17 +143,17 @@ def _handle_tower(args) -> tuple[str, dict]:
 def _handle_hhr(args) -> tuple[str, dict]:
     from .differentials import hhr_family
     from .dsl import print_canonical
-    from .jsonio import differential_to_obj
     d = hhr_family(args.n, args.i)
-    return print_canonical(d), {"differential": differential_to_obj(d)}
+    return print_canonical(d), {"differential": d}
 
 
 def _handle_transport(args) -> tuple[str, dict]:
     from .differentials import transport
     from .dsl import parse_diff_spec, print_canonical
-    from .jsonio import differential_to_obj
+    from .shearing import ShearError
     source_group = parse_group_name(args.group)
     d = parse_diff_spec(args.diff, source_group)
+    _admit(args.k, "shear step k", 0, error=ShearError)
     target = CyclicGroup(source_group.exponent + args.k)
     grading = None if args.V is None else parse_rep(args.V, target)
     with warnings.catch_warnings(record=True) as caught:
@@ -159,11 +162,12 @@ def _handle_transport(args) -> tuple[str, dict]:
     notes = [str(w.message) for w in caught]
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    return print_canonical(out), {"differential": differential_to_obj(out), "warnings": notes}
+    return print_canonical(out), {"differential": out, "warnings": notes}
 
 
 def _handle_vanishing(args) -> tuple[str, dict]:
     from .vanishing import N_constant, VanishingProfile, max_length
+    _admit(args.n, "profile index n", 0)
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
@@ -179,6 +183,7 @@ def _handle_vanishing(args) -> tuple[str, dict]:
 def _handle_check(args) -> tuple[str, dict]:
     from .dsl import parse_diff_spec
     from .vanishing import VanishingProfile, admissible
+    _admit(args.n, "profile index n", 0)
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     profile = VanishingProfile(args.n, args.h, V)
@@ -291,11 +296,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _engine_obj(value) -> dict:
+    """``json.dumps``'s ``default=`` hook: a payload's monomial or differential
+    as the object ``export_json`` writes for it."""
+    from .differentials import Differential
+    from .jsonio import differential_to_obj, monomial_to_obj
+    if isinstance(value, Differential):
+        return differential_to_obj(value)
+    return monomial_to_obj(value)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         text, payload = args.handler(args)
-        print(json.dumps(payload, indent=2) if args.json else text)
+        if args.json:
+            import json
+            text = json.dumps(payload, indent=2, default=_engine_obj)
+        print(text)
         return 0
     except _EngineError as e:
         err = {"code": e.code, "kind": e.kind}
@@ -305,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
                 err[key] = getattr(e, key)
     except Exception as e:  # last resort: no failure leaves as a traceback
         err = {"code": 1, "kind": "internal", "message": f"{type(e).__name__}: {e}"}
+    import json
     print(json.dumps({"error": err}), file=sys.stderr)
     return err["code"]
 

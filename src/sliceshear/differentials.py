@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
 from .reps import CyclicGroup, VirtualRep, _admit, _EngineError
-from .shearing import ShearContext, ShearError, correspond_class, region_of, shear_length
 
 __all__ = [
     "Differential",
@@ -161,7 +160,8 @@ def transport(
     :class:`RegionWarning` is emitted when the source sits strictly outside
     the proven isomorphism region for that grading.
     """
-    _admit(k, "shear step k", error=ShearError)  # ShearContext checks its range
+    from .shearing import ShearContext, ShearError, correspond_class, region_of, shear_length
+    _admit(k, "shear step k", 0, error=ShearError)
     if grading is None:
         grading = d.source.degree().pullback_to(CyclicGroup(d.group.exponent + k))
     ctx = ShearContext.lift(d.group, k, grading)

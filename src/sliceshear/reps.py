@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CyclicGroup",
@@ -503,4 +505,5 @@ def constant_C(V: VirtualRep, k: int) -> Fraction:
     containing that term.
     """
     _admit(k, "threshold index k", 1, V.group.exponent - 1, V.group)
+    from fractions import Fraction
     return Fraction(_threshold(V, k), 1 << k)

@@ -11,11 +11,15 @@ times an explicit Euler-class monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .monomials import ClassMonomial, expand_euler
 from .reps import CyclicGroup, Line, VirtualRep, _admit, _EngineError, _shift, _threshold
 from .reps import constant_C, line_L, rho_bar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .monomials import ClassMonomial
 
 __all__ = [
     "ShearContext",
@@ -77,6 +81,7 @@ class ShearContext:
     def source_threshold(self) -> Fraction:
         """Horizontal line bounding the source-side isomorphism region."""
         if self.k == 0:
+            from fractions import Fraction
             return Fraction(0)
         return constant_C(self.grading, self.k)
 
@@ -136,6 +141,7 @@ def euler_ratio(k: int, j: int, power: int) -> ClassMonomial:
     if k < 1 or j < 1:
         raise ShearError(f"euler_ratio indices must satisfy k, j >= 1, got ({k}, {j})")
     _admit(power, "euler_ratio power", 0, error=ShearError)
+    from .monomials import expand_euler
     return expand_euler((rho_bar(k + j) - rho_bar(k + j, k)) * power)
 
 
@@ -164,7 +170,7 @@ def correspond_class(m: ClassMonomial, ctx: ShearContext) -> ClassMonomial:
         for t in range(j, ctx.k + j):
             a[t] += (1 << (t - 1)) * power
     # the fields of an admitted monomial, shifted up k levels, stay admitted
-    return ClassMonomial._trusted(
+    return type(m)._trusted(
         ctx.target_group, new_level, m.coeff, norms, tuple(a), tuple(u)
     )
 

@@ -15,7 +15,9 @@ every supported Python; three inputs that once slipped past the engine's
 errors and the 14,284/14,285 edge where a group name stops printing its order
 are checked the same way, and so are the calls that read n and the group
 from the grading: ``vanishing_line``, ``boundary_line`` and a permanent-cycle
-fact.  It needs no pytest, so it runs on any Python 3.10+:
+fact.  Two one-shot calls, ``rep dim`` and human-output ``hhr``, must load
+exactly their engine modules.  It needs no pytest, so it runs on any Python
+3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -55,6 +57,16 @@ MAIN = (
     f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
     "from sliceshear.cli import main; sys.exit(main())"
 )
+# MAIN that also prints the names of the loaded modules to stderr
+LOADED = (
+    f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from sliceshear.cli import main; "
+    "code = main(); print(*sys.modules, file=sys.stderr); sys.exit(code)"
+)
+# one-shot calls and the engine modules each loads (cli and reps always do)
+MODULES = [
+    (["rep", "dim", "--group", "C8", "--V", "2-2s"], {"cli", "reps"}),
+    (["hhr", "--n", "1", "--i", "1"], {"cli", "reps", "differentials", "dsl", "monomials"}),
+]
 
 
 def readme_commands() -> list[list[str]]:
@@ -62,9 +74,9 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("sliceshear ")]
 
 
-def cli(argv: list[str], cwd: str) -> subprocess.CompletedProcess:
+def cli(argv: list[str], cwd: str, program: str = MAIN) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-I", "-B", "-c", MAIN, *argv],
+        [sys.executable, "-I", "-B", "-c", program, *argv],
         cwd=cwd, capture_output=True, text=True, timeout=60,
     )
 
@@ -149,6 +161,18 @@ def admission_failures(checks: list) -> list[str]:
     return failures
 
 
+def module_failures(cwd: str) -> list[str]:
+    failures = []
+    for argv, want in MODULES:
+        proc = cli(argv, cwd, LOADED)
+        names = proc.stderr.split()
+        got = {m.removeprefix("sliceshear.") for m in names if m.startswith("sliceshear.")}
+        if proc.returncode or got != want:
+            failures.append(f"{shlex.join(argv)}: exit {proc.returncode}, loaded {sorted(got)}, "
+                            f"want {sorted(want)}")
+    return failures
+
+
 def main() -> int:
     checks = admission_checks()
     failures = json_failures() + admission_failures(checks)
@@ -168,6 +192,7 @@ def main() -> int:
                         json.loads(proc.stdout)
                     except ValueError as e:
                         failures.append(f"{shown}: output is not JSON ({e})")
+        failures += module_failures(tmp)
         for golden in sorted(GOLDENS.glob("*.dsl")):
             out = pathlib.Path(tmp, golden.stem + ".svg")
             proc = cli(["chart", str(golden), "-o", str(out)], tmp)
@@ -189,7 +214,7 @@ def main() -> int:
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
           f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(ERRORS)} error examples, "
           f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
-          f"{len(failures)} failures")
+          f"{len(MODULES)} module sets, {len(failures)} failures")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

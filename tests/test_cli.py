@@ -1,4 +1,6 @@
+import functools
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -230,6 +232,28 @@ class TestExitCodes:
         kind = "parse" if code == 2 else "semantic"
         err = {"error": {"code": code, "kind": kind, "message": str(error)}}
         assert run(capsys, "hhr", "--n", "1", "--i", "1") == (code, "", json.dumps(err) + "\n")
+
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("shear", "--k", "0", "--V", "0", "--t", "0", "--s", "0", "--n"),
+             "target group index n must be >= 0, got {}"),
+            (("tower", "--m", "1", "--n"), "tower indices must satisfy n >= 1, m >= 1, got ({}, 1)"),
+            (("vanishing", "--h", "1", "--n"), "profile index n must be >= 0, got {}"),
+            (("check", "--h", "1", "--diff", "3: u2S -> Nt[1,1]*aS^3", "--n"),
+             "profile index n must be >= 0, got {}"),
+            (("correspond", "aS", "--group", "C2", "--k"), "shear step k must be >= 0, got {}"),
+            (("transport", "--group", "C2", "--diff", "3: u2S -> Nt[1,1]*aS^3", "--k"),
+             "shear step k must be >= 0, got {}"),
+        ],
+        ids=["shear-n", "tower-n", "vanishing-n", "check-n", "correspond-k", "transport-k"],
+    )
+    def test_negative_flag_is_named_in_its_error(self, capsys, argv, message, value):
+        # -2 once named the group exponent -1, which no flag holds
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"] == message.format(value)
 
     def test_chart_parse_error_is_2(self, capsys, tmp_path):
         src = tmp_path / "bad.dsl"
@@ -528,6 +552,21 @@ def _cli(*argv: str) -> str:
     return f"from sliceshear.cli import main\nassert main({list(argv)!r}) == 0"
 
 
+# one human-output success per subcommand
+_GOLDEN = str(Path(__file__).resolve().parent / "goldens" / "hu_kriz_c2.dsl")
+_ONE_SHOT = {
+    "rep": ("rep", "dim", "--group", "C8", "--V", "2-2s"),
+    "shear": ("shear", "--n", "2", "--k", "2", "--V", "0", "--t", "3", "--s", "1"),
+    "correspond": ("correspond", "--group", "C2", "--k", "1", "Nt[1,1]*aS^3"),
+    "tower": ("tower", "--n", "2", "--m", "1"),
+    "hhr": ("hhr", "--n", "1", "--i", "1"),
+    "transport": ("transport", "--group", "C2", "--k", "3", "--diff", "3: u2S -> Nt[1,1]*aS^3"),
+    "vanishing": ("vanishing", "--h", "4", "--n", "2"),
+    "check": ("check", "--h", "2", "--n", "1", "--V", "2-2s", "--diff", "5: u2S -> Nt[1,2]*aL1*aS^3"),
+    "chart": ("chart", _GOLDEN, "-o", os.devnull),
+}
+
+
 def test_import_pulls_in_no_xml_or_network_modules():
     loaded = _loaded("import sliceshear.cli")
     assert "sliceshear.cli" in loaded
@@ -544,8 +583,19 @@ def test_import_pulls_in_no_xml_or_network_modules():
         (_cli("rep", "dim", "--group", "C8", "--V", "2-2s"), {"reps", "cli"}),
         (_cli("rep", "lines", "--group", "C8", "--V", "0", "--json"), {"reps", "cli"}),
         (_cli("vanishing", "--h", "2", "--n", "1"), {"reps", "cli", "vanishing"}),
+        (_cli(*_ONE_SHOT["hhr"]), {"reps", "cli", "differentials", "dsl", "monomials"}),
+        (_cli(*_ONE_SHOT["check"]), {"reps", "cli", "differentials", "dsl", "monomials", "vanishing"}),
+        (_cli(*_ONE_SHOT["correspond"]),
+         {"reps", "cli", "differentials", "dsl", "monomials", "shearing"}),
+        (_cli(*_ONE_SHOT["transport"]),
+         {"reps", "cli", "differentials", "dsl", "monomials", "shearing"}),
+        (_cli(*_ONE_SHOT["chart"]),
+         {"reps", "cli", "differentials", "dsl", "monomials", "vanishing", "svg"}),
     ],
-    ids=["package", "reps", "cli", "from-package", "rep-dim", "rep-lines", "vanishing"],
+    ids=[
+        "package", "reps", "cli", "from-package", "rep-dim", "rep-lines", "vanishing",
+        "hhr", "check", "correspond", "transport", "chart",
+    ],
 )
 def test_entry_point_loads_only_its_modules(code, modules):
     assert _engine(code) == modules
@@ -560,9 +610,23 @@ def test_entry_point_loads_only_its_modules(code, modules):
     ids=["shear", "tower"],
 )
 def test_shear_and_tower_skip_the_chart_modules(argv):
-    loaded = _engine(_cli(*argv))
-    assert "shearing" in loaded
-    assert not loaded & {"differentials", "dsl", "jsonio", "svg"}
+    assert _engine(_cli(*argv)) == {"reps", "cli", "shearing"}
+
+
+@functools.cache
+def _bare() -> frozenset[str]:
+    return frozenset(_loaded("pass"))
+
+
+@pytest.mark.parametrize("name", list(_ONE_SHOT))
+def test_one_shot_imports_no_stdlib_it_does_not_run(name):
+    """Beyond a bare interpreter, a human-output success imports no ``json``,
+    and only ``tower`` (its thresholds) and ``chart`` (its guide lines) make
+    a Fraction and import ``fractions`` and ``decimal``."""
+    extra = _loaded(_cli(*_ONE_SHOT[name])) - _bare()
+    assert "json" not in extra
+    if name not in {"tower", "chart"}:
+        assert not extra & {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize(

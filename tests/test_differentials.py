@@ -177,11 +177,23 @@ class TestTransport:
             for i in range(1, 6):
                 assert validate(transport(hu_kriz_seed(i), n)) == []
 
-    @pytest.mark.parametrize("grading", [None, VirtualRep.zero(CyclicGroup(2))])
-    def test_rejects_a_non_integer_step(self, grading):
-        # 1.0 once named the group exponent 2.0
-        with pytest.raises(ShearError, match="^shear step k must be an integer, got 1.0$"):
-            transport(hu_kriz_seed(1), 1.0, grading)
+    @pytest.mark.parametrize(
+        "grading", [None, VirtualRep.zero(CyclicGroup(2))], ids=["pullback", "graded"]
+    )
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (1.0, "must be an integer, got 1.0"),
+            (-1, "must be >= 0, got -1"),
+            (-5, "must be >= 0, got -5"),
+        ],
+        ids=["float", "minus-1", "minus-5"],
+    )
+    def test_rejects_a_bad_step(self, k, message, grading):
+        # without a grading, 1.0 once named the group exponent 2.0, -1 the
+        # smaller pullback group C1 and -5 the group exponent -4
+        with pytest.raises(ShearError, match=f"^shear step k {message}$"):
+            transport(hu_kriz_seed(1), k, grading)
 
 
 class TestLeibniz:
