@@ -9,10 +9,9 @@ shearing isomorphism.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
-from .reps import CyclicGroup, VirtualRep, _admit, _EngineError
+from .reps import CyclicGroup, VirtualRep, _admit, _EngineError, _Record, _set
 
 __all__ = [
     "Differential",
@@ -45,26 +44,30 @@ class RegionWarning(UserWarning):
     """A transport was requested outside the proven isomorphism region."""
 
 
-@dataclass(frozen=True)
-class Differential:
+class Differential(_Record):
     """A d_page arrow source -> target in the chart over ``group``.
 
-    Provenance records how the arrow was obtained and is ignored by equality,
-    so a transported differential compares equal to the directly generated
-    one.
+    Provenance records how the arrow was obtained and is ignored by equality
+    and hash, so a transported differential compares equal to the directly
+    generated one.
     """
 
-    group: CyclicGroup
-    page: int
-    source: ClassMonomial
-    target: ClassMonomial
-    provenance: str = field(default="user", compare=False)
+    __match_args__ = ("group", "page", "source", "target", "provenance")
+    _compared = ("group", "page", "source", "target")
 
-    def __post_init__(self) -> None:
-        if type(self.page) is not int or self.page < 2:
-            raise DifferentialError(f"differential page must be >= 2, got {self.page}")
-        if self.provenance not in PROVENANCES:
-            raise DifferentialError(f"unknown provenance {self.provenance!r}")
+    def __init__(
+        self, group: CyclicGroup, page: int, source: ClassMonomial, target: ClassMonomial,
+        provenance: str = "user",
+    ) -> None:
+        if type(page) is not int or page < 2:
+            raise DifferentialError(f"differential page must be >= 2, got {page}")
+        if provenance not in PROVENANCES:
+            raise DifferentialError(f"unknown provenance {provenance!r}")
+        _set(self, "group", group)
+        _set(self, "page", page)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "provenance", provenance)
 
 
 def validate(d: Differential) -> list[str]:
@@ -166,7 +169,7 @@ def transport(
         grading = d.source.degree().pullback_to(CyclicGroup(d.group.exponent + k))
     ctx = ShearContext.lift(d.group, k, grading)
     if k == 0:
-        return replace(d, provenance="transported")
+        return Differential(d.group, d.page, d.source, d.target, "transported")
     if region_of(d.source, ctx) == "outside":
         warnings.warn(
             f"transport source at (stem {d.source.stem}, filtration "
@@ -202,17 +205,17 @@ def leibniz(d: Differential, p: ClassMonomial) -> Differential:
     return Differential(d.group, d.page, source, target, provenance="generated")
 
 
-@dataclass(frozen=True)
-class PermanentCycleFact:
+class PermanentCycleFact(_Record):
     """The orientation class u_V of ``oriented_rep`` recorded as a permanent cycle."""
 
-    truncation: int
-    oriented_rep: VirtualRep
-    citation: str
+    __match_args__ = ("truncation", "oriented_rep", "citation")
 
-    def __post_init__(self) -> None:
-        _admit(self.truncation, "theory truncation index", 1, error=DifferentialError)
-        expand_orientation(self.oriented_rep)
+    def __init__(self, truncation: int, oriented_rep: VirtualRep, citation: str) -> None:
+        _admit(truncation, "theory truncation index", 1, error=DifferentialError)
+        expand_orientation(oriented_rep)
+        _set(self, "truncation", truncation)
+        _set(self, "oriented_rep", oriented_rep)
+        _set(self, "citation", citation)
 
     @property
     def group(self) -> CyclicGroup:

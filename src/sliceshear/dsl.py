@@ -14,13 +14,12 @@ reproduces the value exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .differentials import Differential, DifferentialError, validate
 from .monomials import ClassMonomial, _d_norms
 from .reps import (
     CyclicGroup, DslError, DslSemanticError, DslSyntaxError, RepError, VirtualRep, _int,
-    basis_names, parse_group_name, parse_rep,
+    _Record, _set, basis_names, parse_group_name, parse_rep,
 )
 
 # The literal parsers and DSL errors come from reps, whose __all__ lists them.
@@ -34,25 +33,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GuideSpec:
+class GuideSpec(_Record):
     """A requested guide line: kind "L", "vanish" or "boundary"."""
 
-    kind: str
-    k: int | None = None
-    h: int | None = None
+    __match_args__ = ("kind", "k", "h")
+
+    def __init__(self, kind: str, k: int | None = None, h: int | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "k", k)
+        _set(self, "h", h)
 
 
-@dataclass
-class ChartDocument:
-    """Parsed chart content, renderable to SVG."""
+class ChartDocument(_Record):
+    """Parsed chart content, renderable to SVG.  Unlike the engine's values it
+    is mutable, and so unhashable; a list left out starts empty."""
 
-    group: CyclicGroup
-    grading: VirtualRep
-    window: tuple[int, int, int] | None = None
-    classes: list[tuple[str, ClassMonomial]] = field(default_factory=list)
-    diffs: list[Differential] = field(default_factory=list)
-    guides: list[GuideSpec] = field(default_factory=list)
+    __match_args__ = ("group", "grading", "window", "classes", "diffs", "guides")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, group: CyclicGroup, grading: VirtualRep, window: tuple[int, int, int] | None = None,
+        classes: list[tuple[str, ClassMonomial]] | None = None,
+        diffs: list[Differential] | None = None, guides: list[GuideSpec] | None = None,
+    ) -> None:
+        self.group, self.grading, self.window = group, grading, window
+        self.classes = [] if classes is None else classes
+        self.diffs = [] if diffs is None else diffs
+        self.guides = [] if guides is None else guides
 
 
 # -- class expressions --------------------------------------------------------

@@ -17,10 +17,9 @@ canonicalizing body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .reps import CyclicGroup, RepError, VirtualRep, _admit, _EngineError
+from .reps import CyclicGroup, RepError, VirtualRep, _admit, _EngineError, _Record
 
 __all__ = [
     "ClassMonomial",
@@ -41,8 +40,7 @@ class MonomialError(_EngineError):
 # 1 <= i <= level-1.  Level 0 carries no factors.
 
 
-@dataclass(frozen=True, init=False)
-class ClassMonomial:
+class ClassMonomial(_Record):
     """coeff * prod N_{C_2}^{C_{2^j}}(t_i)^e * prod a_W^e * prod u_W^e.
 
     ``group`` is the ambient group of the chart; ``level`` l means the class
@@ -57,12 +55,7 @@ class ClassMonomial:
     A vanishing coefficient collapses everything to the zero class.
     """
 
-    group: CyclicGroup
-    level: int
-    coeff: int = 1
-    norms: tuple[tuple[int, int, int], ...] = ()
-    a_exp: tuple[int, ...] = ()
-    u_exp: tuple[int, ...] = ()
+    __match_args__ = ("group", "level", "coeff", "norms", "a_exp", "u_exp")
 
     def __init__(
         self,
@@ -119,9 +112,9 @@ class ClassMonomial:
         if coeff == 0:
             a = u = (0,) * level
             norms = ()
-        # every field in one step, on the frozen dataclass's instance dict; the
-        # grading caches are filled on first read, and preset so that all
-        # instances share one attribute layout, which keeps field reads fast
+        # every field in one step, on the instance dict; the grading caches are
+        # filled on first read, and preset so that all instances share one
+        # attribute layout, which keeps field reads fast
         self.__dict__.update(
             group=group, level=level, coeff=coeff, norms=norms, a_exp=a, u_exp=u,
             _degree=None, _bidegree=None,

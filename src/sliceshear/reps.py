@@ -12,6 +12,9 @@ read one series that a representation memoizes on first use.
 ``_admit`` is the engine's one admission rule for an integer handed in from
 outside: every module that checks an index, step, page or height calls it.
 
+``_Record`` is the base of the engine's values: plain immutable classes whose
+fields are their ``__match_args__``.
+
 The group and representation literals that ``VirtualRep.__str__`` prints are
 parsed here too, with the DSL error classes those parsers raise.
 """
@@ -19,9 +22,9 @@ parsed here too, with the DSL error classes those parsers raise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -97,6 +100,41 @@ def _admit(value, name: str, least=None, most=None, where=None, error=RepError) 
     return value
 
 
+# Sets one field of a value past its frozen __setattr__.  Unlike an update of
+# the instance dict, it keeps the fields in the compact per-class layout that
+# plain assignment uses, which is smaller and faster to read.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the engine's immutable values.  A subclass names its fields in
+    ``__match_args__`` and sets each in ``__init__`` with ``_set``.  Equality
+    and hash read the fields named in ``_compared`` (default: all of them)
+    through one C-level getter, the repr is ``Name(field=value, ...)``, and
+    assigning or deleting an attribute raises AttributeError."""
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*getattr(cls, "_compared", cls.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @lru_cache(maxsize=128)
 def basis_names(n: int, sigma: str = "s", lam: str = "l") -> tuple[str, ...]:
     """Names of the basis slots of RO(C_{2^n}) after the trivial one:
@@ -109,35 +147,26 @@ def basis_names(n: int, sigma: str = "s", lam: str = "l") -> tuple[str, ...]:
     return (sigma, *(f"{lam}{i}" for i in range(1, n))) if n >= 1 else ()
 
 
-@dataclass(frozen=True)
-class CyclicGroup:
+class CyclicGroup(_Record):
     """The cyclic 2-group C_{2^exponent}.
 
     Subgroups are exactly C_{2^k} for 0 <= k <= exponent, and every quotient
     C_{2^exponent}/C_{2^k} is again cyclic of order 2^(exponent-k).
     """
 
-    exponent: int
+    __match_args__ = ("exponent",)
 
-    def __post_init__(self) -> None:
-        if type(self.exponent) is not int or self.exponent < 0:
-            raise RepError(
-                f"group exponent must be a non-negative integer, got {self.exponent!r}"
-            )
+    def __init__(self, exponent: int) -> None:
+        if type(exponent) is not int or exponent < 0:
+            raise RepError(f"group exponent must be a non-negative integer, got {exponent!r}")
+        _set(self, "exponent", exponent)
 
     @property
     def order(self) -> int:
         return 1 << self.exponent
 
-    def subgroup(self, k: int) -> "CyclicGroup":
-        if not 0 <= _admit(k, "subgroup index k") <= self.exponent:
-            raise RepError(f"C_(2^{k}) is not a subgroup of {self}")
-        return CyclicGroup(k)
-
     def quotient(self, k: int) -> "CyclicGroup":
-        if not 0 <= _admit(k, "subgroup index k") <= self.exponent:
-            raise RepError(f"cannot form the quotient of {self} by C_(2^{k})")
-        return CyclicGroup(self.exponent - k)
+        return CyclicGroup(self.exponent - _admit(k, "subgroup index k", 0, self.exponent, self))
 
     def __str__(self) -> str:
         # 2^14284 has 4,300 digits, int-to-str's default limit: no larger order is built
@@ -149,8 +178,7 @@ class CyclicGroup:
         return f"C_(2^{self.exponent})"
 
 
-@dataclass(frozen=True)
-class VirtualRep:
+class VirtualRep(_Record):
     """A virtual real representation of a cyclic 2-group.
 
     ``coeffs[0]`` is the multiplicity of the trivial representation,
@@ -159,19 +187,19 @@ class VirtualRep:
     returns new objects.
     """
 
-    group: CyclicGroup
-    coeffs: tuple[int, ...]
+    __match_args__ = ("group", "coeffs")
 
-    def __post_init__(self) -> None:
-        want = self.group.exponent + 1
-        if len(self.coeffs) != want:
+    def __init__(self, group: CyclicGroup, coeffs: tuple[int, ...]) -> None:
+        want = group.exponent + 1
+        if len(coeffs) != want:
             raise RepError(
-                f"expected {want} basis coefficients for RO({self.group}), "
-                f"got {len(self.coeffs)}"
+                f"expected {want} basis coefficients for RO({group}), got {len(coeffs)}"
             )
-        for c in self.coeffs:
+        for c in coeffs:
             if type(c) is not int:
                 raise RepError(f"coefficients must be integers, got {c!r}")
+        _set(self, "group", group)
+        _set(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -430,8 +458,7 @@ def rho_bar(n_plus_1: int, k: int = 0) -> VirtualRep:
     )
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(_Record):
     """A line s = slope*(t-s) + intercept on a fixed-grading chart page.
 
     Coordinates are (x, s) with x the stem t-s and s the filtration.  The
@@ -439,8 +466,11 @@ class Line:
     a rational x too.  There is no floating point.
     """
 
-    slope: int
-    intercept: int
+    __match_args__ = ("slope", "intercept")
+
+    def __init__(self, slope: int, intercept: int) -> None:
+        _set(self, "slope", slope)
+        _set(self, "intercept", intercept)
 
     def at(self, x: int) -> int:
         return self.slope * x + self.intercept

@@ -10,11 +10,10 @@ times an explicit Euler-class monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, VirtualRep, _admit, _EngineError, _shift, _threshold
-from .reps import constant_C, line_L, rho_bar
+from .reps import CyclicGroup, Line, VirtualRep, _admit, _EngineError, _Record, _shift, _threshold
+from .reps import _set, constant_C, line_L, rho_bar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -39,8 +38,7 @@ class ShearError(_EngineError):
     """Raised for out-of-range shearing parameters or off-image lengths."""
 
 
-@dataclass(frozen=True)
-class ShearContext:
+class ShearContext(_Record):
     """A shear between the chart over ``source_group`` and one k steps up.
 
     ``grading`` is the representation grading the target-side page; its
@@ -48,19 +46,20 @@ class ShearContext:
     acts as the identity.
     """
 
-    source_group: CyclicGroup
-    k: int
-    grading: VirtualRep
+    __match_args__ = ("source_group", "k", "grading")
 
-    def __post_init__(self) -> None:
-        _admit(self.k, "shear step k", 0, error=ShearError)
-        if self.k > 0 and self.source_group.exponent < 1:
+    def __init__(self, source_group: CyclicGroup, k: int, grading: VirtualRep) -> None:
+        _admit(k, "shear step k", 0, error=ShearError)
+        if k > 0 and source_group.exponent < 1:
             raise ShearError("the source group of a nontrivial shear cannot be trivial")
-        if self.grading.group.exponent != self.source_group.exponent + self.k:
+        if grading.group.exponent != source_group.exponent + k:
             raise ShearError(
-                f"grading {self.grading} lives over {self.grading.group}, "
-                f"expected {CyclicGroup(self.source_group.exponent + self.k)}"
+                f"grading {grading} lives over {grading.group}, "
+                f"expected {CyclicGroup(source_group.exponent + k)}"
             )
+        _set(self, "source_group", source_group)
+        _set(self, "k", k)
+        _set(self, "grading", grading)
 
     @property
     def target_group(self) -> CyclicGroup:
@@ -193,15 +192,20 @@ def region_of(m: ClassMonomial, ctx: ShearContext) -> str:
     return "interior"
 
 
-@dataclass(frozen=True)
-class TowerEntry:
+class TowerEntry(_Record):
     """One stage of the tower of shearing isomorphisms."""
 
-    k: int
-    line: Line
-    threshold: Fraction
-    target_group: CyclicGroup
-    target_height: int
+    __match_args__ = ("k", "line", "threshold", "target_group", "target_height")
+
+    def __init__(
+        self, k: int, line: Line, threshold: Fraction, target_group: CyclicGroup,
+        target_height: int,
+    ) -> None:
+        _set(self, "k", k)
+        _set(self, "line", line)
+        _set(self, "threshold", threshold)
+        _set(self, "target_group", target_group)
+        _set(self, "target_height", target_height)
 
 
 def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[TowerEntry]:

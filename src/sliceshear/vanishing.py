@@ -11,10 +11,9 @@ never asserts that a differential exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, RepError, VirtualRep, _admit, line_L
+from .reps import CyclicGroup, Line, RepError, VirtualRep, _admit, _Record, _set, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -30,30 +29,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VanishingProfile:
+class VanishingProfile(_Record):
     """Height and grading data for the chart over C_{2^(n+1)}.
 
     ``h`` is the chromatic height 2^n * m of the theory; it must be divisible
     by 2^k for every subgroup level checked, i.e. by 2^n.
     """
 
-    n: int
-    h: int
-    grading: VirtualRep
+    __match_args__ = ("n", "h", "grading")
 
-    def __post_init__(self) -> None:
-        _admit(self.n, "profile index n")
-        _admit(self.h, "height")  # both types before n's range, as the messages go
-        _admit(self.n, "profile index n", 0)
-        if self.h < 1 or self.h % (1 << self.n):
+    def __init__(self, n: int, h: int, grading: VirtualRep) -> None:
+        _admit(n, "profile index n")
+        _admit(h, "height")  # both types before n's range, as the messages go
+        _admit(n, "profile index n", 0)
+        if h < 1 or h % (1 << n):
+            raise RepError(f"height {h} is not a positive multiple of 2^{n}")
+        if grading.group.exponent != n + 1:
             raise RepError(
-                f"height {self.h} is not a positive multiple of 2^{self.n}"
+                f"profile grading must live over {CyclicGroup(n + 1)}, got {grading.group}"
             )
-        if self.grading.group.exponent != self.n + 1:
-            raise RepError(
-                f"profile grading must live over {CyclicGroup(self.n + 1)}, got {self.grading.group}"
-            )
+        _set(self, "n", n)
+        _set(self, "h", h)
+        _set(self, "grading", grading)
 
     @property
     def group(self) -> CyclicGroup:
@@ -96,13 +93,15 @@ def boundary_line(V: VirtualRep) -> Line:
     return V._cone_line
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One violated admissibility clause; k is None for the boundary clause."""
 
-    k: int | None
-    clause: str
-    message: str
+    __match_args__ = ("k", "clause", "message")
+
+    def __init__(self, k: int | None, clause: str, message: str) -> None:
+        _set(self, "k", k)
+        _set(self, "clause", clause)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         where = "boundary" if self.k is None else f"k={self.k}"

@@ -16,8 +16,11 @@ errors and the 14,284/14,285 edge where a group name stops printing its order
 are checked the same way, and so are the calls that read n and the group
 from the grading: ``vanishing_line``, ``boundary_line`` and a permanent-cycle
 fact.  Two one-shot calls, ``rep dim`` and human-output ``hhr``, must load
-exactly their engine modules.  It needs no pytest, so it runs on any Python
-3.10+:
+exactly their engine modules, and neither may load ``dataclasses``.  The
+engine's values keep the record contract of their plain base class: the
+repr they printed as dataclasses, equality and hash over their fields (a
+differential's provenance left out), and no assignment.  It needs no pytest,
+so it runs on any Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -167,15 +170,42 @@ def module_failures(cwd: str) -> list[str]:
         proc = cli(argv, cwd, LOADED)
         names = proc.stderr.split()
         got = {m.removeprefix("sliceshear.") for m in names if m.startswith("sliceshear.")}
-        if proc.returncode or got != want:
+        if proc.returncode or got != want or "dataclasses" in names:
             failures.append(f"{shlex.join(argv)}: exit {proc.returncode}, loaded {sorted(got)}, "
-                            f"want {sorted(want)}")
+                            f"want {sorted(want)}, dataclasses {'dataclasses' in names}")
+    return failures
+
+
+def record_failures() -> list[str]:
+    """The record contract of the engine's values, on this Python."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import sliceshear as s
+
+    d = s.hhr_family(1, 1)
+    user = s.Differential(d.group, d.page, d.source, d.target)
+    twin = s.VirtualRep(s.CyclicGroup(2), (1, -2, 3))
+    rep = s.VirtualRep(group=s.CyclicGroup(exponent=2), coeffs=(1, -2, 3))
+    failures = []
+    if repr(rep) != "VirtualRep(group=CyclicGroup(exponent=2), coeffs=(1, -2, 3))":
+        failures.append(f"repr(VirtualRep): got {rep!r}")
+    if repr(s.GuideSpec("L", 1)) != "GuideSpec(kind='L', k=1, h=None)":
+        failures.append(f"repr(GuideSpec): got {s.GuideSpec('L', 1)!r}")
+    if not (rep == twin and hash(rep) == hash(twin) and rep != s.Line(1, 0)):
+        failures.append("VirtualRep equality or hash differs from its fields'")
+    if not (user == d and hash(user) == hash(d) and repr(user) != repr(d)):
+        failures.append("Differential equality or hash reads its provenance")
+    for value, field in ((rep, "coeffs"), (d, "provenance"), (s.Line(1, 0), "slope")):
+        try:
+            setattr(value, field, None)
+            failures.append(f"{type(value).__name__}.{field} was assigned")
+        except AttributeError:
+            pass
     return failures
 
 
 def main() -> int:
     checks = admission_checks()
-    failures = json_failures() + admission_failures(checks)
+    failures = json_failures() + admission_failures(checks) + record_failures()
     commands = readme_commands()
     if not commands:
         failures.append("README.md names no sliceshear command")

@@ -621,10 +621,11 @@ def _bare() -> frozenset[str]:
 @pytest.mark.parametrize("name", list(_ONE_SHOT))
 def test_one_shot_imports_no_stdlib_it_does_not_run(name):
     """Beyond a bare interpreter, a human-output success imports no ``json``,
-    and only ``tower`` (its thresholds) and ``chart`` (its guide lines) make
-    a Fraction and import ``fractions`` and ``decimal``."""
+    no ``dataclasses`` or ``inspect`` and no ``html``, and only ``tower`` (its
+    thresholds) and ``chart`` (its guide lines) make a Fraction and import
+    ``fractions`` and ``decimal``."""
     extra = _loaded(_cli(*_ONE_SHOT[name])) - _bare()
-    assert "json" not in extra
+    assert not extra & {"json", "dataclasses", "inspect", "html"}
     if name not in {"tower", "chart"}:
         assert not extra & {"fractions", "decimal"}
 

@@ -92,3 +92,14 @@ def test_only_cyclic_group_names_a_group():
         if re.search(r"C\{1 <<", path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    """Engine values are plain classes on ``reps._Record``: importing
+    ``dataclasses`` pulls in ``inspect``, which a one-shot call never runs."""
+    offenders = [
+        path.name
+        for path in sorted(Path(sliceshear.__file__).parent.glob("*.py"))
+        if re.search(r"^\s*(?:import|from)\s+dataclasses\b", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert offenders == []

@@ -1,7 +1,6 @@
 import json
 import random
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -331,7 +330,7 @@ def valid_differentials(draw):
             d = leibniz(d, ClassMonomial(d.group, n + 1, 1, (), draw(vec), draw(vec)))
         except LeibnizZeroError:
             pass
-    return replace(d, provenance=draw(st.sampled_from(PROVENANCES)))
+    return Differential(d.group, d.page, d.source, d.target, draw(st.sampled_from(PROVENANCES)))
 
 
 def _reference_bytes(items) -> bytes:

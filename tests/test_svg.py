@@ -1,8 +1,10 @@
+import html
 import pathlib
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sliceshear import (
     ChartDocument,
@@ -15,7 +17,7 @@ from sliceshear import (
     parse,
     vanishing_line,
 )
-from sliceshear.svg import _clip, _guide_line
+from sliceshear.svg import _clip, _escape, _guide_line
 from helpers import random_document, random_rep, reference_emit_svg
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -82,6 +84,10 @@ class TestRendering:
         doc.classes.append(("a<b&c>\"'", ClassMonomial.one(group, 1)))
         text = emit_svg(doc).decode()
         assert "a&lt;b&amp;c&gt;\"'<" in text
+
+    @given(st.text(alphabet=st.sampled_from("&<>\"'a;#x1 \u00e9"), max_size=24) | st.text())
+    def test_escape_is_html_escape_without_quotes(self, name):
+        assert _escape(name) == html.escape(name, quote=False)
 
     def test_every_random_document_with_window_renders(self):
         rng = random.Random(67)
