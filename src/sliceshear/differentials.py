@@ -75,8 +75,9 @@ def validate(d: Differential) -> list[str]:
 
     Violations are reported in a fixed order (group/level, endpoints, stem,
     filtration, degree), so the first entry is the first violated equation.
-    A message with more digits than int-to-str allows becomes the one entry
-    "invalid differential: <error>".
+    A message with more digits than int-to-str allows, or a norm index too
+    large to build 2^i from, becomes the one entry "invalid differential:
+    <error>".
     """
     problems: list[str] = []
     if d.source.group != d.group or d.target.group != d.group:
@@ -105,14 +106,16 @@ def validate(d: Differential) -> list[str]:
                 f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
                 f"expected, target has {tgt_filt}"
             )
-        src = d.source.degree().coeffs
-        if d.target.degree().coeffs != (src[0] - 1, *src[1:]):
+        src = d.source._degree_vector()
+        if d.target._degree_vector() != (src[0] - 1, *src[1:]):
             want = d.source.degree() - VirtualRep.of(d.source.level_group, triv=1)
             problems.append(
                 f"degree mismatch: target degree {d.target.degree()} is not source "
                 f"degree minus one trivial summand ({want})"
             )
-    except ValueError as e:  # a degree too long to print in the message
+    except (ValueError, OverflowError) as e:
+        # a degree too long to print in the message, or a norm index too large
+        # for 2^i to be built
         return [f"invalid differential: {e}"]
     return problems
 
@@ -166,7 +169,14 @@ def transport(
     from .shearing import ShearContext, ShearError, correspond_class, region_of, shear_length
     _admit(k, "shear step k", 0, error=ShearError)
     if grading is None:
-        grading = d.source.degree().pullback_to(CyclicGroup(d.group.exponent + k))
+        # the source degree pulled back to the target group, padded from its
+        # vector; pullback_to words the refusal of a source above that group
+        group = CyclicGroup(d.group.exponent + k)
+        extra = group.exponent - d.source.level
+        grading = (
+            VirtualRep(group, d.source._degree_vector() + (0,) * extra) if extra >= 0
+            else d.source.degree().pullback_to(group)
+        )
     ctx = ShearContext.lift(d.group, k, grading)
     if k == 0:
         return Differential(d.group, d.page, d.source, d.target, "transported")

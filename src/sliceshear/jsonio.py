@@ -167,8 +167,17 @@ def obj_to_differential(obj, path: str = "") -> Differential:
 # plain int, for which str is the text json writes.
 
 
-def _exponents_text(exps: tuple[int, ...], names: tuple[str, ...], pad: str) -> str:
-    body = ",\n".join(f'{pad}  "{k}": {e}' for k, e in zip(names, exps) if e)
+@functools.lru_cache(maxsize=128)
+def _keys(level: int, zero_key: str, pad: str) -> tuple[str, ...]:
+    """The ``'{pad}  "name": '`` prefix of each basis slot at ``level``."""
+    return tuple([f'{pad}  "{k}": ' for k in basis_names(level, zero_key)])
+
+
+def _exponents_text(exps: tuple[int, ...], zero_key: str, pad: str) -> str:
+    level = len(exps)
+    # as in _slots, a level past any chart's gets a fresh table
+    keys = (_keys if level <= 64 else _keys.__wrapped__)(level, zero_key, pad)
+    body = ",\n".join([f"{k}{e}" for k, e in zip(keys, exps) if e])
     return f"{{\n{body}\n{pad}}}" if body else "{}"
 
 
@@ -178,15 +187,14 @@ def _monomial_text(m: ClassMonomial, pad: str) -> str:
     p2 = p1 + "  "
     p3 = p2 + "  "
     norms = ",\n".join(
-        f"{p2}[\n{p3}{i},\n{p3}{j},\n{p3}{e}\n{p2}]" for i, j, e in m.norms
+        [f"{p2}[\n{p3}{i},\n{p3}{j},\n{p3}{e}\n{p2}]" for i, j, e in m.norms]
     )
     norms = f"[\n{norms}\n{p1}]" if norms else "[]"
-    level = m.level
     return (
-        f'{{\n{p1}"group": {m.group.exponent},\n{p1}"level": {level},\n'
+        f'{{\n{p1}"group": {m.group.exponent},\n{p1}"level": {m.level},\n'
         f'{p1}"coeff": {m.coeff},\n{p1}"norms": {norms},\n'
-        f'{p1}"a": {_exponents_text(m.a_exp, basis_names(level, "s"), p1)},\n'
-        f'{p1}"u": {_exponents_text(m.u_exp, basis_names(level, "2s"), p1)}\n'
+        f'{p1}"a": {_exponents_text(m.a_exp, "s", p1)},\n'
+        f'{p1}"u": {_exponents_text(m.u_exp, "2s", p1)}\n'
         f"{pad}}}"
     )
 

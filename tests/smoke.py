@@ -15,12 +15,14 @@ every supported Python; three inputs that once slipped past the engine's
 errors and the 14,284/14,285 edge where a group name stops printing its order
 are checked the same way, and so are the calls that read n and the group
 from the grading: ``vanishing_line``, ``boundary_line`` and a permanent-cycle
-fact.  Two one-shot calls, ``rep dim`` and human-output ``hhr``, must load
-exactly their engine modules, and neither may load ``dataclasses``.  The
-engine's values keep the record contract of their plain base class: the
-repr they printed as dataclasses, equality and hash over their fields (a
-differential's provenance left out), and no assignment.  It needs no pytest,
-so it runs on any Python 3.10+:
+fact.  So are a JSON norm index too large to build 2^i from and the exact
+text of a degree mismatch that ``validate`` reports.  Two one-shot calls,
+``rep dim`` and human-output ``hhr``, must load exactly their engine
+modules, and neither may load ``dataclasses``.  The engine's values keep
+the record contract of their plain base class: the repr they printed as
+dataclasses, equality and hash over their fields (a differential's
+provenance left out), and no assignment.  It needs no pytest, so it runs on
+any Python 3.10+:
 
     python3 tests/smoke.py    (from the repository root)
 
@@ -115,8 +117,13 @@ def admission_checks() -> list:
     page["page"] = _Int(page["page"])
     huge = s.differential_to_obj(s.hhr_family(1, 1))
     huge["group"] = 10**30
+    wide = s.differential_to_obj(s.hhr_family(0, 1))
+    wide["source"]["norms"] = [[10**30, 1, 1]]
     c4, c8 = s.CyclicGroup(2), s.CyclicGroup(3)
     two_s, three_s = (s.VirtualRep.of(s.CyclicGroup(1), sigma=e) for e in (2, 3))
+    # u2S -> Nt[1,1]*aL1*aS over C4: stem and filtration agree, the degree does not
+    skew = s.Differential(c4, 3, s.ClassMonomial(c4, 2, u_exp=(1,)),
+                          s.ClassMonomial(c4, 2, 1, ((1, 1, 1),), (1, 1)))
     return [
         ("tau(V, True)", lambda: s.tau(s.VirtualRep.zero(s.CyclicGroup(3)), True),
          s.RepError, "tau index k must be an integer, got True"),
@@ -137,6 +144,8 @@ def admission_checks() -> list:
         ("import_json(<group 10**30>)", lambda: s.import_json(json.dumps([huge])),
          s.JsonSchemaError, "items[0]: endpoint group mismatch: source over C4, target over "
          f"C4, differential over C_(2^{10**30})"),
+        ("import_json(<norm index 10**30>)", lambda: s.import_json(json.dumps([wide])),
+         s.JsonSchemaError, "items[0]: invalid differential: too many digits in integer"),
         # None: the call returns the text; 2^14284 has 4,300 digits, 2^14285 4,301
         ("str(CyclicGroup(14284))", lambda: str(s.CyclicGroup(14284)), None, f"C{1 << 14284}"),
         ("str(CyclicGroup(14285))", lambda: str(s.CyclicGroup(14285)), None, "C_(2^14285)"),
@@ -149,6 +158,10 @@ def admission_checks() -> list:
          lambda: s.print_canonical(s.PermanentCycleFact(1, two_s, "x").u_class), None, "u2S"),
         ("PermanentCycleFact(1, 3s, 'x')", lambda: s.PermanentCycleFact(1, three_s, "x"),
          s.RepError, "3s is not orientable: odd sigma multiplicity"),
+        # validate compares degree vectors and words a mismatch with representations
+        ("validate(u2S -> Nt[1,1]*aL1*aS over C4)", lambda: s.validate(skew), None,
+         ["degree mismatch: target degree 1-l1 is not source degree minus one trivial "
+          "summand (1-2s)"]),
     ]
 
 

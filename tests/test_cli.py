@@ -342,6 +342,22 @@ class TestExitCodes:
         assert (error["code"], error["kind"], error["line"]) == (3, "semantic", 2)
         assert error["message"].startswith("invalid differential: Exceeds the limit")
 
+    def test_chart_norm_index_too_large_for_its_power_is_3(self, capsys, tmp_path):
+        # 2^i cannot be built for i = 10^30; it once exited 1 as an internal OverflowError
+        src = tmp_path / "big.dsl"
+        src.write_text(f"group C2\ndiff 3: Nt[{10**30},1] -> Nt[1,1]*aS^3\n")
+        code, out, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": {
+                "code": 3,
+                "kind": "semantic",
+                "message": "invalid differential: too many digits in integer",
+                "line": 2,
+                "col": 5,
+            }
+        }
+
     def test_diff_spec_error_has_column_0(self, capsys):
         code, _, err = run(capsys, "transport", "--group", "C2", "--k", "1", "--diff", "nonsense")
         assert code == 2

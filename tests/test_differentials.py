@@ -172,6 +172,38 @@ class TestTransport:
             warnings.simplefilter("error")
             transport(hu_kriz_seed(1), 1)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (ClassMonomial(C2, 0, 3), ClassMonomial(C2, 0, 1)),
+            (
+                ClassMonomial(C(2), 1, 1, ((1, 1, 1),), (0,), (2,)),
+                ClassMonomial(C(2), 1, 1, ((2, 1, 1),), (3,), (0,)),
+            ),
+        ],
+        ids=["C2-level-0", "C4-level-1"],
+    )
+    def test_default_grading_is_the_pulled_back_source_degree(self, source, target, k):
+        # the default is padded from the source's level, not from the group's exponent
+        import warnings
+
+        d = Differential(source.group, 2, source, target)
+
+        def shear(grading):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = transport(d, k, grading)
+            return out, [str(w.message) for w in caught]
+
+        explicit = d.source.degree().pullback_to(C(d.group.exponent + k))
+        assert shear(None) == shear(explicit)
+
+    def test_default_grading_refuses_a_source_above_the_target_group(self):
+        m = ClassMonomial(C(3), 3, u_exp=(1,))
+        with pytest.raises(RepError, match=r"^cannot pull back from C8 to the smaller group C4$"):
+            transport(Differential(C2, 3, m, m), 1)
+
     def test_results_validate(self):
         for n in range(0, 5):
             for i in range(1, 6):

@@ -250,6 +250,12 @@ class TestInvalidDifferentials:
         obj["target"]["norms"] = [[20000, 1, 1]]
         self._rejected(obj, "invalid differential: Exceeds the limit")
 
+    def test_norm_index_too_large_for_its_power(self):
+        # 2^i cannot be built for i = 10^30; it once left the reader as an OverflowError
+        obj = differential_to_obj(hhr_family(0, 1))
+        obj["source"]["norms"] = [[10**30, 1, 1]]
+        self._rejected(obj, "invalid differential: too many digits in integer$")
+
 
 class TestExportedFieldsArePlainInts:
     """A bool or float in a field that export_json writes would export as
@@ -344,6 +350,8 @@ def _reference_bytes(items) -> bytes:
 class TestWriter:
     @given(st.lists(monomials() | arbitrary_differentials() | valid_differentials(), max_size=5))
     @example([])
+    # past level 64 the basis keys are laid out without the memo
+    @example([ClassMonomial(CyclicGroup(70), 70, 3, ((2, 70, 1),), (0,) * 69 + (1,), (1,) * 70)])
     def test_bytes_are_json_dumps_indent_2(self, items):
         assert export_json(items) == _reference_bytes(items)
 

@@ -316,3 +316,8 @@ def test_constructor_keywords_and_replace():
     assert ClassMonomial(**{**fields, "coeff": 1}).coeff == 1
     assert ClassMonomial(**{**fields, "coeff": 4}).is_zero
     assert (m._degree, m._bidegree) == (None, None)
+    # one triple skips the merge, which would have rebuilt a list triple as a tuple
+    single = ClassMonomial(g, 2, norms=[[1, 2, 1]])
+    assert single.norms == ((1, 2, 1),) and type(single.norms[0]) is tuple
+    assert hash(single) == hash(ClassMonomial(g, 2, norms=((1, 2, 1),)))
+    assert ClassMonomial(g, 2, norms=[[1, 2, 0]]).norms == ()
