@@ -13,7 +13,9 @@ reproduces the value exactly.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 
 from .differentials import Differential, DifferentialError, validate
 from .monomials import ClassMonomial, _d_norms
@@ -68,11 +70,14 @@ class ChartDocument(_Record):
 # the token grammar _CLASS_TOKEN.  _factor checks a factor at the class level
 # and raises the first error it finds, so an expression's errors come in
 # reading order; only when one is raised does _class_expr scan the whole text,
-# because an unknown character anywhere comes first.  parse() shares one memo
-# between the class and diff lines of a document: it maps (level, piece) of a
-# valid piece to its factor, and (text, level) of a parsed expression to its
-# monomial.  Columns count from where the scan of a token starts, i.e. before
-# its leading whitespace, so a factor's column is that of its piece.
+# because an unknown character anywhere comes first.  _factor depends on its
+# (level, piece) alone and counts its error columns from the piece's start, so
+# one process-wide LRU cache serves every document (a chart draws a few hundred
+# distinct pieces); _class_expr adds the piece's column to an error.  parse()
+# also shares one memo between the class and diff lines of a document: per
+# level, the text of a parsed expression to its monomial.  Columns count from
+# where the scan of a token starts, i.e. before its leading whitespace, so a
+# factor's column is that of its piece.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -88,6 +93,8 @@ _CLASS_TOKEN = re.compile(
     )""",
     re.X,
 )
+# the digits int() reads from text; 0, or no such call, is no limit
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _tokens(text: str, col: int) -> list[re.Match]:
@@ -106,15 +113,35 @@ def _tokens(text: str, col: int) -> list[re.Match]:
     return tokens
 
 
-def _factor(piece: str, col: int, lv: int, memo: dict) -> tuple:
-    """The factor that one piece spells at level lv, memoized under (lv, piece):
-    ("a" or "u", basis index, exponent), ("n", norms, 1) or ("c", coefficient, 1)."""
-    m, *tokens = _tokens(piece, col)
+def _power(x: int, e: int) -> int:
+    """x**e, refused when it has more digits than int() reads from text, as
+    a literal that long is; decided from bit lengths where they settle it.  A
+    cached factor keeps the verdict of the limit in force when it was read."""
+    limit = _max_str_digits()
+    if limit and abs(x) > 1:
+        # 2**(b-1) <= |x| < 2**b and 0.30102 < log10(2) < 0.30103
+        b = abs(x).bit_length()
+        if e * (b - 1) * 30102 >= limit * 100000 or (
+            e * b * 30103 > limit * 100000 and abs(x) ** e >= 10**limit
+        ):
+            raise DslSemanticError(f"coefficient power has more than {limit} digits", col=0)
+    return x**e
+
+
+@functools.lru_cache(maxsize=1024)
+def _factor(lv: int, piece: str) -> tuple | None:
+    """The factor that one piece spells at level lv: ("a" or "u", basis index,
+    exponent), ("n", norms, 1) or ("c", coefficient, 1); None for a blank piece.
+    Error columns count from the start of the piece."""
+    tokens = _tokens(piece, 0)
+    if not tokens:
+        return None
+    m, *tokens = tokens
     kind, e = m.lastgroup, 1
     if tokens and tokens[0].lastgroup == "pow":
         if len(tokens) < 2 or tokens[1].lastgroup != "num":
-            raise DslSyntaxError("expected an integer exponent after ^", col=col)
-        ecol = col + tokens[1].start()
+            raise DslSyntaxError("expected an integer exponent after ^", col=0)
+        ecol = tokens[1].start()
         e = _int(tokens[1].group("num"), ecol)
         # rejected before the indices are read, so it comes before an
         # error for an index past the digit limit
@@ -123,41 +150,42 @@ def _factor(piece: str, col: int, lv: int, memo: dict) -> tuple:
         del tokens[:2]
     if kind == "aS" or kind == "u2S":
         if lv < 1:
-            raise DslSemanticError(f"{kind} needs a level of at least C2", col=col)
+            raise DslSemanticError(f"{kind} needs a level of at least C2", col=0)
         factor = kind[0], 0, e
     elif kind == "aL" or kind == "uL":
-        i = _int(m.group(kind + "_i"), col)
+        i = _int(m.group(kind + "_i"), 0)
         if not 1 <= i <= lv - 1:
-            raise DslSemanticError(f"{kind}{i} is not in the basis at level {CyclicGroup(lv)}", col=col)
+            raise DslSemanticError(
+                f"{kind}{i} is not in the basis at level {CyclicGroup(lv)}", col=0
+            )
         factor = kind[0], i, e
     elif kind == "num":
-        factor = "c", _int(m.group("num"), col) ** e, 1
+        factor = "c", _power(_int(m.group("num"), 0), e), 1
     elif kind == "nt":
-        i, j = _int(m.group("nt_i"), col), _int(m.group("nt_j"), col)
+        i, j = _int(m.group("nt_i"), 0), _int(m.group("nt_j"), 0)
         if i < 1:
-            raise DslSemanticError(f"Nt[{i},{j}]: generator index must be >= 1", col=col)
+            raise DslSemanticError(f"Nt[{i},{j}]: generator index must be >= 1", col=0)
         if not 1 <= j <= lv:
             raise DslSemanticError(
-                f"Nt[{i},{j}]: norm level must lie between 1 and the class level {lv}", col=col
+                f"Nt[{i},{j}]: norm level must lie between 1 and the class level {lv}", col=0
             )
         factor = "n", ((i, j, e),), 1
     elif kind == "dd":
-        i, j = _int(m.group("d_n"), col), _int(m.group("d_m"), col)
+        i, j = _int(m.group("d_n"), 0), _int(m.group("d_m"), 0)
         if i < 1 or j < 1:
-            raise DslSemanticError(f"D[{i},{j}]: both indices must be >= 1", col=col)
+            raise DslSemanticError(f"D[{i},{j}]: both indices must be >= 1", col=0)
         if i > lv:
             raise DslSemanticError(
-                f"D[{i},{j}] needs a level of at least {CyclicGroup(i)}", col=col
+                f"D[{i},{j}] needs a level of at least {CyclicGroup(i)}", col=0
             )
         factor = "n", tuple(_d_norms(i, j, e)), 1
     else:  # a ^ or * where a factor should be
-        raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", col=col)
+        raise DslSyntaxError(f"unexpected {m.group(0).strip()!r}", col=0)
     if tokens:
         t = tokens[0]
         raise DslSyntaxError(
-            f"expected * between factors, got {t.group(0).strip()!r}", col=col + t.start()
+            f"expected * between factors, got {t.group(0).strip()!r}", col=t.start()
         )
-    memo[lv, piece] = factor
     return factor
 
 
@@ -165,9 +193,15 @@ def _class_expr(
     text: str, group: CyclicGroup, level: int | None, col_offset: int, memo: dict
 ) -> ClassMonomial:
     lv = group.exponent if level is None else level
-    mono = memo.get((text, lv))
+    exprs = memo.get(lv)
+    if exprs is None:
+        exprs = memo[lv] = {}
+    mono = exprs.get(text)
     if mono is not None:  # a monomial is immutable, so lines share it
         return mono
+    # a level past any chart's bypasses the cache, as in jsonio._slots, and so
+    # does a text longer than any chart's, so the cache holds only small pieces
+    factor_at = _factor if lv <= 64 and len(text) <= 256 else _factor.__wrapped__
     coeff = 1
     a = [0] * lv
     u = [0] * lv
@@ -176,18 +210,19 @@ def _class_expr(
     pieces = iter(text.split("*"))
     try:
         for piece in pieces:
-            factor = memo.get((lv, piece))
-            if factor is None:
-                if not piece.strip():
-                    if col - col_offset + len(piece) < len(text):
-                        # the * that follows stands where a factor should
-                        piece += "*" + next(pieces)
-                    else:  # the text is blank or ends in *
-                        # the scan of that * starts after the factor before it
-                        mul = col_offset + len(text[: col - col_offset - 1].rstrip())
-                        reason = "dangling * at end of" if col > col_offset else "empty"
-                        raise DslSyntaxError(f"{reason} class expression", col=mul)
-                factor = _factor(piece, col, lv, memo)
+            try:
+                factor = factor_at(lv, piece)
+                if factor is None and col - col_offset + len(piece) < len(text):
+                    # the * that follows stands where a factor should, and raises
+                    factor_at(lv, piece + "*" + next(pieces))
+            except DslError as e:
+                e.col += col
+                raise
+            if factor is None:  # the text is blank or ends in *
+                # the scan of that * starts after the factor before it
+                mul = col_offset + len(text[: col - col_offset - 1].rstrip())
+                reason = "dangling * at end of" if col > col_offset else "empty"
+                raise DslSyntaxError(f"{reason} class expression", col=mul)
             kind, x, e = factor
             if kind == "c":
                 coeff *= x
@@ -201,7 +236,7 @@ def _class_expr(
         raise
     # the callers admit the level and _factor every index and exponent
     mono = ClassMonomial._trusted(group, lv, coeff, norms, tuple(a), tuple(u))
-    memo[text, lv] = mono
+    exprs[text] = mono
     return mono
 
 
@@ -266,10 +301,11 @@ def parse(text: str) -> ChartDocument:
     doc: ChartDocument | None = None
     saw_grading = False
     names: set[str] = set()
-    memo: dict = {}  # see _class_expr; for this document only
+    memo: dict = {}  # level -> {expression text: monomial}, for this document only
     try:
         for line_no, raw in enumerate(text.splitlines(), 1):
-            body = raw.split("#", 1)[0].rstrip()
+            cut = raw.find("#")
+            body = (raw if cut < 0 else raw[:cut]).rstrip()
             if not body:
                 continue
             m = doc is not None and _CLASS_RE.fullmatch(body)

@@ -194,8 +194,11 @@ class ClassMonomial(_Record):
         a_sigma + 2 * sum(a_lambda_i), stem = slice_dim - filtration = |degree|.
         """
         if self._bidegree is None:
-            slice_dim = sum((e * ((1 << i) - 1)) << j for i, j, e in self.norms)
-            filtration = sum(self.a_exp[:1]) + 2 * sum(self.a_exp[1:])
+            slice_dim = 0
+            for i, j, e in self.norms:
+                slice_dim += (e * ((1 << i) - 1)) << j
+            a = self.a_exp  # a_sigma counts once, each a_lambda_i twice
+            filtration = 2 * sum(a) - a[0] if a else 0
             object.__setattr__(
                 self, "_bidegree", (slice_dim - filtration, filtration, slice_dim)
             )

@@ -16,9 +16,11 @@ errors and the 14,284/14,285 edge where a group name stops printing its order
 are checked the same way, and so are the calls that read n and the group
 from the grading: ``vanishing_line``, ``boundary_line`` and a permanent-cycle
 fact.  So are a JSON norm index too large to build 2^i from and the exact
-text of a degree mismatch that ``validate`` reports.  Two one-shot calls,
-``rep dim`` and human-output ``hhr``, must load exactly their engine
-modules, and neither may load ``dataclasses``.  The engine's values keep
+text of a degree mismatch that ``validate`` reports.  The goldens are also
+rendered through the library twice in this process, first with the DSL's
+factor cache emptied and then with it warm, and both must be byte-identical.
+Two one-shot calls, ``rep dim`` and human-output ``hhr``, must load exactly
+their engine modules, and neither may load ``dataclasses``.  The engine's values keep
 the record contract of their plain base class: the repr they printed as
 dataclasses, equality and hash over their fields (a differential's
 provenance left out), and no assignment.  It needs no pytest, so it runs on
@@ -177,6 +179,22 @@ def admission_failures(checks: list) -> list[str]:
     return failures
 
 
+def golden_failures() -> list[str]:
+    """Both goldens parsed and rendered in process, cold and then warm."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from sliceshear import dsl, parse
+    from sliceshear.svg import emit_svg
+
+    dsl._factor.cache_clear()
+    failures = []
+    for state in ("cold", "warm"):
+        for golden in sorted(GOLDENS.glob("*.dsl")):
+            svg = emit_svg(parse(golden.read_text(encoding="utf-8")))
+            if svg != golden.with_suffix(".svg").read_bytes():
+                failures.append(f"{golden.name}, {state} factor cache: output differs")
+    return failures
+
+
 def module_failures(cwd: str) -> list[str]:
     failures = []
     for argv, want in MODULES:
@@ -219,6 +237,7 @@ def record_failures() -> list[str]:
 def main() -> int:
     checks = admission_checks()
     failures = json_failures() + admission_failures(checks) + record_failures()
+    failures += golden_failures()
     commands = readme_commands()
     if not commands:
         failures.append("README.md names no sliceshear command")
@@ -255,7 +274,8 @@ def main() -> int:
                 failures.append(f"{shlex.join(argv)} ({dsl!r}): got {got}, "
                                 f"want {(code, kind, line, col)}")
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
-          f"{len(list(GOLDENS.glob('*.dsl')))} goldens, {len(ERRORS)} error examples, "
+          f"{len(list(GOLDENS.glob('*.dsl')))} goldens (CLI, and in process cold and warm), "
+          f"{len(ERRORS)} error examples, "
           f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
           f"{len(MODULES)} module sets, {len(failures)} failures")
     for failure in failures:

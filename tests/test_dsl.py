@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from sliceshear import (
     GuideSpec,
     VirtualRep,
     build_D,
+    dsl,
     hhr_family,
     hu_kriz_seed,
     norm_class,
@@ -391,8 +393,9 @@ def test_shared_factor_memo_keeps_level_and_column():
     assert a == c == parse_class_expr("aS*aL1", C(3))
     assert b == parse_class_expr("aS*aL1", C(3), level=2)
     assert t == doc.diffs[0].target == parse_class_expr(target, C(3))
-    # the memo lives for one document: the next one, over another group, gets
-    # monomials over that group
+    # the expression memo lives for one document: the next one, over another
+    # group, gets monomials over that group (the factor cache, which outlives
+    # a document, holds no group)
     doc = parse("group C16\nclass a = aS*aL1@C8\nclass b = aS\n")
     assert [m for _, m in doc.classes] == [
         parse_class_expr("aS*aL1", C(4), level=3), parse_class_expr("aS", C(4))
@@ -409,6 +412,111 @@ def test_shared_factor_memo_keeps_level_and_column():
         assert (exc.value.reason, exc.value.line, exc.value.col) == (
             "aL5 is not in the basis at level C4", line, col
         )
+
+
+def _doc_outcome(text):
+    try:
+        return parse(text)
+    except DslError as e:
+        return type(e), e.reason, e.line, e.col
+
+
+# edits that make a valid document fail in a factor, a statement or a level
+_EDITS = st.sampled_from(
+    list("*^- 07#\n") + ["aS", "aL5", "uL2", "u2S", "Nt[1,9]", "D[9,1]", "x", "@C2", "^-1"]
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A random document's canonical text with up to three edits, each an
+    insertion that may overwrite up to two characters."""
+    text = print_canonical(random_document(random.Random(draw(st.integers(0, 2**16)))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_EDITS) + text[at + draw(st.integers(0, 2)) :]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents(), mutated_documents())
+# a piece valid at the other document's level and not at this one's
+@example("group C4\nclass b = aL2\n", "group C8\nclass a = aL2\n")
+def test_factor_cache_never_changes_a_parse(text, other):
+    dsl._factor.cache_clear()
+    cold = _doc_outcome(text)
+    # warm the cache with another document, whose pieces may stand at other
+    # levels, with these pieces at other columns, and with these
+    for warm in (other, text.replace(" = ", " =   "), text):
+        _doc_outcome(warm)
+    assert _doc_outcome(text) == cold
+
+
+def test_cached_factor_error_takes_each_documents_column():
+    # each pair holds one piece at two columns, parsed in a row; the error
+    # inside the piece keeps its offset from the piece's start
+    pairs = [
+        ("aL5", DslSemanticError, "aL5 is not in the basis at level C4", 0),
+        ("aS^-1", DslSemanticError, "negative exponents are not allowed", 3),
+        ("aS aL1", DslSyntaxError, "expected * between factors, got 'aL1'", 2),
+        ("aS^", DslSyntaxError, "expected an integer exponent after ^", 0),
+    ]
+    for piece, error, message, offset in pairs:
+        for head, col in [("class a = ", 10), ("class abc = u2S*", 16)]:
+            with pytest.raises(error) as exc:
+                parse(f"group C4\n{head}{piece}\n")
+            assert (exc.value.reason, exc.value.line, exc.value.col) == (
+                message, 2, col + offset
+            )
+
+
+def test_factor_cache_is_bounded():
+    info = dsl._factor.cache_info
+    dsl._factor.cache_clear()
+    for k in range(1100):
+        assert parse_class_expr(f"aS*{2 * k + 1}", C(2)).coeff == 1
+    assert info().misses == 1101 and info().currsize <= info().maxsize == 1024
+    dsl._factor.cache_clear()
+    # a level past 64 and a text past 256 characters bypass the cache
+    a = (1,) + (0,) * 63 + (1,)
+    assert parse_class_expr("aS*aL64*3", C(65)) == ClassMonomial(C(65), 65, 1, (), a)
+    long = "aS*" + " " * 256 + "aL1"
+    assert parse_class_expr(long, C(2)) == ClassMonomial(C(2), 2, 1, (), (1, 1))
+    assert info().currsize == 0
+    # the same pieces at level 64, in a short text, enter it
+    parse_class_expr("aS*aL63*3", C(64))
+    assert info().currsize == 3
+
+
+@pytest.mark.parametrize(
+    "expr, col",
+    [
+        ("3^6000000*aS", 10),
+        # 10^4300 has 4,301 digits: bit lengths leave it open, the power decides
+        ("aS*10^4300", 13),
+        ("aS*  -2^99999999999999999999", 13),
+    ],
+)
+def test_coefficient_power_past_digit_limit(default_digit_limit, expr, col):
+    with pytest.raises(DslSemanticError) as exc:
+        parse(f"group C2\nclass x = {expr}\n")
+    assert (exc.value.reason, exc.value.line, exc.value.col) == (
+        "coefficient power has more than 4300 digits", 2, col
+    )
+
+
+def test_coefficient_power_within_digit_limit(default_digit_limit):
+    assert parse_class_expr("10^4299", C(0)).coeff == 10**4299
+    assert parse_class_expr("-10^4299", C(0)).coeff == -(10**4299)
+    # bases 0, 1 and -1 stay small at any exponent
+    e = 10**30
+    assert [parse_class_expr(f"{x}^{e + 1}", C(0)).coeff for x in (0, 1, -1)] == [0, 1, -1]
+    # with no digit limit, the power is not bounded
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_class_expr("10^4400", C(0)).coeff == 10**4400
+    finally:
+        dsl._factor.cache_clear()  # it holds a factor read under no limit
 
 
 @pytest.mark.parametrize(

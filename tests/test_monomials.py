@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sliceshear import (
     ClassMonomial,
@@ -235,6 +235,10 @@ def monomials(draw):
 
 class TestClosedFormKernel:
     @given(monomials())
+    # the a_sigma edges of filtration = 2 * sum(a_exp) - a_exp[0]: no a_exp at
+    # level 0, and a_sigma alone at level 1
+    @example(ClassMonomial(C(2), 0, 3))
+    @example(ClassMonomial(C2, 1, 1, ((1, 1, 1),), (3,), (1,)))
     def test_matches_chained_reference(self, m):
         ref = reference_degree(m)
         slice_dim = sum(e * ((1 << i) - 1) * (1 << j) for i, j, e in m.norms)
