@@ -12,11 +12,21 @@ exit code and kind:
   ``internal`` (any other exception, as ``"<ExcType>: <text>"``)
 - 2: ``parse`` (DSL or literal syntax)
 - 3: ``semantic`` (every other engine error)
+
+``python -m sliceshear.cli`` and the installed ``sliceshear`` script both run
+``run()``: it calls ``main()`` on ``sys.argv`` and then, on every way out
+(``--help``'s ``SystemExit`` too), freezes the cyclic collector with
+``gc.freeze()``.  Interpreter shutdown then skips the collector's walk over
+every object the process still holds, whose memory goes back to the system
+anyway; atexit handlers, stream flushes and reference-count teardown still
+run.  ``main(argv)`` itself has no such process-wide effect, so it can be
+called in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -25,7 +35,7 @@ from .reps import (
     CyclicGroup, DslError, _admit, _EngineError, line_L, parse_group_name, parse_rep, tau,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 class _CliFailure(_EngineError):
@@ -328,5 +338,14 @@ def main(argv: list[str] | None = None) -> int:
     return err["code"]
 
 
+def run() -> int:
+    """The program: ``main()`` on ``sys.argv``, then the collector frozen
+    for the shutdown that follows; returns ``main``'s exit code."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -322,7 +322,12 @@ def parse(text: str) -> ChartDocument:
                             f"level {lvl_text} exceeds the chart group {doc.group}",
                             col=m.start(3),
                         )
-                doc.classes.append((name, _class_expr(expr, doc.group, level, m.start(2), memo)))
+                mono = _class_expr(expr, doc.group, level, m.start(2), memo)
+                try:  # emit_svg places the class by this cached bidegree
+                    mono.bidegree()
+                except (ValueError, OverflowError) as e:  # as validate words a diff's
+                    raise DslSemanticError(f"invalid class: {e}", col=m.start(2)) from e
+                doc.classes.append((name, mono))
                 continue
             stmt = _STMT_RE.match(body)
             if not stmt:

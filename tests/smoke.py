@@ -3,8 +3,11 @@
 It runs every ``sliceshear`` command in README.md, in human form and with
 ``--json``, each in a fresh isolated interpreter, and checks that each exits 0
 with output and nothing on stderr, and that each ``--json`` output is JSON.
-It then renders the two SVG goldens with ``sliceshear chart`` and compares
-them byte for byte, and runs README's four documented error examples, checking
+Each such interpreter runs the ``module:function`` that pyproject.toml's
+``[project.scripts]`` names, as an installed ``sliceshear`` does, and the
+smoke test fails if that names no function.  It then renders the two SVG
+goldens with ``sliceshear chart`` and compares them byte for byte, and runs
+README's four documented error examples, checking
 each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
 on stderr.  In process, it round-trips the HHR families through JSON, which
 builds every monomial through the unchecked constructor, and checks the exact
@@ -33,8 +36,10 @@ Exits 0 when every check holds, 1 otherwise.
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -60,14 +65,28 @@ BAD_JSON = [
     ('[{"group": 1, "page": 3, "source": {"group": 1, "level": 1, "coeff": true}}]',
      "items[0].source.coeff: expected an integer, got True"),
 ]
+
+
+def script_entry() -> tuple[str, str]:
+    """The (module, function) that pyproject.toml's ``[project.scripts]``
+    names for ``sliceshear``, read with a regex: 3.10 has no ``tomllib``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    m = re.search(r'^\[project\.scripts\][^\[]*?^sliceshear\s*=\s*"([\w.]+):(\w+)"', text, re.M)
+    if not m:
+        raise LookupError('pyproject.toml names no sliceshear = "<module>:<function>" script')
+    return m.group(1), m.group(2)
+
+
+ENTRY_MODULE, ENTRY = script_entry()
+# the program an installed ``sliceshear`` runs, as its console script calls it
 MAIN = (
     f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
-    "from sliceshear.cli import main; sys.exit(main())"
+    f"from {ENTRY_MODULE} import {ENTRY}; sys.exit({ENTRY}())"
 )
 # MAIN that also prints the names of the loaded modules to stderr
 LOADED = (
-    f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from sliceshear.cli import main; "
-    "code = main(); print(*sys.modules, file=sys.stderr); sys.exit(code)"
+    f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); from {ENTRY_MODULE} import {ENTRY}; "
+    f"code = {ENTRY}(); print(*sys.modules, file=sys.stderr); sys.exit(code)"
 )
 # one-shot calls and the engine modules each loads (cli and reps always do)
 MODULES = [
@@ -195,6 +214,15 @@ def golden_failures() -> list[str]:
     return failures
 
 
+def entry_failures() -> list[str]:
+    """The script entry names a function of its module."""
+    sys.path.insert(0, str(ROOT / "src"))
+    module = importlib.import_module(ENTRY_MODULE)
+    if callable(getattr(module, ENTRY, None)):
+        return []
+    return [f"[project.scripts] names {ENTRY_MODULE}:{ENTRY}, which is not a function"]
+
+
 def module_failures(cwd: str) -> list[str]:
     failures = []
     for argv, want in MODULES:
@@ -236,7 +264,8 @@ def record_failures() -> list[str]:
 
 def main() -> int:
     checks = admission_checks()
-    failures = json_failures() + admission_failures(checks) + record_failures()
+    failures = entry_failures() + json_failures() + admission_failures(checks)
+    failures += record_failures()
     failures += golden_failures()
     commands = readme_commands()
     if not commands:

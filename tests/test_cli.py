@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ import pytest
 import sliceshear
 from sliceshear import cli, hhr_family, print_canonical
 from sliceshear.cli import main
+from smoke import script_entry
 
 
 def run(capsys, *argv):
@@ -358,6 +360,24 @@ class TestExitCodes:
             }
         }
 
+    def test_chart_class_norm_index_too_large_for_its_power_is_3(self, capsys, tmp_path):
+        # a class is admitted as a diff endpoint is; it once exited 1 as an
+        # internal OverflowError when the chart placed it
+        src = tmp_path / "big.dsl"
+        src.write_text(f"group C2\nwindow 0 4 4\nclass x = Nt[{10**30},1]\n")
+        out_svg = tmp_path / "x.svg"
+        code, out, err = run(capsys, "chart", str(src), "-o", str(out_svg))
+        assert code == 3 and out == "" and not out_svg.exists()
+        assert json.loads(err) == {
+            "error": {
+                "code": 3,
+                "kind": "semantic",
+                "message": "invalid class: too many digits in integer",
+                "line": 3,
+                "col": 10,
+            }
+        }
+
     def test_diff_spec_error_has_column_0(self, capsys):
         code, _, err = run(capsys, "transport", "--group", "C2", "--k", "1", "--diff", "nonsense")
         assert code == 2
@@ -673,6 +693,65 @@ def test_module_entry_point_prints_at_most_one_error_line(argv, code, kind):
     else:
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["error"].items() >= {"code": code, "kind": kind}.items()
+
+
+# one success, --help, one usage error and one semantic error, with their exit codes
+_ENTRY_CASES = {
+    "ok": (("rep", "dim", "--group", "C8", "--V", "2-2s"), 0),
+    "help": (("--help",), 0),
+    "usage": (("rep", "dim", "--group", "C8"), 1),
+    "semantic": (("rep", "dim", "--group", "C6", "--V", "0"), 3),
+}
+_MODULE, _FUNCTION = script_entry()
+# each way of starting the program, on the argv in sys.argv[1:]
+_PROGRAMS = {
+    "main": "from sliceshear.cli import main\nsys.exit(main())",
+    "module": "import runpy\nrunpy.run_module('sliceshear.cli', run_name='__main__', alter_sys=True)",
+    "script": f"from {_MODULE} import {_FUNCTION}\nsys.exit({_FUNCTION}())",
+}
+
+
+def _entry_child(program: str, argv: tuple[str, ...], count: Path) -> tuple:
+    """(exit code, stdout, stderr, the collector's freeze count at exit) of
+    one program in a child; an atexit hook writes the count to the file count."""
+    proc = _child(
+        "import atexit, gc\n"
+        f"atexit.register(lambda: open({str(count)!r}, 'w').write(str(gc.get_freeze_count())))\n"
+        f"sys.argv[1:] = {list(argv)!r}\n{_PROGRAMS[program]}"
+    )
+    return proc.returncode, proc.stdout, proc.stderr, int(count.read_text())
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    """``main(argv)`` has no process-wide effect, so it may run inside pytest."""
+    before = gc.get_freeze_count()
+    for argv, code in _ENTRY_CASES.values():
+        if argv == ("--help",):
+            with pytest.raises(SystemExit):
+                main(list(argv))
+        else:
+            assert main(list(argv)) == code
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_script_entry_is_the_module_entry():
+    """The console script that pyproject.toml names runs the function that
+    ``python -m sliceshear.cli`` runs."""
+    assert (_MODULE, _FUNCTION) == ("sliceshear.cli", "run")
+    assert "sys.exit(run())" in Path(cli.__file__).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("program", ["module", "script"])
+@pytest.mark.parametrize("case", list(_ENTRY_CASES))
+def test_program_entry_freezes_the_collector_and_prints_what_main_does(program, case, tmp_path):
+    """Both ways of starting the program exit with the collector frozen, and
+    with the exit code, stdout and stderr of ``main`` run in a child."""
+    argv, code = _ENTRY_CASES[case]
+    *want, unfrozen = _entry_child("main", argv, tmp_path / "main")
+    *got, frozen = _entry_child(program, argv, tmp_path / program)
+    assert got == want and want[0] == code and want[1] + want[2]
+    assert unfrozen == 0 and frozen > 0
 
 
 _TOP = (1 << 3000) - 1  # the slope of the k = 3000 line

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -103,3 +104,32 @@ def test_no_module_imports_dataclasses():
         if re.search(r"^\s*(?:import|from)\s+dataclasses\b", path.read_text(encoding="utf-8"), re.M)
     ]
     assert offenders == []
+
+
+def test_floats_and_division_stay_in_the_svg_writer():
+    """The exactness contract: integers and ``Fraction``s do the mathematics,
+    so no module writes a float literal, calls ``float`` or divides with ``/``
+    or ``/=``; only ``svg._fmt`` makes a float, to place a pixel, and only
+    ``svg._clip`` divides, on ``Fraction``s."""
+    allowed = {("svg", "_fmt", "float()"), ("svg", "_clip", "/")}
+    found = set()
+    for path in sorted(Path(sliceshear.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                what = "float literal"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                what = "float()"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                what = "/"
+            else:
+                continue
+            # the innermost function or class around the node, or the module
+            where = "<module>"
+            for name, scope in scopes:
+                if scope.lineno <= node.lineno <= scope.end_lineno:
+                    where = name
+            found.add((path.stem, where, what))
+    assert found - allowed == set()
