@@ -148,7 +148,8 @@ def _slice_differential(n: int, i: int, provenance: str) -> Differential:
     # the callers admit n >= 0 and i >= 1, so every field below is admitted
     source = ClassMonomial._trusted(group, n + 1, 1, (), zero, (1 << (i - 1),) + (0,) * n)
     power = (1 << i) - 1
-    # a_rhobar^power * a_sigma^(2^i) inline for speed; a law test pins it to expand_euler
+    # a_rhobar^power * a_sigma^(2^i), inline for speed;
+    # test_hhr_family_is_its_named_classes pins it to expand_euler
     a = [power + (1 << i)] + [(1 << (m - 1)) * power for m in range(1, n + 1)]
     target = ClassMonomial._trusted(group, n + 1, 1, ((i, n + 1, 1),), tuple(a), zero)
     page = (1 << (n + 1)) * power + 1

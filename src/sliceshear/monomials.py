@@ -174,7 +174,8 @@ class ClassMonomial(_Record):
         """``degree().coeffs``, memoized: what the per-item checks compare."""
         if self._degree is None:
             co = [0] * (self.level + 1)
-            # regular_rep's weights, inline for speed; a law test pins the two together
+            # 1 + rho_bar's weights, inline for speed;
+            # test_degree_is_the_sum_of_its_factors_degrees pins the two together
             for i, j, e in self.norms:
                 c = e * ((1 << i) - 1)
                 co[0] += c
@@ -254,8 +255,6 @@ def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
     for e in vec:
         if type(e) is not int or e < 0:
             raise MonomialError(f"{name} entries must be non-negative integers")
-    if len(vec) == level and type(vec) is tuple:
-        return vec
     return tuple(vec) + (0,) * (level - len(vec))
 
 

@@ -22,7 +22,7 @@ parsed here too, with the DSL error classes those parsers raise.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping
@@ -36,10 +36,8 @@ __all__ = [
     "Line",
     "RepError",
     "basis_names",
-    "regular_rep",
     "rho_bar",
     "tau",
-    "tau_series",
     "line_L",
     "constant_C",
     "DslError",
@@ -135,7 +133,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-@lru_cache(maxsize=128)
 def basis_names(n: int, sigma: str = "s", lam: str = "l") -> tuple[str, ...]:
     """Names of the basis slots of RO(C_{2^n}) after the trivial one:
     ``(sigma, lam1, ..., lam{n-1})``, or ``()`` for n = 0.
@@ -437,12 +434,6 @@ def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
     return VirtualRep(group, tuple(co))
 
 
-def regular_rep(group: CyclicGroup) -> VirtualRep:
-    """The regular representation 1 + rho_bar; ``rho_bar`` is the one home of its weights."""
-    one = VirtualRep.of(group, triv=1)
-    return one + rho_bar(group.exponent) if group.exponent else one
-
-
 def rho_bar(n_plus_1: int, k: int = 0) -> VirtualRep:
     """The reduced-regular family over C_{2^(n+1)}.
 
@@ -502,12 +493,6 @@ def tau(V: VirtualRep, k: int) -> int:
     if type(k) is not int or not 0 <= k <= V.group.exponent:  # one test on line_L's path
         _admit(k, "tau index k", 0, V.group.exponent, V.group)
     return V._series[1][k]
-
-
-def tau_series(V: VirtualRep, k: int) -> list[int]:
-    """``[tau(V, 0), ..., tau(V, k)]``, read from V's memoized series."""
-    tau(V, k)  # the range check
-    return V._series[1][: k + 1]
 
 
 def _shift(V: VirtualRep, k: int) -> int:

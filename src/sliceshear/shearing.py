@@ -162,7 +162,8 @@ def correspond_class(m: ClassMonomial, ctx: ShearContext) -> ClassMonomial:
     a = list(m.a_exp) + [0] * ctx.k
     u = list(m.u_exp) + [0] * ctx.k
     norms = []
-    # euler_ratio's rho_bar weights, inline for speed; a law test pins the two together
+    # euler_ratio's rho_bar weights, inline for speed;
+    # test_correspond_class_trades_each_norm_for_its_euler_ratio pins the two together
     for i, j, e in m.norms:
         norms.append((i, j + ctx.k, e))
         power = ((1 << i) - 1) * e

@@ -34,7 +34,7 @@ from sliceshear import (
     boundary_line,
     line_L,
     max_length,
-    regular_rep,
+    rho_bar,
     vanishing_line,
 )
 from sliceshear.dsl import ChartDocument, _int
@@ -95,6 +95,12 @@ def restrict_oracle(V: VirtualRep, m: int) -> VirtualRep:
         sigma=round(sigma) if m >= 1 else 0,
         lam={i: round(v) for i, v in lam.items()},
     )
+
+
+def regular_rep(group: CyclicGroup) -> VirtualRep:
+    """The regular representation 1 + rho_bar; ``rho_bar`` is the one home of its weights."""
+    one = VirtualRep.of(group, triv=1)
+    return one + rho_bar(group.exponent) if group.exponent else one
 
 
 def reference_degree(m: ClassMonomial) -> VirtualRep:

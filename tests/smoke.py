@@ -11,8 +11,10 @@ README's four documented error examples, checking
 each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
 on stderr.  In process, it round-trips the HHR families through JSON, which
 builds every monomial through the unchecked constructor, and checks the exact
-error text for three malformed objects.  Last, it hands a few public calls a
-bool, a float, an int subclass or an out-of-range int, and checks the exact
+error text for three malformed objects; round trips at levels 5000-5004 must
+leave under 64 KiB allocated, as no basis-name table past a chart's is kept.
+Last, it hands a few public calls a bool, a float, an int subclass or an
+out-of-range int, and checks the exact
 exception class and text of each, so the engine's one admission rule runs on
 every supported Python; three inputs that once slipped past the engine's
 errors and the 14,284/14,285 edge where a group name stops printing its order
@@ -123,6 +125,28 @@ def json_failures() -> list[str]:
         if got != want:
             failures.append(f"import_json({text}): got {got!r}, want {want!r}")
     return failures
+
+
+def retained_after_json_round_trips() -> int:
+    """Bytes still allocated after ``export_json``/``import_json`` round trips
+    of monomials at levels 5000-5004, past any chart's: the basis-name tables
+    those levels build must not be kept."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import tracemalloc
+    from sliceshear import ClassMonomial, CyclicGroup, export_json, import_json
+
+    def round_trips(levels) -> None:
+        for n in levels:
+            import_json(export_json([ClassMonomial(CyclicGroup(n), n, a_exp=(0,) * (n - 1) + (1,))]))
+
+    round_trips([3, 100])  # first-call imports and compiled patterns are not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        round_trips(range(5000, 5005))
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 class _Int(int):
@@ -266,6 +290,8 @@ def main() -> int:
     checks = admission_checks()
     failures = entry_failures() + json_failures() + admission_failures(checks)
     failures += record_failures()
+    if (kept := retained_after_json_round_trips()) >= 64 * 1024:
+        failures.append(f"JSON round trips at levels 5000-5004 kept {kept} bytes")
     failures += golden_failures()
     commands = readme_commands()
     if not commands:

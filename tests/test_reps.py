@@ -13,13 +13,13 @@ from sliceshear import (
     boundary_line,
     constant_C,
     line_L,
-    regular_rep,
     rho_bar,
     tau,
     vanishing_line,
 )
-from sliceshear.reps import basis_names, parse_rep, tau_series
-from helpers import fixed_dim_oracle, random_rep, restrict_oracle
+from sliceshear.reps import basis_names, parse_rep
+from helpers import fixed_dim_oracle, random_rep, regular_rep, restrict_oracle
+from smoke import retained_after_json_round_trips
 
 
 def C(n: int) -> CyclicGroup:
@@ -230,7 +230,7 @@ class TestTau:
         with pytest.raises(RepError):
             tau(VirtualRep.zero(C(1)), 2)
         with pytest.raises(RepError, match="tau index k=2 out of range for C2"):
-            tau_series(VirtualRep.zero(C(1)), 2)
+            line_L(VirtualRep.zero(C(1)), 2)
 
     def test_series_is_running_max_over_the_oracle(self):
         rng = random.Random(19)
@@ -239,13 +239,11 @@ class TestTau:
             v = random_rep(rng, C(n), span=rng.choice([3, 40]))
             k = rng.randint(0, n)
             terms = [fixed_dim_oracle(v, j) * 2**j - v.dimension for j in range(k + 1)]
-            assert tau_series(v, k) == [max(terms[: j + 1]) for j in range(k + 1)]
-            assert tau_series(v, k) == [tau(v, j) for j in range(k + 1)]
+            assert [tau(v, j) for j in range(k + 1)] == [max(terms[: j + 1]) for j in range(k + 1)]
 
 
 _PER_K_READERS = {
     "tau": tau,
-    "tau_series": tau_series,
     "line_L": line_L,
     "constant_C": constant_C,
     "fixed_dimension": VirtualRep.fixed_dimension,
@@ -262,7 +260,6 @@ _PER_K_READERS = {
     [
         ("tau", 1.0, "tau index k must be an integer, got 1.0"),
         ("tau", True, "tau index k must be an integer, got True"),
-        ("tau_series", 1.0, "tau index k must be an integer, got 1.0"),
         ("line_L", 1.0, "tau index k must be an integer, got 1.0"),
         ("constant_C", 1.0, "threshold index k must be an integer, got 1.0"),
         ("fixed_dimension", 1.0, "fixed-point index k must be an integer, got 1.0"),
@@ -301,7 +298,8 @@ class TestSeriesMemo:
     def test_reading_the_series_changes_no_field_equality_hash_or_repr(self, v):
         twin = VirtualRep(v.group, v.coeffs)
         before = (VirtualRep.__match_args__, repr(v), hash(v), str(v))
-        assert tau_series(v, v.group.exponent) == tau_series(twin, v.group.exponent)
+        ks = range(v.group.exponent + 1)
+        assert [tau(v, k) for k in ks] == [tau(twin, k) for k in ks]
         fresh = VirtualRep(v.group, v.coeffs)
         assert (VirtualRep.__match_args__, repr(v), hash(v), str(v)) == before
         assert VirtualRep.__match_args__ == ("group", "coeffs")
@@ -310,23 +308,25 @@ class TestSeriesMemo:
 
     def test_replace_computes_its_own_series(self):
         v = VirtualRep.of(C(3), triv=1, sigma=2, lam={1: 3, 2: -1})
-        assert tau_series(v, 3) == [0, 11, 11, 11]
+        assert [tau(v, k) for k in range(4)] == [0, 11, 11, 11]
         w = VirtualRep(v.group, coeffs=(0, 0, 0, 5))
         same = VirtualRep(**{name: getattr(v, name) for name in v.__match_args__})
         assert "_series" in vars(v)
         assert "_series" not in vars(w) and "_series" not in vars(same)
-        assert tau_series(w, 3) == [
+        assert [tau(w, k) for k in range(4)] == [
             max(fixed_dim_oracle(w, i) * 2**i - w.dimension for i in range(j + 1))
             for j in range(4)
         ]
-        assert tau_series(same, 3) == [0, 11, 11, 11]
+        assert [tau(same, k) for k in range(4)] == [0, 11, 11, 11]
         assert vars(same)["_series"] is not vars(v)["_series"]
 
     def test_a_returned_series_is_the_callers_own(self):
         v = VirtualRep.of(C(2), sigma=-3, lam={1: 2})
-        first = tau_series(v, 2)
+        first = [tau(v, k) for k in range(3)]
         first[:] = [99] * len(first)
-        assert tau_series(v, 2) == [tau(v, k) for k in range(3)] != first
+        with pytest.raises(AttributeError):
+            line_L(v, 1).intercept = 99
+        assert [tau(v, k) for k in range(3)] == [line_L(v, k).intercept for k in range(3)] != first
 
 
 class TestLineL:
@@ -456,5 +456,9 @@ def test_basis_names():
     assert basis_names(1) == ("s",)
     assert basis_names(4) == ("s", "l1", "l2", "l3")
     assert basis_names(3, "u2S", "uL") == ("u2S", "uL1", "uL2")
-    # memoized, but bounded: levels arrive from JSON input
-    assert basis_names.cache_info().maxsize is not None
+
+
+def test_json_round_trips_past_any_charts_level_keep_no_basis_names():
+    # levels arrive from JSON input; a memo of basis_names once kept each
+    # level's table, about 3 MiB for these five
+    assert retained_after_json_round_trips() < 64 * 1024

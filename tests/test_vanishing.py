@@ -20,6 +20,7 @@ from sliceshear import (
     leibniz,
     line_L,
     max_length,
+    tau,
     transport,
     vanishing_line,
 )
@@ -34,6 +35,35 @@ def family_profile(n: int, m: int, i: int) -> VanishingProfile:
     """Profile for the height-(2^n m) theory on the page where hhr_family(n, i) lives."""
     V = VirtualRep.of(C(n + 1), triv=1 << i, sigma=-(1 << i))
     return VanishingProfile(n, (1 << n) * m, V)
+
+
+KINDS = ("valid", "bool", "float", "negative", "past range")
+
+
+def _pick(kind: str, valid: int, past: int):
+    """An argument of the given kind; ``valid`` is admitted, ``past`` lies past its range."""
+    return {"valid": valid, "bool": True, "float": float(valid), "negative": -1 - valid,
+            "past range": past}[kind]
+
+
+def _first_refusal(*checks) -> str | None:
+    """The message of the first (value, name[, most, where]) check that refuses
+    its value, worded as the engine's admission rule words it; a check with a
+    ``most`` admits [0, most]."""
+    for value, name, *bound in checks:
+        if type(value) is not int:
+            return f"{name} must be an integer, got {value!r}"
+        if bound and not 0 <= value <= bound[0]:
+            return f"{name}={value} out of range for {bound[1]}"
+    return None
+
+
+def _n_constant_refusal(h, n, k) -> str | None:
+    """What N_constant(h, n, k) raises: its admissions in argument order, then h's divisibility."""
+    refusal = _first_refusal((h, "height"), (n, "group index n"), (k, "vanishing index k", n, f"n={n}"))
+    if refusal is None and (h < 1 or h % (1 << k)):
+        return f"height {h} is not divisible by 2^{k}"
+    return refusal
 
 
 class TestNConstant:
@@ -102,6 +132,36 @@ class TestNConstant:
     def test_profile_rejects_a_non_integer_index(self, n, h, message):
         with pytest.raises(RepError, match=message):
             VanishingProfile(n, h, VirtualRep.zero(C(2)))
+
+    @given(
+        st.integers(0, 3), st.integers(0, 3), st.integers(1, 3),
+        st.sampled_from(KINDS), st.sampled_from(KINDS), st.sampled_from(KINDS),
+    )
+    def test_the_first_failed_admission_words_the_error(self, n0, k0, m, h_kind, n_kind, k_kind):
+        # several bad arguments at once: the message is the first refusal in
+        # the order each call admits them, and a call with none succeeds
+        k0 %= n0 + 1
+        h0 = m << n0
+        h = _pick(h_kind, h0, h0 + 1)
+        n = _pick(n_kind, n0, k0 - 1)
+        k = _pick(k_kind, k0, n0 + 1)
+        V, W = VirtualRep.zero(C(n0 + 1)), VirtualRep.zero(C(n0))
+        cases = [
+            (N_constant, (h, n, k), _n_constant_refusal(h, n, k)),
+            (max_length, (h, n, k), _n_constant_refusal(h, n, k)),
+            # line_L(V, k) admits k before N_constant(h, n0, k) admits its arguments
+            (vanishing_line, (V, h, k),
+             _first_refusal((k, "tau index k", n0 + 1, V.group)) or _n_constant_refusal(h, n0, k)),
+            (tau, (W, k), _first_refusal((k, "tau index k", n0, W.group))),
+            (line_L, (W, k), _first_refusal((k, "tau index k", n0, W.group))),
+        ]
+        for call, args, want in cases:
+            if want is None:
+                call(*args)
+                continue
+            with pytest.raises(RepError) as info:
+                call(*args)
+            assert str(info.value) == want, (call.__name__, args)
 
 
 class TestVanishingLine:
