@@ -31,9 +31,8 @@ import os
 import sys
 import warnings
 
-from .reps import (
-    CyclicGroup, DslError, _admit, _EngineError, line_L, parse_group_name, parse_rep, tau,
-)
+from .reps import _MAX_EXPONENT, CyclicGroup, DslError, _admit, _EngineError, line_L, tau
+from .reps import parse_group_name, parse_rep
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -98,7 +97,7 @@ def _handle_rep(args) -> tuple[str, dict]:
 
 def _handle_shear(args) -> tuple[str, dict]:
     from .shearing import ShearContext, ShearError, shear_degree
-    _admit(args.n, "target group index n", 0, error=ShearError)
+    _admit(args.n, "target group index n", 0, _MAX_EXPONENT - 1, error=ShearError)
     target = CyclicGroup(args.n + 1)
     _admit(args.k, "shear step k", 0, args.n, f"n={args.n}", ShearError)
     V = parse_rep(args.V, target)
@@ -109,12 +108,11 @@ def _handle_shear(args) -> tuple[str, dict]:
 
 def _handle_correspond(args) -> tuple[str, dict]:
     from .dsl import parse_class_expr, print_canonical
-    from .shearing import ShearContext, ShearError, correspond_class, region_of
+    from .shearing import ShearContext, correspond_class, region_of
     source_group = parse_group_name(args.group)
     level = None if args.level is None else parse_group_name(args.level).exponent
     m = parse_class_expr(args.expr, source_group, level)
-    _admit(args.k, "shear step k", 0, error=ShearError)
-    target = CyclicGroup(source_group.exponent + args.k)
+    target = ShearContext.lift(source_group, args.k).target_group
     ctx = ShearContext(source_group, args.k, parse_rep(args.V, target))
     out = correspond_class(m, ctx)
     region = region_of(m, ctx)
@@ -128,8 +126,8 @@ def _handle_correspond(args) -> tuple[str, dict]:
 
 def _handle_tower(args) -> tuple[str, dict]:
     from .shearing import tower_report
-    # without a grading, tower_report words a negative n before any group is built
-    V = parse_rep(args.V, CyclicGroup(args.n + 1)) if args.n >= 0 else None
+    # without a grading, tower_report words an n out of range before any group is built
+    V = parse_rep(args.V, CyclicGroup(args.n + 1)) if 0 <= args.n < _MAX_EXPONENT else None
     entries = tower_report(args.n, args.m, V)
     rows = [
         f"k={e.k}  {e.line.equation()}  C={e.threshold}  ->  {e.target_group} "
@@ -160,11 +158,10 @@ def _handle_hhr(args) -> tuple[str, dict]:
 def _handle_transport(args) -> tuple[str, dict]:
     from .differentials import transport
     from .dsl import parse_diff_spec, print_canonical
-    from .shearing import ShearError
+    from .shearing import ShearContext
     source_group = parse_group_name(args.group)
     d = parse_diff_spec(args.diff, source_group)
-    _admit(args.k, "shear step k", 0, error=ShearError)
-    target = CyclicGroup(source_group.exponent + args.k)
+    target = ShearContext.lift(source_group, args.k).target_group
     grading = None if args.V is None else parse_rep(args.V, target)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -177,7 +174,7 @@ def _handle_transport(args) -> tuple[str, dict]:
 
 def _handle_vanishing(args) -> tuple[str, dict]:
     from .vanishing import N_constant, VanishingProfile, max_length
-    _admit(args.n, "profile index n", 0)
+    _admit(args.n, "profile index n", 0, _MAX_EXPONENT - 1)
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     VanishingProfile(args.n, args.h, V)  # validates h against n
@@ -193,7 +190,7 @@ def _handle_vanishing(args) -> tuple[str, dict]:
 def _handle_check(args) -> tuple[str, dict]:
     from .dsl import parse_diff_spec
     from .vanishing import VanishingProfile, admissible
-    _admit(args.n, "profile index n", 0)
+    _admit(args.n, "profile index n", 0, _MAX_EXPONENT - 1)
     group = CyclicGroup(args.n + 1)
     V = parse_rep(args.V, group)
     profile = VanishingProfile(args.n, args.h, V)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import warnings
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
-from .reps import CyclicGroup, VirtualRep, _admit, _EngineError, _Record, _set
+from .reps import _MAX_EXPONENT, _MAX_HEIGHT, _MAX_INDEX, CyclicGroup, VirtualRep, _admit
+from .reps import _EngineError, _Record, _set
 
 __all__ = [
     "Differential",
@@ -75,9 +76,8 @@ def validate(d: Differential) -> list[str]:
 
     Violations are reported in a fixed order (group/level, endpoints, stem,
     filtration, degree), so the first entry is the first violated equation.
-    A message with more digits than int-to-str allows, or a norm index too
-    large to build 2^i from, becomes the one entry "invalid differential:
-    <error>".
+    A message with more digits than int-to-str allows becomes the one entry
+    "invalid differential: <error>".
     """
     problems: list[str] = []
     if d.source.group != d.group or d.target.group != d.group:
@@ -113,9 +113,7 @@ def validate(d: Differential) -> list[str]:
                 f"degree mismatch: target degree {d.target.degree()} is not source "
                 f"degree minus one trivial summand ({want})"
             )
-    except (ValueError, OverflowError) as e:
-        # a degree too long to print in the message, or a norm index too large
-        # for 2^i to be built
+    except ValueError as e:  # a degree too long to print in the message
         return [f"invalid differential: {e}"]
     return problems
 
@@ -127,7 +125,7 @@ def hu_kriz_seed(i: int) -> Differential:
     classical seed family that transports up the tower: the n = 0 member of
     :func:`hhr_family`, built by the same code.
     """
-    _admit(i, "seed index", 1, error=DifferentialError)
+    _admit(i, "seed index", 1, _MAX_INDEX, error=DifferentialError)
     return _slice_differential(0, i, "seed")
 
 
@@ -137,8 +135,8 @@ def hhr_family(n: int, i: int) -> Differential:
     Page 2^(n+1) (2^i - 1) + 1, target N(t_i) * a_rhobar^(2^i - 1) *
     a_sigma^(2^i) in canonical form; n = 0 reproduces :func:`hu_kriz_seed`.
     """
-    _admit(n, "group index", 0, error=DifferentialError)
-    _admit(i, "family index", 1, error=DifferentialError)
+    _admit(n, "group index", 0, _MAX_EXPONENT - 1, error=DifferentialError)
+    _admit(i, "family index", 1, _MAX_INDEX, error=DifferentialError)
     return _slice_differential(n, i, "generated")
 
 
@@ -168,7 +166,7 @@ def transport(
     the proven isomorphism region for that grading.
     """
     from .shearing import ShearContext, ShearError, correspond_class, region_of, shear_length
-    _admit(k, "shear step k", 0, error=ShearError)
+    _admit(k, "shear step k", 0, _MAX_EXPONENT - d.group.exponent, error=ShearError)
     if grading is None:
         # the source degree pulled back to the target group, padded from its
         # vector; pullback_to words the refusal of a source above that group
@@ -253,7 +251,7 @@ def permanent_cycle_seeds(m: int) -> list[PermanentCycleFact]:
     The C_2 fact u_{2^(m+1) sigma} is parametrized by the height index m; the
     six C_4 facts are the computed truncation-1 and truncation-2 cycles.
     """
-    _admit(m, "height index", 1, error=DifferentialError)
+    _admit(m, "height index", 1, _MAX_HEIGHT, error=DifferentialError)
     c2, c4 = CyclicGroup(1), CyclicGroup(2)
     facts = [
         (m, VirtualRep.of(c2, sigma=2 << m), "Hu-Kriz"),

@@ -20,8 +20,8 @@ import sys
 from .differentials import Differential, DifferentialError, validate
 from .monomials import ClassMonomial, _d_norms
 from .reps import (
-    CyclicGroup, DslError, DslSemanticError, DslSyntaxError, RepError, VirtualRep, _int,
-    _Record, _set, basis_names, parse_group_name, parse_rep,
+    _MAX_INDEX, _MAX_WINDOW, CyclicGroup, DslError, DslSemanticError, DslSyntaxError, RepError,
+    VirtualRep, _int, _Record, _set, basis_names, parse_group_name, parse_rep,
 )
 
 # The literal parsers and DSL errors come from reps, whose __all__ lists them.
@@ -113,10 +113,11 @@ def _tokens(text: str, col: int) -> list[re.Match]:
     return tokens
 
 
-def _power(x: int, e: int) -> int:
-    """x**e, refused when it has more digits than int() reads from text, as
-    a literal that long is; decided from bit lengths where they settle it.  A
-    cached factor keeps the verdict of the limit in force when it was read."""
+def _power(x: int, e: int, col: int = 0, what: str = "power") -> int:
+    """x**e, refused at col as the coefficient ``what`` when it has more digits
+    than int() reads from text, as a literal that long is; decided from bit
+    lengths where they settle it.  A cached factor keeps the verdict of the
+    limit in force when it was read."""
     limit = _max_str_digits()
     if limit and abs(x) > 1:
         # 2**(b-1) <= |x| < 2**b and 0.30102 < log10(2) < 0.30103
@@ -124,7 +125,7 @@ def _power(x: int, e: int) -> int:
         if e * (b - 1) * 30102 >= limit * 100000 or (
             e * b * 30103 > limit * 100000 and abs(x) ** e >= 10**limit
         ):
-            raise DslSemanticError(f"coefficient power has more than {limit} digits", col=0)
+            raise DslSemanticError(f"coefficient {what} has more than {limit} digits", col=col)
     return x**e
 
 
@@ -163,8 +164,9 @@ def _factor(lv: int, piece: str) -> tuple | None:
         factor = "c", _power(_int(m.group("num"), 0), e), 1
     elif kind == "nt":
         i, j = _int(m.group("nt_i"), 0), _int(m.group("nt_j"), 0)
-        if i < 1:
-            raise DslSemanticError(f"Nt[{i},{j}]: generator index must be >= 1", col=0)
+        if not 1 <= i <= _MAX_INDEX:
+            bound = ">= 1" if i < 1 else f"<= {_MAX_INDEX}"
+            raise DslSemanticError(f"Nt[{i},{j}]: generator index must be {bound}", col=0)
         if not 1 <= j <= lv:
             raise DslSemanticError(
                 f"Nt[{i},{j}]: norm level must lie between 1 and the class level {lv}", col=0
@@ -174,6 +176,8 @@ def _factor(lv: int, piece: str) -> tuple | None:
         i, j = _int(m.group("d_n"), 0), _int(m.group("d_m"), 0)
         if i < 1 or j < 1:
             raise DslSemanticError(f"D[{i},{j}]: both indices must be >= 1", col=0)
+        if i > _MAX_INDEX.bit_length() or j << (i - 1) > _MAX_INDEX:  # top index 2^(i-1) j
+            raise DslSemanticError(f"D[{i},{j}]: generator index must be <= {_MAX_INDEX}", col=0)
         if i > lv:
             raise DslSemanticError(
                 f"D[{i},{j}] needs a level of at least {CyclicGroup(i)}", col=0
@@ -199,9 +203,8 @@ def _class_expr(
     mono = exprs.get(text)
     if mono is not None:  # a monomial is immutable, so lines share it
         return mono
-    # a level past any chart's bypasses the cache, as in jsonio._slots, and so
-    # does a text longer than any chart's, so the cache holds only small pieces
-    factor_at = _factor if lv <= 64 and len(text) <= 256 else _factor.__wrapped__
+    # a text longer than any chart's bypasses the cache, so it holds only small pieces
+    factor_at = _factor if len(text) <= 256 else _factor.__wrapped__
     coeff = 1
     a = [0] * lv
     u = [0] * lv
@@ -225,7 +228,7 @@ def _class_expr(
                 raise DslSyntaxError(f"{reason} class expression", col=mul)
             kind, x, e = factor
             if kind == "c":
-                coeff *= x
+                coeff = _power(coeff * x, 1, col, "product")
             elif kind == "n":
                 norms += x
             else:
@@ -322,12 +325,7 @@ def parse(text: str) -> ChartDocument:
                             f"level {lvl_text} exceeds the chart group {doc.group}",
                             col=m.start(3),
                         )
-                mono = _class_expr(expr, doc.group, level, m.start(2), memo)
-                try:  # emit_svg places the class by this cached bidegree
-                    mono.bidegree()
-                except (ValueError, OverflowError) as e:  # as validate words a diff's
-                    raise DslSemanticError(f"invalid class: {e}", col=m.start(2)) from e
-                doc.classes.append((name, mono))
+                doc.classes.append((name, _class_expr(expr, doc.group, level, m.start(2), memo)))
                 continue
             stmt = _STMT_RE.match(body)
             if not stmt:
@@ -361,6 +359,8 @@ def parse(text: str) -> ChartDocument:
                     raise DslSemanticError(
                         f"degenerate window ({x_min}, {x_max}, {s_max})", col=col
                     )
+                if max(-x_min, x_max, s_max) > _MAX_WINDOW:
+                    raise DslSemanticError(f"window outside -{_MAX_WINDOW}..{_MAX_WINDOW}", col=col)
                 doc.window = (x_min, x_max, s_max)
             elif keyword == "class":  # one that _CLASS_RE does not match
                 raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", col=col)

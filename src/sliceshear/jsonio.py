@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .differentials import PROVENANCES, Differential, validate
 from .monomials import ClassMonomial
-from .reps import CyclicGroup, _EngineError, basis_names
+from .reps import _MAX_EXPONENT, _MAX_INDEX, CyclicGroup, _EngineError, basis_names
 
 __all__ = [
     "JsonSchemaError",
@@ -57,11 +57,13 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _int(value, path: str, minimum: int | None = None) -> int:
+def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if type(value) is not int:  # bools, floats and int subclasses, as reps._admit
         raise JsonSchemaError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise JsonSchemaError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise JsonSchemaError(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -105,8 +107,8 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     # each field is tested once, inline, and a path is built only when _int
     # words the error that a failed test leads to
     group = _need(obj, "group", path)
-    if type(group) is not int or group < 0:
-        _int(group, f"{path}.group", minimum=0)
+    if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
+        _int(group, f"{path}.group", 0, _MAX_EXPONENT)
     level = _need(obj, "level", path)
     if type(level) is not int or level < 0:
         _int(level, f"{path}.level", minimum=0)
@@ -120,13 +122,13 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     for idx, t in enumerate(raw_norms):
         if type(t) is list and len(t) == 3:
             i, j, e = t
-            if type(i) is type(j) is type(e) is int and i >= 1 and j >= 1 and e >= 0:
+            if type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX and j >= 1 and e >= 0:
                 norms.append((i, j, e))
                 continue
         tpath = f"{path}.norms[{idx}]"  # a bad triple, or a good one in a list subclass
         if not isinstance(t, list) or len(t) != 3:
             raise JsonSchemaError(tpath, "expected an [i, j, e] triple")
-        i = _int(t[0], f"{tpath}[0]", minimum=1)
+        i = _int(t[0], f"{tpath}[0]", 1, _MAX_INDEX)
         j = _int(t[1], f"{tpath}[1]", minimum=1)
         norms.append((i, j, _int(t[2], f"{tpath}[2]", minimum=0)))
     if level > group:
@@ -147,7 +149,7 @@ def obj_to_differential(obj, path: str = "") -> Differential:
         raise JsonSchemaError(path, f"expected an object, got {obj!r}")
     # page is the discriminator, so it is checked first
     page = _int(_need(obj, "page", path), f"{path}.page", minimum=2)
-    group = _int(_need(obj, "group", path), f"{path}.group", minimum=0)
+    group = _int(_need(obj, "group", path), f"{path}.group", 0, _MAX_EXPONENT)
     source = obj_to_monomial(_need(obj, "source", path), f"{path}.source")
     target = obj_to_monomial(_need(obj, "target", path), f"{path}.target")
     provenance = _need(obj, "provenance", path)

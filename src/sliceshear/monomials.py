@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .reps import CyclicGroup, RepError, VirtualRep, _admit, _EngineError, _Record
+from .reps import _MAX_INDEX, CyclicGroup, RepError, VirtualRep, _admit, _EngineError, _Record
 
 __all__ = [
     "ClassMonomial",
@@ -65,20 +65,22 @@ class ClassMonomial(_Record):
         level: int,
         coeff: int = 1,
         norms: Iterable[tuple[int, int, int]] = (),
-        a_exp: tuple[int, ...] = (),
-        u_exp: tuple[int, ...] = (),
+        a_exp: Iterable[int] = (),
+        u_exp: Iterable[int] = (),
     ) -> None:
         # admits every field, then canonicalizes; exported fields admit plain
         # ints only, so bools and floats are refused
         if type(level) is not int or not 0 <= level <= group.exponent:
             raise MonomialError(f"level {level} out of range for ambient group {group}")
         _admit(coeff, "coefficient", error=MonomialError)
-        a = _sized("a_exp", a_exp, level)
-        u = _sized("u_exp", u_exp, level)
+        a = _sized("a_exp", tuple(a_exp), level)  # any iterable, as for norms
+        u = _sized("u_exp", tuple(u_exp), level)
         norms = tuple(norms)  # any iterable, read here and again to merge
         for i, j, e in norms:
             if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
                 raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
+            if i > _MAX_INDEX:
+                raise MonomialError(f"norm index i must be <= {_MAX_INDEX}, got {i}")
             if type(e) is not int or e < 0:
                 raise MonomialError("norm exponents must be non-negative integers")
         self._canonicalize(group, level, coeff, norms, a, u)
@@ -255,7 +257,7 @@ def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
     for e in vec:
         if type(e) is not int or e < 0:
             raise MonomialError(f"{name} entries must be non-negative integers")
-    return tuple(vec) + (0,) * (level - len(vec))
+    return vec + (0,) * (level - len(vec))
 
 
 def _check_class_rep(V: VirtualRep, kind: str) -> None:

@@ -88,14 +88,23 @@ def _admit(value, name: str, least=None, most=None, where=None, error=RepError) 
     """``value`` if it is a plain int in [least, most] (None: unbounded), else
     ``error``.  Bools, floats and int subclasses are refused.  A value out of
     range is worded "{name}={value} out of range for {where}" when ``where`` is
-    given, else "{name} must be >= {least}"; a ``most`` comes with a ``where``."""
+    given, else "{name} must be >= {least}" or "{name} must be <= {most}"."""
     if type(value) is not int:
         raise error(f"{name} must be an integer, got {value!r}")
     if not ((least is None or least <= value) and (most is None or value <= most)):
         if where is None:
-            raise error(f"{name} must be >= {least}, got {value}")
+            bound = f">= {least}" if least is not None and value < least else f"<= {most}"
+            raise error(f"{name} must be {bound}, got {value}")
         raise error(f"{name}={value} out of range for {where}")
     return value
+
+
+# Upper bounds far above any chart's: an admitted call finishes well under a second,
+# and C_(2^2048)'s 617-digit order prints under the lowest int-to-str limit allowed.
+_MAX_EXPONENT = 2048  # n of C_(2^n): levels, shear steps k, tower and profile n
+_MAX_INDEX = 2048  # i of a generator t_i, in N(t_i), D[n,m] (i = 2^(n-1) m) and the families
+_MAX_HEIGHT = 4096  # a chromatic height h, and the height index m
+_MAX_WINDOW = 4096  # |x_min|, |x_max| and s_max of a chart window
 
 
 # Sets one field of a value past its frozen __setattr__.  Unlike an update of
@@ -141,6 +150,7 @@ def basis_names(n: int, sigma: str = "s", lam: str = "l") -> tuple[str, ...]:
     basis name in canonical output (rep literals, JSON keys, DSL tokens)
     comes from here.
     """
+    _admit(n, "basis index n", 0, _MAX_EXPONENT)
     return (sigma, *(f"{lam}{i}" for i in range(1, n))) if n >= 1 else ()
 
 
@@ -154,8 +164,8 @@ class CyclicGroup(_Record):
     __match_args__ = ("exponent",)
 
     def __init__(self, exponent: int) -> None:
-        if type(exponent) is not int or exponent < 0:
-            raise RepError(f"group exponent must be a non-negative integer, got {exponent!r}")
+        if type(exponent) is not int or not 0 <= exponent <= _MAX_EXPONENT:  # one test if admitted
+            _admit(exponent, "group exponent", 0, _MAX_EXPONENT)
         _set(self, "exponent", exponent)
 
     @property
@@ -166,13 +176,7 @@ class CyclicGroup(_Record):
         return CyclicGroup(self.exponent - _admit(k, "subgroup index k", 0, self.exponent, self))
 
     def __str__(self) -> str:
-        # 2^14284 has 4,300 digits, int-to-str's default limit: no larger order is built
-        if self.exponent <= 14284:
-            try:
-                return f"C{self.order}"
-            except ValueError:  # a lowered limit
-                pass
-        return f"C_(2^{self.exponent})"
+        return f"C{self.order}"
 
 
 class VirtualRep(_Record):
@@ -375,10 +379,12 @@ def parse_group_name(text: str, col: int = 0) -> CyclicGroup:
     if not m:
         raise DslSyntaxError(f"expected a group literal like C8, got {text.strip()!r}", col=col)
     order = _int(m.group(1), col)
-    exponent = order.bit_length() - 1
-    if order < 1 or (1 << exponent) != order:
+    n = order.bit_length() - 1
+    if order < 1 or (1 << n) != order:
         raise DslSemanticError(f"group order {order} is not a power of 2", col=col)
-    return CyclicGroup(exponent)
+    if n > _MAX_EXPONENT:  # as CyclicGroup words it, at the literal's column
+        raise DslSemanticError(f"group exponent must be <= {_MAX_EXPONENT}, got {n}", col=col)
+    return CyclicGroup(n)
 
 
 # One signed term per match.  Each group takes its token's leading whitespace,

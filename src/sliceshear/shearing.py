@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, VirtualRep, _admit, _EngineError, _Record, _shift, _threshold
-from .reps import _set, constant_C, line_L, rho_bar
+from .reps import _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line, VirtualRep, _admit, _EngineError
+from .reps import _Record, _set, _shift, _threshold, constant_C, line_L, rho_bar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,7 +49,7 @@ class ShearContext(_Record):
     __match_args__ = ("source_group", "k", "grading")
 
     def __init__(self, source_group: CyclicGroup, k: int, grading: VirtualRep) -> None:
-        _admit(k, "shear step k", 0, error=ShearError)
+        _admit(k, "shear step k", 0, _MAX_EXPONENT - source_group.exponent, error=ShearError)
         if k > 0 and source_group.exponent < 1:
             raise ShearError("the source group of a nontrivial shear cannot be trivial")
         if grading.group.exponent != source_group.exponent + k:
@@ -72,7 +72,7 @@ class ShearContext(_Record):
     ) -> "ShearContext":
         """Context shearing ``source_group`` up k steps; default grading 0."""
         if grading is None:
-            _admit(k, "shear step k", error=ShearError)  # the constructor checks its range
+            _admit(k, "shear step k", 0, _MAX_EXPONENT - source_group.exponent, error=ShearError)
             grading = VirtualRep.zero(CyclicGroup(source_group.exponent + k))
         return cls(source_group, k, grading)
 
@@ -87,7 +87,7 @@ class ShearContext(_Record):
 
 def shear_length(r: int, k: int) -> int:
     """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k."""
-    _admit(k, "shear step k", 0, error=ShearError)
+    _admit(k, "shear step k", 0, _MAX_EXPONENT, error=ShearError)
     _admit(r, "differential length", 2, error=ShearError)
     return (1 << k) * r - ((1 << k) - 1)
 
@@ -99,7 +99,7 @@ def unshear_length(r_prime: int, k: int) -> int:
     such a length is not in the image of shearing, so no differential of that
     length can exist in the sheared region.
     """
-    _admit(k, "shear step k", 0, error=ShearError)
+    _admit(k, "shear step k", 0, _MAX_EXPONENT, error=ShearError)
     _admit(r_prime, "sheared length", error=ShearError)
     if k == 0:
         return shear_length(r_prime, 0)
@@ -120,6 +120,8 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
     coordinate t - s is preserved.
     """
+    _admit(t, "t", error=ShearError)
+    _admit(s, "s", error=ShearError)
     offset = _shift(ctx.grading, ctx.k)
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s
@@ -216,8 +218,8 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
     line with the full chart of the height-(h / 2^k) theory over
     C_{2^(n-k+1)}.  Each row costs O(1) after one O(n) pass over the grading.
     """
-    _admit(n, "tower index n", error=ShearError)
-    _admit(m, "tower index m", error=ShearError)
+    _admit(n, "tower index n", most=_MAX_EXPONENT - 1, error=ShearError)
+    _admit(m, "tower index m", most=_MAX_HEIGHT, error=ShearError)
     if n < 1 or m < 1:
         raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
     group = CyclicGroup(n + 1)

@@ -9,11 +9,10 @@ pixel coordinates.  Rendering the same document twice yields identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .dsl import ChartDocument, DslSemanticError, GuideSpec
 from .reps import Line, line_L
-from .vanishing import _check_vanishing_index, boundary_line, vanishing_line
+from .vanishing import boundary_line, vanishing_line
 
 __all__ = ["emit_svg"]
 
@@ -36,10 +35,7 @@ _STYLE = """\
   </style>"""
 
 
-def _fmt(v: Union[int, Fraction]) -> str:
-    if isinstance(v, int):
-        # the same digits as the float path for every |v| < 2^53
-        return str(v)
+def _fmt(v: int | Fraction) -> str:
     s = f"{float(v):.2f}"
     s = s.rstrip("0").rstrip(".")
     return "0" if s == "-0" else s
@@ -50,18 +46,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _guide_line(g: GuideSpec, doc: ChartDocument) -> tuple[Line | None, str]:
-    """The guide's line and label; no line for a vanishing guide above the window.
-    N_k >= 2^(h/2^k + n) and the slope is >= 0, so that line clears the window
-    once the bound alone exceeds the room above line_L at x_min."""
-    n = doc.group.exponent - 1
+def _guide_line(g: GuideSpec, doc: ChartDocument) -> tuple[Line, str]:
+    """The guide's line and label."""
     if g.kind == "L":
         return line_L(doc.grading, g.k), f"L{g.k}"
     if g.kind == "vanish":
-        room = doc.window[2] - line_L(doc.grading, g.k).at(doc.window[0])
-        _check_vanishing_index(g.h, n, g.k)
-        above = (g.h >> g.k) + n >= max(room, 0).bit_length()
-        return None if above else vanishing_line(doc.grading, g.h, g.k), f"N k={g.k}"
+        return vanishing_line(doc.grading, g.h, g.k), f"N k={g.k}"
     return boundary_line(doc.grading), "boundary"
 
 
@@ -126,7 +116,7 @@ def emit_svg(doc: ChartDocument) -> bytes:
 
     for g in doc.guides:
         line, label = _guide_line(g, doc)
-        seg = line and _clip(line, doc.window)
+        seg = _clip(line, doc.window)
         if seg is None:
             continue
         (xa, sa), (xb, sb) = seg

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .reps import CyclicGroup, Line, RepError, VirtualRep, _admit, _Record, _set, line_L
+from .reps import _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line, RepError, VirtualRep, _admit
+from .reps import _Record, _set, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -40,8 +41,8 @@ class VanishingProfile(_Record):
 
     def __init__(self, n: int, h: int, grading: VirtualRep) -> None:
         _admit(n, "profile index n")
-        _admit(h, "height")  # both types before n's range, as the messages go
-        _admit(n, "profile index n", 0)
+        _admit(h, "height", most=_MAX_HEIGHT)  # both before n's range, as the messages go
+        _admit(n, "profile index n", 0, _MAX_EXPONENT - 1)
         if h < 1 or h % (1 << n):
             raise RepError(f"height {h} is not a positive multiple of 2^{n}")
         if grading.group.exponent != n + 1:
@@ -65,9 +66,10 @@ def N_constant(h: int, n: int, k: int) -> int:
 
 def _check_vanishing_index(h: int, n: int, k: int) -> None:
     """Raise the RepError ``N_constant`` raises for (h, n, k), building nothing."""
-    if not (type(h) is type(n) is type(k) is int and 0 <= k <= n):  # one test on the hot path
-        _admit(h, "height")
-        _admit(n, "group index n")
+    ok = type(h) is type(n) is type(k) is int and 0 <= k <= n < _MAX_EXPONENT and h <= _MAX_HEIGHT
+    if not ok:  # one test on the hot path
+        _admit(h, "height", most=_MAX_HEIGHT)
+        _admit(n, "group index n", most=_MAX_EXPONENT - 1)
         _admit(k, "vanishing index k", 0, n, f"n={n}")
     if h < 1 or h % (1 << k):
         raise RepError(f"height {h} is not divisible by 2^{k}")

@@ -222,6 +222,8 @@ def reference_parse_class_expr(
             dn, dm = int(m.group("d_n")), int(m.group("d_m"))
             if dn < 1 or dm < 1:
                 raise semantic(f"D[{dn},{dm}]: both indices must be >= 1", col)
+            if dm * 2 ** (dn - 1) > 2048:  # the generator index bound, before the level
+                raise semantic(f"D[{dn},{dm}]: generator index must be <= 2048", col)
             if dn > lv:
                 raise semantic(f"D[{dn},{dm}] needs a level of at least C{1 << dn}", col)
             norms += _d_norms(dn, dm, exponent)

@@ -9,18 +9,22 @@ smoke test fails if that names no function.  It then renders the two SVG
 goldens with ``sliceshear chart`` and compares them byte for byte, and runs
 README's four documented error examples, checking
 each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
-on stderr.  In process, it round-trips the HHR families through JSON, which
+on stderr.  Each input in ``LIMITS``, past one of the engine's bounds, must
+exit 2 or 3 with one JSON error line within 5 s, and each library call in
+``SWEEP`` must raise an engine error with 10**10 and with 10**30 as its size
+argument; every such child runs with its address space capped at 1 GiB.
+In process, it round-trips the HHR families through JSON, which
 builds every monomial through the unchecked constructor, and checks the exact
-error text for three malformed objects; round trips at levels 5000-5004 must
+error text for three malformed objects; round trips at levels 2044-2048 must
 leave under 64 KiB allocated, as no basis-name table past a chart's is kept.
 Last, it hands a few public calls a bool, a float, an int subclass or an
 out-of-range int, and checks the exact
 exception class and text of each, so the engine's one admission rule runs on
 every supported Python; three inputs that once slipped past the engine's
-errors and the 14,284/14,285 edge where a group name stops printing its order
+errors and the group bound, whose largest group still prints its order,
 are checked the same way, and so are the calls that read n and the group
 from the grading: ``vanishing_line``, ``boundary_line`` and a permanent-cycle
-fact.  So are a JSON norm index too large to build 2^i from and the exact
+fact.  So are a JSON norm index past the bound and the exact
 text of a degree mismatch that ``validate`` reports.  The goldens are also
 rendered through the library twice in this process, first with the DSL's
 factor cache emptied and then with it warm, and both must be byte-identical.
@@ -58,6 +62,47 @@ ERRORS = [
     (None, ["rep", "dim", "--group", "C8", "--V", "2-x"], 2, "parse", None, 2),
     (None, ["rep", "dim", "--group", "C6", "--V", "0"], 3, "semantic", None, 0),
 ]
+# Inputs past an engine bound, each of which once exited 1 "internal" or took
+# memory without end: (chart.dsl text or None, argv).  Each must exit 2 or 3
+# with one JSON error line, in a child whose address space is capped.
+_DIFF = "3: u2S -> Nt[1,1]*aS^3"
+LIMITS = [
+    (None, ["vanishing", "--h", "4000000000", "--n", "0"]),
+    (None, ["correspond", "--group", "C2", "--k", "1", "Nt[99999999999,1]"]),
+    (None, ["transport", "--group", "C2", "--k", "99999999", "--diff", _DIFF]),
+    (None, ["vanishing", "--h", "16384", "--n", "2"]),
+    (None, ["hhr", "--n", "100000", "--i", "1"]),
+    (None, ["hhr", "--n", "1", "--i", "99999999"]),
+    (None, ["tower", "--n", "15000", "--m", "1"]),
+    (None, ["transport", "--group", "C2", "--k", "20000", "--diff", _DIFF]),
+    ("group C2\nwindow -1000000 1000000 1000000\n", ["chart", "big.dsl", "-o", "big.svg"]),
+    ("group C2\nwindow 0 4 4\nclass x = Nt[10000000000,1]\n", ["chart", "big.dsl", "-o", "big.svg"]),
+    (None, ["correspond", "--group", "C2", "--k", "1", "9^4000*9^4000"]),
+]
+# Library calls, each with 10**10 and then 10**30 as v, that must raise an
+# engine error: one per size argument of 16 public functions.  Most once raised
+# MemoryError or OverflowError there or never returned; build_D(1, v),
+# tower_report(1, v) and VanishingProfile(0, v, ...) returned, and are refused
+# now that i, m and h have bounds.  The last one reads a JSON differential with
+# norm index 10**8 in both endpoints.
+SWEEP = [
+    "s.rho_bar(v)", "s.basis_names(v)", "s.build_D(v, 1)", "s.build_D(1, v)",
+    "s.shear_length(3, v)", "s.unshear_length(3, v)", "s.euler_ratio(v, 1, 1)",
+    "s.euler_ratio(1, v, 1)", "s.ShearContext.lift(s.CyclicGroup(1), v)", "s.tower_report(v, 1)",
+    "s.tower_report(1, v)", "s.hu_kriz_seed(v)", "s.hhr_family(v, 1)", "s.hhr_family(1, v)",
+    "s.transport(s.hhr_family(0, 1), v)", "s.permanent_cycle_seeds(v)", "s.N_constant(v, 0, 0)",
+    "s.N_constant(4, v, 0)", "s.max_length(v, 1, 0)", "s.max_length(4, v, 0)",
+    "s.vanishing_line(s.VirtualRep.zero(s.CyclicGroup(1)), v, 0)",
+    "s.VanishingProfile(0, v, s.VirtualRep.zero(s.CyclicGroup(1)))",
+    "s.VanishingProfile(v, 4, s.VirtualRep.zero(s.CyclicGroup(1)))",
+    "s.import_json(json.dumps([d]))",
+]
+# A child's address space is capped, so an input that builds a huge integer
+# fails at once with MemoryError instead of taking the machine's memory
+_CAP = (
+    "try:\n    import resource\nexcept ImportError:\n    pass\nelse:\n"
+    "    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+)
 # malformed JSON monomials and the exact JsonSchemaError text of each
 BAD_JSON = [
     ('[{"group": 1, "level": 1, "coeff": 1, "norms": [[1, 2, 1]], "a": {}, "u": {}}]',
@@ -102,11 +147,54 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("sliceshear ")]
 
 
-def cli(argv: list[str], cwd: str, program: str = MAIN) -> subprocess.CompletedProcess:
+def cli(argv: list[str], cwd: str, program: str = MAIN, timeout: float = 60) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-I", "-B", "-c", program, *argv],
-        cwd=cwd, capture_output=True, text=True, timeout=60,
+        cwd=cwd, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def limit_failure(dsl: str | None, argv: list[str], cwd: str) -> str | None:
+    """What is wrong with how a LIMITS row exits, or None: it must exit 2 or 3
+    within 5 s, printing nothing on stdout and one JSON error line on stderr."""
+    if dsl is not None:
+        pathlib.Path(cwd, "big.dsl").write_text(dsl)
+    try:
+        proc = cli(argv, cwd, _CAP + MAIN, timeout=5)
+    except subprocess.TimeoutExpired:
+        return f"{shlex.join(argv)}: no exit within 5 s"
+    try:
+        code = json.loads(proc.stderr)["error"]["code"]
+    except (ValueError, KeyError, TypeError):
+        code = None
+    if proc.returncode not in (2, 3) or code != proc.returncode or proc.stdout:
+        return f"{shlex.join(argv)}: exit {proc.returncode}, stderr {proc.stderr[-300:]!r}"
+    return None
+
+
+def sweep_failure(call: str) -> str | None:
+    """What is wrong with a SWEEP call, or None: with v = 10**10 and 10**30 it
+    must raise an engine error each time, in a capped child within 5 s."""
+    program = (
+        f"{_CAP}import json, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import sliceshear as s\nfrom sliceshear.reps import _EngineError\n"
+        "for v in (10**10, 10**30):\n"
+        "    d = s.differential_to_obj(s.hhr_family(0, 1))\n"
+        "    d['source']['norms'] = d['target']['norms'] = [[10**8, 1, 1]]\n"
+        "    try:\n"
+        f"        {call}\n"
+        "        print('returned')\n"
+        "    except _EngineError as e:\n"
+        "        print(type(e).__name__)\n"
+    )
+    try:
+        proc = cli([], str(ROOT), program, timeout=5)
+    except subprocess.TimeoutExpired:
+        return f"{call}: no exit within 5 s"
+    got = proc.stdout.split()
+    if proc.returncode or len(got) != 2 or "returned" in got:
+        return f"{call}: exit {proc.returncode}, printed {got}, stderr {proc.stderr[-300:]!r}"
+    return None
 
 
 def json_failures() -> list[str]:
@@ -129,8 +217,8 @@ def json_failures() -> list[str]:
 
 def retained_after_json_round_trips() -> int:
     """Bytes still allocated after ``export_json``/``import_json`` round trips
-    of monomials at levels 5000-5004, past any chart's: the basis-name tables
-    those levels build must not be kept."""
+    of monomials at levels 2044-2048, past any chart's and up to the group
+    bound: the basis-name tables those levels build must not be kept."""
     sys.path.insert(0, str(ROOT / "src"))
     import tracemalloc
     from sliceshear import ClassMonomial, CyclicGroup, export_json, import_json
@@ -143,7 +231,7 @@ def retained_after_json_round_trips() -> int:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        round_trips(range(5000, 5005))
+        round_trips(range(2044, 2049))
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -187,13 +275,13 @@ def admission_checks() -> list:
         ("rho_bar('1', 0)", lambda: s.rho_bar("1", 0),
          s.RepError, "rho_bar group index n+1 must be an integer, got '1'"),
         ("import_json(<group 10**30>)", lambda: s.import_json(json.dumps([huge])),
-         s.JsonSchemaError, "items[0]: endpoint group mismatch: source over C4, target over "
-         f"C4, differential over C_(2^{10**30})"),
+         s.JsonSchemaError, f"items[0].group: must be <= 2048, got {10**30}"),
         ("import_json(<norm index 10**30>)", lambda: s.import_json(json.dumps([wide])),
-         s.JsonSchemaError, "items[0]: invalid differential: too many digits in integer"),
-        # None: the call returns the text; 2^14284 has 4,300 digits, 2^14285 4,301
-        ("str(CyclicGroup(14284))", lambda: str(s.CyclicGroup(14284)), None, f"C{1 << 14284}"),
-        ("str(CyclicGroup(14285))", lambda: str(s.CyclicGroup(14285)), None, "C_(2^14285)"),
+         s.JsonSchemaError, f"items[0].source.norms[0][0]: must be <= 2048, got {10**30}"),
+        # None: the call returns the text; the largest group's order has 617 digits
+        ("str(CyclicGroup(2048))", lambda: str(s.CyclicGroup(2048)), None, f"C{1 << 2048}"),
+        ("CyclicGroup(2049)", lambda: s.CyclicGroup(2049),
+         s.RepError, "group exponent must be <= 2048, got 2049"),
         # n and the group come from the grading
         ("vanishing_line(0 over C8, 4, 1)", lambda: s.vanishing_line(s.VirtualRep.zero(c8), 4, 1),
          None, s.Line(1, 26)),
@@ -291,7 +379,7 @@ def main() -> int:
     failures = entry_failures() + json_failures() + admission_failures(checks)
     failures += record_failures()
     if (kept := retained_after_json_round_trips()) >= 64 * 1024:
-        failures.append(f"JSON round trips at levels 5000-5004 kept {kept} bytes")
+        failures.append(f"JSON round trips at levels 2044-2048 kept {kept} bytes")
     failures += golden_failures()
     commands = readme_commands()
     if not commands:
@@ -328,9 +416,12 @@ def main() -> int:
             if got != (code, kind, line, col):
                 failures.append(f"{shlex.join(argv)} ({dsl!r}): got {got}, "
                                 f"want {(code, kind, line, col)}")
+        failures += [f for dsl, argv in LIMITS if (f := limit_failure(dsl, argv, tmp))]
+    failures += [f for call in SWEEP if (f := sweep_failure(call))]
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
           f"{len(list(GOLDENS.glob('*.dsl')))} goldens (CLI, and in process cold and warm), "
-          f"{len(ERRORS)} error examples, "
+          f"{len(ERRORS)} error examples, {len(LIMITS)} inputs past a bound, "
+          f"{len(SWEEP)} library calls at 10**10 and 10**30, "
           f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
           f"{len(MODULES)} module sets, {len(failures)} failures")
     for failure in failures:

@@ -336,8 +336,10 @@ class TestExitCodes:
         }
 
     def test_chart_diff_too_long_to_print_is_3(self, capsys, tmp_path, default_digit_limit):
+        # exponents are not bounded: 10^3700 (2^2048 - 1) has 4,317 digits
         src = tmp_path / "big.dsl"
-        src.write_text("group C2\ndiff 2: Nt[20000,1] -> Nt[20000,1]*aS\n")
+        e = 10**3700
+        src.write_text(f"group C2\ndiff 2: Nt[2048,1]^{e} -> Nt[2048,1]^{e}*aS\n")
         code, out, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
@@ -345,7 +347,8 @@ class TestExitCodes:
         assert error["message"].startswith("invalid differential: Exceeds the limit")
 
     def test_chart_norm_index_too_large_for_its_power_is_3(self, capsys, tmp_path):
-        # 2^i cannot be built for i = 10^30; it once exited 1 as an internal OverflowError
+        # 2^i cannot be built for i = 10^30; it once exited 1 as an internal
+        # OverflowError, and the generator index bound now refuses it at its factor
         src = tmp_path / "big.dsl"
         src.write_text(f"group C2\ndiff 3: Nt[{10**30},1] -> Nt[1,1]*aS^3\n")
         code, out, err = run(capsys, "chart", str(src), "-o", str(tmp_path / "x.svg"))
@@ -354,9 +357,9 @@ class TestExitCodes:
             "error": {
                 "code": 3,
                 "kind": "semantic",
-                "message": "invalid differential: too many digits in integer",
+                "message": f"Nt[{10**30},1]: generator index must be <= 2048",
                 "line": 2,
-                "col": 5,
+                "col": 8,
             }
         }
 
@@ -372,7 +375,7 @@ class TestExitCodes:
             "error": {
                 "code": 3,
                 "kind": "semantic",
-                "message": "invalid class: too many digits in integer",
+                "message": f"Nt[{10**30},1]: generator index must be <= 2048",
                 "line": 3,
                 "col": 10,
             }
@@ -393,9 +396,14 @@ class TestExitCodes:
 
 class TestLastResort:
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
-    def test_integer_past_digit_limit_is_internal(self, capsys, default_digit_limit, flags):
-        # N_k = 2^20001 has more digits than int-to-str allows
-        code, out, err = run(capsys, "vanishing", "--h", "20000", "--n", "0", *flags)
+    def test_integer_past_digit_limit_is_internal(
+        self, capsys, monkeypatch, default_digit_limit, flags
+    ):
+        # a result with more digits than int-to-str allows, printed as text or
+        # as JSON; the engine's bounds keep its own results under the limit
+        huge = 10**5000
+        monkeypatch.setattr(cli, "_handle_hhr", lambda args: (huge, {"n": huge}))
+        code, out, err = run(capsys, "hhr", "--n", "1", "--i", "1", *flags)
         assert code == 1 and out == "" and err.count("\n") == 1
         error = json.loads(err)["error"]
         assert (error.keys(), error["code"], error["kind"]) == (
@@ -666,24 +674,30 @@ def test_one_shot_imports_no_stdlib_it_does_not_run(name):
         assert not extra & {"fractions", "decimal"}
 
 
+# the child's hhr handler reads hhr_family from its module, so this makes it fail
+_HHR_FAILS = (
+    "import sliceshear.differentials as d\n"
+    "def fail(n, i): raise MemoryError\n"
+    "d.hhr_family = fail\n"
+)
+
+
 @pytest.mark.parametrize(
-    "argv, code, kind",
+    "setup, argv, code, kind",
     [
-        (("hhr", "--n", "1", "--i", "1"), 0, None),
-        (("rep", "dim", "--group", "C8"), 1, "usage"),
-        (("vanishing", "--h", "20000", "--n", "0"), 1, "internal"),
-        (("rep", "dim", "--group", "C8", "--V", "2++s"), 2, "parse"),
-        (("rep", "dim", "--group", "C2", "--V", "l3", "--json"), 3, "semantic"),
+        ("", ("hhr", "--n", "1", "--i", "1"), 0, None),
+        ("", ("rep", "dim", "--group", "C8"), 1, "usage"),
+        (_HHR_FAILS, ("hhr", "--n", "1", "--i", "1"), 1, "internal"),
+        ("", ("rep", "dim", "--group", "C8", "--V", "2++s"), 2, "parse"),
+        ("", ("rep", "dim", "--group", "C2", "--V", "l3", "--json"), 3, "semantic"),
     ],
     ids=["ok", "usage", "internal", "parse", "semantic"],
 )
-def test_module_entry_point_prints_at_most_one_error_line(argv, code, kind):
+def test_module_entry_point_prints_at_most_one_error_line(setup, argv, code, kind):
     """``python -m sliceshear.cli``, as a user runs it: the exit code, and on
     stderr nothing or one JSON error line, never a traceback."""
-    if kind == "internal" and not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python converts ints of any length")
     proc = _child(
-        f"import runpy; sys.argv[1:] = {list(argv)!r}\n"
+        f"{setup}import runpy; sys.argv[1:] = {list(argv)!r}\n"
         "runpy.run_module('sliceshear.cli', run_name='__main__', alter_sys=True)"
     )
     assert proc.returncode == code
@@ -754,29 +768,31 @@ def test_program_entry_freezes_the_collector_and_prints_what_main_does(program, 
     assert unfrozen == 0 and frozen > 0
 
 
-_TOP = (1 << 3000) - 1  # the slope of the k = 3000 line
+_TOP = (1 << 2047) - 1  # the slope of the k = 2047 line
+_LAST = (1 << 2048) - 1  # the slope of the k = 2048 line
 
 
 @pytest.mark.parametrize(
     "argv, first, last",
     [
         (
-            ("tower", "--n", "3000", "--m", "1"),
-            f"k=1  s = 1(t-s)  C=0  ->  C{1 << 3000} at height {1 << 2999}",
-            f"k=3000  s = {_TOP}(t-s)  C=0  ->  C2 at height 1",
+            ("tower", "--n", "2047", "--m", "1"),
+            f"k=1  s = 1(t-s)  C=0  ->  C{1 << 2047} at height {1 << 2046}",
+            f"k=2047  s = {_TOP}(t-s)  C=0  ->  C2 at height 1",
         ),
         (
-            ("rep", "lines", "--group", f"C{1 << 3000}", "--V", "0"),
+            ("rep", "lines", "--group", f"C{1 << 2048}", "--V", "0"),
             "k=0  slope=0  tau=0  s = 0",
-            f"k=3000  slope={_TOP}  tau=0  s = {_TOP}(t-s)",
+            f"k=2048  slope={_LAST}  tau=0  s = {_LAST}(t-s)",
         ),
     ],
     ids=["tower", "rep-lines"],
 )
-def test_tables_over_C_2_to_the_3000_are_linear(argv, first, last):
-    """Every row reads one memoized series, so 3,000 rows take well under 10 s;
-    a per-row tau recomputation (cubic in n) takes minutes."""
+def test_tables_over_C_2_to_the_2048_are_linear(argv, first, last):
+    """Over the largest group the engine admits, every row reads one memoized
+    series, so 2,048 rows take well under 10 s; a per-row tau recomputation
+    (cubic in n) takes minutes."""
     proc = _child(_cli(*argv), timeout=10)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
-    assert (len(rows), rows[0], rows[-1]) == (3000 + (argv[0] == "rep"), first, last)
+    assert (len(rows), rows[0], rows[-1]) == (2047 + 2 * (argv[0] == "rep"), first, last)

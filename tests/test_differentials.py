@@ -67,8 +67,9 @@ class TestValidate:
 
     def test_degree_too_long_to_print(self, default_digit_limit):
         # the degree mismatch message would print degrees with more digits
-        # than int-to-str allows
-        src = norm_class(C2, 20000)
+        # than int-to-str allows: exponents are not bounded, and 10^3700 (2^2048 - 1)
+        # has 4,317 digits
+        src = norm_class(C2, 2048, exp=10**3700)
         d = Differential(C2, 2, src, src * ClassMonomial(C2, 1, a_exp=(1,)))
         problems = validate(d)
         assert len(problems) == 1

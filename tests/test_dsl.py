@@ -261,14 +261,19 @@ class TestDocuments:
             parse("group C4\nguide diagonal\n")
 
     def test_vanishing_guide_builds_no_offset_at_parse_time(self):
-        # N_0 = 2^(h + 2) - 2 would take 25 MB; parsing only checks (h, k)
+        # parsing only checks (h, k): h = 2*10^8, whose N_0 = 2^(h + 2) - 2 would
+        # take 25 MB, is past the height bound and refused at its column
         tracemalloc.start()
         try:
-            doc = parse("group C2\nwindow 0 4 4\nguide vanish h=200000000 k=0\n")
+            doc = parse("group C2\nwindow 0 4 4\nguide vanish h=4096 k=0\n")
+            with pytest.raises(DslSemanticError) as exc:
+                parse("group C2\nwindow 0 4 4\nguide vanish h=200000000 k=0\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert doc.guides == [GuideSpec("vanish", k=0, h=200000000)]
+        assert doc.guides == [GuideSpec("vanish", k=0, h=4096)]
+        assert (exc.value.line, exc.value.col) == (3, 15)
+        assert exc.value.reason == "height must be <= 4096, got 200000000"
         assert peak < 1 << 20
 
     def test_order_insensitive_sections(self):
@@ -477,14 +482,14 @@ def test_factor_cache_is_bounded():
         assert parse_class_expr(f"aS*{2 * k + 1}", C(2)).coeff == 1
     assert info().misses == 1101 and info().currsize <= info().maxsize == 1024
     dsl._factor.cache_clear()
-    # a level past 64 and a text past 256 characters bypass the cache
-    a = (1,) + (0,) * 63 + (1,)
-    assert parse_class_expr("aS*aL64*3", C(65)) == ClassMonomial(C(65), 65, 1, (), a)
+    # a text past 256 characters bypasses the cache
     long = "aS*" + " " * 256 + "aL1"
     assert parse_class_expr(long, C(2)) == ClassMonomial(C(2), 2, 1, (), (1, 1))
     assert info().currsize == 0
-    # the same pieces at level 64, in a short text, enter it
-    parse_class_expr("aS*aL63*3", C(64))
+    # a level past any chart's does not: the generator index bound keeps each
+    # factor it caches small
+    a = (1,) + (0,) * 63 + (1,)
+    assert parse_class_expr("aS*aL64*3", C(65)) == ClassMonomial(C(65), 65, 1, (), a)
     assert info().currsize == 3
 
 
@@ -503,6 +508,25 @@ def test_coefficient_power_past_digit_limit(default_digit_limit, expr, col):
     assert (exc.value.reason, exc.value.line, exc.value.col) == (
         "coefficient power has more than 4300 digits", 2, col
     )
+
+
+@pytest.mark.parametrize(
+    "expr, col",
+    [
+        # each factor passes the power check; the product once left the
+        # parser as a bare ValueError from printing it
+        ("9^4000*9^4000", 7),
+        # 10^4200 fits, and 10^4300 is refused at the factor that crosses the limit
+        ("aS * 10^3000* 10^1200 * 10^100", 23),
+    ],
+)
+def test_coefficient_product_past_digit_limit(default_digit_limit, expr, col):
+    with pytest.raises(DslSemanticError) as exc:
+        parse_class_expr(expr, C(1), line=4)
+    assert (exc.value.reason, exc.value.line, exc.value.col) == (
+        "coefficient product has more than 4300 digits", 4, col
+    )
+    assert parse_class_expr("10^3000*10^1299", C(0)).coeff == 10**4299
 
 
 def test_coefficient_power_within_digit_limit(default_digit_limit):
@@ -681,18 +705,20 @@ def test_digit_limit_error_keeps_its_place_in_order(default_digit_limit):
 
 
 def test_level_message_for_group_too_large_to_print(default_digit_limit):
-    # C_(2^20000) has more digits than int-to-str allows; the group printer
-    # spells it as a power of 2
+    # the level message would name C_(2^20000), a group past the bound; the
+    # generator index bound (2^19999 here) refuses the factor before it
     with pytest.raises(DslSemanticError) as exc:
         parse("group C4\nclass x = D[20000,1]\n")
-    assert exc.value.reason == "D[20000,1] needs a level of at least C_(2^20000)"
+    assert (exc.value.line, exc.value.col) == (2, 10)
+    assert exc.value.reason == "D[20000,1]: generator index must be <= 2048"
 
 
 def test_diff_degree_too_long_to_print_is_semantic(default_digit_limit):
     # validate() words a degree mismatch with the degrees, which have more
-    # digits than int-to-str allows
+    # digits than int-to-str allows: 10^3700 (2^2048 - 1) has 4,317
+    e = 10**3700
     with pytest.raises(DslSemanticError) as exc:
-        parse("group C2\ndiff 2: Nt[20000,1] -> Nt[20000,1]*aS\n")
+        parse(f"group C2\ndiff 2: Nt[2048,1]^{e} -> Nt[2048,1]^{e}*aS\n")
     assert exc.value.line == 2
     assert exc.value.reason.startswith("invalid differential: Exceeds the limit")
 

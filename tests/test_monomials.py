@@ -309,6 +309,25 @@ def test_constructor_matches_two_pass_reference(args):
     assert _fields_or_error(stored, args) == _fields_or_error(reference_monomial_fields, args)
 
 
+def test_exponent_vectors_read_any_iterable():
+    # a generator once raised a bare TypeError from len(), although norms
+    # were read from any iterable
+    g = C(2)
+    assert ClassMonomial(g, 2, 1, (), (x for x in (1, 2))) == ClassMonomial(g, 2, 1, (), (1, 2))
+    assert ClassMonomial(g, 2, u_exp=iter([3])) == ClassMonomial(g, 2, u_exp=(3,))
+    with pytest.raises(MonomialError, match="^a_exp has 3 entries, level is 2$"):
+        ClassMonomial(g, 2, a_exp=(x for x in (1, 2, 3)))
+
+
+def test_norm_index_past_the_bound_is_refused():
+    with pytest.raises(MonomialError, match="^norm index i must be <= 2048, got 2049$"):
+        ClassMonomial(C(1), 1, norms=((2049, 1, 1),))
+    # D[n,m] spells the generator indices 2^(n-k) m, k = 1..n
+    assert build_D(12, 1).norms[-1] == (2048, 12, 1)
+    with pytest.raises(MonomialError, match="^norm index i must be <= 2048, got 4096$"):
+        build_D(13, 1)
+
+
 def test_constructor_keywords_and_replace():
     g = C(3)
     m = ClassMonomial(

@@ -63,25 +63,32 @@ class TestGroup:
         assert str(C(4)) == "C16"
 
     def test_str_past_int_digit_limit(self, default_digit_limit):
-        # 2^14284 has 4,300 digits and still prints; 2^14285 has 4,301
-        assert str(C(14284)) == f"C{1 << 14284}"
-        assert str(C(14285)) == "C_(2^14285)"
+        # no group prints past the digit limit: the group bound, 2048, is far
+        # below 14,285, where the order would have 4,301 digits
+        assert str(C(2048)) == f"C{1 << 2048}"
+        with pytest.raises(RepError, match="^group exponent must be <= 2048, got 14285$"):
+            C(14285)
 
     @pytest.mark.parametrize(
         "limit, exponent, text",
         [
-            (0, 14284, f"C{1 << 14284}"),
-            (0, 14285, "C_(2^14285)"),  # no limit, but the order is not built past the edge
-            (0, 10**30, f"C_(2^{10**30})"),  # 1 << 10**30 would not fit in memory
-            (640, 2000, f"C{1 << 2000}"),  # 603 digits
-            (640, 14284, "C_(2^14284)"),  # a lowered limit falls back
+            (0, 2048, f"C{1 << 2048}"),
+            (0, 2049, None),  # no limit, but the group is past the bound
+            (0, 10**30, None),  # 1 << 10**30 would not fit in memory
+            (640, 2048, f"C{1 << 2048}"),  # 617 digits, under the lowest limit allowed
+            (640, 2049, None),
         ],
         ids=["edge", "past-edge", "huge", "lowered-limit", "past-lowered-limit"],
     )
     def test_str_decides_from_the_exponent(self, default_digit_limit, limit, exponent, text):
-        # an exponent of 10**30 once raised OverflowError from 1 << exponent
+        # an exponent of 10**30 once raised OverflowError from 1 << exponent; a
+        # group is refused past the bound, so every one prints its order
         sys.set_int_max_str_digits(limit)
-        assert str(C(exponent)) == text
+        if text is None:
+            with pytest.raises(RepError, match=f"^group exponent must be <= 2048, got {exponent}$"):
+                C(exponent)
+        else:
+            assert str(C(exponent)) == text
 
     @pytest.mark.parametrize(
         "make, message",

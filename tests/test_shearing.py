@@ -143,6 +143,14 @@ class TestShearDegree:
         ctx = ShearContext(C(1), 1, V)
         assert shear_degree(ctx, 0, 0) == (0, 0)
 
+    def test_t_and_s_are_admitted(self):
+        # a float once came back as (3.0, 2.5), into the exact arithmetic
+        ctx = ShearContext.lift(C(1), 1)
+        with pytest.raises(ShearError, match="^t must be an integer, got 1.5$"):
+            shear_degree(ctx, 1.5, 1)
+        with pytest.raises(ShearError, match="^s must be an integer, got True$"):
+            shear_degree(ctx, 1, True)
+
     def test_seed_target_lands_on_family_filtration(self):
         for n in range(1, 5):
             for i in range(1, 5):

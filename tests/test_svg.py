@@ -185,9 +185,10 @@ def test_pixel_formatting_matches_fraction_rendering():
 # -- vanishing guides above the window ----------------------------------------
 
 
-def test_vanishing_guide_above_the_window_builds_no_offset():
-    """N_0 at h = 2*10^8 has 2*10^8 bits; a window 4 high never needs it."""
-    doc = parse("group C2\nwindow 0 4 4\nguide vanish h=200000000 k=0\n")
+def test_vanishing_guide_at_the_height_bound_above_the_window_draws_nothing():
+    """N_0 at h = 4096, the height bound, has 4,098 bits; the guide clips to
+    nothing in a window 4 high, and rendering stays small."""
+    doc = parse("group C2\nwindow 0 4 4\nguide vanish h=4096 k=0\n")
     plain = emit_svg(parse("group C2\nwindow 0 4 4\n"))
     tracemalloc.start()
     try:
@@ -200,8 +201,8 @@ def test_vanishing_guide_above_the_window_builds_no_offset():
 
 
 def test_a_vanishing_guide_is_skipped_only_where_clip_drops_its_line():
-    """Over small h, the bound on N_k skips a guide only where the full
-    vanishing line clips to nothing; every other guide keeps its line."""
+    """Over small h, every vanishing guide gets its full line, and the chart
+    leaves a guide out exactly where that line clips to nothing."""
     rng = random.Random(23)
     skipped = drawn = 0
     for _ in range(1500):
@@ -213,13 +214,11 @@ def test_a_vanishing_guide_is_skipped_only_where_clip_drops_its_line():
         doc.window = (x_min, x_min + rng.randint(0, 12), rng.randint(0, 60))
         k = rng.randint(0, n)
         g = GuideSpec("vanish", k=k, h=rng.randint(1, 5) << k)
-        line, label = _guide_line(g, doc)
         full = vanishing_line(doc.grading, g.h, k)
-        assert label == f"N k={k}"
-        if line is None:
-            assert _clip(full, doc.window) is None
-            skipped += 1
-        else:
-            assert line == full
-            drawn += _clip(full, doc.window) is not None
+        assert _guide_line(g, doc) == (full, f"N k={k}")
+        doc.guides = [g]
+        shown = f">N k={k}</text>" in emit_svg(doc).decode()
+        assert shown == (_clip(full, doc.window) is not None)
+        drawn += shown
+        skipped += not shown
     assert skipped > 100 and drawn > 100
