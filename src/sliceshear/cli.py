@@ -21,18 +21,30 @@ every object the process still holds, whose memory goes back to the system
 anyway; atexit handlers, stream flushes and reference-count teardown still
 run.  ``main(argv)`` itself has no such process-wide effect, so it can be
 called in process.
+
+The flags are declared once, in the table ``_commands()``.  ``main`` reads a
+call in its plain form straight from that table: the subcommand, exact flag
+names as ``--flag value``, ``--flag=value`` or ``-g value``, each flag once.
+Every other argv goes to ``build_parser()``, the only code that imports
+``argparse``, so argparse loads only for help, usage errors and the argv
+forms the reader leaves to it (abbreviations, ``--``, a value that starts
+with ``-``, a repeated flag), and writes every help text and usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import warnings
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .reps import _MAX_EXPONENT, CyclicGroup, DslError, _admit, _EngineError, line_L, tau
 from .reps import parse_group_name, parse_rep
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -45,12 +57,6 @@ class _CliFailure(_EngineError):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse would exit(2) on usage problems; the documented usage code is 1
-    def error(self, message):
-        raise _CliFailure("usage", message)
 
 
 def _color(text: str, code: str) -> str:
@@ -226,10 +232,76 @@ def _handle_chart(args) -> tuple[str, dict]:
     }
 
 
-# -- parser -------------------------------------------------------------------
+# -- flags --------------------------------------------------------------------
+#
+# One row per subcommand: (handler, help, positionals, flags).  A positional is
+# (dest, choices or None, help); a flag is (names, dest, type, default, help),
+# with default ``...`` for a required flag.  ``build_parser`` builds argparse's
+# parser from this table, and ``_read`` reads the plain form of a call from it.
+
+_V_HELP = "grading over C_(2^(n+1)) (default 0)"
+_DIFF = (("--diff",), "diff", str, ..., "'<r>: <source> -> <target>'")
 
 
-def build_parser() -> _Parser:
+def _commands() -> dict:
+    """The table, built on each call: a row holds the handler this module names
+    when the call is read, so a test can replace one."""
+    return {
+        "rep": (_handle_rep, "representation arithmetic",
+                (("op", ("dim", "fixed", "restrict", "tau", "lines"), None),),
+                ((("--group", "-g"), "group", str, ..., "ambient group, e.g. C8"),
+                 (("--V",), "V", str, ..., "representation literal, e.g. 2-2s"),
+                 (("--k",), "k", int, None, "subgroup index for fixed/tau"),
+                 (("--m",), "m", int, None, "subgroup index for restrict"))),
+        "shear": (_handle_shear, "bidegree transform between chart pages", (),
+                  ((("--n",), "n", int, ..., "target group is C_(2^(n+1))"),
+                   (("--k",), "k", int, ..., None),
+                   (("--V",), "V", str, ..., "grading over the target group"),
+                   (("--t",), "t", int, ..., None),
+                   (("--s",), "s", int, ..., None))),
+        "correspond": (_handle_correspond, "transport a class up the tower",
+                       (("expr", None, "class expression over the source group"),),
+                       ((("--k",), "k", int, ..., None),
+                        (("--group", "-g"), "group", str, ..., "source group, e.g. C2"),
+                        (("--level",), "level", str, None,
+                         "source class level, e.g. C2 (default: top)"),
+                        (("--V",), "V", str, "0", "grading over the target group (default 0)"))),
+        "tower": (_handle_tower, "tower of shearing isomorphism regions", (),
+                  ((("--n",), "n", int, ..., None),
+                   (("--m",), "m", int, ..., "height index, h = 2^n * m"),
+                   (("--V",), "V", str, "0", _V_HELP))),
+        "hhr": (_handle_hhr, "slice differential family over C_(2^(n+1))", (),
+                ((("--n",), "n", int, ..., None), (("--i",), "i", int, ..., None))),
+        "transport": (_handle_transport, "shear a differential up the tower", (),
+                      ((("--k",), "k", int, ..., None),
+                       (("--group", "-g"), "group", str, ..., "source group, e.g. C2"),
+                       _DIFF,
+                       (("--V",), "V", str, None,
+                        "grading over the target group (default: source degree)"))),
+        "vanishing": (_handle_vanishing, "vanishing line table", (),
+                      ((("--h",), "h", int, ..., "chromatic height, 2^n * m"),
+                       (("--n",), "n", int, ..., None),
+                       (("--V",), "V", str, "0", _V_HELP))),
+        "check": (_handle_check, "admissibility report for a differential", (),
+                  ((("--h",), "h", int, ..., None),
+                   (("--n",), "n", int, ..., None),
+                   _DIFF,
+                   (("--V",), "V", str, "0", _V_HELP))),
+        "chart": (_handle_chart, "render a chart DSL file to SVG",
+                  (("input", None, "path to the .dsl file"),),
+                  ((("-o", "--output"), "output", str, ..., "path of the SVG to write"),)),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser for the table: the one writer of help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse would exit(2) on usage problems; the documented usage code is 1
+        def error(self, message):
+            raise _CliFailure("usage", message)
+
     parser = _Parser(
         prog="sliceshear",
         description="Exact shearing engine for slice spectral sequence charts "
@@ -237,70 +309,66 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
-
-    p = sub.add_parser("rep", help="representation arithmetic")
-    p.add_argument("op", choices=["dim", "fixed", "restrict", "tau", "lines"])
-    p.add_argument("--group", "-g", required=True, help="ambient group, e.g. C8")
-    p.add_argument("--V", required=True, help="representation literal, e.g. 2-2s")
-    p.add_argument("--k", type=int, help="subgroup index for fixed/tau")
-    p.add_argument("--m", type=int, help="subgroup index for restrict")
-    p.set_defaults(handler=_handle_rep)
-
-    p = sub.add_parser("shear", help="bidegree transform between chart pages")
-    p.add_argument("--n", type=int, required=True, help="target group is C_(2^(n+1))")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--V", required=True, help="grading over the target group")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(handler=_handle_shear)
-
-    p = sub.add_parser("correspond", help="transport a class up the tower")
-    p.add_argument("expr", help="class expression over the source group")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--group", "-g", required=True, help="source group, e.g. C2")
-    p.add_argument("--level", help="source class level, e.g. C2 (default: top)")
-    p.add_argument("--V", default="0", help="grading over the target group (default 0)")
-    p.set_defaults(handler=_handle_correspond)
-
-    p = sub.add_parser("tower", help="tower of shearing isomorphism regions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="height index, h = 2^n * m")
-    p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
-    p.set_defaults(handler=_handle_tower)
-
-    p = sub.add_parser("hhr", help="slice differential family over C_(2^(n+1))")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(handler=_handle_hhr)
-
-    p = sub.add_parser("transport", help="shear a differential up the tower")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--group", "-g", required=True, help="source group, e.g. C2")
-    p.add_argument("--diff", required=True, help="'<r>: <source> -> <target>'")
-    p.add_argument("--V", help="grading over the target group (default: source degree)")
-    p.set_defaults(handler=_handle_transport)
-
-    p = sub.add_parser("vanishing", help="vanishing line table")
-    p.add_argument("--h", type=int, required=True, help="chromatic height, 2^n * m")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
-    p.set_defaults(handler=_handle_vanishing)
-
-    p = sub.add_parser("check", help="admissibility report for a differential")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--diff", required=True, help="'<r>: <source> -> <target>'")
-    p.add_argument("--V", default="0", help="grading over C_(2^(n+1)) (default 0)")
-    p.set_defaults(handler=_handle_check)
-
-    p = sub.add_parser("chart", help="render a chart DSL file to SVG")
-    p.add_argument("input", help="path to the .dsl file")
-    p.add_argument("-o", "--output", required=True, help="path of the SVG to write")
-    p.set_defaults(handler=_handle_chart)
-
-    for p in sub.choices.values():
+    for command, (handler, about, positionals, flags) in _commands().items():
+        p = sub.add_parser(command, help=about)
+        for dest, choices, about in positionals:
+            p.add_argument(dest, choices=choices, help=about)
+        for names, dest, kind, default, about in flags:
+            if default is ...:
+                p.add_argument(*names, dest=dest, type=kind, required=True, help=about)
+            else:
+                p.add_argument(*names, dest=dest, type=kind, default=default, help=about)
         p.add_argument("--json", action="store_true", help="emit a JSON payload")
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns for a call in the plain
+    form, read from the table without argparse: a subcommand, then its
+    positionals, exact flag names as ``--flag value``, ``--flag=value`` or
+    ``-g value``, each flag and ``--json`` at most once, every required flag,
+    ints that ``int()`` reads and valid choices.  None for any other argv,
+    which argparse reads: help, usage errors, abbreviations, ``--``, values
+    that start with ``-`` and the forms whose rules differ between versions."""
+    row = _commands().get(argv[0]) if argv else None
+    if row is None:
+        return None
+    handler, _, positionals, flags = row
+    named = {name: flag for flag in flags for name in flag[0]}
+    values, given, rest = {"json": False}, [], iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            given.append(arg)
+        elif arg == "--json" and not values["json"]:
+            values["json"] = True
+        else:
+            name, eq, value = arg.partition("=")
+            flag = named.get(name)
+            if flag is None or (eq and name[:2] != "--") or flag[1] in values:
+                return None
+            if not eq:
+                value = next(rest, "-")  # no value, or one argparse may read as a flag
+                if value[:1] == "-":
+                    return None
+            if flag[2] is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            values[flag[1]] = value
+    if len(given) != len(positionals):
+        return None
+    for (dest, choices, _), value in zip(positionals, given):
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for _, dest, _, default, _ in flags:
+        if dest not in values:
+            if default is ...:
+                return None
+            values[dest] = default
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
 
 
 def _engine_obj(value) -> dict:
@@ -315,7 +383,8 @@ def _engine_obj(value) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _read(argv) or build_parser().parse_args(argv)
         text, payload = args.handler(args)
         if args.json:
             import json

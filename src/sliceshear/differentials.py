@@ -60,8 +60,14 @@ class Differential(_Record):
         self, group: CyclicGroup, page: int, source: ClassMonomial, target: ClassMonomial,
         provenance: str = "user",
     ) -> None:
+        if type(group) is not CyclicGroup:
+            raise DifferentialError(f"differential group must be a CyclicGroup, got {group!r}")
         if type(page) is not int or page < 2:
             raise DifferentialError(f"differential page must be >= 2, got {page}")
+        if type(source) is not ClassMonomial:
+            raise DifferentialError(f"differential source must be a ClassMonomial, got {source!r}")
+        if type(target) is not ClassMonomial:
+            raise DifferentialError(f"differential target must be a ClassMonomial, got {target!r}")
         if provenance not in PROVENANCES:
             raise DifferentialError(f"unknown provenance {provenance!r}")
         _set(self, "group", group)

@@ -105,6 +105,10 @@ _MAX_EXPONENT = 2048  # n of C_(2^n): levels, shear steps k, tower and profile n
 _MAX_INDEX = 2048  # i of a generator t_i, in N(t_i), D[n,m] (i = 2^(n-1) m) and the families
 _MAX_HEIGHT = 4096  # a chromatic height h, and the height index m
 _MAX_WINDOW = 4096  # |x_min|, |x_max| and s_max of a chart window
+# decimal digits of shear_degree's t and s and of a parsed representation's coefficients:
+# tau, t' and s' reach about 2^2048 * 8192 times them, 621 more digits, under 4,300
+_MAX_DIGITS = 3600
+_DIGITS_CAP = 10**_MAX_DIGITS  # the least integer with more digits
 
 
 # Sets one field of a value past its frozen __setattr__.  Unlike an update of
@@ -395,7 +399,8 @@ _REP_TERM = re.compile(r"(?P<sign>\s*[+-])?(?P<num>\s*\d+)?(?P<basis>\s*(?:s|l\d
 def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
     """Parse a representation literal such as ``2-2s`` or ``4l1+2s``.  An
     error points at the coefficient or basis element it is about; columns
-    count from where the scan of a token starts."""
+    count from where the scan of a token starts.  Each coefficient, once like
+    terms are added up, has at most 3,600 digits."""
     n = group.exponent
     co = [0] * (n + 1)
     stripped = text.rstrip()
@@ -421,22 +426,28 @@ def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
             value *= _int(num.lstrip(), col_offset + m.start("num"))
         pos = m.end()
         if basis is None:
-            co[0] += value
-            continue
-        basis, col = basis.lstrip(), col_offset + m.start("basis")
-        if basis == "s":
-            if n == 0:
-                raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
-            co[1] += value
-        elif (i := _int(basis[1:], col)) == 0:
-            # l0 is parser sugar for 2s
-            if n == 0:
-                raise DslSemanticError(f"l0 is not available over {group}", col=col)
-            co[1] += 2 * value
-        elif i <= n - 1:
-            co[1 + i] += value
+            slot = 0
         else:
-            raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
+            basis, col = basis.lstrip(), col_offset + m.start("basis")
+            if basis == "s":
+                if n == 0:
+                    raise DslSemanticError(f"s is not a basis element of RO({group})", col=col)
+                slot = 1
+            elif (i := _int(basis[1:], col)) == 0:
+                # l0 is parser sugar for 2s
+                if n == 0:
+                    raise DslSemanticError(f"l0 is not available over {group}", col=col)
+                slot, value = 1, 2 * value
+            elif i <= n - 1:
+                slot = 1 + i
+            else:
+                raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
+        co[slot] += value
+        if not -_DIGITS_CAP < co[slot] < _DIGITS_CAP:
+            raise DslSemanticError(
+                f"coefficient has more than {_MAX_DIGITS} digits",
+                col=col_offset + m.start("basis" if num is None else "num"),
+            )
     return VirtualRep(group, tuple(co))
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .reps import _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line, VirtualRep, _admit, _EngineError
-from .reps import _Record, _set, _shift, _threshold, constant_C, line_L, rho_bar
+from .reps import _DIGITS_CAP, _MAX_DIGITS, _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line
+from .reps import VirtualRep, _EngineError, _Record, _admit, _set, _shift, _threshold
+from .reps import constant_C, line_L, rho_bar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -118,10 +119,11 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     """Bidegree transform: (t, s) on the source page to (t', s') on the target.
 
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
-    coordinate t - s is preserved.
+    coordinate t - s is preserved.  t and s have at most 3,600 digits.
     """
-    _admit(t, "t", error=ShearError)
-    _admit(s, "s", error=ShearError)
+    for name, value in (("t", t), ("s", s)):
+        if not -_DIGITS_CAP < _admit(value, name, error=ShearError) < _DIGITS_CAP:
+            raise ShearError(f"{name} has more than {_MAX_DIGITS} digits")
     offset = _shift(ctx.grading, ctx.k)
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s

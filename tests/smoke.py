@@ -29,7 +29,12 @@ text of a degree mismatch that ``validate`` reports.  The goldens are also
 rendered through the library twice in this process, first with the DSL's
 factor cache emptied and then with it warm, and both must be byte-identical.
 Two one-shot calls, ``rep dim`` and human-output ``hhr``, must load exactly
-their engine modules, and neither may load ``dataclasses``.  The engine's values keep
+their engine modules, and neither may load ``dataclasses`` or ``argparse``.
+The CLI's flag-table reader must take each README command, in human and
+``--json`` form, as this Python's ``argparse`` reads it, and of the argv
+forms in ``READER`` it must take those marked so, the same way, and leave
+the rest (abbreviations, ``--``, values that start with ``-``, repeated or
+missing flags, help) to ``argparse``, whose rules differ between versions.  The engine's values keep
 the record contract of their plain base class: the repr they printed as
 dataclasses, equality and hash over their fields (a differential's
 provenance left out), and no assignment.  It needs no pytest, so it runs on
@@ -78,6 +83,8 @@ LIMITS = [
     ("group C2\nwindow -1000000 1000000 1000000\n", ["chart", "big.dsl", "-o", "big.svg"]),
     ("group C2\nwindow 0 4 4\nclass x = Nt[10000000000,1]\n", ["chart", "big.dsl", "-o", "big.svg"]),
     (None, ["correspond", "--group", "C2", "--k", "1", "9^4000*9^4000"]),
+    (None, ["shear", "--n", "2047", "--k", "2047", "--V", "0", "--t", "9" * 4000, "--s", "0"]),
+    (None, ["rep", "lines", "--group", f"C{1 << 2048}", "--V", "9" * 4000]),
 ]
 # Library calls, each with 10**10 and then 10**30 as v, that must raise an
 # engine error: one per size argument of 16 public functions.  Most once raised
@@ -103,6 +110,39 @@ _CAP = (
     "try:\n    import resource\nexcept ImportError:\n    pass\nelse:\n"
     "    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
 )
+# argv forms beside README's commands, each with whether the CLI's flag-table
+# reader takes it (True) or leaves it to argparse (False); a call it takes must
+# read as this Python's argparse reads it
+READER = [
+    (["rep", "dim", "--group=C8", "--V=2-2s"], True),
+    (["rep", "--json", "dim", "-g", "C8", "--V", "0"], True),
+    (["shear", "--t=-3", "--n", "2", "--k", "2", "--V", "0", "--s", "1"], True),
+    (["chart", "-o", "out.svg", "in.dsl"], True),
+    (["chart", "in.dsl", "--output=out.svg", "--json"], True),
+    (["correspond", "Nt[1,1]", "--k", "1", "-g", "C2", "--level", "C2"], True),
+    (["hhr", "--n", " 1", "--i", "1_0"], True),
+    (["rep", "dim", "--group", "", "--V="], True),
+    (["transport", "--group", "C2", "--k", "1", "--diff=3: u2S -> Nt[1,1]*aS^3"], True),
+    (["rep", "dim", "--gr", "C8", "--V", "0"], False),
+    (["rep", "dim", "-g=C8", "--V", "0"], False),
+    (["rep", "dim", "-gC8", "--V", "0"], False),
+    (["shear", "--n", "2", "--k", "2", "--V", "0", "--t", "-3", "--s", "1"], False),
+    (["rep", "dim", "--group", "C8", "--V", "-2s"], False),
+    (["hhr", "--n", "1", "--i", "1", "--"], False),
+    (["hhr", "--", "--n", "1", "--i", "1"], False),
+    (["hhr", "--n", "1", "--n", "2", "--i", "1"], False),
+    (["chart", "in.dsl", "-o", "a.svg", "--output", "b.svg"], False),
+    (["hhr", "--n", "1", "--i", "1", "--json", "--json"], False),
+    (["hhr", "--n", "1"], False),
+    (["hhr", "--n", "1", "--i"], False),
+    (["hhr", "--n", "x", "--i", "1"], False),
+    (["hhr", "--n=", "--i", "1"], False),
+    (["rep", "frob", "--group", "C8", "--V", "0"], False),
+    (["hhr", "--n", "1", "--i", "1", "extra"], False),
+    (["rep", "dim", "--group", "C8", "--V", "0", "-h"], False),
+    (["--json", "hhr", "--n", "1", "--i", "1"], False),
+    ([], False),
+]
 # malformed JSON monomials and the exact JsonSchemaError text of each
 BAD_JSON = [
     ('[{"group": 1, "level": 1, "coeff": 1, "norms": [[1, 2, 1]], "a": {}, "u": {}}]',
@@ -335,15 +375,33 @@ def entry_failures() -> list[str]:
     return [f"[project.scripts] names {ENTRY_MODULE}:{ENTRY}, which is not a function"]
 
 
+def reader_failures(commands: list[list[str]]) -> list[str]:
+    """The flag-table reader takes README's commands and the READER forms
+    marked True, as argparse reads them, and leaves the others to argparse."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from sliceshear import cli
+
+    failures = []
+    cases = [(argv + extra, True) for argv in commands for extra in ([], ["--json"])]
+    for argv, takes in cases + READER:
+        args = cli._read(argv)
+        if (args is not None) != takes:
+            failures.append(f"reader {'declined' if takes else 'took'} {shlex.join(argv)}")
+        elif args is not None and vars(args) != (want := vars(cli.build_parser().parse_args(argv))):
+            failures.append(f"reader read {shlex.join(argv)} as {vars(args)}, argparse as {want}")
+    return failures
+
+
 def module_failures(cwd: str) -> list[str]:
     failures = []
     for argv, want in MODULES:
         proc = cli(argv, cwd, LOADED)
         names = proc.stderr.split()
         got = {m.removeprefix("sliceshear.") for m in names if m.startswith("sliceshear.")}
-        if proc.returncode or got != want or "dataclasses" in names:
+        unwanted = sorted({"dataclasses", "argparse"}.intersection(names))
+        if proc.returncode or got != want or unwanted:
             failures.append(f"{shlex.join(argv)}: exit {proc.returncode}, loaded {sorted(got)}, "
-                            f"want {sorted(want)}, dataclasses {'dataclasses' in names}")
+                            f"want {sorted(want)}, and {unwanted}")
     return failures
 
 
@@ -384,6 +442,7 @@ def main() -> int:
     commands = readme_commands()
     if not commands:
         failures.append("README.md names no sliceshear command")
+    failures += reader_failures(commands)
     with tempfile.TemporaryDirectory() as tmp:
         pathlib.Path(tmp, "chart.dsl").write_text(CHART)
         for argv in commands:
@@ -423,6 +482,7 @@ def main() -> int:
           f"{len(ERRORS)} error examples, {len(LIMITS)} inputs past a bound, "
           f"{len(SWEEP)} library calls at 10**10 and 10**30, "
           f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
+          f"{len(READER)} more argv forms for the reader, "
           f"{len(MODULES)} module sets, {len(failures)} failures")
     for failure in failures:
         print(f"FAIL {failure}")

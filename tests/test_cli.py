@@ -8,11 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sliceshear
 from sliceshear import cli, hhr_family, print_canonical
 from sliceshear.cli import main
-from smoke import script_entry
+from smoke import READER, script_entry
 
 
 def run(capsys, *argv):
@@ -665,13 +666,22 @@ def _bare() -> frozenset[str]:
 @pytest.mark.parametrize("name", list(_ONE_SHOT))
 def test_one_shot_imports_no_stdlib_it_does_not_run(name):
     """Beyond a bare interpreter, a human-output success imports no ``json``,
-    no ``dataclasses`` or ``inspect`` and no ``html``, and only ``tower`` (its
-    thresholds) and ``chart`` (its guide lines) make a Fraction and import
-    ``fractions`` and ``decimal``."""
+    no ``dataclasses`` or ``inspect``, no ``html`` and no ``argparse`` or the
+    ``gettext`` it pulls in, and only ``tower`` (its thresholds) and ``chart``
+    (its guide lines) make a Fraction and import ``fractions`` and ``decimal``."""
     extra = _loaded(_cli(*_ONE_SHOT[name])) - _bare()
-    assert not extra & {"json", "dataclasses", "inspect", "html"}
+    assert not extra & {"json", "dataclasses", "inspect", "html", "argparse", "gettext"}
     if name not in {"tower", "chart"}:
         assert not extra & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("rep", "dim", "--group", "C8")], ids=["help", "usage-error"]
+)
+def test_help_and_usage_errors_load_argparse(argv):
+    """argparse, which writes every help text and usage error, still runs for them."""
+    code = f"from sliceshear.cli import main\ntry:\n    main({list(argv)!r})\n"
+    assert "argparse" in _loaded(code + "except SystemExit:\n    pass")
 
 
 # the child's hhr handler reads hhr_family from its module, so this makes it fail
@@ -796,3 +806,111 @@ def test_tables_over_C_2_to_the_2048_are_linear(argv, first, last):
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
     assert (len(rows), rows[0], rows[-1]) == (2047 + 2 * (argv[0] == "rep"), first, last)
+
+
+# -- the table reader ----------------------------------------------------------
+#
+# main reads a plain call from cli's flag table and hands every other argv to
+# argparse.  Calls are drawn from the table itself, then mutated.
+
+_TABLE = cli._commands()
+_STRINGS = ["C2", "C8", "0", "2-2s", "Nt[1,1]", "u2S", "3: u2S -> Nt[1,1]*aS^3", "no-such.dsl", ""]
+# tokens a mutation inserts or puts in place of another
+_ODD = [
+    "--", "-", "-h", "--help", "-g=C8", "-gC8", "--bogus", "-x", "-3", "--t=-3", "-2s", "x", "1.5",
+    "", " 2", "1_0", "--json", "--json=1", "--V=", "--k=", "--n", "--k", "--V", "--group", "-g",
+    "-o", "--output=x.svg", "--gr", "--h", "rep", "dim", "C8", "0", "3",
+]
+
+
+@st.composite
+def _plain_argv(draw) -> list[str]:
+    """A call in the form the reader takes: every positional, every required
+    flag and some optional ones, in any order, as ``--flag value``,
+    ``--flag=value`` or ``-g value``, and ``--json`` anywhere or nowhere."""
+    command = draw(st.sampled_from(list(_TABLE)))
+    _, _, positionals, flags = _TABLE[command]
+    words = [[draw(st.sampled_from(choices or _STRINGS))] for _, choices, _ in positionals]
+    for names, _, kind, default, _ in flags:
+        if default is ... or draw(st.booleans()):
+            name = draw(st.sampled_from(names))
+            value = str(draw(st.integers(0, 4))) if kind is int else draw(st.sampled_from(_STRINGS))
+            equals = name.startswith("--") and draw(st.booleans())
+            words.append([f"{name}={value}"] if equals else [name, value])
+    if draw(st.booleans()):
+        words.append(["--json"])
+    return [command, *(token for word in draw(st.permutations(words)) for token in word)]
+
+
+@st.composite
+def _mutated_argv(draw) -> list[str]:
+    """A plain call with up to three tokens inserted, deleted, replaced or
+    abbreviated: duplicates, values that start with ``-``, ``--``, missing
+    flags, unknown flags, help, ``-g=C8``, non-ints and empty strings."""
+    argv = draw(_plain_argv())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "abbreviate", "repeat"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(st.sampled_from(_ODD)))
+        elif edit == "delete":
+            del argv[at]
+        elif edit == "replace":
+            argv[at] = draw(st.sampled_from(_ODD))
+        elif edit == "abbreviate":
+            argv[at] = argv[at][: draw(st.integers(1, max(1, len(argv[at]) - 1)))]
+        else:
+            argv[at:at] = argv[at : at + 2]
+    return argv
+
+
+def _parsed(argv: list[str]) -> dict:
+    return vars(cli.build_parser().parse_args(argv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_argv())
+def test_the_reader_takes_every_plain_call_as_argparse_does(argv):
+    args = cli._read(argv)
+    assert args is not None and vars(args) == _parsed(argv)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_argv())
+def test_the_reader_takes_a_call_only_as_argparse_does(argv):
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv, takes", READER, ids=[shlex.join(argv) for argv, _ in READER])
+def test_the_reader_leaves_to_argparse_the_forms_it_does_not_take(argv, takes):
+    """Repeated flags, ``-g=C8``, a value after a separate flag that starts
+    with ``-`` and a second ``--json`` read the same under this Python's
+    argparse, but not under every version's: the reader leaves them to it."""
+    args = cli._read(argv)
+    assert (args is not None) == takes
+    if takes:
+        assert vars(args) == _parsed(argv)
+
+
+def _outcome(argv: list[str], capsys) -> tuple:
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # help
+        code = ("exit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_plain_argv(), _mutated_argv()))
+def test_main_prints_what_argparse_alone_leads_to(capsys, monkeypatch, tmp_path, argv):
+    """Exit code, stdout and stderr are those of main with the reader
+    declining every argv, so that argparse reads them all."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICESHEAR_COLOR", raising=False)
+    read = _outcome(argv, capsys)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read", lambda argv: None)
+        assert _outcome(argv, capsys) == read

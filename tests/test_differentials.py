@@ -41,6 +41,28 @@ def test_rejects_an_unknown_provenance():
         Differential(d.group, d.page, d.source, d.target, provenance="bogus")
 
 
+class _Group(CyclicGroup):
+    """A CyclicGroup subclass, which the constructor refuses like any other type."""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("group", 1.5), ("group", None), ("group", _Group(1)), ("source", None), ("target", "u2S"),
+     ("target", C2)],
+    ids=["group-float", "group-None", "group-subclass", "source-None", "target-str",
+         "target-group"],
+)
+def test_rejects_an_endpoint_or_group_of_another_type(field, value):
+    # each once built a value that validate then failed on with AttributeError
+    d = hu_kriz_seed(1)
+    fields = {"group": d.group, "page": d.page, "source": d.source, "target": d.target}
+    kind = "CyclicGroup" if field == "group" else "ClassMonomial"
+    message = f"differential {field} must be a {kind}, got {value!r}"
+    with pytest.raises(DifferentialError) as exc:
+        Differential(**{**fields, field: value})
+    assert str(exc.value) == message
+
+
 class TestValidate:
     def test_seeds_valid(self):
         for i in range(1, 9):

@@ -25,20 +25,28 @@ from sliceshear import (
     GuideSpec,
     JsonSchemaError,
     RepError,
+    ShearContext,
     VirtualRep,
+    boundary_line,
+    constant_C,
     differential_to_obj,
     emit_svg,
     hhr_family,
     import_json,
+    line_L,
     parse,
     print_canonical,
+    shear_degree,
     validate,
+    vanishing_line,
 )
 from sliceshear.cli import main
 from sliceshear.reps import _MAX_EXPONENT as G, _MAX_HEIGHT as H, _MAX_INDEX as I
-from sliceshear.reps import _MAX_WINDOW as W
+from sliceshear.reps import _DIGITS_CAP, _MAX_WINDOW as W
 from sliceshear.svg import CELL, PAD, _fmt
 from smoke import LIMITS, SWEEP, limit_failure, sweep_failure
+
+M = _DIGITS_CAP - 1  # the largest t, s and parsed coefficient, 3,600 nines
 
 # each LIMITS row's JSON error, as main prints it
 _REFUSALS = [
@@ -53,11 +61,14 @@ _REFUSALS = [
     {"message": "window outside -4096..4096", "line": 2, "col": 7},
     {"message": "Nt[10000000000,1]: generator index must be <= 2048", "line": 3, "col": 10},
     {"message": "coefficient product has more than 4300 digits", "col": 7},
+    {"message": "t has more than 3600 digits"},
+    {"message": "coefficient has more than 3600 digits", "col": 0},
 ]
 _IDS = [
     "vanishing-h-4e9", "correspond-Nt-1e11", "transport-k-1e8", "vanishing-h-16384",
     "hhr-n-100000", "hhr-i-1e8", "tower-n-15000", "transport-k-20000", "chart-window-1e6",
-    "chart-class-Nt-1e10", "correspond-coefficient-product",
+    "chart-class-Nt-1e10", "correspond-coefficient-product", "shear-t-4000-digits",
+    "rep-lines-coefficient-4000-digits",
 ]
 
 
@@ -113,8 +124,11 @@ def test_json_norm_index_past_the_bound_is_refused_at_its_path():
         ("group C2\nclass x = aS*D[13,1]\n", 2, 13, "D[13,1]: generator index must be <= 2048"),
         ("group C2\nclass x = Nt[2049,1]\n", 2, 10, "Nt[2049,1]: generator index must be <= 2048"),
         ("group C2\nguide vanish h=4097 k=0\n", 2, 15, "height must be <= 4096, got 4097"),
+        (f"group C4\ngrading s+{'9' * 3601}\n", 2, 10, "coefficient has more than 3600 digits"),
+        (f"group C4\ngrading {'9' * 3600}s+s\n", 2, 3610, "coefficient has more than 3600 digits"),
     ],
-    ids=["group", "level", "x_min", "s_max", "degenerate-first", "D", "Nt", "guide-height"],
+    ids=["group", "level", "x_min", "s_max", "degenerate-first", "D", "Nt", "guide-height",
+         "grading-coefficient", "grading-sum"],
 )
 def test_chart_text_past_a_bound_is_a_semantic_error_at_its_place(text, line, col, reason):
     with pytest.raises(DslSemanticError) as exc:
@@ -129,6 +143,38 @@ def test_chart_text_at_each_bound_is_accepted():
     )
     assert doc.window == (-W, W, W) and doc.classes[0][1].norms[-1] == (I, G, 1)
     assert parse(f"group C4\nguide vanish h={H} k=1\n").guides == [GuideSpec("vanish", 1, H)]
+    assert parse(f"group C4\ngrading {M}-{M}s+{M}l1\n").grading.coeffs == (M, -M, M)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shear", "--n", str(G - 1), "--k", str(G - 1), "--V", f"{M}-{M}s", "--t", str(M),
+         f"--s=-{M}"],
+        ["rep", "lines", "--group", f"C{1 << G}", "--V", f"{M}-{M}s-{M}l{G - 1}", "--json"],
+    ],
+    ids=["shear", "rep-lines"],
+)
+def test_cli_calls_at_the_digit_bound_print(argv, capsys, default_digit_limit):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+
+
+def test_every_integer_from_t_s_and_coefficients_at_their_bound_prints(default_digit_limit):
+    """Every coefficient of a grading over C_(2^2048) at 3,600 digits, and t
+    and s at theirs: each tau, line, threshold and shear_degree result prints
+    under the default digit limit."""
+    group = CyclicGroup(G)
+    for signs in [(1,) * (G + 1), (1,) + (-1,) * G, (-1, -1) + (1,) * (G - 1)]:
+        V = VirtualRep(group, tuple(M * sign for sign in signs))
+        lines = [line_L(V, k) for k in range(G + 1)]
+        lines += [boundary_line(V), *(vanishing_line(V, H, k) for k in range(13))]
+        values = [V.dimension, *(line.intercept for line in lines), constant_C(V, G - 1)]
+        for k in (1, G - 1):
+            ctx = ShearContext(CyclicGroup(G - k), k, V)
+            values += [*shear_degree(ctx, M, -M), *shear_degree(ctx, -M, M)]
+        assert max(len(str(abs(v))) for v in values) <= 4300
 
 
 def test_the_largest_group_prints_under_the_lowest_digit_limit(default_digit_limit):
