@@ -11,8 +11,8 @@ from __future__ import annotations
 import warnings
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
-from .reps import _MAX_EXPONENT, _MAX_HEIGHT, _MAX_INDEX, CyclicGroup, VirtualRep, _admit
-from .reps import _EngineError, _Record, _set
+from .reps import _DIGITS_CAP, _MAX_EXPONENT, _MAX_HEIGHT, _MAX_INDEX, CyclicGroup, VirtualRep
+from .reps import _admit, _EngineError, _Record, _set
 
 __all__ = [
     "Differential",
@@ -62,8 +62,8 @@ class Differential(_Record):
     ) -> None:
         if type(group) is not CyclicGroup:
             raise DifferentialError(f"differential group must be a CyclicGroup, got {group!r}")
-        if type(page) is not int or page < 2:
-            raise DifferentialError(f"differential page must be >= 2, got {page}")
+        if type(page) is not int or not 2 <= page < _DIGITS_CAP:  # a sheared page can pass it
+            _admit(page, "differential page", 2, _DIGITS_CAP - 1, error=DifferentialError)
         if type(source) is not ClassMonomial:
             raise DifferentialError(f"differential source must be a ClassMonomial, got {source!r}")
         if type(target) is not ClassMonomial:
@@ -82,8 +82,6 @@ def validate(d: Differential) -> list[str]:
 
     Violations are reported in a fixed order (group/level, endpoints, stem,
     filtration, degree), so the first entry is the first violated equation.
-    A message with more digits than int-to-str allows becomes the one entry
-    "invalid differential: <error>".
     """
     problems: list[str] = []
     if d.source.group != d.group or d.target.group != d.group:
@@ -100,27 +98,24 @@ def validate(d: Differential) -> list[str]:
     if d.source.is_zero or d.target.is_zero:
         problems.append("differential endpoints must be nonzero classes")
         return problems
-    try:
-        src_stem, src_filt, _ = d.source.bidegree()
-        tgt_stem, tgt_filt, _ = d.target.bidegree()
-        if tgt_stem != src_stem - 1:
-            problems.append(
-                f"stem mismatch: {src_stem} - 1 = {src_stem - 1} expected, target has {tgt_stem}"
-            )
-        if tgt_filt != src_filt + d.page:
-            problems.append(
-                f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
-                f"expected, target has {tgt_filt}"
-            )
-        src = d.source._degree_vector()
-        if d.target._degree_vector() != (src[0] - 1, *src[1:]):
-            want = d.source.degree() - VirtualRep.of(d.source.level_group, triv=1)
-            problems.append(
-                f"degree mismatch: target degree {d.target.degree()} is not source "
-                f"degree minus one trivial summand ({want})"
-            )
-    except ValueError as e:  # a degree too long to print in the message
-        return [f"invalid differential: {e}"]
+    src_stem, src_filt, _ = d.source.bidegree()
+    tgt_stem, tgt_filt, _ = d.target.bidegree()
+    if tgt_stem != src_stem - 1:
+        problems.append(
+            f"stem mismatch: {src_stem} - 1 = {src_stem - 1} expected, target has {tgt_stem}"
+        )
+    if tgt_filt != src_filt + d.page:
+        problems.append(
+            f"filtration mismatch: {src_filt} + {d.page} = {src_filt + d.page} "
+            f"expected, target has {tgt_filt}"
+        )
+    src = d.source._degree_vector()
+    if d.target._degree_vector() != (src[0] - 1, *src[1:]):
+        want = d.source.degree() - VirtualRep.of(d.source.level_group, triv=1)
+        problems.append(
+            f"degree mismatch: target degree {d.target.degree()} is not source "
+            f"degree minus one trivial summand ({want})"
+        )
     return problems
 
 
@@ -226,6 +221,8 @@ class PermanentCycleFact(_Record):
     __match_args__ = ("truncation", "oriented_rep", "citation")
 
     def __init__(self, truncation: int, oriented_rep: VirtualRep, citation: str) -> None:
+        if type(oriented_rep) is not VirtualRep:
+            raise DifferentialError(f"oriented rep must be a VirtualRep, got {oriented_rep!r}")
         _admit(truncation, "theory truncation index", 1, error=DifferentialError)
         expand_orientation(oriented_rep)
         _set(self, "truncation", truncation)

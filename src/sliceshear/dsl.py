@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 
 from .differentials import Differential, DifferentialError, validate
 from .monomials import ClassMonomial, _d_norms
 from .reps import (
-    _MAX_INDEX, _MAX_WINDOW, CyclicGroup, DslError, DslSemanticError, DslSyntaxError, RepError,
-    VirtualRep, _int, _Record, _set, basis_names, parse_group_name, parse_rep,
+    _DIGITS_CAP, _MAX_INDEX, _MAX_WINDOW, CyclicGroup, DslError, DslSemanticError, DslSyntaxError,
+    RepError, VirtualRep, _bounded, _int, _Record, _set, basis_names, parse_group_name, parse_rep,
 )
 
 # The literal parsers and DSL errors come from reps, whose __all__ lists them.
@@ -93,8 +92,6 @@ _CLASS_TOKEN = re.compile(
     )""",
     re.X,
 )
-# the digits int() reads from text; 0, or no such call, is no limit
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _tokens(text: str, col: int) -> list[re.Match]:
@@ -111,22 +108,6 @@ def _tokens(text: str, col: int) -> list[re.Match]:
         tokens.append(m)
         pos = m.end()
     return tokens
-
-
-def _power(x: int, e: int, col: int = 0, what: str = "power") -> int:
-    """x**e, refused at col as the coefficient ``what`` when it has more digits
-    than int() reads from text, as a literal that long is; decided from bit
-    lengths where they settle it.  A cached factor keeps the verdict of the
-    limit in force when it was read."""
-    limit = _max_str_digits()
-    if limit and abs(x) > 1:
-        # 2**(b-1) <= |x| < 2**b and 0.30102 < log10(2) < 0.30103
-        b = abs(x).bit_length()
-        if e * (b - 1) * 30102 >= limit * 100000 or (
-            e * b * 30103 > limit * 100000 and abs(x) ** e >= 10**limit
-        ):
-            raise DslSemanticError(f"coefficient {what} has more than {limit} digits", col=col)
-    return x**e
 
 
 @functools.lru_cache(maxsize=1024)
@@ -161,7 +142,7 @@ def _factor(lv: int, piece: str) -> tuple | None:
             )
         factor = kind[0], i, e
     elif kind == "num":
-        factor = "c", _power(_int(m.group("num"), 0), e), 1
+        factor = "c", _bounded(_int(m.group("num"), 0), e, col=0), 1
     elif kind == "nt":
         i, j = _int(m.group("nt_i"), 0), _int(m.group("nt_j"), 0)
         if not 1 <= i <= _MAX_INDEX:
@@ -205,7 +186,7 @@ def _class_expr(
         return mono
     # a text longer than any chart's bypasses the cache, so it holds only small pieces
     factor_at = _factor if len(text) <= 256 else _factor.__wrapped__
-    coeff = 1
+    coeff, total = 1, 0  # total: of the exponents, which bounds each sum of them
     a = [0] * lv
     u = [0] * lv
     norms: list[tuple[int, int, int]] = []
@@ -228,17 +209,22 @@ def _class_expr(
                 raise DslSyntaxError(f"{reason} class expression", col=mul)
             kind, x, e = factor
             if kind == "c":
-                coeff = _power(coeff * x, 1, col, "product")
+                coeff = _bounded(coeff * x, what="coefficient product", col=col)
             elif kind == "n":
                 norms += x
+                total += x[0][2]  # a factor's norms share one exponent
             else:
                 (a if kind == "a" else u)[x] += e
+                total += e
             col += len(piece) + 1
     except DslError:
         _tokens(text, col_offset)  # an unknown character anywhere comes first
         raise
     # the callers admit the level and _factor every index and exponent
     mono = ClassMonomial._trusted(group, lv, coeff, norms, tuple(a), tuple(u))
+    if total >= _DIGITS_CAP:  # each literal is bounded, but factors may add up past it
+        for e in (*mono.a_exp, *mono.u_exp, *(e for *_, e in mono.norms)):
+            _bounded(e, what="exponent", col=col_offset)
     exprs[text] = mono
     return mono
 

@@ -18,7 +18,8 @@ from typing import Iterable, Union
 
 from .differentials import PROVENANCES, Differential, validate
 from .monomials import ClassMonomial
-from .reps import _MAX_EXPONENT, _MAX_INDEX, CyclicGroup, _EngineError, basis_names
+from .reps import _DIGITS_CAP, _MAX_DIGITS, _MAX_EXPONENT, _MAX_INDEX, CyclicGroup, _EngineError
+from .reps import basis_names
 
 __all__ = [
     "JsonSchemaError",
@@ -60,6 +61,8 @@ def _need(obj: dict, key: str, path: str):
 def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if type(value) is not int:  # bools, floats and int subclasses, as reps._admit
         raise JsonSchemaError(path, f"expected an integer, got {value!r}")
+    if abs(value) >= _DIGITS_CAP:
+        raise JsonSchemaError(path, f"has more than {_MAX_DIGITS} digits")
     if minimum is not None and value < minimum:
         raise JsonSchemaError(path, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -95,7 +98,7 @@ def _exp_vector(value, path: str, name: str, level: int, zero_key: str) -> tuple
             raise JsonSchemaError(
                 f"{path}.{name}.{key}", f"basis slot out of range at level {level}"
             )
-        if type(e) is not int or e < 0:
+        if type(e) is not int or not 0 <= e < _DIGITS_CAP:
             _int(e, f"{path}.{name}.{key}", minimum=0)
         vec[slot] = e
     return tuple(vec)
@@ -113,7 +116,7 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     if type(level) is not int or level < 0:
         _int(level, f"{path}.level", minimum=0)
     coeff = _need(obj, "coeff", path)
-    if type(coeff) is not int:
+    if type(coeff) is not int or abs(coeff) >= _DIGITS_CAP:
         _int(coeff, f"{path}.coeff")
     raw_norms = _need(obj, "norms", path)
     if not isinstance(raw_norms, list):
@@ -141,7 +144,11 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     for i, j, e in norms:
         if j > level:
             raise JsonSchemaError(path, f"norm factor ({i}, {j}) out of range at level {level}")
-    return ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
+    m = ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
+    for _, _, e in m.norms:  # merged, so triples that add up are bounded, and each one too
+        if e >= _DIGITS_CAP:
+            raise JsonSchemaError(f"{path}.norms", f"exponent has more than {_MAX_DIGITS} digits")
+    return m
 
 
 def obj_to_differential(obj, path: str = "") -> Differential:

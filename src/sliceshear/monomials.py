@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .reps import _MAX_INDEX, CyclicGroup, RepError, VirtualRep, _admit, _EngineError, _Record
+from .reps import _DIGITS_CAP, _MAX_INDEX, CyclicGroup, RepError, VirtualRep, _admit, _bounded
+from .reps import _EngineError, _Record
 
 __all__ = [
     "ClassMonomial",
@@ -72,18 +73,19 @@ class ClassMonomial(_Record):
         # ints only, so bools and floats are refused
         if type(level) is not int or not 0 <= level <= group.exponent:
             raise MonomialError(f"level {level} out of range for ambient group {group}")
-        _admit(coeff, "coefficient", error=MonomialError)
+        _admit(coeff, "coefficient", 1 - _DIGITS_CAP, _DIGITS_CAP - 1, error=MonomialError)
         a = _sized("a_exp", tuple(a_exp), level)  # any iterable, as for norms
         u = _sized("u_exp", tuple(u_exp), level)
         norms = tuple(norms)  # any iterable, read here and again to merge
         for i, j, e in norms:
             if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
                 raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
-            if i > _MAX_INDEX:
-                raise MonomialError(f"norm index i must be <= {_MAX_INDEX}, got {i}")
+            _admit(i, "norm index i", most=_MAX_INDEX, error=MonomialError)
             if type(e) is not int or e < 0:
                 raise MonomialError("norm exponents must be non-negative integers")
         self._canonicalize(group, level, coeff, norms, a, u)
+        for *_, e in self.norms:  # merged, so factors that add up are bounded too
+            _bounded(e, error=MonomialError, what="norm exponent")
 
     @classmethod
     def _trusted(cls, group, level, coeff, norms, a, u) -> "ClassMonomial":
@@ -91,7 +93,8 @@ class ClassMonomial(_Record):
         producer whose fields are admitted by construction: ``level`` and
         ``coeff`` plain ints, 0 <= level <= group.exponent; ``a`` and ``u``
         tuples of ``level`` plain ints >= 0; each norm (i, j, e) plain ints,
-        i >= 1, 1 <= j <= level, e >= 0, in any order and not yet merged."""
+        i >= 1, 1 <= j <= level, e >= 0, in any order and not yet merged; the
+        caller checks that each exponent, once merged, has at most 3,000 digits."""
         m = object.__new__(cls)
         m._canonicalize(group, level, coeff, norms, a, u)
         return m
@@ -244,7 +247,7 @@ class ClassMonomial(_Record):
         return ClassMonomial(
             self.group,
             self.level,
-            self.coeff**e,
+            _bounded(self.coeff, e, MonomialError, "coefficient"),
             tuple((i, j, ex * e) for i, j, ex in self.norms),
             tuple(a * e for a in self.a_exp),
             tuple(u * e for u in self.u_exp),
@@ -257,6 +260,7 @@ def _sized(name: str, vec: tuple[int, ...], level: int) -> tuple[int, ...]:
     for e in vec:
         if type(e) is not int or e < 0:
             raise MonomialError(f"{name} entries must be non-negative integers")
+    _bounded(max(vec, default=0), error=MonomialError, what=f"{name} entry")
     return vec + (0,) * (level - len(vec))
 
 

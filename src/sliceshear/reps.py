@@ -86,12 +86,13 @@ class DslSemanticError(DslError):
 
 def _admit(value, name: str, least=None, most=None, where=None, error=RepError) -> int:
     """``value`` if it is a plain int in [least, most] (None: unbounded), else
-    ``error``.  Bools, floats and int subclasses are refused.  A value out of
-    range is worded "{name}={value} out of range for {where}" when ``where`` is
-    given, else "{name} must be >= {least}" or "{name} must be <= {most}"."""
+    ``error``.  Bools, floats and int subclasses are refused.  Out of range, it
+    is "{name} has more than 3000 digits" if it has, else "{name}={value} out
+    of range for {where}", else "{name} must be >= {least}" (or "<= {most}")."""
     if type(value) is not int:
         raise error(f"{name} must be an integer, got {value!r}")
     if not ((least is None or least <= value) and (most is None or value <= most)):
+        _bounded(value, error=error, what=name)  # worded without a value too long to print
         if where is None:
             bound = f">= {least}" if least is not None and value < least else f"<= {most}"
             raise error(f"{name} must be {bound}, got {value}")
@@ -105,10 +106,19 @@ _MAX_EXPONENT = 2048  # n of C_(2^n): levels, shear steps k, tower and profile n
 _MAX_INDEX = 2048  # i of a generator t_i, in N(t_i), D[n,m] (i = 2^(n-1) m) and the families
 _MAX_HEIGHT = 4096  # a chromatic height h, and the height index m
 _MAX_WINDOW = 4096  # |x_min|, |x_max| and s_max of a chart window
-# decimal digits of shear_degree's t and s and of a parsed representation's coefficients:
-# tau, t' and s' reach about 2^2048 * 8192 times them, 621 more digits, under 4,300
-_MAX_DIGITS = 3600
+# digits of each exponent, coefficient and page stored, and of t and s.  A degree, tau, sheared
+# value, t' or s' is at most 2^4094 times a sum of them: 4,240 digits, under the 4,300 default
+_MAX_DIGITS = 3000
 _DIGITS_CAP = 10**_MAX_DIGITS  # the least integer with more digits
+
+
+def _bounded(x: int, e: int = 1, error=DslSemanticError, what="coefficient power", **at) -> int:
+    """x**e (x by default), or ``error`` past _MAX_DIGITS digits: the engine's one
+    digit rule.  Bit lengths refuse a power that long before it is built."""
+    if e * (abs(x).bit_length() - 1) < _DIGITS_CAP.bit_length():
+        if abs(p := x**e) < _DIGITS_CAP:
+            return p
+    raise error(f"{what} has more than {_MAX_DIGITS} digits", **at)
 
 
 # Sets one field of a value past its frozen __setattr__.  Unlike an update of
@@ -365,14 +375,14 @@ class VirtualRep(_Record):
 
 
 def _int(text: str, col: int | None = None) -> int:
-    """int() of a literal the grammar has matched.  A literal longer than the
-    interpreter converts (4,300 digits by default) is a semantic error."""
+    """int() of a literal the grammar has matched.  A literal of more than
+    _MAX_DIGITS digits, or past an int/str limit set lower, is a semantic error."""
     try:
-        return int(text)
+        if (digits := len(text.lstrip("-"))) <= _MAX_DIGITS:
+            return int(text)
     except ValueError:
-        raise DslSemanticError(
-            f"integer literal of {len(text.lstrip('-'))} digits is too long", col=col
-        ) from None
+        pass
+    raise DslSemanticError(f"integer literal of {digits} digits is too long", col=col)
 
 
 _GROUP_RE = re.compile(r"C(\d+)")
@@ -400,7 +410,7 @@ def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
     """Parse a representation literal such as ``2-2s`` or ``4l1+2s``.  An
     error points at the coefficient or basis element it is about; columns
     count from where the scan of a token starts.  Each coefficient, once like
-    terms are added up, has at most 3,600 digits."""
+    terms are added up, has at most 3,000 digits."""
     n = group.exponent
     co = [0] * (n + 1)
     stripped = text.rstrip()
@@ -442,12 +452,8 @@ def parse_rep(text: str, group: CyclicGroup, col_offset: int = 0) -> VirtualRep:
                 slot = 1 + i
             else:
                 raise DslSemanticError(f"l{i} is not a basis element of RO({group})", col=col)
-        co[slot] += value
-        if not -_DIGITS_CAP < co[slot] < _DIGITS_CAP:
-            raise DslSemanticError(
-                f"coefficient has more than {_MAX_DIGITS} digits",
-                col=col_offset + m.start("basis" if num is None else "num"),
-            )
+        at = col_offset + m.start("basis" if num is None else "num")
+        co[slot] = _bounded(co[slot] + value, what="coefficient", col=at)
     return VirtualRep(group, tuple(co))
 
 

@@ -50,6 +50,8 @@ class ShearContext(_Record):
     __match_args__ = ("source_group", "k", "grading")
 
     def __init__(self, source_group: CyclicGroup, k: int, grading: VirtualRep) -> None:
+        if type(grading) is not VirtualRep:
+            raise ShearError(f"shear grading must be a VirtualRep, got {grading!r}")
         _admit(k, "shear step k", 0, _MAX_EXPONENT - source_group.exponent, error=ShearError)
         if k > 0 and source_group.exponent < 1:
             raise ShearError("the source group of a nontrivial shear cannot be trivial")
@@ -119,11 +121,10 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     """Bidegree transform: (t, s) on the source page to (t', s') on the target.
 
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
-    coordinate t - s is preserved.  t and s have at most 3,600 digits.
+    coordinate t - s is preserved.  t and s have at most 3,000 digits.
     """
     for name, value in (("t", t), ("s", s)):
-        if not -_DIGITS_CAP < _admit(value, name, error=ShearError) < _DIGITS_CAP:
-            raise ShearError(f"{name} has more than {_MAX_DIGITS} digits")
+        _admit(value, name, 1 - _DIGITS_CAP, _DIGITS_CAP - 1, error=ShearError)
     offset = _shift(ctx.grading, ctx.k)
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s
@@ -173,7 +174,8 @@ def correspond_class(m: ClassMonomial, ctx: ShearContext) -> ClassMonomial:
         power = ((1 << i) - 1) * e
         for t in range(j, ctx.k + j):
             a[t] += (1 << (t - 1)) * power
-    # the fields of an admitted monomial, shifted up k levels, stay admitted
+    if max(a) >= _DIGITS_CAP:  # the other fields of an admitted monomial stay admitted
+        raise ShearError(f"sheared exponent has more than {_MAX_DIGITS} digits")
     return type(m)._trusted(
         ctx.target_group, new_level, m.coeff, norms, tuple(a), tuple(u)
     )

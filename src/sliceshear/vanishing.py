@@ -40,6 +40,8 @@ class VanishingProfile(_Record):
     __match_args__ = ("n", "h", "grading")
 
     def __init__(self, n: int, h: int, grading: VirtualRep) -> None:
+        if type(grading) is not VirtualRep:
+            raise RepError(f"profile grading must be a VirtualRep, got {grading!r}")
         _admit(n, "profile index n")
         _admit(h, "height", most=_MAX_HEIGHT)  # both before n's range, as the messages go
         _admit(n, "profile index n", 0, _MAX_EXPONENT - 1)

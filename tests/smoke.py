@@ -13,6 +13,8 @@ on stderr.  Each input in ``LIMITS``, past one of the engine's bounds, must
 exit 2 or 3 with one JSON error line within 5 s, and each library call in
 ``SWEEP`` must raise an engine error with 10**10 and with 10**30 as its size
 argument; every such child runs with its address space capped at 1 GiB.
+The coefficient powers of ``POWERS`` must exit the same way again with the
+interpreter's int/str digit limit off.
 In process, it round-trips the HHR families through JSON, which
 builds every monomial through the unchecked constructor, and checks the exact
 error text for three malformed objects; round trips at levels 2044-2048 must
@@ -67,10 +69,19 @@ ERRORS = [
     (None, ["rep", "dim", "--group", "C8", "--V", "2-x"], 2, "parse", None, 2),
     (None, ["rep", "dim", "--group", "C6", "--V", "0"], 3, "semantic", None, 0),
 ]
-# Inputs past an engine bound, each of which once exited 1 "internal" or took
-# memory without end: (chart.dsl text or None, argv).  Each must exit 2 or 3
-# with one JSON error line, in a child whose address space is capped.
+# Inputs past an engine bound, each of which once exited 1 "internal", took
+# memory without end or was accepted: (chart.dsl text or None, argv).  Each must
+# exit 2 or 3 with one JSON error line, in a child whose address space is capped.
 _DIFF = "3: u2S -> Nt[1,1]*aS^3"
+# an exponent of 4,000 digits, past the literal bound, and one of 3,000, which
+# a shear by one step takes past the exponent bound
+_E4, _E3 = "9" * 4000, "9" * 3000
+# chart text whose coefficient powers were once refused or not as the
+# interpreter's int/str digit limit said
+POWERS = [
+    ("group C2\nwindow 0 4 4\nclass x = 2^9999999999\n", ["chart", "big.dsl", "-o", "big.svg"]),
+    ("group C2\nwindow 0 4 4\nclass x = 3^100000\n", ["chart", "big.dsl", "-o", "big.svg"]),
+]
 LIMITS = [
     (None, ["vanishing", "--h", "4000000000", "--n", "0"]),
     (None, ["correspond", "--group", "C2", "--k", "1", "Nt[99999999999,1]"]),
@@ -82,16 +93,26 @@ LIMITS = [
     (None, ["transport", "--group", "C2", "--k", "20000", "--diff", _DIFF]),
     ("group C2\nwindow -1000000 1000000 1000000\n", ["chart", "big.dsl", "-o", "big.svg"]),
     ("group C2\nwindow 0 4 4\nclass x = Nt[10000000000,1]\n", ["chart", "big.dsl", "-o", "big.svg"]),
-    (None, ["correspond", "--group", "C2", "--k", "1", "9^4000*9^4000"]),
+    (None, ["correspond", "--group", "C2", "--k", "1", "9^3000*9^3000"]),
     (None, ["shear", "--n", "2047", "--k", "2047", "--V", "0", "--t", "9" * 4000, "--s", "0"]),
     (None, ["rep", "lines", "--group", f"C{1 << 2048}", "--V", "9" * 4000]),
+    (None, ["correspond", "--group", "C2", "--k", "1", f"Nt[2048,1]^{_E4}"]),
+    (None, ["transport", "--group", "C2", "--k", "1", "--diff",
+            f"3: u2S*Nt[2048,1]^{_E4} -> Nt[1,1]*aS^3*Nt[2048,1]^{_E4}"]),
+    (None, ["correspond", "--group", "C2", "--k", "1", f"Nt[2048,1]^{_E3}"]),
+    (None, ["transport", "--group", "C2", "--k", "1", "--diff",
+            f"3: u2S*Nt[2048,1]^{_E3} -> Nt[1,1]*aS^3*Nt[2048,1]^{_E3}"]),
+    *POWERS,
+    ("group C2\nwindow 0 4 4\nclass x = aS^1" + "0" * 3000 + "\n", ["chart", "big.dsl", "-o", "big.svg"]),
+    ("group C2\nwindow 0 4 4\ndiff 1" + "0" * 3000 + ": u2S -> aS\n", ["chart", "big.dsl", "-o", "big.svg"]),
 ]
 # Library calls, each with 10**10 and then 10**30 as v, that must raise an
 # engine error: one per size argument of 16 public functions.  Most once raised
 # MemoryError or OverflowError there or never returned; build_D(1, v),
 # tower_report(1, v) and VanishingProfile(0, v, ...) returned, and are refused
-# now that i, m and h have bounds.  The last one reads a JSON differential with
-# norm index 10**8 in both endpoints.
+# now that i, m and h have bounds.  The next to last reads a JSON differential
+# with norm index 10**8 in both endpoints, and the last raises a coefficient to
+# the power v, which once never returned.
 SWEEP = [
     "s.rho_bar(v)", "s.basis_names(v)", "s.build_D(v, 1)", "s.build_D(1, v)",
     "s.shear_length(3, v)", "s.unshear_length(3, v)", "s.euler_ratio(v, 1, 1)",
@@ -102,7 +123,7 @@ SWEEP = [
     "s.vanishing_line(s.VirtualRep.zero(s.CyclicGroup(1)), v, 0)",
     "s.VanishingProfile(0, v, s.VirtualRep.zero(s.CyclicGroup(1)))",
     "s.VanishingProfile(v, 4, s.VirtualRep.zero(s.CyclicGroup(1)))",
-    "s.import_json(json.dumps([d]))",
+    "s.import_json(json.dumps([d]))", "s.ClassMonomial(s.CyclicGroup(1), 1, 3) ** v",
 ]
 # A child's address space is capped, so an input that builds a huge integer
 # fails at once with MemoryError instead of taking the machine's memory
@@ -187,29 +208,37 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("sliceshear ")]
 
 
-def cli(argv: list[str], cwd: str, program: str = MAIN, timeout: float = 60) -> subprocess.CompletedProcess:
+def cli(
+    argv: list[str], cwd: str, program: str = MAIN, timeout: float = 60, xopts: tuple = ()
+) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-I", "-B", "-c", program, *argv],
+        [sys.executable, "-I", "-B", *xopts, "-c", program, *argv],
         cwd=cwd, capture_output=True, text=True, timeout=timeout,
     )
 
 
-def limit_failure(dsl: str | None, argv: list[str], cwd: str) -> str | None:
+def limit_failure(dsl: str | None, argv: list[str], cwd: str, xopts: tuple = ()) -> str | None:
     """What is wrong with how a LIMITS row exits, or None: it must exit 2 or 3
-    within 5 s, printing nothing on stdout and one JSON error line on stderr."""
+    within 5 s, printing nothing on stdout and one JSON error line on stderr.
+    ``xopts`` are -X options for the child."""
     if dsl is not None:
         pathlib.Path(cwd, "big.dsl").write_text(dsl)
+    shown = shlex.join([*xopts, *argv])[:200]
     try:
-        proc = cli(argv, cwd, _CAP + MAIN, timeout=5)
+        proc = cli(argv, cwd, _CAP + MAIN, timeout=5, xopts=xopts)
     except subprocess.TimeoutExpired:
-        return f"{shlex.join(argv)}: no exit within 5 s"
+        return f"{shown}: no exit within 5 s"
     try:
         code = json.loads(proc.stderr)["error"]["code"]
     except (ValueError, KeyError, TypeError):
         code = None
     if proc.returncode not in (2, 3) or code != proc.returncode or proc.stdout:
-        return f"{shlex.join(argv)}: exit {proc.returncode}, stderr {proc.stderr[-300:]!r}"
+        return f"{shown}: exit {proc.returncode}, stderr {proc.stderr[-300:]!r}"
     return None
+
+
+# the interpreter's int/str digit limit off: PYTHONINTMAXSTRDIGITS=0, which -I ignores
+NO_DIGIT_LIMIT = ("-X", "int_max_str_digits=0")
 
 
 def sweep_failure(call: str) -> str | None:
@@ -476,10 +505,14 @@ def main() -> int:
                 failures.append(f"{shlex.join(argv)} ({dsl!r}): got {got}, "
                                 f"want {(code, kind, line, col)}")
         failures += [f for dsl, argv in LIMITS if (f := limit_failure(dsl, argv, tmp))]
+        failures += [
+            f for dsl, argv in POWERS if (f := limit_failure(dsl, argv, tmp, NO_DIGIT_LIMIT))
+        ]
     failures += [f for call in SWEEP if (f := sweep_failure(call))]
     print(f"python {sys.version.split()[0]}: {len(commands)} README commands, "
           f"{len(list(GOLDENS.glob('*.dsl')))} goldens (CLI, and in process cold and warm), "
-          f"{len(ERRORS)} error examples, {len(LIMITS)} inputs past a bound, "
+          f"{len(ERRORS)} error examples, {len(LIMITS)} inputs past a bound "
+          f"({len(POWERS)} also with no int/str digit limit), "
           f"{len(SWEEP)} library calls at 10**10 and 10**30, "
           f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
           f"{len(READER)} more argv forms for the reader, "

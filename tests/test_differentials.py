@@ -8,6 +8,7 @@ from sliceshear import (
     Differential,
     DifferentialError,
     LeibnizZeroError,
+    MonomialError,
     PermanentCycleFact,
     RegionWarning,
     RepError,
@@ -88,14 +89,19 @@ class TestValidate:
         assert problems and problems[0].startswith("stem mismatch")
 
     def test_degree_too_long_to_print(self, default_digit_limit):
-        # the degree mismatch message would print degrees with more digits
-        # than int-to-str allows: exponents are not bounded, and 10^3700 (2^2048 - 1)
-        # has 4,317 digits
-        src = norm_class(C2, 2048, exp=10**3700)
-        d = Differential(C2, 2, src, src * ClassMonomial(C2, 1, a_exp=(1,)))
+        # the degree mismatch message prints degrees of up to 3,618 digits
+        # here, (10^3000 - 1)(2^2048 - 1)2 at the exponent bound; a larger
+        # exponent, whose degree once had too many digits to print, is refused
+        e = 10**3000 - 1
+        src = norm_class(C2, 2048, exp=e)
+        d = Differential(C2, 2, src, src * ClassMonomial(C2, 1, u_exp=(1,)))
         problems = validate(d)
-        assert len(problems) == 1
-        assert problems[0].startswith("invalid differential: Exceeds the limit")
+        assert [p.split(":")[0] for p in problems] == [
+            "stem mismatch", "filtration mismatch", "degree mismatch"
+        ]
+        assert str(e * ((1 << 2048) - 1)) in problems[2]
+        with pytest.raises(MonomialError, match="^norm exponent has more than 3000 digits$"):
+            norm_class(C2, 2048, exp=e + 1)
 
     def test_page_minimum(self):
         src = ClassMonomial.one(C2, 1)
@@ -364,6 +370,13 @@ class TestPermanentCycles:
     def test_rejects_a_non_integer_truncation(self, truncation):
         with pytest.raises(DifferentialError, match="must be an integer"):
             PermanentCycleFact(truncation, VirtualRep.of(C2, sigma=2), "x")
+
+    @pytest.mark.parametrize("V", [None, "2s"], ids=["None", "str"])
+    def test_rejects_an_oriented_rep_of_another_type(self, V):
+        # each once raised a bare AttributeError
+        with pytest.raises(DifferentialError) as exc:
+            PermanentCycleFact(1, V, "x")
+        assert str(exc.value) == f"oriented rep must be a VirtualRep, got {V!r}"
 
     def test_rejects_a_truncation_below_one(self):
         with pytest.raises(DifferentialError, match="^theory truncation index must be >= 1, got 0$"):

@@ -497,16 +497,18 @@ def test_factor_cache_is_bounded():
     "expr, col",
     [
         ("3^6000000*aS", 10),
-        # 10^4300 has 4,301 digits: bit lengths leave it open, the power decides
+        # bit lengths settle 10^4300; 10^3000 has 3,001 digits, which they
+        # leave open, so the power decides
         ("aS*10^4300", 13),
+        ("aS*10^3000", 13),
         ("aS*  -2^99999999999999999999", 13),
     ],
 )
-def test_coefficient_power_past_digit_limit(default_digit_limit, expr, col):
+def test_coefficient_power_past_digit_limit(expr, col):
     with pytest.raises(DslSemanticError) as exc:
         parse(f"group C2\nclass x = {expr}\n")
     assert (exc.value.reason, exc.value.line, exc.value.col) == (
-        "coefficient power has more than 4300 digits", 2, col
+        "coefficient power has more than 3000 digits", 2, col
     )
 
 
@@ -515,32 +517,35 @@ def test_coefficient_power_past_digit_limit(default_digit_limit, expr, col):
     [
         # each factor passes the power check; the product once left the
         # parser as a bare ValueError from printing it
-        ("9^4000*9^4000", 7),
-        # 10^4200 fits, and 10^4300 is refused at the factor that crosses the limit
-        ("aS * 10^3000* 10^1200 * 10^100", 23),
+        ("9^3000*9^3000", 7),
+        # 10^2000 fits, and 10^3000 is refused at the factor that crosses the bound
+        ("aS * 10^1000* 10^1000 * 10^1000", 23),
     ],
 )
-def test_coefficient_product_past_digit_limit(default_digit_limit, expr, col):
+def test_coefficient_product_past_digit_limit(expr, col):
     with pytest.raises(DslSemanticError) as exc:
         parse_class_expr(expr, C(1), line=4)
     assert (exc.value.reason, exc.value.line, exc.value.col) == (
-        "coefficient product has more than 4300 digits", 4, col
+        "coefficient product has more than 3000 digits", 4, col
     )
-    assert parse_class_expr("10^3000*10^1299", C(0)).coeff == 10**4299
+    assert parse_class_expr("10^2000*10^999", C(0)).coeff == 10**2999
 
 
-def test_coefficient_power_within_digit_limit(default_digit_limit):
-    assert parse_class_expr("10^4299", C(0)).coeff == 10**4299
-    assert parse_class_expr("-10^4299", C(0)).coeff == -(10**4299)
+def test_coefficient_power_within_digit_limit():
+    assert parse_class_expr("10^2999", C(0)).coeff == 10**2999
+    assert parse_class_expr("-10^2999", C(0)).coeff == -(10**2999)
     # bases 0, 1 and -1 stay small at any exponent
     e = 10**30
     assert [parse_class_expr(f"{x}^{e + 1}", C(0)).coeff for x in (0, 1, -1)] == [0, 1, -1]
-    # with no digit limit, the power is not bounded
-    sys.set_int_max_str_digits(0)
-    try:
-        assert parse_class_expr("10^4400", C(0)).coeff == 10**4400
-    finally:
-        dsl._factor.cache_clear()  # it holds a factor read under no limit
+    # the bound is the engine's own, whatever the interpreter's int/str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(DslSemanticError, match="^coefficient power has more than 3000"):
+                parse_class_expr("10^3000", C(0))
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize(
@@ -714,13 +719,20 @@ def test_level_message_for_group_too_large_to_print(default_digit_limit):
 
 
 def test_diff_degree_too_long_to_print_is_semantic(default_digit_limit):
-    # validate() words a degree mismatch with the degrees, which have more
-    # digits than int-to-str allows: 10^3700 (2^2048 - 1) has 4,317
-    e = 10**3700
+    # validate() words a bidegree mismatch with the stems: at the exponent
+    # bound, (10^3000 - 1)(2^2048 - 1)2 has 3,618 digits and prints; an
+    # exponent of 3,001 digits is refused where it is written
+    e = 10**3000 - 1
     with pytest.raises(DslSemanticError) as exc:
-        parse(f"group C2\ndiff 2: Nt[2048,1]^{e} -> Nt[2048,1]^{e}*aS\n")
-    assert exc.value.line == 2
-    assert exc.value.reason.startswith("invalid differential: Exceeds the limit")
+        parse(f"group C2\ndiff 2: Nt[2048,1]^{e} -> Nt[2048,1]^{e}\n")
+    stem = (e << 1) * ((1 << 2048) - 1)
+    assert (exc.value.line, exc.value.col) == (2, 5)
+    assert exc.value.reason == f"stem mismatch: {stem} - 1 = {stem - 1} expected, target has {stem}"
+    with pytest.raises(DslSemanticError) as exc:
+        parse(f"group C2\ndiff 2: Nt[2048,1]^{e + 1} -> aS\n")
+    assert (exc.value.line, exc.value.col, exc.value.reason) == (
+        2, 19, "integer literal of 3001 digits is too long"
+    )
 
 
 @pytest.mark.parametrize(

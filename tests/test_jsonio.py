@@ -248,10 +248,16 @@ class TestInvalidDifferentials:
         assert str(e.value) == want
 
     def test_degree_too_long_to_print(self, default_digit_limit):
-        # exponents are not bounded: 10^3700 (2^2048 - 1) has 4,317 digits
+        # an exponent past 3,000 digits is refused at its path; its degree,
+        # 10^3700 (2^2048 - 1) with 4,317 digits, once reached validate's
+        # message, which then could not be printed
         obj = differential_to_obj(hhr_family(0, 1))
         obj["target"]["norms"] = [[2048, 1, 10**3700]]
-        self._rejected(obj, "invalid differential: Exceeds the limit")
+        with pytest.raises(JsonSchemaError) as e:
+            import_json(json.dumps([obj]))
+        assert str(e.value) == "items[0].target.norms: exponent has more than 3000 digits"
+        obj["target"]["norms"] = [[2048, 1, 10**3000 - 1]]
+        self._rejected(obj, r"stem mismatch: 0 - 1 = -1 expected, target has \d{3617}$")
 
     def test_norm_index_too_large_for_its_power(self):
         # 2^i cannot be built for i = 10^30; it once left the reader as an

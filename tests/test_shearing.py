@@ -26,6 +26,10 @@ def C(n):
     return CyclicGroup(n)
 
 
+class _Rep(VirtualRep):
+    """A VirtualRep subclass, which the record constructors refuse like any other type."""
+
+
 class TestLengthMaps:
     def test_doubling_examples(self):
         assert shear_length(2, 1) == 3
@@ -126,6 +130,14 @@ class TestContext:
     def test_lift_rejects(self, args, message):
         with pytest.raises(ShearError, match=f"^{message}$"):
             ShearContext.lift(*args)
+
+    @pytest.mark.parametrize("grading", [None, "0", _Rep(C(2), (0, 0, 0))],
+                             ids=["None", "str", "subclass"])
+    def test_rejects_a_grading_of_another_type(self, grading):
+        # None and the string once raised a bare AttributeError
+        with pytest.raises(ShearError) as exc:
+            ShearContext(C(1), 1, grading)
+        assert str(exc.value) == f"shear grading must be a VirtualRep, got {grading!r}"
 
 
 class TestShearDegree:

@@ -133,6 +133,13 @@ class TestNConstant:
         with pytest.raises(RepError, match=message):
             VanishingProfile(n, h, VirtualRep.zero(C(2)))
 
+    @pytest.mark.parametrize("grading", [None, (0, 0)], ids=["None", "tuple"])
+    def test_profile_rejects_a_grading_of_another_type(self, grading):
+        # each once raised a bare AttributeError
+        with pytest.raises(RepError) as exc:
+            VanishingProfile(1, 2, grading)
+        assert str(exc.value) == f"profile grading must be a VirtualRep, got {grading!r}"
+
     @given(
         st.integers(0, 3), st.integers(0, 3), st.integers(1, 3),
         st.sampled_from(KINDS), st.sampled_from(KINDS), st.sampled_from(KINDS),
