@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import sys
 import warnings
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .reps import _MAX_EXPONENT, CyclicGroup, DslError, _admit, _EngineError, line_L, tau
-from .reps import parse_group_name, parse_rep
+from .reps import _DIGITS_CAP, _MAX_DIGITS, _MAX_EXPONENT, CyclicGroup, DslError, _admit, _bounded
+from .reps import _EngineError, line_L, parse_group_name, parse_rep, tau
 
 if TYPE_CHECKING:
     import argparse
@@ -293,6 +294,28 @@ def _commands() -> dict:
     }
 
 
+# an int flag's text as int() reads it: a sign, then decimal digits with single
+# underscores between them, with whitespace around; compiled on first use, as
+# only a text of more than 3,000 characters is matched
+_INT_TEXT = r"\s*[+-]?\d(?:_?\d)*\s*"
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for an int flag, read the same under any int/str digit
+    limit: a literal of more than 3,000 digits reads as -10**3000 or 10**3000,
+    the least past the bound, which ``main`` refuses with the flag's name."""
+    if (
+        len(text) > _MAX_DIGITS
+        and re.fullmatch(_INT_TEXT, text)
+        and sum(map(str.isdecimal, text)) > _MAX_DIGITS
+    ):
+        return -_DIGITS_CAP if "-" in text else _DIGITS_CAP
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse words a bad value "invalid int value", as for int
+
+
 def build_parser() -> argparse.ArgumentParser:
     """argparse's parser for the table: the one writer of help and usage errors."""
     import argparse
@@ -314,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         for dest, choices, about in positionals:
             p.add_argument(dest, choices=choices, help=about)
         for names, dest, kind, default, about in flags:
+            kind = _integer if kind is int else kind
             if default is ...:
                 p.add_argument(*names, dest=dest, type=kind, required=True, help=about)
             else:
@@ -328,7 +352,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     form, read from the table without argparse: a subcommand, then its
     positionals, exact flag names as ``--flag value``, ``--flag=value`` or
     ``-g value``, each flag and ``--json`` at most once, every required flag,
-    ints that ``int()`` reads and valid choices.  None for any other argv,
+    ints that ``_integer`` reads and valid choices.  None for any other argv,
     which argparse reads: help, usage errors, abbreviations, ``--``, values
     that start with ``-`` and the forms whose rules differ between versions."""
     row = _commands().get(argv[0]) if argv else None
@@ -353,7 +377,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                     return None
             if flag[2] is int:
                 try:
-                    value = int(value)
+                    value = _integer(value)
                 except ValueError:
                     return None
             values[flag[1]] = value
@@ -385,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _read(argv) or build_parser().parse_args(argv)
+        for _, dest, kind, _, _ in _commands()[args.command][3]:
+            if kind is int and getattr(args, dest) is not None:
+                _bounded(getattr(args, dest), what=dest)  # refused whichever reader read it
         text, payload = args.handler(args)
         if args.json:
             import json

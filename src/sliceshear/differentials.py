@@ -12,7 +12,7 @@ import warnings
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
 from .reps import _DIGITS_CAP, _MAX_EXPONENT, _MAX_HEIGHT, _MAX_INDEX, CyclicGroup, VirtualRep
-from .reps import _admit, _EngineError, _Record, _set
+from .reps import _MAX_DIGITS, _admit, _EngineError, _Record, _set
 
 __all__ = [
     "Differential",
@@ -70,6 +70,19 @@ class Differential(_Record):
             raise DifferentialError(f"differential target must be a ClassMonomial, got {target!r}")
         if provenance not in PROVENANCES:
             raise DifferentialError(f"unknown provenance {provenance!r}")
+        self._fill(group, page, source, target, provenance)
+
+    @classmethod
+    def _trusted(cls, group, page, source, target, provenance) -> "Differential":
+        """``cls(group, page, source, target, provenance)`` with no checks, for
+        a producer whose fields are admitted by construction: a ``CyclicGroup``,
+        a plain int page of 2 up to 3,000 digits, two ``ClassMonomial``s and a
+        provenance from ``PROVENANCES``."""
+        d = object.__new__(cls)
+        d._fill(group, page, source, target, provenance)
+        return d
+
+    def _fill(self, group, page, source, target, provenance) -> None:
         _set(self, "group", group)
         _set(self, "page", page)
         _set(self, "source", source)
@@ -152,7 +165,7 @@ def _slice_differential(n: int, i: int, provenance: str) -> Differential:
     a = [power + (1 << i)] + [(1 << (m - 1)) * power for m in range(1, n + 1)]
     target = ClassMonomial._trusted(group, n + 1, 1, ((i, n + 1, 1),), tuple(a), zero)
     page = (1 << (n + 1)) * power + 1
-    return Differential(group, page, source, target, provenance=provenance)
+    return Differential._trusted(group, page, source, target, provenance)
 
 
 def transport(
@@ -188,13 +201,12 @@ def transport(
             RegionWarning,
             stacklevel=2,
         )
-    return Differential(
-        ctx.target_group,
-        shear_length(d.page, k),
-        correspond_class(d.source, ctx),
-        correspond_class(d.target, ctx),
-        provenance="transported",
-    )
+    page = shear_length(d.page, k)
+    source = correspond_class(d.source, ctx)
+    target = correspond_class(d.target, ctx)
+    if page >= _DIGITS_CAP:  # the one field the checking door would refuse
+        raise DifferentialError(f"differential page has more than {_MAX_DIGITS} digits")
+    return Differential._trusted(ctx.target_group, page, source, target, "transported")
 
 
 def leibniz(d: Differential, p: ClassMonomial) -> Differential:

@@ -5,8 +5,11 @@ monomials are ``{group, level, coeff, norms, a, u}`` with ``norms`` a list of
 ``[i, j, e]`` triples and ``a``/``u`` maps keyed by basis names (``s``/``2s``
 and ``l<i>``); differentials are ``{group, page, source, target, provenance}``.
 Groups are recorded by their exponent, so ``3`` means C8.  Every integer
-field must be a plain int, the engine's one admission rule; the reader checks
-each field once and builds the monomial without a second check.
+field must be a plain int, the engine's one admission rule.  The reader looks
+each field up once and tests it once, builds a field's path only to word an
+error, gives every object it reads one shared ``CyclicGroup`` per exponent,
+and builds monomials and differentials through their unchecked doors.  The
+writer reads one table of fixed text per level and indent.
 """
 
 from __future__ import annotations
@@ -53,9 +56,27 @@ def differential_to_obj(d: Differential) -> dict:
 
 
 def _need(obj: dict, key: str, path: str):
+    """``obj[key]``, or the missing-field error; the reader calls it only to
+    word an error, after its one lookup found nothing there or a bad value."""
     if key not in obj:
         raise JsonSchemaError(f"{path}.{key}", "required field is missing")
     return obj[key]
+
+
+_MISSING = object()  # what the reader's lookup gives for a field the object lacks
+
+
+def _getter(obj: dict):
+    """The reader's one lookup per field, ``get(key, _MISSING)``, for an object
+    of a dict subclass: ``_need``'s ``in`` then ``[]``, which it may override.
+    A plain dict's is ``dict.get``."""
+    return lambda key, default: obj[key] if key in obj else default
+
+
+def _refuse(obj: dict, key: str, at, minimum: int | None = None, maximum: int | None = None):
+    """Raise the error of integer field ``key``, whose one test failed: read
+    again through ``_need`` and worded by ``_int`` at the path ``at()``."""
+    _int(_need(obj, key, at()), f"{at()}.{key}", minimum, maximum)
 
 
 def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -71,56 +92,78 @@ def _int(value, path: str, minimum: int | None = None, maximum: int | None = Non
 
 
 # a lambda_i key at some level, which tells an unknown key from one out of
-# range at this level: ASCII digits only, no leading zero, so "l0" is unknown
-_LAMBDA_KEY_RE = re.compile(r"l[1-9]\d*", re.ASCII)
+# range at this level: ASCII digits only, no leading zero, so "l0" is unknown.
+# Compiled on first use, as only an error is worded with it
+_LAMBDA_KEY = r"l[1-9]\d*"
+
+# the reader's groups, one per exponent from 0 to 2048, each built on first use
+# (a group is never falsy, so ``get(e) or setdefault(e, ...)`` builds at most one)
+_GROUPS: dict[int, CyclicGroup] = {}
 
 
-@functools.lru_cache(maxsize=64)
-def _slots(level: int, zero_key: str) -> dict[str, int]:
-    """basis_names(level, zero_key) as a name -> slot map."""
-    return {k: slot for slot, k in enumerate(basis_names(level, zero_key))}
+@functools.lru_cache(maxsize=65)
+def _basis(level: int) -> tuple[dict[str, int], dict[str, int], tuple[int, ...]]:
+    """The reader's table at ``level``: the a and u maps' name -> slot, and
+    the zero vector that an empty map reads as."""
+    a, u = (
+        {k: slot for slot, k in enumerate(basis_names(level, zero_key))}
+        for zero_key in ("s", "2s")
+    )
+    return a, u, (0,) * level
 
 
-def _exp_vector(value, path: str, name: str, level: int, zero_key: str) -> tuple[int, ...]:
-    """The vector the basis map ``path.name`` spells."""
+def _exp_vector(value, slots: dict[str, int], zero: tuple[int, ...], at, name: str, level: int):
+    """The vector the basis map ``value`` spells; ``at()`` and ``name`` word
+    its path only for an error."""
     if not isinstance(value, dict):
-        raise JsonSchemaError(f"{path}.{name}", f"expected an object, got {value!r}")
-    vec = [0] * level
-    # a level past any chart's gets a fresh map, so the memo holds only small ones
-    slots = (_slots if level <= 64 else _slots.__wrapped__)(level, zero_key)
+        raise JsonSchemaError(f"{at()}.{name}", f"expected an object, got {value!r}")
+    if not value:
+        return zero
+    vec = list(zero)
     for key, e in value.items():
         slot = slots.get(key)
         if slot is None:
+            zero_key = "s" if name == "a" else "2s"
             if not isinstance(key, str) or (
-                key != zero_key and not _LAMBDA_KEY_RE.fullmatch(key)
+                key != zero_key and not re.fullmatch(_LAMBDA_KEY, key, re.ASCII)
             ):
-                raise JsonSchemaError(f"{path}.{name}.{key}", "unknown basis key")
+                raise JsonSchemaError(f"{at()}.{name}.{key}", "unknown basis key")
             raise JsonSchemaError(
-                f"{path}.{name}.{key}", f"basis slot out of range at level {level}"
+                f"{at()}.{name}.{key}", f"basis slot out of range at level {level}"
             )
         if type(e) is not int or not 0 <= e < _DIGITS_CAP:
-            _int(e, f"{path}.{name}.{key}", minimum=0)
+            _int(e, f"{at()}.{name}.{key}", minimum=0)
         vec[slot] = e
     return tuple(vec)
 
 
 def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
-    if not isinstance(obj, dict):
-        raise JsonSchemaError(path, f"expected an object, got {obj!r}")
-    # each field is tested once, inline, and a path is built only when _int
-    # words the error that a failed test leads to
-    group = _need(obj, "group", path)
+    return _monomial(obj, lambda: path)
+
+
+def _monomial(obj, at) -> ClassMonomial:
+    """``obj_to_monomial`` at the path ``at()``, which is built only to word an
+    error.  Each field is looked up once and tested once, inline; a failed
+    test reads it again, through ``_need``, to word the error."""
+    if type(obj) is dict:
+        get = obj.get
+    elif isinstance(obj, dict):
+        get = _getter(obj)
+    else:
+        raise JsonSchemaError(at(), f"expected an object, got {obj!r}")
+    group = get("group", _MISSING)
     if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
-        _int(group, f"{path}.group", 0, _MAX_EXPONENT)
-    level = _need(obj, "level", path)
+        _refuse(obj, "group", at, 0, _MAX_EXPONENT)
+    level = get("level", _MISSING)
     if type(level) is not int or level < 0:
-        _int(level, f"{path}.level", minimum=0)
-    coeff = _need(obj, "coeff", path)
+        _refuse(obj, "level", at, 0)
+    coeff = get("coeff", _MISSING)
     if type(coeff) is not int or abs(coeff) >= _DIGITS_CAP:
-        _int(coeff, f"{path}.coeff")
-    raw_norms = _need(obj, "norms", path)
+        _refuse(obj, "coeff", at)
+    raw_norms = get("norms", _MISSING)
     if not isinstance(raw_norms, list):
-        raise JsonSchemaError(f"{path}.norms", "expected a list of [i, j, e] triples")
+        _need(obj, "norms", at())
+        raise JsonSchemaError(f"{at()}.norms", "expected a list of [i, j, e] triples")
     norms = []
     for idx, t in enumerate(raw_norms):
         if type(t) is list and len(t) == 3:
@@ -128,7 +171,7 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
             if type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX and j >= 1 and e >= 0:
                 norms.append((i, j, e))
                 continue
-        tpath = f"{path}.norms[{idx}]"  # a bad triple, or a good one in a list subclass
+        tpath = f"{at()}.norms[{idx}]"  # a bad triple, or a good one in a list subclass
         if not isinstance(t, list) or len(t) != 3:
             raise JsonSchemaError(tpath, "expected an [i, j, e] triple")
         i = _int(t[0], f"{tpath}[0]", 1, _MAX_INDEX)
@@ -137,35 +180,65 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     if level > group:
         # rejected here, before the exponent maps build a basis table of that length
         raise JsonSchemaError(
-            path, f"level {level} out of range for ambient group {CyclicGroup(group)}"
+            at(), f"level {level} out of range for ambient group {CyclicGroup(group)}"
         )
-    a = _exp_vector(_need(obj, "a", path), path, "a", level, "s")
-    u = _exp_vector(_need(obj, "u", path), path, "u", level, "2s")
+    a = get("a", _MISSING)
+    if a is _MISSING:
+        _need(obj, "a", at())
+    # a level past any chart's gets a fresh table, so the memo holds only small ones
+    a_slots, u_slots, zero = (_basis if level <= 64 else _basis.__wrapped__)(level)
+    a = _exp_vector(a, a_slots, zero, at, "a", level)
+    u = get("u", _MISSING)
+    if u is _MISSING:
+        _need(obj, "u", at())
+    u = _exp_vector(u, u_slots, zero, at, "u", level)
     for i, j, e in norms:
         if j > level:
-            raise JsonSchemaError(path, f"norm factor ({i}, {j}) out of range at level {level}")
-    m = ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
+            raise JsonSchemaError(at(), f"norm factor ({i}, {j}) out of range at level {level}")
+    g = _GROUPS.get(group) or _GROUPS.setdefault(group, CyclicGroup(group))
+    m = ClassMonomial._trusted(g, level, coeff, norms, a, u)
     for _, _, e in m.norms:  # merged, so triples that add up are bounded, and each one too
         if e >= _DIGITS_CAP:
-            raise JsonSchemaError(f"{path}.norms", f"exponent has more than {_MAX_DIGITS} digits")
+            raise JsonSchemaError(f"{at()}.norms", f"exponent has more than {_MAX_DIGITS} digits")
     return m
 
 
 def obj_to_differential(obj, path: str = "") -> Differential:
-    if not isinstance(obj, dict):
-        raise JsonSchemaError(path, f"expected an object, got {obj!r}")
+    return _differential(obj, lambda: path)
+
+
+def _differential(obj, at) -> Differential:
+    """``obj_to_differential`` at the path ``at()``, built only to word an error."""
+    if type(obj) is dict:
+        get = obj.get
+    elif isinstance(obj, dict):
+        get = _getter(obj)
+    else:
+        raise JsonSchemaError(at(), f"expected an object, got {obj!r}")
     # page is the discriminator, so it is checked first
-    page = _int(_need(obj, "page", path), f"{path}.page", minimum=2)
-    group = _int(_need(obj, "group", path), f"{path}.group", 0, _MAX_EXPONENT)
-    source = obj_to_monomial(_need(obj, "source", path), f"{path}.source")
-    target = obj_to_monomial(_need(obj, "target", path), f"{path}.target")
-    provenance = _need(obj, "provenance", path)
+    page = get("page", _MISSING)
+    if type(page) is not int or not 2 <= page < _DIGITS_CAP:
+        _refuse(obj, "page", at, 2)
+    group = get("group", _MISSING)
+    if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
+        _refuse(obj, "group", at, 0, _MAX_EXPONENT)
+    source = get("source", _MISSING)
+    if source is _MISSING:
+        _need(obj, "source", at())
+    source = _monomial(source, lambda: f"{at()}.source")
+    target = get("target", _MISSING)
+    if target is _MISSING:
+        _need(obj, "target", at())
+    target = _monomial(target, lambda: f"{at()}.target")
+    provenance = get("provenance", _MISSING)
     if provenance not in PROVENANCES:
-        raise JsonSchemaError(f"{path}.provenance", f"must be one of {PROVENANCES}")
-    d = Differential(CyclicGroup(group), page, source, target, provenance)
+        _need(obj, "provenance", at())
+        raise JsonSchemaError(f"{at()}.provenance", f"must be one of {PROVENANCES}")
+    g = _GROUPS.get(group) or _GROUPS.setdefault(group, CyclicGroup(group))
+    d = Differential._trusted(g, page, source, target, provenance)
     problems = validate(d)
     if problems:
-        raise JsonSchemaError(path, problems[0])
+        raise JsonSchemaError(at(), problems[0])
     return d
 
 
@@ -176,35 +249,39 @@ def obj_to_differential(obj, path: str = "") -> Differential:
 # plain int, for which str is the text json writes.
 
 
-@functools.lru_cache(maxsize=128)
-def _keys(level: int, zero_key: str, pad: str) -> tuple[str, ...]:
-    """The ``'{pad}  "name": '`` prefix of each basis slot at ``level``."""
-    return tuple([f'{pad}  "{k}": ' for k in basis_names(level, zero_key)])
-
-
-def _exponents_text(exps: tuple[int, ...], zero_key: str, pad: str) -> str:
-    level = len(exps)
-    # as in _slots, a level past any chart's gets a fresh table
-    keys = (_keys if level <= 64 else _keys.__wrapped__)(level, zero_key, pad)
-    body = ",\n".join([f"{k}{e}" for k, e in zip(keys, exps) if e])
-    return f"{{\n{body}\n{pad}}}" if body else "{}"
+@functools.lru_cache(maxsize=195)
+def _layout(level: int, pad: str) -> tuple:
+    """The writer's table for a monomial at ``level`` with its braces at
+    indent ``pad``: the indents one, two and three steps in, the
+    ``'"name": '`` prefix of each a and u slot, the zero vector, and the
+    fixed text before the group and between the group and the coefficient."""
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    a_keys, u_keys = (
+        tuple([f'{p2}"{k}": ' for k in basis_names(level, zero_key)]) for zero_key in ("s", "2s")
+    )
+    head = f'{{\n{p1}"group": '
+    middle = f',\n{p1}"level": {level},\n{p1}"coeff": '
+    return p1, p2, p2 + "  ", a_keys, u_keys, (0,) * level, head, middle
 
 
 def _monomial_text(m: ClassMonomial, pad: str) -> str:
     """The JSON text of ``m``, laid out with its braces at indent ``pad``."""
-    p1 = pad + "  "
-    p2 = p1 + "  "
-    p3 = p2 + "  "
-    norms = ",\n".join(
-        [f"{p2}[\n{p3}{i},\n{p3}{j},\n{p3}{e}\n{p2}]" for i, j, e in m.norms]
-    )
-    norms = f"[\n{norms}\n{p1}]" if norms else "[]"
+    level = m.level
+    # as in _basis, a level past any chart's gets a fresh table
+    p1, p2, p3, a_keys, u_keys, zero, head, middle = (
+        _layout if level <= 64 else _layout.__wrapped__
+    )(level, pad)
+    # an empty list or map is written without a join
+    norms = "[]" if not m.norms else "[\n" + ",\n".join(
+        [f"{p2}[\n{p3}{i},\n{p3}{j},\n{p3}{e}\n{p2}]" for i, j, e in m.norms]) + f"\n{p1}]"
+    a = "{}" if m.a_exp == zero else "{\n" + ",\n".join(
+        [f"{k}{e}" for k, e in zip(a_keys, m.a_exp) if e]) + f"\n{p1}}}"
+    u = "{}" if m.u_exp == zero else "{\n" + ",\n".join(
+        [f"{k}{e}" for k, e in zip(u_keys, m.u_exp) if e]) + f"\n{p1}}}"
     return (
-        f'{{\n{p1}"group": {m.group.exponent},\n{p1}"level": {m.level},\n'
-        f'{p1}"coeff": {m.coeff},\n{p1}"norms": {norms},\n'
-        f'{p1}"a": {_exponents_text(m.a_exp, "s", p1)},\n'
-        f'{p1}"u": {_exponents_text(m.u_exp, "2s", p1)}\n'
-        f"{pad}}}"
+        f'{head}{m.group.exponent}{middle}{m.coeff},\n{p1}"norms": {norms},\n'
+        f'{p1}"a": {a},\n{p1}"u": {u}\n{pad}}}'
     )
 
 
@@ -252,9 +329,9 @@ def import_json(data: bytes | str) -> list[Item]:
         raise JsonSchemaError("$", f"expected a list, got {type(raw).__name__}")
     out: list[Item] = []
     for idx, obj in enumerate(raw):
-        path = f"items[{idx}]"
+        at = functools.partial("items[{}]".format, idx)  # the path, built only for an error
         if isinstance(obj, dict) and "page" in obj:
-            out.append(obj_to_differential(obj, path))
+            out.append(_differential(obj, at))
         else:
-            out.append(obj_to_monomial(obj, path))
+            out.append(_monomial(obj, at))
     return out

@@ -79,6 +79,11 @@ class ClassMonomial(_Record):
         norms = tuple(norms)  # any iterable, read here and again to merge
         for i, j, e in norms:
             if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
+                # i and j are bounded before the message prints them
+                if type(i) is int:
+                    _admit(i, "norm index i", most=_MAX_INDEX, error=MonomialError)
+                if type(j) is int:
+                    _bounded(j, error=MonomialError, what="norm level j")
                 raise MonomialError(f"norm factor ({i}, {j}) out of range at level {level}")
             _admit(i, "norm index i", most=_MAX_INDEX, error=MonomialError)
             if type(e) is not int or e < 0:

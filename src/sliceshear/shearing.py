@@ -226,6 +226,8 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
     _admit(m, "tower index m", most=_MAX_HEIGHT, error=ShearError)
     if n < 1 or m < 1:
         raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
+    if grading is not None and type(grading) is not VirtualRep:
+        raise ShearError(f"tower grading must be a VirtualRep, got {grading!r}")
     group = CyclicGroup(n + 1)
     V = VirtualRep.zero(group) if grading is None else grading
     if V.group != group:

@@ -11,6 +11,7 @@ never asserts that a differential exists.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING
 
 from .reps import _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line, RepError, VirtualRep, _admit
@@ -112,6 +113,9 @@ class Violation(_Record):
         return f"[{where} {self.clause}] {self.message}"
 
 
+_DIFFERENTIALS = f"{__package__}.differentials"  # the module admissible's d comes from
+
+
 def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
     """Check every admissibility clause; an empty list means admissible.
 
@@ -122,6 +126,13 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
     or below the positive-cone boundary.  Differentials whose source has
     x < 0 are skipped entirely (outside the region the constraints govern).
     """
+    # a Differential exists only once its module is loaded, so the test imports
+    # nothing: the vanishing table loads no monomials, and a call spends no import
+    differentials = sys.modules.get(_DIFFERENTIALS)
+    if differentials is None or type(d) is not differentials.Differential:
+        raise RepError(f"admissible differential must be a Differential, got {d!r}")
+    if type(profile) is not VanishingProfile:
+        raise RepError(f"admissible profile must be a VanishingProfile, got {profile!r}")
     if d.group != profile.group:
         raise RepError(
             f"differential over {d.group} does not match profile over {profile.group}"

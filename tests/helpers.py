@@ -7,6 +7,8 @@ rounds, rather than reusing any kernel/basis rule from the package.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import random
 import re
@@ -37,7 +39,9 @@ from sliceshear import (
     rho_bar,
     vanishing_line,
 )
+from sliceshear.differentials import PROVENANCES, validate
 from sliceshear.dsl import ChartDocument, _int
+from sliceshear.reps import _DIGITS_CAP, _MAX_DIGITS, _MAX_EXPONENT, _MAX_INDEX
 from sliceshear.svg import _STYLE, CELL, PAD, _clip, _fmt, _guide_line
 from sliceshear.monomials import _d_norms
 
@@ -634,6 +638,148 @@ def reference_obj_to_monomial(obj, path: str = "") -> ClassMonomial:
         return ClassMonomial(CyclicGroup(group), level, coeff, tuple(norms), a, u)
     except (MonomialError, RepError) as e:
         raise JsonSchemaError(path, str(e)) from e
+
+
+# The JSON reader before it looked each field up once and built paths only
+# for an error, kept verbatim as the oracle of import's values, paths and
+# messages (its names prefixed "eager", as it built every path eagerly).
+def _eager_need(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise JsonSchemaError(f"{path}.{key}", "required field is missing")
+    return obj[key]
+
+
+def _eager_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    if type(value) is not int:  # bools, floats and int subclasses, as reps._admit
+        raise JsonSchemaError(path, f"expected an integer, got {value!r}")
+    if abs(value) >= _DIGITS_CAP:
+        raise JsonSchemaError(path, f"has more than {_MAX_DIGITS} digits")
+    if minimum is not None and value < minimum:
+        raise JsonSchemaError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise JsonSchemaError(path, f"must be <= {maximum}, got {value}")
+    return value
+
+
+# a lambda_i key at some level, which tells an unknown key from one out of
+# range at this level: ASCII digits only, no leading zero, so "l0" is unknown
+_EAGER_LAMBDA_KEY_RE = re.compile(r"l[1-9]\d*", re.ASCII)
+
+
+@functools.lru_cache(maxsize=64)
+def _eager_slots(level: int, zero_key: str) -> dict[str, int]:
+    """basis_names(level, zero_key) as a name -> slot map."""
+    return {k: slot for slot, k in enumerate(basis_names(level, zero_key))}
+
+
+def _eager_exp_vector(value, path: str, name: str, level: int, zero_key: str) -> tuple[int, ...]:
+    """The vector the basis map ``path.name`` spells."""
+    if not isinstance(value, dict):
+        raise JsonSchemaError(f"{path}.{name}", f"expected an object, got {value!r}")
+    vec = [0] * level
+    # a level past any chart's gets a fresh map, so the memo holds only small ones
+    slots = (_eager_slots if level <= 64 else _eager_slots.__wrapped__)(level, zero_key)
+    for key, e in value.items():
+        slot = slots.get(key)
+        if slot is None:
+            if not isinstance(key, str) or (
+                key != zero_key and not _EAGER_LAMBDA_KEY_RE.fullmatch(key)
+            ):
+                raise JsonSchemaError(f"{path}.{name}.{key}", "unknown basis key")
+            raise JsonSchemaError(
+                f"{path}.{name}.{key}", f"basis slot out of range at level {level}"
+            )
+        if type(e) is not int or not 0 <= e < _DIGITS_CAP:
+            _eager_int(e, f"{path}.{name}.{key}", minimum=0)
+        vec[slot] = e
+    return tuple(vec)
+
+
+def eager_obj_to_monomial(obj, path: str = "") -> ClassMonomial:
+    if not isinstance(obj, dict):
+        raise JsonSchemaError(path, f"expected an object, got {obj!r}")
+    # each field is tested once, inline, and a path is built only when _eager_int
+    # words the error that a failed test leads to
+    group = _eager_need(obj, "group", path)
+    if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
+        _eager_int(group, f"{path}.group", 0, _MAX_EXPONENT)
+    level = _eager_need(obj, "level", path)
+    if type(level) is not int or level < 0:
+        _eager_int(level, f"{path}.level", minimum=0)
+    coeff = _eager_need(obj, "coeff", path)
+    if type(coeff) is not int or abs(coeff) >= _DIGITS_CAP:
+        _eager_int(coeff, f"{path}.coeff")
+    raw_norms = _eager_need(obj, "norms", path)
+    if not isinstance(raw_norms, list):
+        raise JsonSchemaError(f"{path}.norms", "expected a list of [i, j, e] triples")
+    norms = []
+    for idx, t in enumerate(raw_norms):
+        if type(t) is list and len(t) == 3:
+            i, j, e = t
+            if type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX and j >= 1 and e >= 0:
+                norms.append((i, j, e))
+                continue
+        tpath = f"{path}.norms[{idx}]"  # a bad triple, or a good one in a list subclass
+        if not isinstance(t, list) or len(t) != 3:
+            raise JsonSchemaError(tpath, "expected an [i, j, e] triple")
+        i = _eager_int(t[0], f"{tpath}[0]", 1, _MAX_INDEX)
+        j = _eager_int(t[1], f"{tpath}[1]", minimum=1)
+        norms.append((i, j, _eager_int(t[2], f"{tpath}[2]", minimum=0)))
+    if level > group:
+        # rejected here, before the exponent maps build a basis table of that length
+        raise JsonSchemaError(
+            path, f"level {level} out of range for ambient group {CyclicGroup(group)}"
+        )
+    a = _eager_exp_vector(_eager_need(obj, "a", path), path, "a", level, "s")
+    u = _eager_exp_vector(_eager_need(obj, "u", path), path, "u", level, "2s")
+    for i, j, e in norms:
+        if j > level:
+            raise JsonSchemaError(path, f"norm factor ({i}, {j}) out of range at level {level}")
+    m = ClassMonomial._trusted(CyclicGroup(group), level, coeff, norms, a, u)
+    for _, _, e in m.norms:  # merged, so triples that add up are bounded, and each one too
+        if e >= _DIGITS_CAP:
+            raise JsonSchemaError(f"{path}.norms", f"exponent has more than {_MAX_DIGITS} digits")
+    return m
+
+
+def eager_obj_to_differential(obj, path: str = "") -> Differential:
+    if not isinstance(obj, dict):
+        raise JsonSchemaError(path, f"expected an object, got {obj!r}")
+    # page is the discriminator, so it is checked first
+    page = _eager_int(_eager_need(obj, "page", path), f"{path}.page", minimum=2)
+    group = _eager_int(_eager_need(obj, "group", path), f"{path}.group", 0, _MAX_EXPONENT)
+    source = eager_obj_to_monomial(_eager_need(obj, "source", path), f"{path}.source")
+    target = eager_obj_to_monomial(_eager_need(obj, "target", path), f"{path}.target")
+    provenance = _eager_need(obj, "provenance", path)
+    if provenance not in PROVENANCES:
+        raise JsonSchemaError(f"{path}.provenance", f"must be one of {PROVENANCES}")
+    d = Differential(CyclicGroup(group), page, source, target, provenance)
+    problems = validate(d)
+    if problems:
+        raise JsonSchemaError(path, problems[0])
+    return d
+
+
+def eager_import_json(data: bytes | str) -> list[Union[ClassMonomial, Differential]]:
+    """Inverse of :func:`export_json`; objects with a ``page`` field are
+    differentials, everything else must be a monomial."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError and the int digit limit are
+        # all ValueErrors; RecursionError comes from deep nesting
+        raise JsonSchemaError("$", f"not valid JSON: {e}") from e
+    if not isinstance(raw, list):
+        raise JsonSchemaError("$", f"expected a list, got {type(raw).__name__}")
+    out: list[Union[ClassMonomial, Differential]] = []
+    for idx, obj in enumerate(raw):
+        path = f"items[{idx}]"
+        if isinstance(obj, dict) and "page" in obj:
+            out.append(eager_obj_to_differential(obj, path))
+        else:
+            out.append(eager_obj_to_monomial(obj, path))
+    return out
 
 
 def random_rep(rng: random.Random, group: CyclicGroup, span: int = 6) -> VirtualRep:

@@ -384,6 +384,50 @@ class TestExitCodes:
             }
         }
 
+    @pytest.mark.parametrize("limit", [4300, 0], ids=["default-limit", "no-limit"])
+    @pytest.mark.parametrize(
+        "argv, dest",
+        [
+            (["shear", "--n", "1", "--k", "1", "--V", "0", "--t", "9" * 4400, "--s", "0"], "t"),
+            # a repeated flag is read by argparse
+            (["shear", "--n", "1", "--n", "1", "--k", "1", "--V", "0", "--s", "0",
+              "--t", "9" * 4400], "t"),
+            (["shear", "--n", "1", "--k", "1", "--V", "0", "--t=-" + "9" * 3001, "--s", "0"], "t"),
+            (["hhr", "--n", "1_" * 4400 + "1", "--i", "1"], "n"),
+            # a flag its subcommand leaves unread is refused too
+            (["rep", "dim", "--group", "C8", "--V", "0", "--k", "9" * 4400], "k"),
+        ],
+        ids=["shear-t", "argparse", "negative", "underscores", "unread"],
+    )
+    def test_int_flag_past_the_digit_bound_is_refused_under_any_limit(
+        self, capsys, default_digit_limit, limit, argv, dest
+    ):
+        # with 4,400 digits, --t once exited 1 usage (an invalid int) under the
+        # default int/str limit and 3 with the limit off
+        sys.set_int_max_str_digits(limit)  # the fixture restores it
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": {"code": 3, "kind": "semantic", "message": f"{dest} has more than 3000 digits"}
+        }
+
+    @pytest.mark.parametrize(
+        "value", ["9" * 3000, "-" + "9" * 3000, "0" * 2999 + "7"],
+        ids=["nines", "negative", "leading-zeros"],
+    )
+    def test_int_flag_at_the_digit_bound_is_read(self, value):
+        argv = ["shear", "--n", "1", "--k", "1", "--V", "0", f"--t={value}", "--s", "0"]
+        assert cli._read(argv).t == cli.build_parser().parse_args(argv).t == int(value)
+
+    @pytest.mark.parametrize(
+        "value", ["1__0", "x" + "9" * 4400, "9" * 4400 + "x"],
+        ids=["double-underscore", "letter-first", "letter-last"],
+    )
+    def test_int_flag_that_is_no_literal_is_usage(self, capsys, value):
+        code, _, err = run(capsys, "hhr", "--n", value, "--i", "1")
+        assert code == 1
+        assert json.loads(err)["error"]["message"] == f"argument --n: invalid int value: {value!r}"
+
     def test_diff_spec_error_has_column_0(self, capsys):
         code, _, err = run(capsys, "transport", "--group", "C2", "--k", "1", "--diff", "nonsense")
         assert code == 2

@@ -3,7 +3,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sliceshear import (
     ClassMonomial,
@@ -27,7 +27,9 @@ from sliceshear import (
 )
 from sliceshear import jsonio
 from sliceshear.differentials import PROVENANCES
-from sliceshear.jsonio import differential_to_obj, monomial_to_obj, obj_to_monomial
+from sliceshear.jsonio import differential_to_obj, monomial_to_obj, obj_to_differential
+from sliceshear.jsonio import obj_to_monomial
+from helpers import eager_import_json, eager_obj_to_differential, eager_obj_to_monomial
 from helpers import random_monomial, reference_obj_to_monomial
 
 
@@ -351,6 +353,13 @@ def valid_differentials(draw):
     return Differential(d.group, d.page, d.source, d.target, draw(st.sampled_from(PROVENANCES)))
 
 
+def _wide(level: int, exponent: int | None = None, full: bool = True) -> ClassMonomial:
+    """A monomial at ``level`` with every a and u slot set, or only the last."""
+    vec = tuple(range(1, level + 1)) if full else (0,) * (level - 1) + (5,)
+    group = CyclicGroup(level if exponent is None else exponent)
+    return ClassMonomial(group, level, -7, ((3, level, 2), (1, 1, 4)), vec, vec[::-1])
+
+
 def _reference_bytes(items) -> bytes:
     objs = [
         differential_to_obj(x) if isinstance(x, Differential) else monomial_to_obj(x)
@@ -364,6 +373,10 @@ class TestWriter:
     @example([])
     # past level 64 the basis keys are laid out without the memo
     @example([ClassMonomial(CyclicGroup(70), 70, 3, ((2, 70, 1),), (0,) * 69 + (1,), (1,) * 70)])
+    # the last level with a cached layout and the first without, each as an item
+    # (its braces at indent 2) and as both endpoints of a differential (indent 4)
+    @example([_wide(64), _wide(65), _wide(64, full=False), hhr_family(63, 2), hhr_family(64, 1)])
+    @example([Differential(CyclicGroup(65), 3, _wide(64, 65), _wide(65, full=False)), _wide(65)])
     def test_bytes_are_json_dumps_indent_2(self, items):
         assert export_json(items) == _reference_bytes(items)
 
@@ -488,3 +501,150 @@ def test_import_messages_match_the_reference_reader():
         "unknown basis key", "basis slot out of range", "expected an object",
     ]:
         assert any(k.startswith(message[:18]) for k in seen), (message, sorted(seen))
+
+
+class _Dict(dict):
+    """A dict subclass whose ``get`` is not its ``in`` and ``[]``: both readers
+    must look its fields up with ``in`` and ``[]``."""
+
+    def get(self, key, default=None):
+        return default
+
+
+_LEVELS = [*range(8), 64, 65]
+# a swapped-in field value: a bool, a float, a str, None, an int subclass, 3,001 digits
+_SWAPS = [True, 2.5, "1", None, _Int(1), 10**3000, -(10**3000)]
+
+
+@st.composite
+def _wide_items(draw):
+    """Monomials and differentials at levels 0-7, 64 and 65, their a and u maps
+    empty, sparse or full."""
+    level = draw(st.sampled_from(_LEVELS))
+    group = CyclicGroup(level + draw(st.integers(0, 2)))
+
+    def vector():
+        fill = draw(st.sampled_from(["empty", "sparse", "full"]))
+        if fill == "empty":
+            return (0,) * level
+        low = 1 if fill == "full" else 0
+        return tuple(draw(st.lists(st.integers(low, 4), min_size=level, max_size=level)))
+
+    def monomial():
+        norms = draw(st.lists(
+            st.tuples(st.integers(1, 2048), st.integers(1, max(level, 1)), st.integers(0, 3)),
+            max_size=3,
+        )) if level else []
+        coeff = draw(st.sampled_from([1, -1, 3]) | st.integers(-(10**20), 10**20))
+        return ClassMonomial(group, level, coeff, norms, vector(), vector())
+
+    kind = draw(st.sampled_from(["monomial", "differential", "family"]))
+    if kind == "family" and level and group.exponent == level:
+        return hhr_family(level - 1, draw(st.integers(1, 3)))
+    if kind == "differential":
+        page = draw(st.integers(2, 40))
+        return Differential(group, page, monomial(), monomial(), draw(st.sampled_from(PROVENANCES)))
+    return monomial()
+
+
+def _mutate_object(draw, obj: dict) -> dict:
+    """``obj`` with one change; an object of the dict subclass stays one."""
+    kind = draw(st.sampled_from(
+        ["drop", "swap", "extra", "reorder", "subclass", "norms", "map", "key"]
+    ))
+    keys = list(obj)
+    if kind == "drop" and keys:
+        obj.pop(draw(st.sampled_from(keys)))
+    elif kind == "swap" and keys:
+        obj[draw(st.sampled_from(keys))] = draw(st.sampled_from(_SWAPS))
+    elif kind == "extra":
+        obj[draw(st.sampled_from(["extra", "Group", "", "page"]))] = draw(
+            st.sampled_from([1, None, "x", [], {}])
+        )
+    elif kind == "reorder":
+        obj = type(obj)(reversed(list(obj.items())))
+    elif kind == "subclass":
+        obj = _Dict(obj)
+    elif kind == "norms" and isinstance(dict.get(obj, "norms"), list) and obj["norms"]:
+        norms = obj["norms"]
+        idx = draw(st.integers(0, len(norms) - 1))
+        change = draw(st.sampled_from(["list", "triple", "value"]))
+        if change == "list":
+            obj["norms"] = _List(norms)
+        elif change == "triple":
+            norms[idx] = _List(norms[idx])
+        else:
+            norms[idx][draw(st.integers(0, 2))] = draw(st.sampled_from(_SWAPS + [0, 2049]))
+    elif kind == "map" and type(dict.get(obj, "level")) is int and 0 <= obj["level"] <= 65:
+        name = draw(st.sampled_from(["a", "u"]))
+        names = basis_names(obj["level"], "s" if name == "a" else "2s")
+        obj[name] = draw(st.sampled_from([{}, {k: 1 for k in names}, {k: 0 for k in names}]))
+    elif kind == "key" and isinstance(dict.get(obj, "a"), dict):
+        obj["a"][draw(st.sampled_from(["l0", "s", "2s", "l64", "l65", "l99", 7]))] = (
+            draw(st.sampled_from([1] + _SWAPS))
+        )
+    return obj
+
+
+def _read_outcome(read, *args):
+    try:
+        value = read(*args)
+    except JsonSchemaError as e:
+        return "error", e.path, str(e)
+    return "value", repr(value)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """An export document of up to three items, parsed, with one to three
+    objects changed, top-level or a differential's endpoint."""
+    items = draw(st.lists(_wide_items(), min_size=1, max_size=3))
+    doc = json.loads(export_json(items))
+    for _ in range(draw(st.integers(1, 3))):
+        idx = draw(st.integers(0, len(doc) - 1))
+        where = draw(st.sampled_from([None, "source", "target"]))
+        if where and isinstance(doc[idx], dict) and isinstance(dict.get(doc[idx], where), dict):
+            doc[idx][where] = _mutate_object(draw, doc[idx][where])
+        elif isinstance(doc[idx], dict):
+            doc[idx] = _mutate_object(draw, doc[idx])
+    if draw(st.booleans()):
+        doc = _List(doc)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_documents())
+def test_reader_matches_the_eager_reader_on_mutated_documents(doc):
+    """Each object of a mutated export document reads as the eager reader
+    read it, value or error with its path and message, through obj_to_* (which
+    see the dict and list subclasses) and through import_json (which sees the
+    document as JSON text)."""
+    for idx, obj in enumerate(doc):
+        path = f"items[{idx}]"
+        if isinstance(obj, dict) and "page" in obj:
+            pair = (obj_to_differential, eager_obj_to_differential)
+        else:
+            pair = (obj_to_monomial, eager_obj_to_monomial)
+        assert _read_outcome(pair[0], obj, path) == _read_outcome(pair[1], obj, path)
+    text = json.dumps(doc)
+    assert _read_outcome(import_json, text) == _read_outcome(eager_import_json, text)
+
+
+_DIFF = differential_to_obj(transport(hu_kriz_seed(2), 1))
+_FIELDS = [(None, key) for key in _DIFF] + [(end, key) for end in ("source", "target")
+                                            for key in _DIFF[end]]
+
+
+@pytest.mark.parametrize("value", ["drop", *_SWAPS], ids=repr)
+@pytest.mark.parametrize("where, key", _FIELDS, ids=lambda x: str(x))
+def test_each_field_dropped_or_swapped_reads_as_the_eager_reader(where, key, value):
+    """Every field of a differential and of its endpoints, dropped or swapped
+    for each value of _SWAPS, reads as the eager reader reads it."""
+    doc = json.loads(json.dumps([_DIFF]))
+    obj = doc[0] if where is None else doc[0][where]
+    if value == "drop":
+        del obj[key]
+    else:
+        obj[key] = value
+    text = json.dumps(doc)
+    assert _read_outcome(import_json, text) == _read_outcome(eager_import_json, text)

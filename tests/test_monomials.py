@@ -344,3 +344,23 @@ def test_constructor_keywords_and_replace():
     assert single.norms == ((1, 2, 1),) and type(single.norms[0]) is tuple
     assert hash(single) == hash(ClassMonomial(g, 2, norms=((1, 2, 1),)))
     assert ClassMonomial(g, 2, norms=[[1, 2, 0]]).norms == ()
+
+
+@pytest.mark.parametrize(
+    "norm, message",
+    [
+        ((10**5000, 2, 1), "norm index i has more than 3000 digits"),
+        ((3000, 2, 1), "norm index i must be <= 2048, got 3000"),
+        ((1, 10**5000, 1), "norm level j has more than 3000 digits"),
+        ((1, -(10**5000), 1), "norm level j has more than 3000 digits"),
+        ((3000, 1.5, 1), "norm index i must be <= 2048, got 3000"),
+        ((1, 2, 1), r"norm factor \(1, 2\) out of range at level 1"),
+    ],
+    ids=["i-5000-digits", "i-past-bound", "j-5000-digits", "j-negative-5000-digits",
+         "i-past-bound-j-float", "j-out-of-range"],
+)
+def test_norm_factor_out_of_range_bounds_what_it_prints(norm, message):
+    # a norm factor out of range at its level was worded before i was bounded, so an
+    # i or j of 5,000 digits raised ValueError while the message printed it
+    with pytest.raises(MonomialError, match=f"^{message}$"):
+        ClassMonomial(C(1), 1, norms=[norm])

@@ -341,3 +341,10 @@ class TestTower:
     def test_rejects_a_grading_over_another_group(self):
         with pytest.raises(ShearError, match="^tower grading must live over C8, got C4$"):
             tower_report(2, 1, VirtualRep.zero(C(2)))
+
+    @pytest.mark.parametrize("grading", ["0", (0, 0, 0), 0], ids=["str", "tuple", "int"])
+    def test_rejects_a_grading_of_another_type(self, grading):
+        # each once raised a bare AttributeError
+        with pytest.raises(ShearError) as exc:
+            tower_report(1, 1, grading)
+        assert str(exc.value) == f"tower grading must be a VirtualRep, got {grading!r}"

@@ -217,6 +217,19 @@ class TestBoundary:
 
 
 class TestAdmissible:
+    @pytest.mark.parametrize("profile", [None, "profile"], ids=["None", "str"])
+    def test_rejects_a_profile_of_another_type(self, profile):
+        # admissible(d, None) once raised a bare AttributeError
+        with pytest.raises(RepError) as exc:
+            admissible(hhr_family(0, 1), profile)
+        assert str(exc.value) == f"admissible profile must be a VanishingProfile, got {profile!r}"
+
+    @pytest.mark.parametrize("d", [None, "d"], ids=["None", "str"])
+    def test_rejects_a_differential_of_another_type(self, d):
+        with pytest.raises(RepError) as exc:
+            admissible(d, family_profile(0, 1, 1))
+        assert str(exc.value) == f"admissible differential must be a Differential, got {d!r}"
+
     def test_family_passes_its_theory(self):
         for n in range(0, 4):
             for m in (1, 2):
