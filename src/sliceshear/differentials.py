@@ -4,6 +4,10 @@ A differential is a page-r arrow between two monomials with provenance.  The
 engine never claims a page is complete; it validates bidegree constraints,
 generates the classical families, and transports differentials along the
 shearing isomorphism.
+
+``Differential`` has one constructor, which checks every field.  The
+families, ``transport``, ``leibniz`` and the DSL and JSON readers all build
+through it, so a sheared page past 3,000 digits is refused there.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import warnings
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
 from .reps import _DIGITS_CAP, _MAX_EXPONENT, _MAX_HEIGHT, _MAX_INDEX, CyclicGroup, VirtualRep
-from .reps import _MAX_DIGITS, _admit, _EngineError, _Record, _set
+from .reps import _admit, _EngineError, _Record, _set
 
 __all__ = [
     "Differential",
@@ -62,27 +66,14 @@ class Differential(_Record):
     ) -> None:
         if type(group) is not CyclicGroup:
             raise DifferentialError(f"differential group must be a CyclicGroup, got {group!r}")
-        if type(page) is not int or not 2 <= page < _DIGITS_CAP:  # a sheared page can pass it
-            _admit(page, "differential page", 2, _DIGITS_CAP - 1, error=DifferentialError)
+        if type(page) is not int or not 2 <= page < _DIGITS_CAP:  # a sheared page can be longer
+            _admit(page, "differential page", 2, error=DifferentialError)
         if type(source) is not ClassMonomial:
             raise DifferentialError(f"differential source must be a ClassMonomial, got {source!r}")
         if type(target) is not ClassMonomial:
             raise DifferentialError(f"differential target must be a ClassMonomial, got {target!r}")
         if provenance not in PROVENANCES:
             raise DifferentialError(f"unknown provenance {provenance!r}")
-        self._fill(group, page, source, target, provenance)
-
-    @classmethod
-    def _trusted(cls, group, page, source, target, provenance) -> "Differential":
-        """``cls(group, page, source, target, provenance)`` with no checks, for
-        a producer whose fields are admitted by construction: a ``CyclicGroup``,
-        a plain int page of 2 up to 3,000 digits, two ``ClassMonomial``s and a
-        provenance from ``PROVENANCES``."""
-        d = object.__new__(cls)
-        d._fill(group, page, source, target, provenance)
-        return d
-
-    def _fill(self, group, page, source, target, provenance) -> None:
         _set(self, "group", group)
         _set(self, "page", page)
         _set(self, "source", source)
@@ -165,7 +156,7 @@ def _slice_differential(n: int, i: int, provenance: str) -> Differential:
     a = [power + (1 << i)] + [(1 << (m - 1)) * power for m in range(1, n + 1)]
     target = ClassMonomial._trusted(group, n + 1, 1, ((i, n + 1, 1),), tuple(a), zero)
     page = (1 << (n + 1)) * power + 1
-    return Differential._trusted(group, page, source, target, provenance)
+    return Differential(group, page, source, target, provenance)
 
 
 def transport(
@@ -179,8 +170,8 @@ def transport(
     :class:`RegionWarning` is emitted when the source sits strictly outside
     the proven isomorphism region for that grading.
     """
-    from .shearing import ShearContext, ShearError, correspond_class, region_of, shear_length
-    _admit(k, "shear step k", 0, _MAX_EXPONENT - d.group.exponent, error=ShearError)
+    from . import shearing
+    _admit(k, "shear step k", 0, _MAX_EXPONENT - d.group.exponent, error=shearing.ShearError)
     if grading is None:
         # the source degree pulled back to the target group, padded from its
         # vector; pullback_to words the refusal of a source above that group
@@ -190,10 +181,10 @@ def transport(
             VirtualRep(group, d.source._degree_vector() + (0,) * extra) if extra >= 0
             else d.source.degree().pullback_to(group)
         )
-    ctx = ShearContext.lift(d.group, k, grading)
+    ctx = shearing.ShearContext.lift(d.group, k, grading)
     if k == 0:
         return Differential(d.group, d.page, d.source, d.target, "transported")
-    if region_of(d.source, ctx) == "outside":
+    if shearing.region_of(d.source, ctx) == "outside":
         warnings.warn(
             f"transport source at (stem {d.source.stem}, filtration "
             f"{d.source.filtration}) lies outside the isomorphism region "
@@ -201,12 +192,10 @@ def transport(
             RegionWarning,
             stacklevel=2,
         )
-    page = shear_length(d.page, k)
-    source = correspond_class(d.source, ctx)
-    target = correspond_class(d.target, ctx)
-    if page >= _DIGITS_CAP:  # the one field the checking door would refuse
-        raise DifferentialError(f"differential page has more than {_MAX_DIGITS} digits")
-    return Differential._trusted(ctx.target_group, page, source, target, "transported")
+    page = ((d.page - 1) << k) + 1  # shear_length's value; the constructor bounds it as a page
+    source = shearing.correspond_class(d.source, ctx)
+    target = shearing.correspond_class(d.target, ctx)
+    return Differential(ctx.target_group, page, source, target, "transported")
 
 
 def leibniz(d: Differential, p: ClassMonomial) -> Differential:

@@ -239,6 +239,8 @@ def parse_class_expr(
     """Parse a class expression such as ``Nt[3,4]*aS^8*u2S^2``."""
     try:
         if level is not None and (type(level) is not int or not 0 <= level <= group.exponent):
+            if type(level) is int:  # bounded before the message prints it
+                _bounded(level, what="level", col=col_offset)
             raise DslSemanticError(
                 f"level {level} out of range for ambient group {group}", col=col_offset
             )

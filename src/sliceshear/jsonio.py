@@ -5,11 +5,13 @@ monomials are ``{group, level, coeff, norms, a, u}`` with ``norms`` a list of
 ``[i, j, e]`` triples and ``a``/``u`` maps keyed by basis names (``s``/``2s``
 and ``l<i>``); differentials are ``{group, page, source, target, provenance}``.
 Groups are recorded by their exponent, so ``3`` means C8.  Every integer
-field must be a plain int, the engine's one admission rule.  The reader looks
-each field up once and tests it once, builds a field's path only to word an
-error, gives every object it reads one shared ``CyclicGroup`` per exponent,
-and builds monomials and differentials through their unchecked doors.  The
-writer reads one table of fixed text per level and indent.
+field must be a plain int of at most 3,000 digits, the engine's one admission
+rule.  The reader looks each field up once and tests it once, and a failed
+test words its error from the value that lookup returned: a missing field or
+a bad value.  It builds a field's path only to word an error, gives every
+object it reads one shared ``CyclicGroup`` per exponent, and builds monomials
+through their unchecked door and differentials through their one
+constructor.  The writer reads one table of fixed text per level and indent.
 """
 
 from __future__ import annotations
@@ -55,33 +57,30 @@ def differential_to_obj(d: Differential) -> dict:
     return json.loads(_differential_text(d, ""))
 
 
-def _need(obj: dict, key: str, path: str):
-    """``obj[key]``, or the missing-field error; the reader calls it only to
-    word an error, after its one lookup found nothing there or a bad value."""
-    if key not in obj:
-        raise JsonSchemaError(f"{path}.{key}", "required field is missing")
-    return obj[key]
-
-
 _MISSING = object()  # what the reader's lookup gives for a field the object lacks
 
 
-def _getter(obj: dict):
-    """The reader's one lookup per field, ``get(key, _MISSING)``, for an object
-    of a dict subclass: ``_need``'s ``in`` then ``[]``, which it may override.
-    A plain dict's is ``dict.get``."""
-    return lambda key, default: obj[key] if key in obj else default
+def _lookup(obj, at):
+    """The reader's one lookup per field of ``obj``, ``get(key, _MISSING)``:
+    ``dict.get`` for a plain dict, and ``in`` then ``[]`` for a dict subclass,
+    which may override them (and whose ``get`` may not agree).  Anything else
+    is refused at the path ``at()``."""
+    if type(obj) is dict:
+        return obj.get
+    if isinstance(obj, dict):
+        return lambda key, default: obj[key] if key in obj else default
+    _refuse(obj, at(), f"expected an object, got {obj!r}")
 
 
-def _refuse(obj: dict, key: str, at, minimum: int | None = None, maximum: int | None = None):
-    """Raise the error of integer field ``key``, whose one test failed: read
-    again through ``_need`` and worded by ``_int`` at the path ``at()``."""
-    _int(_need(obj, key, at()), f"{at()}.{key}", minimum, maximum)
+def _refuse(value, path: str, message: str):
+    """Raise the error of a field whose one test failed, worded from the value
+    its one lookup returned: a missing field, else ``message``."""
+    raise JsonSchemaError(path, "required field is missing" if value is _MISSING else message)
 
 
 def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if type(value) is not int:  # bools, floats and int subclasses, as reps._admit
-        raise JsonSchemaError(path, f"expected an integer, got {value!r}")
+        _refuse(value, path, f"expected an integer, got {value!r}")
     if abs(value) >= _DIGITS_CAP:
         raise JsonSchemaError(path, f"has more than {_MAX_DIGITS} digits")
     if minimum is not None and value < minimum:
@@ -116,7 +115,7 @@ def _exp_vector(value, slots: dict[str, int], zero: tuple[int, ...], at, name: s
     """The vector the basis map ``value`` spells; ``at()`` and ``name`` word
     its path only for an error."""
     if not isinstance(value, dict):
-        raise JsonSchemaError(f"{at()}.{name}", f"expected an object, got {value!r}")
+        _refuse(value, f"{at()}.{name}", f"expected an object, got {value!r}")
     if not value:
         return zero
     vec = list(zero)
@@ -144,31 +143,26 @@ def obj_to_monomial(obj, path: str = "") -> ClassMonomial:
 def _monomial(obj, at) -> ClassMonomial:
     """``obj_to_monomial`` at the path ``at()``, which is built only to word an
     error.  Each field is looked up once and tested once, inline; a failed
-    test reads it again, through ``_need``, to word the error."""
-    if type(obj) is dict:
-        get = obj.get
-    elif isinstance(obj, dict):
-        get = _getter(obj)
-    else:
-        raise JsonSchemaError(at(), f"expected an object, got {obj!r}")
+    test words its error from the value that lookup returned."""
+    get = _lookup(obj, at)
     group = get("group", _MISSING)
     if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
-        _refuse(obj, "group", at, 0, _MAX_EXPONENT)
+        _int(group, f"{at()}.group", 0, _MAX_EXPONENT)
     level = get("level", _MISSING)
-    if type(level) is not int or level < 0:
-        _refuse(obj, "level", at, 0)
+    if type(level) is not int or not 0 <= level < _DIGITS_CAP:
+        _int(level, f"{at()}.level", 0)
     coeff = get("coeff", _MISSING)
     if type(coeff) is not int or abs(coeff) >= _DIGITS_CAP:
-        _refuse(obj, "coeff", at)
+        _int(coeff, f"{at()}.coeff")
     raw_norms = get("norms", _MISSING)
     if not isinstance(raw_norms, list):
-        _need(obj, "norms", at())
-        raise JsonSchemaError(f"{at()}.norms", "expected a list of [i, j, e] triples")
+        _refuse(raw_norms, f"{at()}.norms", "expected a list of [i, j, e] triples")
     norms = []
     for idx, t in enumerate(raw_norms):
         if type(t) is list and len(t) == 3:
             i, j, e = t
-            if type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX and j >= 1 and e >= 0:
+            if (type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX
+                    and 1 <= j < _DIGITS_CAP and e >= 0):
                 norms.append((i, j, e))
                 continue
         tpath = f"{at()}.norms[{idx}]"  # a bad triple, or a good one in a list subclass
@@ -182,16 +176,10 @@ def _monomial(obj, at) -> ClassMonomial:
         raise JsonSchemaError(
             at(), f"level {level} out of range for ambient group {CyclicGroup(group)}"
         )
-    a = get("a", _MISSING)
-    if a is _MISSING:
-        _need(obj, "a", at())
     # a level past any chart's gets a fresh table, so the memo holds only small ones
     a_slots, u_slots, zero = (_basis if level <= 64 else _basis.__wrapped__)(level)
-    a = _exp_vector(a, a_slots, zero, at, "a", level)
-    u = get("u", _MISSING)
-    if u is _MISSING:
-        _need(obj, "u", at())
-    u = _exp_vector(u, u_slots, zero, at, "u", level)
+    a = _exp_vector(get("a", _MISSING), a_slots, zero, at, "a", level)
+    u = _exp_vector(get("u", _MISSING), u_slots, zero, at, "u", level)
     for i, j, e in norms:
         if j > level:
             raise JsonSchemaError(at(), f"norm factor ({i}, {j}) out of range at level {level}")
@@ -209,33 +197,21 @@ def obj_to_differential(obj, path: str = "") -> Differential:
 
 def _differential(obj, at) -> Differential:
     """``obj_to_differential`` at the path ``at()``, built only to word an error."""
-    if type(obj) is dict:
-        get = obj.get
-    elif isinstance(obj, dict):
-        get = _getter(obj)
-    else:
-        raise JsonSchemaError(at(), f"expected an object, got {obj!r}")
+    get = _lookup(obj, at)
     # page is the discriminator, so it is checked first
     page = get("page", _MISSING)
     if type(page) is not int or not 2 <= page < _DIGITS_CAP:
-        _refuse(obj, "page", at, 2)
+        _int(page, f"{at()}.page", 2)
     group = get("group", _MISSING)
     if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
-        _refuse(obj, "group", at, 0, _MAX_EXPONENT)
-    source = get("source", _MISSING)
-    if source is _MISSING:
-        _need(obj, "source", at())
-    source = _monomial(source, lambda: f"{at()}.source")
-    target = get("target", _MISSING)
-    if target is _MISSING:
-        _need(obj, "target", at())
-    target = _monomial(target, lambda: f"{at()}.target")
+        _int(group, f"{at()}.group", 0, _MAX_EXPONENT)
+    source = _monomial(get("source", _MISSING), lambda: f"{at()}.source")
+    target = _monomial(get("target", _MISSING), lambda: f"{at()}.target")
     provenance = get("provenance", _MISSING)
     if provenance not in PROVENANCES:
-        _need(obj, "provenance", at())
-        raise JsonSchemaError(f"{at()}.provenance", f"must be one of {PROVENANCES}")
+        _refuse(provenance, f"{at()}.provenance", f"must be one of {PROVENANCES}")
     g = _GROUPS.get(group) or _GROUPS.setdefault(group, CyclicGroup(group))
-    d = Differential._trusted(g, page, source, target, provenance)
+    d = Differential(g, page, source, target, provenance)
     problems = validate(d)
     if problems:
         raise JsonSchemaError(at(), problems[0])

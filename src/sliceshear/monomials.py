@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .reps import _DIGITS_CAP, _MAX_INDEX, CyclicGroup, RepError, VirtualRep, _admit, _bounded
+from .reps import _MAX_INDEX, CyclicGroup, RepError, VirtualRep, _admit, _bounded
 from .reps import _EngineError, _Record
 
 __all__ = [
@@ -72,8 +72,10 @@ class ClassMonomial(_Record):
         # admits every field, then canonicalizes; exported fields admit plain
         # ints only, so bools and floats are refused
         if type(level) is not int or not 0 <= level <= group.exponent:
+            if type(level) is int:  # bounded before the message prints it
+                _bounded(level, error=MonomialError, what="level")
             raise MonomialError(f"level {level} out of range for ambient group {group}")
-        _admit(coeff, "coefficient", 1 - _DIGITS_CAP, _DIGITS_CAP - 1, error=MonomialError)
+        _admit(coeff, "coefficient", error=MonomialError)
         a = _sized("a_exp", tuple(a_exp), level)  # any iterable, as for norms
         u = _sized("u_exp", tuple(u_exp), level)
         norms = tuple(norms)  # any iterable, read here and again to merge

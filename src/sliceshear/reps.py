@@ -86,12 +86,14 @@ class DslSemanticError(DslError):
 
 def _admit(value, name: str, least=None, most=None, where=None, error=RepError) -> int:
     """``value`` if it is a plain int in [least, most] (None: unbounded), else
-    ``error``.  Bools, floats and int subclasses are refused.  Out of range, it
-    is "{name} has more than 3000 digits" if it has, else "{name}={value} out
-    of range for {where}", else "{name} must be >= {least}" (or "<= {most}")."""
+    ``error``.  Bools, floats and int subclasses are refused, and so is an int
+    of more than 3,000 digits, on either side.  Out of range, it is "{name} has
+    more than 3000 digits" if it has, else "{name}={value} out of range for
+    {where}", else "{name} must be >= {least}" (or "<= {most}")."""
     if type(value) is not int:
         raise error(f"{name} must be an integer, got {value!r}")
-    if not ((least is None or least <= value) and (most is None or value <= most)):
+    if not ((least is None or least <= value) and (most is None or value <= most)
+            and abs(value) < _DIGITS_CAP):
         _bounded(value, error=error, what=name)  # worded without a value too long to print
         if where is None:
             bound = f">= {least}" if least is not None and value < least else f"<= {most}"

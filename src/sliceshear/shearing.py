@@ -89,10 +89,11 @@ class ShearContext(_Record):
 
 
 def shear_length(r: int, k: int) -> int:
-    """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k."""
+    """Length transform r -> 2^k * r - (2^k - 1); the result is 1 mod 2^k.
+    Like r, it has at most 3,000 digits, so :func:`unshear_length` inverts it."""
     _admit(k, "shear step k", 0, _MAX_EXPONENT, error=ShearError)
     _admit(r, "differential length", 2, error=ShearError)
-    return (1 << k) * r - ((1 << k) - 1)
+    return _admit(((r - 1) << k) + 1, "sheared length", error=ShearError)
 
 
 def unshear_length(r_prime: int, k: int) -> int:
@@ -123,8 +124,8 @@ def shear_degree(ctx: ShearContext, t: int, s: int) -> tuple[int, int]:
     t' = (|V^{C_{2^k}}| * 2^k - |V|) + 2^k t, and s' shifts so that the stem
     coordinate t - s is preserved.  t and s have at most 3,000 digits.
     """
-    for name, value in (("t", t), ("s", s)):
-        _admit(value, name, 1 - _DIGITS_CAP, _DIGITS_CAP - 1, error=ShearError)
+    _admit(t, "t", error=ShearError)
+    _admit(s, "s", error=ShearError)
     offset = _shift(ctx.grading, ctx.k)
     t_prime = offset + (1 << ctx.k) * t
     s_prime = offset + ((1 << ctx.k) - 1) * (t - s) + (1 << ctx.k) * s

@@ -15,7 +15,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .reps import _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line, RepError, VirtualRep, _admit
-from .reps import _Record, _set, line_L
+from .reps import _bounded, _Record, _set, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -75,6 +75,7 @@ def _check_vanishing_index(h: int, n: int, k: int) -> None:
         _admit(n, "group index n", most=_MAX_EXPONENT - 1)
         _admit(k, "vanishing index k", 0, n, f"n={n}")
     if h < 1 or h % (1 << k):
+        _bounded(h, error=RepError, what="height")  # h < 1 has no bound below yet
         raise RepError(f"height {h} is not divisible by 2^{k}")
 
 

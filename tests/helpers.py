@@ -642,7 +642,9 @@ def reference_obj_to_monomial(obj, path: str = "") -> ClassMonomial:
 
 # The JSON reader before it looked each field up once and built paths only
 # for an error, kept verbatim as the oracle of import's values, paths and
-# messages (its names prefixed "eager", as it built every path eagerly).
+# messages (its names prefixed "eager", as it built every path eagerly).  It
+# has since gained one fix the reader made: a level and a norm triple's j of
+# more than 3,000 digits are refused as such, before a message prints them.
 def _eager_need(obj: dict, key: str, path: str):
     if key not in obj:
         raise JsonSchemaError(f"{path}.{key}", "required field is missing")
@@ -704,7 +706,7 @@ def eager_obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     if type(group) is not int or not 0 <= group <= _MAX_EXPONENT:
         _eager_int(group, f"{path}.group", 0, _MAX_EXPONENT)
     level = _eager_need(obj, "level", path)
-    if type(level) is not int or level < 0:
+    if type(level) is not int or not 0 <= level < _DIGITS_CAP:
         _eager_int(level, f"{path}.level", minimum=0)
     coeff = _eager_need(obj, "coeff", path)
     if type(coeff) is not int or abs(coeff) >= _DIGITS_CAP:
@@ -716,7 +718,8 @@ def eager_obj_to_monomial(obj, path: str = "") -> ClassMonomial:
     for idx, t in enumerate(raw_norms):
         if type(t) is list and len(t) == 3:
             i, j, e = t
-            if type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX and j >= 1 and e >= 0:
+            if (type(i) is type(j) is type(e) is int and 1 <= i <= _MAX_INDEX
+                    and 1 <= j < _DIGITS_CAP and e >= 0):
                 norms.append((i, j, e))
                 continue
         tpath = f"{path}.norms[{idx}]"  # a bad triple, or a good one in a list subclass

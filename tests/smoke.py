@@ -11,8 +11,9 @@ README's four documented error examples, checking
 each exit code and the ``kind``, ``line`` and ``col`` of the JSON error object
 on stderr.  Each input in ``LIMITS``, past one of the engine's bounds, must
 exit 2 or 3 with one JSON error line within 5 s, and each library call in
-``SWEEP`` must raise an engine error with 10**10 and with 10**30 as its size
-argument; every such child runs with its address space capped at 1 GiB.
+``SWEEP`` must raise an engine error with 10**10, 10**30, 10**5000 and
+-10**5000 as its size argument; every such child runs with its address space
+capped at 1 GiB.
 The coefficient powers of ``POWERS`` must exit the same way again with the
 interpreter's int/str digit limit off.
 In process, it round-trips the HHR families through JSON, which
@@ -106,13 +107,16 @@ LIMITS = [
     ("group C2\nwindow 0 4 4\nclass x = aS^1" + "0" * 3000 + "\n", ["chart", "big.dsl", "-o", "big.svg"]),
     ("group C2\nwindow 0 4 4\ndiff 1" + "0" * 3000 + ": u2S -> aS\n", ["chart", "big.dsl", "-o", "big.svg"]),
 ]
-# Library calls, each with 10**10 and then 10**30 as v, that must raise an
-# engine error: one per size argument of 16 public functions.  Most once raised
-# MemoryError or OverflowError there or never returned; build_D(1, v),
-# tower_report(1, v) and VanishingProfile(0, v, ...) returned, and are refused
-# now that i, m and h have bounds.  The next to last reads a JSON differential
-# with norm index 10**8 in both endpoints, and the last raises a coefficient to
-# the power v, which once never returned.
+# Library calls, each with 10**10, 10**30, 10**5000 and -10**5000 as v, that
+# must raise an engine error.  The first 23 take one size argument each of 16
+# public functions.  Most once raised MemoryError or OverflowError there or
+# never returned; build_D(1, v), tower_report(1, v) and VanishingProfile(0, v,
+# ...) returned, and are refused now that i, m and h have bounds.  The next
+# reads a JSON differential with norm index 10**8 in both endpoints, and the
+# next raises a coefficient to the power v, which once never returned.  The
+# last four print a monomial's level or a norm's j in their refusal.  At
+# +-10**5000, 13 of the first 23 and the last four once let the bare
+# ValueError of the int/str digit limit escape.
 SWEEP = [
     "s.rho_bar(v)", "s.basis_names(v)", "s.build_D(v, 1)", "s.build_D(1, v)",
     "s.shear_length(3, v)", "s.unshear_length(3, v)", "s.euler_ratio(v, 1, 1)",
@@ -124,6 +128,9 @@ SWEEP = [
     "s.VanishingProfile(0, v, s.VirtualRep.zero(s.CyclicGroup(1)))",
     "s.VanishingProfile(v, 4, s.VirtualRep.zero(s.CyclicGroup(1)))",
     "s.import_json(json.dumps([d]))", "s.ClassMonomial(s.CyclicGroup(1), 1, 3) ** v",
+    "s.ClassMonomial(s.CyclicGroup(1), v)", "s.parse_class_expr('aS', s.CyclicGroup(1), v)",
+    "s.obj_to_monomial(dict(d['source'], norms=[], level=v))",
+    "s.obj_to_monomial(dict(d['target'], norms=[[1, v, 1]]))",
 ]
 # A child's address space is capped, so an input that builds a huge integer
 # fails at once with MemoryError instead of taking the machine's memory
@@ -242,12 +249,13 @@ NO_DIGIT_LIMIT = ("-X", "int_max_str_digits=0")
 
 
 def sweep_failure(call: str) -> str | None:
-    """What is wrong with a SWEEP call, or None: with v = 10**10 and 10**30 it
-    must raise an engine error each time, in a capped child within 5 s."""
+    """What is wrong with a SWEEP call, or None: with v = 10**10, 10**30,
+    10**5000 and -10**5000 it must raise an engine error each time, in a
+    capped child within 5 s."""
     program = (
         f"{_CAP}import json, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "import sliceshear as s\nfrom sliceshear.reps import _EngineError\n"
-        "for v in (10**10, 10**30):\n"
+        "for v in (10**10, 10**30, 10**5000, -10**5000):\n"
         "    d = s.differential_to_obj(s.hhr_family(0, 1))\n"
         "    d['source']['norms'] = d['target']['norms'] = [[10**8, 1, 1]]\n"
         "    try:\n"
@@ -261,7 +269,7 @@ def sweep_failure(call: str) -> str | None:
     except subprocess.TimeoutExpired:
         return f"{call}: no exit within 5 s"
     got = proc.stdout.split()
-    if proc.returncode or len(got) != 2 or "returned" in got:
+    if proc.returncode or len(got) != 4 or "returned" in got:
         return f"{call}: exit {proc.returncode}, printed {got}, stderr {proc.stderr[-300:]!r}"
     return None
 
@@ -513,7 +521,7 @@ def main() -> int:
           f"{len(list(GOLDENS.glob('*.dsl')))} goldens (CLI, and in process cold and warm), "
           f"{len(ERRORS)} error examples, {len(LIMITS)} inputs past a bound "
           f"({len(POWERS)} also with no int/str digit limit), "
-          f"{len(SWEEP)} library calls at 10**10 and 10**30, "
+          f"{len(SWEEP)} library calls at 10**10, 10**30 and +-10**5000, "
           f"{len(BAD_JSON)} malformed JSON objects, {len(checks)} admission checks, "
           f"{len(READER)} more argv forms for the reader, "
           f"{len(MODULES)} module sets, {len(failures)} failures")

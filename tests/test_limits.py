@@ -3,11 +3,11 @@
 Every input past a bound is refused where its integer enters, with an engine
 error, before anything is built from it: each input of ``smoke.LIMITS`` exits
 2 or 3 at once, and each call of ``smoke.SWEEP`` raises an engine error with
-10**10 and 10**30, each in a child with a capped address space.  Inside the
-bounds, every printed and rendered value stays printable: the property tests
-below draw each bounded field at its bound, and exponents, coefficients and
-pages at and past the digit bound through every door.  No verdict depends on
-the interpreter's int/str digit limit.
+10**10, 10**30 and +-10**5000, each in a child with a capped address space.
+Inside the bounds, every printed and rendered value stays printable: the
+property tests below draw each bounded field at its bound, and exponents,
+coefficients and pages at and past the digit bound through every door.  No
+verdict depends on the interpreter's int/str digit limit.
 """
 
 import json
@@ -30,6 +30,8 @@ from sliceshear import (
     GuideSpec,
     JsonSchemaError,
     MonomialError,
+    N_constant,
+    PermanentCycleFact,
     RepError,
     ShearContext,
     ShearError,
@@ -207,6 +209,9 @@ _PATHS = {
                  "items[0].target.norms: exponent has more than 3000 digits"),
     "duplicates": (("target", "norms"), [[1, 1, M], [1, 1, 1]],
                    "items[0].target.norms: exponent has more than 3000 digits"),
+    "level": (("source", "level"), 10**3000, "items[0].source.level: has more than 3000 digits"),
+    "norm-j": (("target", "norms"), [[1, 10**3000, 1]],
+               "items[0].target.norms[0][1]: has more than 3000 digits"),
 }
 
 
@@ -252,9 +257,22 @@ def _at_bound():
                                         ClassMonomial(CyclicGroup(1), 1)), 1),
          DifferentialError, "differential page has more than 3000 digits"),
         (lambda: shear_length(3, 10**5000), ShearError, "shear step k has more than 3000 digits"),
+        (lambda: shear_length(10**3000, 1), ShearError,
+         "differential length has more than 3000 digits"),
+        (lambda: shear_length(10**3000 - 1, 1), ShearError,
+         "sheared length has more than 3000 digits"),
+        (lambda: PermanentCycleFact(10**3000, VirtualRep.of(CyclicGroup(1), sigma=2), "x"),
+         DifferentialError, "theory truncation index has more than 3000 digits"),
+        (lambda: ClassMonomial(CyclicGroup(1), 10**5000), MonomialError,
+         "level has more than 3000 digits"),
+        (lambda: parse_class_expr("aS", CyclicGroup(1), -(10**5000)), DslSemanticError,
+         "level has more than 3000 digits"),
+        (lambda: N_constant(-(10**5000), 0, 0), RepError, "height has more than 3000 digits"),
     ],
     ids=["power", "coefficient", "a-entry", "u-power", "product", "norm-index", "page",
-         "correspond", "transport-k-0", "transport-page", "admit"],
+         "correspond", "transport-k-0", "transport-page", "admit", "admit-open-above",
+         "sheared-length", "admit-open-above-truncation", "monomial-level", "class-expr-level",
+         "height"],
 )
 def test_library_value_past_the_digit_bound_raises_an_engine_error(
     call, error, message, default_digit_limit

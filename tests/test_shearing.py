@@ -63,6 +63,15 @@ class TestLengthMaps:
                     with pytest.raises(ShearError):
                         unshear_length(rp, k)
 
+    @pytest.mark.parametrize("k", [1, 4, 2048])
+    def test_round_trip_at_the_digit_bound(self, k):
+        # the longest r whose sheared length has at most 3,000 digits; the next
+        # r is refused, so every length returned is one unshear_length takes back
+        r = ((10**3000 - 2) >> k) + 1
+        assert unshear_length(shear_length(r, k), k) == r
+        with pytest.raises(ShearError, match="^sheared length has more than 3000 digits$"):
+            shear_length(r + 1, k)
+
     def test_strictly_increasing(self):
         for k in range(0, 6):
             values = [shear_length(r, k) for r in range(2, 50)]
