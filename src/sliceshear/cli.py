@@ -179,12 +179,15 @@ def _handle_transport(args) -> tuple[str, dict]:
     return print_canonical(out), {"differential": out, "warnings": notes}
 
 
-def _handle_vanishing(args) -> tuple[str, dict]:
-    from .vanishing import N_constant, VanishingProfile, max_length
+def _profile(args):
+    from .vanishing import VanishingProfile
     _admit(args.n, "profile index n", 0, _MAX_EXPONENT - 1)
-    group = CyclicGroup(args.n + 1)
-    V = parse_rep(args.V, group)
-    VanishingProfile(args.n, args.h, V)  # validates h against n
+    return VanishingProfile(args.n, args.h, parse_rep(args.V, CyclicGroup(args.n + 1)))
+
+
+def _handle_vanishing(args) -> tuple[str, dict]:
+    from .vanishing import N_constant, max_length
+    V = _profile(args).grading  # validates h against n
     rows = []
     for k in range(args.n + 1):
         line, N = line_L(V, k), N_constant(args.h, args.n, k)
@@ -196,12 +199,9 @@ def _handle_vanishing(args) -> tuple[str, dict]:
 
 def _handle_check(args) -> tuple[str, dict]:
     from .dsl import parse_diff_spec
-    from .vanishing import VanishingProfile, admissible
-    _admit(args.n, "profile index n", 0, _MAX_EXPONENT - 1)
-    group = CyclicGroup(args.n + 1)
-    V = parse_rep(args.V, group)
-    profile = VanishingProfile(args.n, args.h, V)
-    d = parse_diff_spec(args.diff, group)
+    from .vanishing import admissible
+    profile = _profile(args)
+    d = parse_diff_spec(args.diff, profile.group)
     violations = admissible(d, profile)
     if not violations:
         return _color("ok", "32"), {"admissible": True, "violations": []}

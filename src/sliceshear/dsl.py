@@ -17,7 +17,7 @@ import functools
 import re
 
 from .differentials import Differential, DifferentialError, validate
-from .monomials import ClassMonomial, _d_norms
+from .monomials import ClassMonomial, _d_norms, _level
 from .reps import (
     _DIGITS_CAP, _MAX_INDEX, _MAX_WINDOW, CyclicGroup, DslError, DslSemanticError, DslSyntaxError,
     RepError, VirtualRep, _bounded, _int, _Record, _set, basis_names, parse_group_name, parse_rep,
@@ -34,12 +34,18 @@ __all__ = [
 ]
 
 
+# each guide kind and the statement that declares it
+_GUIDES = {"L": "guide L{k}", "vanish": "guide vanish h={h} k={k}", "boundary": "guide boundary"}
+
+
 class GuideSpec(_Record):
     """A requested guide line: kind "L", "vanish" or "boundary"."""
 
     __match_args__ = ("kind", "k", "h")
 
     def __init__(self, kind: str, k: int | None = None, h: int | None = None) -> None:
+        if type(kind) is not str or kind not in _GUIDES:
+            raise DslSemanticError(f"guide kind must be one of {', '.join(_GUIDES)}")
         _set(self, "kind", kind)
         _set(self, "k", k)
         _set(self, "h", h)
@@ -238,12 +244,8 @@ def parse_class_expr(
 ) -> ClassMonomial:
     """Parse a class expression such as ``Nt[3,4]*aS^8*u2S^2``."""
     try:
-        if level is not None and (type(level) is not int or not 0 <= level <= group.exponent):
-            if type(level) is int:  # bounded before the message prints it
-                _bounded(level, what="level", col=col_offset)
-            raise DslSemanticError(
-                f"level {level} out of range for ambient group {group}", col=col_offset
-            )
+        if level is not None:
+            _level(level, group, DslSemanticError, col=col_offset)
         return _class_expr(text, group, level, col_offset, {})
     except DslError as e:
         e.line = line
@@ -342,14 +344,7 @@ def parse(text: str) -> ChartDocument:
                 m = _WINDOW_RE.fullmatch(rest.strip())
                 if not m:
                     raise DslSyntaxError("window takes three integers: x_min x_max s_max", col=col)
-                x_min, x_max, s_max = (_int(m.group(i), col + m.start(i)) for i in (1, 2, 3))
-                if x_min > x_max or s_max < 0:
-                    raise DslSemanticError(
-                        f"degenerate window ({x_min}, {x_max}, {s_max})", col=col
-                    )
-                if max(-x_min, x_max, s_max) > _MAX_WINDOW:
-                    raise DslSemanticError(f"window outside -{_MAX_WINDOW}..{_MAX_WINDOW}", col=col)
-                doc.window = (x_min, x_max, s_max)
+                doc.window = _window(tuple(_int(m[i], col + m.start(i)) for i in (1, 2, 3)), col)
             elif keyword == "class":  # one that _CLASS_RE does not match
                 raise DslSyntaxError("expected 'class <name> = <expr> [@C<order>]'", col=col)
             elif keyword == "diff":
@@ -364,6 +359,22 @@ def parse(text: str) -> ChartDocument:
     if doc is None:
         raise DslSyntaxError("empty document: a group statement is required")
     return doc
+
+
+def _window(window, col: int | None = None) -> tuple[int, int, int]:
+    """The window (x_min, x_max, s_max) as a tuple if it is three plain ints, not
+    degenerate and within the bound, else a DslSemanticError at col: the one
+    window rule of parse and emit_svg."""
+    if type(window) not in (tuple, list) or [*map(type, window)] != [int, int, int]:
+        raise DslSemanticError("window must be three integers: x_min x_max s_max", col=col)
+    x_min, x_max, s_max = window
+    if x_min > x_max or s_max < 0:
+        for v in window:  # bounded before the message prints it
+            _bounded(v, what="window bound", col=col)
+        raise DslSemanticError(f"degenerate window ({x_min}, {x_max}, {s_max})", col=col)
+    if max(-x_min, x_max, s_max) > _MAX_WINDOW:
+        raise DslSemanticError(f"window outside -{_MAX_WINDOW}..{_MAX_WINDOW}", col=col)
+    return x_min, x_max, s_max
 
 
 def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
@@ -440,12 +451,7 @@ def _print_document(doc: ChartDocument) -> str:
     for d in doc.diffs:
         lines.append(_print_differential(d))
     for g in doc.guides:
-        if g.kind == "L":
-            lines.append(f"guide L{g.k}")
-        elif g.kind == "vanish":
-            lines.append(f"guide vanish h={g.h} k={g.k}")
-        else:
-            lines.append("guide boundary")
+        lines.append(_GUIDES[g.kind].format(k=g.k, h=g.h))
     return "\n".join(lines) + "\n"
 
 

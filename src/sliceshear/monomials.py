@@ -38,6 +38,13 @@ class MonomialError(_EngineError):
     """Raised for ill-formed monomials or mismatched products."""
 
 
+def _level(level, group: CyclicGroup, error=MonomialError, **at) -> None:
+    if type(level) is not int or not 0 <= level <= group.exponent:
+        if type(level) is int:  # bounded before the message prints it
+            _bounded(level, error=error, what="level", **at)
+        raise error(f"level {level} out of range for ambient group {group}", **at)
+
+
 # a_exp / u_exp basis layout: the slots of reps.basis_names(level), i.e.
 # index 0 is sigma (2*sigma for u's) and index i is lambda_i for
 # 1 <= i <= level-1.  Level 0 carries no factors.
@@ -71,10 +78,7 @@ class ClassMonomial(_Record):
     ) -> None:
         # admits every field, then canonicalizes; exported fields admit plain
         # ints only, so bools and floats are refused
-        if type(level) is not int or not 0 <= level <= group.exponent:
-            if type(level) is int:  # bounded before the message prints it
-                _bounded(level, error=MonomialError, what="level")
-            raise MonomialError(f"level {level} out of range for ambient group {group}")
+        _level(level, group)
         _admit(coeff, "coefficient", error=MonomialError)
         a = _sized("a_exp", tuple(a_exp), level)  # any iterable, as for norms
         u = _sized("u_exp", tuple(u_exp), level)

@@ -114,9 +114,11 @@ LIMITS = [
 # ...) returned, and are refused now that i, m and h have bounds.  The next
 # reads a JSON differential with norm index 10**8 in both endpoints, and the
 # next raises a coefficient to the power v, which once never returned.  The
-# last four print a monomial's level or a norm's j in their refusal.  At
-# +-10**5000, 13 of the first 23 and the last four once let the bare
-# ValueError of the int/str digit limit escape.
+# next four print a monomial's level or a norm's j in their refusal.  At
+# +-10**5000, 13 of the first 23 and those four once let the bare
+# ValueError of the int/str digit limit escape.  The last three render a
+# hand-built chart whose window holds v, which once sized a grid line for each
+# column and row, so MemoryError; a degenerate one must not print a 5,001-digit v.
 SWEEP = [
     "s.rho_bar(v)", "s.basis_names(v)", "s.build_D(v, 1)", "s.build_D(1, v)",
     "s.shear_length(3, v)", "s.unshear_length(3, v)", "s.euler_ratio(v, 1, 1)",
@@ -131,6 +133,8 @@ SWEEP = [
     "s.ClassMonomial(s.CyclicGroup(1), v)", "s.parse_class_expr('aS', s.CyclicGroup(1), v)",
     "s.obj_to_monomial(dict(d['source'], norms=[], level=v))",
     "s.obj_to_monomial(dict(d['target'], norms=[[1, v, 1]]))",
+    *(f"s.emit_svg(s.ChartDocument(s.CyclicGroup(1), s.VirtualRep.zero(s.CyclicGroup(1)), {w}))"
+      for w in ("(0, v, v)", "(-v, 0, 0)", "(v, 0, 0)")),
 ]
 # A child's address space is capped, so an input that builds a huge integer
 # fails at once with MemoryError instead of taking the machine's memory

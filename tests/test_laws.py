@@ -10,8 +10,10 @@ and inverting the same way.  Then: the three closed forms kept inline for speed
 (``ClassMonomial.degree``, ``correspond_class`` and ``hhr_family``'s target)
 equal what their homes, ``rho_bar``, ``expand_euler``, ``expand_orientation``
 and ``euler_ratio``, build; the HHR families violate only the length clauses
-the closed form predicts; and the constructor, JSON and the DSL accept or
-reject the same raw classes and differentials.
+the closed form predicts; the length bounds, vanishing lines and length and
+congruence clauses at height h over C_{2^(n+1)} are those at height h/2^k
+over C_{2^(n-k+1)}, sheared by k; and the constructor, JSON and the DSL
+accept or reject the same raw classes and differentials.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sliceshear import (
     ClassMonomial,
@@ -46,6 +48,7 @@ from sliceshear import (
     hhr_family,
     hu_kriz_seed,
     line_L,
+    max_length,
     norm_class,
     obj_to_differential,
     obj_to_monomial,
@@ -60,8 +63,10 @@ from sliceshear import (
     tower_report,
     transport,
     validate,
+    vanishing_line,
 )
 from sliceshear.differentials import RegionWarning
+from sliceshear.reps import _MAX_HEIGHT as H, _threshold
 from helpers import (
     random_monomial,
     random_rep,
@@ -408,6 +413,68 @@ def test_hhr_families_violate_only_the_predicted_length_clauses():
         got = admissible(hhr_family(n, i), VanishingProfile(n, (1 << n) * m, grading))
         want = [(k, "length") for k in range(n + 1) if i > m << (n - k)]
         assert [(v.k, v.clause) for v in got] == want
+
+
+# -- the tower's applications ----------------------------------------------------
+#
+# The vanishing-line results follow from the tower of shearing isomorphisms:
+# the chart of the height-h theory over C_(2^(n+1)) on or above the
+# slope-(2^k - 1) line is the chart of the height-h/2^k theory over
+# C_(2^(n-k+1)).  vanishing and shearing compute the two sides separately;
+# these laws tie them together, each up to the height bound.
+
+
+@laws
+@given(st.integers(0, H.bit_length() - 1), st.data())
+def test_max_length_is_the_sheared_bound_of_the_quotient_chart(n, data):
+    """(a) Lengths: the bound at k is the quotient chart's bound at 0, sheared by k."""
+    h = data.draw(st.integers(1, H >> n), label="m") << n
+    k = data.draw(st.integers(0, n), label="k")
+    assert max_length(h, n, k) == shear_length(max_length(h >> k, n - k, 0), k)
+
+
+@laws
+@given(gradings(min_exponent=1), st.data())
+def test_vanishing_line_shears_onto_the_one_k_steps_up(V, data):
+    """(b) Lines: a point of the quotient chart's vanishing line N_0, sheared by
+    k, keeps its stem and lands on N_k shifted down by 2^k C, exactly on it
+    when C = 0."""
+    n = V.group.exponent - 1
+    k = data.draw(st.integers(0, n), label="k")
+    h = data.draw(st.integers(1, H >> n), label="m") << n
+    x = data.draw(st.integers(-60, 60), label="x")
+    W = V.fixed_points(k)
+    s = vanishing_line(W, h >> k, 0).at(x)
+    t_prime, s_prime = shear_degree(ShearContext(W.group, k, V), x + s, s)
+    assert t_prime - s_prime == x
+    assert s_prime == vanishing_line(V, h, k).at(x) - _threshold(V, k)
+
+
+def _sheared_clauses(d: Differential, profile: VanishingProfile, k: int) -> set:
+    """The length and congruence clauses d violates at each j + k >= k, as (j, clause)."""
+    kinds = ("length", "congruence")
+    return {(v.k - k, v.clause) for v in admissible(d, profile) if v.clause in kinds and v.k >= k}
+
+
+@laws
+@given(st.randoms(use_true_random=False))
+def test_length_and_congruence_clauses_shear_with_the_arrow(rng):
+    """(c) Clauses: at the zero grading, an arrow in the region of a shear by k
+    violates clause (j, c) at height h/2^k exactly when its transport violates
+    (j + k, c) at height h, for c in {length, congruence}.  Pages sit near a
+    length bound.  At a nonzero grading the law fails: over C4 with grading
+    -2s-3l1, hhr_family(0, 4) violates (0, length) at height 2 and its
+    transport violates no length clause at height 4, as transport leaves an
+    endpoint's filtration where correspond_class puts it, while shear_degree
+    moves the point up by the grading's shift."""
+    n = rng.randint(0, 6)
+    k, h = rng.randint(0, n), rng.choice([1, 2, 3, 4, 8]) << n
+    source, V = CyclicGroup(n - k + 1), VirtualRep.zero(CyclicGroup(n + 1))
+    page = max(2, max_length(h >> k, n - k, rng.randint(0, n - k)) + rng.randint(-2, 2))
+    d = Differential(source, page, random_monomial(rng, source), random_monomial(rng, source))
+    assume(region_of(d.source, ShearContext(source, k, V)) != "outside")
+    below = _sheared_clauses(d, VanishingProfile(n - k, h >> k, V.fixed_points(k)), 0)
+    assert below == _sheared_clauses(transport(d, k, V), VanishingProfile(n, h, V), k)
 
 
 # -- agreement between the front ends -------------------------------------------

@@ -1,10 +1,11 @@
 import html
 import pathlib
 import random
+import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from sliceshear import (
     ChartDocument,
@@ -15,6 +16,7 @@ from sliceshear import (
     VirtualRep,
     emit_svg,
     parse,
+    print_canonical,
     vanishing_line,
 )
 from sliceshear.svg import _clip, _escape, _guide_line
@@ -222,3 +224,82 @@ def test_a_vanishing_guide_is_skipped_only_where_clip_drops_its_line():
         drawn += shown
         skipped += not shown
     assert skipped > 100 and drawn > 100
+
+
+# -- the render door admits what parse admits -----------------------------------
+
+C2 = CyclicGroup(1)
+ZERO = VirtualRep.zero(C2)
+# windows a hand-built document once rendered, although parse refuses them, or
+# that leaked a bare TypeError or ValueError, or took seconds and hundreds of
+# megabytes ((0, 10**6, 10**6)) or ran out of memory ((0, 10**7, 10**7))
+REFUSED_WINDOWS = [
+    ((3, 0, 2), "degenerate window (3, 0, 2)"),
+    ((0, 3, -1), "degenerate window (0, 3, -1)"),
+    ((True, 3, 2), "window must be three integers: x_min x_max s_max"),
+    ((0.5, 3, 2), "window must be three integers: x_min x_max s_max"),
+    ((0, 3), "window must be three integers: x_min x_max s_max"),
+    ((0, 10**6, 10**6), "window outside -4096..4096"),
+    ((0, 10**7, 10**7), "window outside -4096..4096"),
+    ((10**5000, 0, 0), "window bound has more than 3000 digits"),
+]
+
+
+@pytest.mark.parametrize(
+    "window, message", REFUSED_WINDOWS,
+    ids=["x-reversed", "s-negative", "bool", "float", "two-ints", "1e6", "1e7", "5001-digits"],
+)
+def test_emit_svg_refuses_a_window_at_once(window, message):
+    start = time.perf_counter()
+    with pytest.raises(DslSemanticError) as e:
+        emit_svg(ChartDocument(C2, ZERO, window))
+    assert time.perf_counter() - start < 0.1
+    assert str(e.value) == message
+
+
+def test_emit_svg_refuses_a_grading_over_another_group():
+    """A grading over C8 on a C4 chart once drew the L3 guide, a level C4 lacks."""
+    doc = ChartDocument(CyclicGroup(2), VirtualRep.zero(CyclicGroup(3)), (0, 4, 4))
+    doc.guides = [GuideSpec("L", k=3)]
+    with pytest.raises(DslSemanticError, match="grading must be a VirtualRep over its group"):
+        emit_svg(doc)
+    doc.grading = "0"
+    with pytest.raises(DslSemanticError, match="grading must be a VirtualRep over its group"):
+        emit_svg(doc)
+
+
+def test_emit_svg_refuses_what_is_not_a_chart_document():
+    with pytest.raises(DslSemanticError, match="renders a ChartDocument, got NoneType"):
+        emit_svg(None)
+
+
+@pytest.mark.parametrize("kind", ["nonsense", "", "l", ["L"], None])
+def test_a_guide_has_one_of_three_kinds(kind):
+    """GuideSpec("nonsense") once rendered as a boundary guide, and
+    print_canonical printed it as ``guide boundary``."""
+    with pytest.raises(DslSemanticError, match="guide kind must be one of L, vanish, boundary"):
+        print_canonical(ChartDocument(C2, ZERO, guides=[GuideSpec(kind)]))
+
+
+# integers at, next to and far from the window bound and zero
+_window_ints = st.one_of(
+    st.integers(-4200, 4200),
+    st.sampled_from([-4097, -4096, -4095, -1, 0, 1, 4095, 4096, 4097]),
+)
+
+
+@settings(max_examples=150)
+@given(st.tuples(_window_ints, _window_ints, _window_ints))
+def test_parse_and_emit_svg_admit_the_same_windows(window):
+    """Both doors accept the same windows and word each refusal the same."""
+    try:
+        parsed = parse("group C2\nwindow {} {} {}\n".format(*window))
+    except DslSemanticError as e:
+        with pytest.raises(DslSemanticError) as refused:
+            emit_svg(ChartDocument(C2, ZERO, window))
+        assert (refused.value.reason, e.line, e.col) == (e.reason, 2, 7)
+        event(e.reason.split(" (")[0])
+    else:
+        event("accepted")
+        assert parsed.window == window
+        assert emit_svg(ChartDocument(C2, ZERO, window)) == emit_svg(parsed)
