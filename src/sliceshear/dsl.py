@@ -80,9 +80,10 @@ class ChartDocument(_Record):
 # one process-wide LRU cache serves every document (a chart draws a few hundred
 # distinct pieces); _class_expr adds the piece's column to an error.  parse()
 # also shares one memo between the class and diff lines of a document: per
-# level, the text of a parsed expression to its monomial.  Columns count from
-# where the scan of a token starts, i.e. before its leading whitespace, so a
-# factor's column is that of its piece.
+# level, the text of a parsed expression to its monomial; and it keeps each
+# admitted @C<order> text's level.  Columns count from where the scan of a
+# token starts, i.e. before its leading whitespace, so a factor's column is
+# that of its piece.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -295,6 +296,7 @@ def parse(text: str) -> ChartDocument:
     saw_grading = False
     names: set[str] = set()
     memo: dict = {}  # level -> {expression text: monomial}, for this document only
+    levels: dict[str, int] = {}  # admitted @C<order> text -> level, for this document only
     try:
         for line_no, raw in enumerate(text.splitlines(), 1):
             cut = raw.find("#")
@@ -307,14 +309,15 @@ def parse(text: str) -> ChartDocument:
                 if name in names:
                     raise DslSemanticError(f"duplicate class name {name!r}", col=m.start(1))
                 names.add(name)
-                level = None
-                if lvl_text is not None:
+                level = None if lvl_text is None else levels.get(lvl_text)
+                if level is None and lvl_text is not None:
                     level = parse_group_name(lvl_text, m.start(3)).exponent
                     if level > doc.group.exponent:
                         raise DslSemanticError(
                             f"level {lvl_text} exceeds the chart group {doc.group}",
                             col=m.start(3),
                         )
+                    levels[lvl_text] = level  # only once admitted, so errors keep their place
                 doc.classes.append((name, _class_expr(expr, doc.group, level, m.start(2), memo)))
                 continue
             stmt = _STMT_RE.match(body)
@@ -377,6 +380,13 @@ def _window(window, col: int | None = None) -> tuple[int, int, int]:
     return x_min, x_max, s_max
 
 
+def _guide_group(kind: str, group: CyclicGroup, col: int | None = None) -> None:
+    """Refuse a vanishing or boundary guide over C1: parse's and emit_svg's one group rule."""
+    if kind != "L" and group.exponent < 1:
+        noun = "vanishing" if kind == "vanish" else "boundary"
+        raise DslSemanticError(f"{noun} guides need a group of at least C2", col=col)
+
+
 def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
     m = _GUIDE_L_RE.fullmatch(rest)
     if m:
@@ -390,8 +400,7 @@ def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
         h_col, k_col = col + m.start(1), col + m.start(2)
         h, k = _int(m.group(1), h_col), _int(m.group(2), k_col)
         n = doc.group.exponent - 1
-        if n < 0:
-            raise DslSemanticError("vanishing guides need a group of at least C2", col=col)
+        _guide_group("vanish", doc.group, col)
         try:
             _check_vanishing_index(h, n, k)
         except RepError as e:  # about k when it is out of range, else about h
@@ -402,8 +411,7 @@ def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
             )
         return GuideSpec("vanish", k=k, h=h)
     if rest == "boundary":
-        if doc.group.exponent < 1:
-            raise DslSemanticError("boundary guides need a group of at least C2", col=col)
+        _guide_group("boundary", doc.group, col)
         return GuideSpec("boundary")
     raise DslSyntaxError(
         f"expected 'L<k>', 'vanish h=<h> k=<k>' or 'boundary', got {rest!r}", col=col

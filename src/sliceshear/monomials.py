@@ -19,6 +19,7 @@ canonicalizing body.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .reps import _MAX_INDEX, CyclicGroup, RepError, VirtualRep, _admit, _bounded
@@ -78,11 +79,16 @@ class ClassMonomial(_Record):
     ) -> None:
         # admits every field, then canonicalizes; exported fields admit plain
         # ints only, so bools and floats are refused
+        if type(group) is not CyclicGroup:
+            raise MonomialError(f"monomial group must be a CyclicGroup, got {type(group).__name__}")
         _level(level, group)
         _admit(coeff, "coefficient", error=MonomialError)
         a = _sized("a_exp", tuple(a_exp), level)  # any iterable, as for norms
         u = _sized("u_exp", tuple(u_exp), level)
-        norms = tuple(norms)  # any iterable, read here and again to merge
+        try:  # any iterable of triples, read here and again to merge
+            norms = [(i, j, e) for i, j, e in norms]
+        except (TypeError, ValueError):
+            raise MonomialError("norms must be an iterable of (i, j, exponent) triples") from None
         for i, j, e in norms:
             if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= level:
                 # i and j are bounded before the message prints them
@@ -118,19 +124,25 @@ class ClassMonomial(_Record):
             i, j, e = norms[0]
             norms = ((i, j, e),) if e else ()
         elif norms:
-            merged: dict[tuple[int, int], int] = {}
-            for i, j, e in norms:
+            # one sort by (j, i), then equal neighbours merge and zero exponents drop
+            merged, pi, pj = [], 0, 0  # i >= 1, so (0, 0) is no triple's (i, j)
+            for i, j, e in sorted(norms, key=itemgetter(1, 0)):
                 if e:
-                    merged[j, i] = merged.get((j, i), 0) + e
-            norms = tuple([(i, j, e) for (j, i), e in sorted(merged.items())])
+                    if i == pi and j == pj:
+                        merged[-1] = (i, j, merged[-1][2] + e)
+                    else:  # rebuilt, as a triple may be a list
+                        merged.append((i, j, e))
+                        pi, pj = i, j
+            norms = tuple(merged)
         else:
             norms = ()
         # torsion: a_sigma kills 2 and a_lambda_i kills 2^(i+1), so the first
-        # Euler class present gives the smallest modulus
-        for i, e in enumerate(a):
-            if e:
-                coeff %= 2 << i
-                break
+        # Euler class present gives the smallest modulus; every modulus keeps 0 and 1
+        if not 0 <= coeff <= 1:
+            for i, e in enumerate(a):
+                if e:
+                    coeff %= 2 << i
+                    break
         if coeff == 0:
             a = u = (0,) * level
             norms = ()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dsl import ChartDocument, DslSemanticError, GuideSpec, _window
+from .dsl import ChartDocument, DslSemanticError, GuideSpec, _guide_group, _window
 from .reps import Line, VirtualRep, line_L
 from .vanishing import boundary_line, vanishing_line
 
@@ -88,9 +88,6 @@ def emit_svg(doc: ChartDocument) -> bytes:
     x0, y0 = PAD - x_min * CELL, height - PAD
     left, right, top = x0 + x_min * CELL, x0 + x_max * CELL, y0 - s_max * CELL
 
-    def inside(x: int, s: int) -> bool:
-        return x_min <= x <= x_max and 0 <= s <= s_max
-
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -120,6 +117,7 @@ def emit_svg(doc: ChartDocument) -> bytes:
         out.append(f'  <line class="axis" x1="{x0}" y1="{y0}" x2="{x0}" y2="{top}"/>')
 
     for g in doc.guides:
+        _guide_group(g.kind, doc.group)
         line, label = _guide_line(g, doc)
         seg = _clip(line, window)
         if seg is None:
@@ -138,7 +136,8 @@ def emit_svg(doc: ChartDocument) -> bytes:
     for d in doc.diffs:
         sx, sy, _ = d.source.bidegree()
         tx, ty, _ = d.target.bidegree()
-        if not (inside(sx, sy) and inside(tx, ty)):
+        if not (x_min <= sx <= x_max and 0 <= sy <= s_max and x_min <= tx <= x_max
+                and 0 <= ty <= s_max):
             continue
         visible += 1
         out.append(
@@ -147,7 +146,7 @@ def emit_svg(doc: ChartDocument) -> bytes:
         )
     for name, m in doc.classes:
         x, s, _ = m.bidegree()
-        if m.is_zero or not inside(x, s):
+        if not (m.coeff and x_min <= x <= x_max and 0 <= s <= s_max):
             continue
         visible += 1
         px, py = x0 + x * CELL, y0 - s * CELL

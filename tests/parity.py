@@ -1,6 +1,6 @@
 """Behaviour parity between two trees of the repository.
 
-    python tests/parity.py --base REV [--head REV | --worktree] [--fuzz N]
+    python tests/parity.py --base REV [--head REV | --worktree] [--fuzz N] [--seed S]
 
 Run from anywhere inside a git checkout.  Each side's ``src/`` is exported
 with ``git archive`` into a temporary directory; ``--worktree`` (the default)
@@ -17,6 +17,12 @@ and runs every case of one corpus in process:
 - N seeded ``export_json``/``import_json`` round trips, and N mutated
   export documents, read by ``import_json`` and, with the objects in dict
   and list subclasses, by ``obj_to_monomial``/``obj_to_differential``
+- N seeded chart documents, written by ``chart_text`` from the DSL's grammar,
+  each read by ``parse`` and, when it parses, printed by ``print_canonical``
+  and rendered by ``emit_svg``
+
+``--seed S`` draws another fuzz corpus; without it the round trips and
+mutated documents are the ones each earlier version of this harness drew.
 
 A CLI case records the exit code, stdout, stderr and the bytes of the file
 it writes; a library case records the value's repr or the error's class and
@@ -55,7 +61,7 @@ SWAPS = [True, 2.5, "1", None, 10**3000, -1, 2049]
 
 # -- corpus (built once, from this checkout) -----------------------------------
 
-def corpus(fuzz: int) -> dict:
+def corpus(fuzz: int, seed: int | None = None) -> dict:
     sys.path.insert(0, str(TESTS))
     import smoke
 
@@ -70,7 +76,9 @@ def corpus(fuzz: int) -> dict:
                     {golden.name: golden.read_text(encoding="utf-8")}))
     for n, (dsl, argv, *_) in enumerate(smoke.ERRORS):
         cli.append((f"error example {n}", argv, {} if dsl is None else {"bad.dsl": dsl}))
-    return {"cli": cli, "class_exprs": error_corpus(), "fuzz": fuzz}
+    tag = "" if seed is None else f"{seed}:"
+    charts = [chart_text(random.Random(f"parity chart:{tag}{n}")) for n in range(fuzz)]
+    return {"cli": cli, "class_exprs": error_corpus(), "fuzz": fuzz, "tag": tag, "charts": charts}
 
 
 def error_corpus() -> list:
@@ -84,6 +92,78 @@ def error_corpus() -> list:
             return [[ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1])]
                     for row in node.value.elts]
     raise LookupError("tests/test_dsl.py defines no ERROR_CORPUS")
+
+
+def _power(token: str, rng: random.Random) -> str:
+    return token + rng.choice(["", "", "", "^0", "^2", "^3"])
+
+
+def _factors(rng: random.Random, level: int, pair: tuple[int, int]) -> str:
+    """A class expression at ``level``: zero to five factors, norms that repeat
+    ``pair`` or carry a zero exponent, and coefficients that are zero or
+    vanish under the torsion of an Euler class."""
+    tokens = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice("nnaucd") if level else "c"
+        if kind == "n":
+            i, j = pair if rng.random() < 0.5 else (rng.randint(1, 4), rng.randint(1, level))
+            tokens.append(_power(f"Nt[{i},{j}]", rng))
+        elif kind in "au":
+            slot = rng.randrange(level)
+            base = ("aS" if kind == "a" else "u2S") if slot == 0 else f"{kind}L{slot}"
+            tokens.append(_power(base, rng))
+        elif kind == "d":
+            tokens.append(f"D[{rng.randint(1, level)},{rng.randint(1, 2)}]")
+        else:
+            tokens.append(rng.choice(["0", "1", "-1", "2", "3", "-4"]))
+    return "*".join(tokens) or "1"
+
+
+# d_r of the orientation-class towers over C2 and C4, as the goldens draw them
+_TOWERS = {
+    1: ["3: u2S -> Nt[1,1]*aS^3", "7: u2S^2 -> Nt[2,1]*aS^7", "15: u2S^4 -> Nt[3,1]*aS^15"],
+    2: ["5: u2S -> Nt[1,2]*aL1*aS^3", "13: u2S^2 -> Nt[2,2]*aL1^3*aS^7"],
+}
+# a line that the parser refuses, with {e} the group's exponent
+_BAD_LINES = ["class bad = aS @C{big}", "class bad = Nt[0,1]", "class c0 = u2S", "window 0 -1 3",
+              "guide vanish h=3 k={e}", "class bad = aS @C3", "diff 2: u2S -> aS", "guide L{big}"]
+
+
+def chart_text(rng: random.Random) -> str:
+    """One chart document over C1..C16: classes at the top level and under
+    repeated ``@C<order>`` suffixes, many of them outside a small window,
+    the tower differentials times a common factor, guides, and now and then
+    one line that the parser refuses."""
+    e = rng.choice([0, 1, 1, 2, 2, 3, 4])
+    lines = [f"group C{1 << e}"]
+    if e and rng.random() < 0.5:
+        terms = [f"{rng.randint(-3, 3):+}{name}" for name in ["", "s", *(f"l{i}" for i in range(1, e))]]
+        lines.append("grading " + "".join(terms).lstrip("+"))
+    x_min = -rng.randint(0, 6)
+    lines.append(f"window {x_min} {x_min + rng.randint(0, 24)} {rng.randint(0, 16)}")
+    suffixes = rng.sample(range(e + 1), min(e + 1, 3))  # a few levels, each used often
+    for idx in range(rng.randint(0, 60)):
+        level, suffix = e, ""
+        if rng.random() < 0.4:
+            level = rng.choice(suffixes)
+            suffix = f" @{rng.choice(['', ' '])}C{1 << level}"
+        pair = (rng.randint(1, 4), rng.randint(1, max(level, 1)))
+        lines.append(f"class c{idx} = {_factors(rng, level, pair)}{suffix}")
+    for _ in range(rng.randint(0, 3) if e in _TOWERS else 0):
+        page, arrow = rng.choice(_TOWERS[e]).split(": ")
+        source, target = arrow.split(" -> ")
+        if rng.random() < 0.5:  # a Leibniz product: both ends times one class
+            factor = _factors(rng, e, (1, 1))
+            source, target = f"{source}*{factor}", f"{factor}*{target}"
+        lines.append(f"diff {page}: {source} -> {target}")
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(0, max(e - 1, 0))
+        lines.append(rng.choice([f"guide L{rng.randint(0, e)}", "guide boundary",
+                                 f"guide vanish h={(1 << max(e - 1, 0)) * rng.randint(1, 3)} k={k}"]))
+    if rng.random() < 0.15:
+        bad = rng.choice(_BAD_LINES).format(e=e, big=1 << (e + 1))
+        lines.insert(rng.randint(1, len(lines)), bad)
+    return "\n".join(lines) + "\n"
 
 
 # -- child: every case, against one tree ----------------------------------------
@@ -208,7 +288,7 @@ def child(src: str, corpus_path: str, out_path: str) -> None:
 
     sys.path.insert(0, src)
     import sliceshear as s
-    from sliceshear import cli, dsl
+    from sliceshear import cli, dsl, svg
 
     warnings.simplefilter("ignore")
     spec = json.loads(pathlib.Path(corpus_path).read_text(encoding="utf-8"))
@@ -220,7 +300,7 @@ def child(src: str, corpus_path: str, out_path: str) -> None:
             lambda: dsl.print_canonical(dsl.parse_class_expr(text, s.CyclicGroup(2), level, 7, 4))
         )
     for n in range(spec["fuzz"]):
-        rng = random.Random(f"parity:{n}")
+        rng = random.Random(f"parity:{spec['tag']}{n}")
         items = fuzz_items(s, rng)
         data = s.export_json(items)
         results[f"round trip {n}"] = [digest(data), outcome(s.import_json, data)]
@@ -237,6 +317,13 @@ def child(src: str, corpus_path: str, out_path: str) -> None:
             is_diff = isinstance(obj, dict) and "page" in obj
             read = s.obj_to_differential if is_diff else s.obj_to_monomial
             results[f"mutated {n} subclassed item {idx}"] = outcome(read, obj, f"items[{idx}]")
+    for n, text in enumerate(spec["charts"]):
+        try:
+            doc = dsl.parse(text)
+        except Exception as e:
+            results[f"chart {n}"] = [type(e).__name__, str(e)]
+        else:
+            results[f"chart {n}"] = [outcome(dsl.print_canonical, doc), outcome(svg.emit_svg, doc)]
     pathlib.Path(out_path).write_text(json.dumps(results), encoding="utf-8")
 
 
@@ -285,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="the head side is this checkout's src/ as it is on disk (default)")
     p.add_argument("--fuzz", type=int, default=50,
                    help="seeded round trips and mutated documents (default 50)")
+    p.add_argument("--seed", type=int,
+                   help="draw another fuzz corpus (default: the one earlier versions drew)")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -294,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         except subprocess.CalledProcessError as e:
             print(f"parity: git archive failed: {e.stderr.decode(errors='replace')}", file=sys.stderr)
             return 2
-        spec = corpus(args.fuzz)
+        spec = corpus(args.fuzz, args.seed)
         corpus_path = tmp / "corpus.json"
         corpus_path.write_text(json.dumps(spec), encoding="utf-8")
         try:
@@ -306,8 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     diffs = compare(base, head)
     head_name = args.head or "the worktree"
     print(f"parity: {len(base)} cases ({len(spec['cli'])} CLI calls, "
-          f"{len(spec['class_exprs'])} class expressions, {args.fuzz} round trips and "
-          f"{args.fuzz} mutated documents), {args.base} vs {head_name}: "
+          f"{len(spec['class_exprs'])} class expressions, {args.fuzz} round trips, "
+          f"{args.fuzz} mutated documents and {args.fuzz} chart documents), "
+          f"{args.base} vs {head_name}: "
           f"{len(diffs) or 'no'} difference{'' if len(diffs) == 1 else 's'}")
     for diff in diffs:
         print(f"DIFF {diff}")

@@ -309,6 +309,66 @@ def test_constructor_matches_two_pass_reference(args):
     assert _fields_or_error(stored, args) == _fields_or_error(reference_monomial_fields, args)
 
 
+@st.composite
+def canonical_inputs(draw):
+    """Admitted fields that reach every branch of the canonical form: up to 8
+    norm triples, one (i, j) forced to repeat, zero exponents, tuple and list
+    triples in any order, and coefficients -1, 0, 1 and 2 with and without
+    Euler classes."""
+    exponent = draw(st.integers(0, 4))
+    level = draw(st.integers(0, exponent))
+    norms = []
+    if level:
+        pair = st.tuples(st.integers(1, 5), st.integers(1, level))
+        repeated = draw(pair)
+        norms = [(*repeated, draw(st.integers(0, 3))) for _ in range(draw(st.integers(0, 4)))]
+        norms += draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, level),
+                                         st.integers(0, 3)), max_size=8 - len(norms)))
+        norms = [list(t) if draw(st.booleans()) else t for t in draw(st.permutations(norms))]
+    euler = draw(st.booleans())
+    a = tuple(draw(st.integers(0, 2)) if euler else 0 for _ in range(level))
+    u = tuple(draw(st.integers(0, 2)) for _ in range(level))
+    return C(exponent), level, draw(st.sampled_from([-1, 0, 1, 2])), norms, a, u
+
+
+@given(canonical_inputs())
+@example((C(3), 3, 2, [(1, 2, 1), [1, 2, 0], (1, 2, 2), [2, 1, 3]], (0, 1, 0), (1, 0, 0)))
+@example((C(2), 2, -1, [[1, 1, 0], (1, 1, 0)], (1, 0), (0, 0)))
+def test_both_doors_store_the_reference_canonical_form(args):
+    """The sort-merge of norm factors and the torsion reduction store what the
+    two-pass constructor stored, through the checking and the trusted door."""
+    want = reference_monomial_fields(*args)
+    for m in (ClassMonomial(*args), ClassMonomial._trusted(*args)):
+        assert (m.group, m.level, m.coeff, m.norms, m.a_exp, m.u_exp) == want
+        assert all(type(t) is tuple for t in m.norms)
+
+
+class _Group(CyclicGroup):
+    """A CyclicGroup subclass, which the constructor refuses like any other type."""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, 1), "monomial group must be a CyclicGroup, got NoneType"),
+        ((_Group(1), 1), "monomial group must be a CyclicGroup, got _Group"),
+        ((10**5000, 1), "monomial group must be a CyclicGroup, got int"),
+        ((C2, 1, 1, None), "norms must be an iterable of (i, j, exponent) triples"),
+        ((C2, 1, 1, "x"), "norms must be an iterable of (i, j, exponent) triples"),
+        ((C2, 1, 1, [3]), "norms must be an iterable of (i, j, exponent) triples"),
+        ((C2, 1, 1, [(1, 1)]), "norms must be an iterable of (i, j, exponent) triples"),
+        ((C2, 1, 1, [(1, 1, 1, 1)]), "norms must be an iterable of (i, j, exponent) triples"),
+    ],
+    ids=["group-None", "group-subclass", "group-int-5000-digits", "norms-None", "norms-str",
+         "norm-int", "norm-pair", "norm-quadruple"],
+)
+def test_refuses_a_group_or_norms_of_another_shape(args, message):
+    # each once raised a bare AttributeError, TypeError or ValueError
+    with pytest.raises(MonomialError) as exc:
+        ClassMonomial(*args)
+    assert str(exc.value) == message
+
+
 def test_exponent_vectors_read_any_iterable():
     # a generator once raised a bare TypeError from len(), although norms
     # were read from any iterable

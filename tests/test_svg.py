@@ -281,6 +281,23 @@ def test_a_guide_has_one_of_three_kinds(kind):
         print_canonical(ChartDocument(C2, ZERO, guides=[GuideSpec(kind)]))
 
 
+@pytest.mark.parametrize(
+    "statement, guide",
+    [("guide boundary", GuideSpec("boundary")), ("guide vanish h=1 k=0", GuideSpec("vanish", 0, 1))],
+    ids=["boundary", "vanish"],
+)
+def test_parse_and_emit_svg_refuse_the_same_guides_over_c1(statement, guide):
+    """Over C1, emit_svg once drew a boundary guide and refused a vanishing one
+    with RepError "vanishing index k=0 out of range for n=-1"."""
+    C1 = CyclicGroup(0)
+    with pytest.raises(DslSemanticError) as parsed:
+        parse(f"group C1\n{statement}\n")
+    with pytest.raises(DslSemanticError) as rendered:
+        emit_svg(ChartDocument(C1, VirtualRep.zero(C1), (0, 4, 4), guides=[guide]))
+    assert rendered.value.reason == parsed.value.reason
+    assert parsed.value.reason.endswith("guides need a group of at least C2")
+
+
 # integers at, next to and far from the window bound and zero
 _window_ints = st.one_of(
     st.integers(-4200, 4200),
