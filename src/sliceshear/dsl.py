@@ -80,10 +80,9 @@ class ChartDocument(_Record):
 # one process-wide LRU cache serves every document (a chart draws a few hundred
 # distinct pieces); _class_expr adds the piece's column to an error.  parse()
 # also shares one memo between the class and diff lines of a document: per
-# level, the text of a parsed expression to its monomial; and it keeps each
-# admitted @C<order> text's level.  Columns count from where the scan of a
-# token starts, i.e. before its leading whitespace, so a factor's column is
-# that of its piece.
+# level, the text of a parsed expression to its monomial.  Columns count from
+# where the scan of a token starts, i.e. before its leading whitespace, so a
+# factor's column is that of its piece.
 
 _CLASS_TOKEN = re.compile(
     r"""\s*(?:
@@ -296,7 +295,6 @@ def parse(text: str) -> ChartDocument:
     saw_grading = False
     names: set[str] = set()
     memo: dict = {}  # level -> {expression text: monomial}, for this document only
-    levels: dict[str, int] = {}  # admitted @C<order> text -> level, for this document only
     try:
         for line_no, raw in enumerate(text.splitlines(), 1):
             cut = raw.find("#")
@@ -309,15 +307,14 @@ def parse(text: str) -> ChartDocument:
                 if name in names:
                     raise DslSemanticError(f"duplicate class name {name!r}", col=m.start(1))
                 names.add(name)
-                level = None if lvl_text is None else levels.get(lvl_text)
-                if level is None and lvl_text is not None:
+                level = None
+                if lvl_text is not None:
                     level = parse_group_name(lvl_text, m.start(3)).exponent
                     if level > doc.group.exponent:
                         raise DslSemanticError(
                             f"level {lvl_text} exceeds the chart group {doc.group}",
                             col=m.start(3),
                         )
-                    levels[lvl_text] = level  # only once admitted, so errors keep their place
                 doc.classes.append((name, _class_expr(expr, doc.group, level, m.start(2), memo)))
                 continue
             stmt = _STMT_RE.match(body)

@@ -1,6 +1,6 @@
 """Behaviour parity between two trees of the repository.
 
-    python tests/parity.py --base REV [--head REV | --worktree] [--fuzz N] [--seed S]
+    python tests/parity.py --base REV [--head REV | --worktree] [--fuzz N]
 
 Run from anywhere inside a git checkout.  Each side's ``src/`` is exported
 with ``git archive`` into a temporary directory; ``--worktree`` (the default)
@@ -20,9 +20,6 @@ and runs every case of one corpus in process:
 - N seeded chart documents, written by ``chart_text`` from the DSL's grammar,
   each read by ``parse`` and, when it parses, printed by ``print_canonical``
   and rendered by ``emit_svg``
-
-``--seed S`` draws another fuzz corpus; without it the round trips and
-mutated documents are the ones each earlier version of this harness drew.
 
 A CLI case records the exit code, stdout, stderr and the bytes of the file
 it writes; a library case records the value's repr or the error's class and
@@ -61,7 +58,7 @@ SWAPS = [True, 2.5, "1", None, 10**3000, -1, 2049]
 
 # -- corpus (built once, from this checkout) -----------------------------------
 
-def corpus(fuzz: int, seed: int | None = None) -> dict:
+def corpus(fuzz: int) -> dict:
     sys.path.insert(0, str(TESTS))
     import smoke
 
@@ -76,9 +73,8 @@ def corpus(fuzz: int, seed: int | None = None) -> dict:
                     {golden.name: golden.read_text(encoding="utf-8")}))
     for n, (dsl, argv, *_) in enumerate(smoke.ERRORS):
         cli.append((f"error example {n}", argv, {} if dsl is None else {"bad.dsl": dsl}))
-    tag = "" if seed is None else f"{seed}:"
-    charts = [chart_text(random.Random(f"parity chart:{tag}{n}")) for n in range(fuzz)]
-    return {"cli": cli, "class_exprs": error_corpus(), "fuzz": fuzz, "tag": tag, "charts": charts}
+    charts = [chart_text(random.Random(f"parity chart:{n}")) for n in range(fuzz)]
+    return {"cli": cli, "class_exprs": error_corpus(), "fuzz": fuzz, "charts": charts}
 
 
 def error_corpus() -> list:
@@ -300,7 +296,7 @@ def child(src: str, corpus_path: str, out_path: str) -> None:
             lambda: dsl.print_canonical(dsl.parse_class_expr(text, s.CyclicGroup(2), level, 7, 4))
         )
     for n in range(spec["fuzz"]):
-        rng = random.Random(f"parity:{spec['tag']}{n}")
+        rng = random.Random(f"parity:{n}")
         items = fuzz_items(s, rng)
         data = s.export_json(items)
         results[f"round trip {n}"] = [digest(data), outcome(s.import_json, data)]
@@ -371,9 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     side.add_argument("--worktree", action="store_true",
                       help="the head side is this checkout's src/ as it is on disk (default)")
     p.add_argument("--fuzz", type=int, default=50,
-                   help="seeded round trips and mutated documents (default 50)")
-    p.add_argument("--seed", type=int,
-                   help="draw another fuzz corpus (default: the one earlier versions drew)")
+                   help="seeded round trips, mutated documents and chart documents (default 50)")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -383,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         except subprocess.CalledProcessError as e:
             print(f"parity: git archive failed: {e.stderr.decode(errors='replace')}", file=sys.stderr)
             return 2
-        spec = corpus(args.fuzz, args.seed)
+        spec = corpus(args.fuzz)
         corpus_path = tmp / "corpus.json"
         corpus_path.write_text(json.dumps(spec), encoding="utf-8")
         try:

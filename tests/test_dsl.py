@@ -246,12 +246,6 @@ class TestDocuments:
         assert m.level == 1 and m.group == C(3)
         assert print_canonical(doc).splitlines()[1] == "class t = Nt[1,1]*aS^3 @C2"
 
-    def test_each_level_suffix_keeps_its_own_level(self):
-        # parse keeps one level per @C<order> text, so each text must read as itself
-        suffixes = ["C1", "C16", " C4", "C4", "C2", "C1", "C16", "C2"]
-        text = "group C16\n" + "".join(f"class c{n} = 1 @{x}\n" for n, x in enumerate(suffixes))
-        assert [m.level for _, m in parse(text).classes] == [0, 4, 2, 2, 1, 0, 4, 1]
-
     def test_window_validation(self):
         with pytest.raises(DslSemanticError):
             parse("group C2\nwindow 4 0 4\n")
@@ -567,15 +561,6 @@ def test_coefficient_power_within_digit_limit():
         ("group C4\nguide vanish h=4 k=2\n", "vanishing index k=2 out of range for n=1", 2, 19),
         ("group C1\nguide vanish h=1 k=0\n", "vanishing guides need a group of at least C2", 2, 6),
         ("group C1\nguide boundary\n", "boundary guides need a group of at least C2", 2, 6),
-        # parse keeps the level of each admitted @C<order> text for the rest of the
-        # document: a level once admitted does not admit a later, bad suffix, and a
-        # bad suffix is not kept, so it is refused where it first stands
-        ("group C8\nclass a = aS @C2\nclass b = aS @C2\nclass c = aS @C16\n",
-         "level C16 exceeds the chart group C8", 4, 14),
-        ("group C8\nclass a = aS @C16\nclass b = aS @C16\n",
-         "level C16 exceeds the chart group C8", 2, 14),
-        ("group C8\nclass a = aS @C3\nclass b = aS @C3\n", "group order 3 is not a power of 2",
-         2, 14),
     ],
 )
 def test_statement_errors_carry_the_column(text, message, line, col):
