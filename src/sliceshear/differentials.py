@@ -16,7 +16,7 @@ import warnings
 
 from .monomials import ClassMonomial, MonomialError, expand_orientation
 from .reps import _DIGITS_CAP, _MAX_EXPONENT, _MAX_HEIGHT, _MAX_INDEX, CyclicGroup, VirtualRep
-from .reps import _admit, _EngineError, _Record, _set
+from .reps import _admit, _describe, _EngineError, _Record, _set
 
 __all__ = [
     "Differential",
@@ -65,15 +65,15 @@ class Differential(_Record):
         provenance: str = "user",
     ) -> None:
         if type(group) is not CyclicGroup:
-            raise DifferentialError(f"differential group must be a CyclicGroup, got {group!r}")
+            raise DifferentialError(f"differential group must be a CyclicGroup, got {_describe(group)}")
         if type(page) is not int or not 2 <= page < _DIGITS_CAP:  # a sheared page can be longer
             _admit(page, "differential page", 2, error=DifferentialError)
         if type(source) is not ClassMonomial:
-            raise DifferentialError(f"differential source must be a ClassMonomial, got {source!r}")
+            raise DifferentialError(f"differential source must be a ClassMonomial, got {_describe(source)}")
         if type(target) is not ClassMonomial:
-            raise DifferentialError(f"differential target must be a ClassMonomial, got {target!r}")
+            raise DifferentialError(f"differential target must be a ClassMonomial, got {_describe(target)}")
         if provenance not in PROVENANCES:
-            raise DifferentialError(f"unknown provenance {provenance!r}")
+            raise DifferentialError(f"unknown provenance {_describe(provenance)}")
         _set(self, "group", group)
         _set(self, "page", page)
         _set(self, "source", source)
@@ -223,7 +223,7 @@ class PermanentCycleFact(_Record):
 
     def __init__(self, truncation: int, oriented_rep: VirtualRep, citation: str) -> None:
         if type(oriented_rep) is not VirtualRep:
-            raise DifferentialError(f"oriented rep must be a VirtualRep, got {oriented_rep!r}")
+            raise DifferentialError(f"oriented rep must be a VirtualRep, got {_describe(oriented_rep)}")
         _admit(truncation, "theory truncation index", 1, error=DifferentialError)
         expand_orientation(oriented_rep)
         _set(self, "truncation", truncation)

@@ -20,7 +20,8 @@ from .differentials import Differential, DifferentialError, validate
 from .monomials import ClassMonomial, _d_norms, _level
 from .reps import (
     _DIGITS_CAP, _MAX_INDEX, _MAX_WINDOW, CyclicGroup, DslError, DslSemanticError, DslSyntaxError,
-    RepError, VirtualRep, _bounded, _int, _Record, _set, basis_names, parse_group_name, parse_rep,
+    RepError, VirtualRep, _admit, _bounded, _describe, _int, _Record, _set, basis_names,
+    parse_group_name, parse_rep,
 )
 
 # The literal parsers and DSL errors come from reps, whose __all__ lists them.
@@ -39,13 +40,19 @@ _GUIDES = {"L": "guide L{k}", "vanish": "guide vanish h={h} k={k}", "boundary": 
 
 
 class GuideSpec(_Record):
-    """A requested guide line: kind "L", "vanish" or "boundary"."""
+    """A requested guide line: kind "L" (field k), "vanish" (k and h) or "boundary";
+    a field the kind does not print is None.  ``_guide`` tests it against a group."""
 
     __match_args__ = ("kind", "k", "h")
 
     def __init__(self, kind: str, k: int | None = None, h: int | None = None) -> None:
         if type(kind) is not str or kind not in _GUIDES:
             raise DslSemanticError(f"guide kind must be one of {', '.join(_GUIDES)}")
+        for name, value in (("k", k), ("h", h)):
+            if "{%s}" % name in _GUIDES[kind]:  # the kind's statement prints it
+                _admit(value, f"guide {name}", error=DslSemanticError)
+            elif value is not None:
+                raise DslSemanticError(f"guide {kind} has no {name}, got {_describe(value)}")
         _set(self, "kind", kind)
         _set(self, "k", k)
         _set(self, "h", h)
@@ -285,8 +292,7 @@ _STMT_RE = re.compile(r"\s*(\w+)\s*(.*)$")
 # a whole class statement, the hot path: groups name, expression and level
 _CLASS_RE = re.compile(r"\s*class(?!\w)\s*([A-Za-z_]\w*)\s*=\s*([^@]*)(?:@\s*(.*))?")
 _WINDOW_RE = re.compile(r"(-?\d+)\s+(-?\d+)\s+(-?\d+)")
-_GUIDE_L_RE = re.compile(r"L(\d+)")
-_GUIDE_VANISH_RE = re.compile(r"vanish\s+h\s*=\s*(\d+)\s+k\s*=\s*(\d+)")
+_GUIDE_RE = re.compile(r"L(-?\d+)|vanish\s+h\s*=\s*(-?\d+)\s+k\s*=\s*(-?\d+)|boundary")
 
 
 def parse(text: str) -> ChartDocument:
@@ -350,7 +356,7 @@ def parse(text: str) -> ChartDocument:
             elif keyword == "diff":
                 doc.diffs.append(_diff_spec(rest, doc.group, col, memo))
             elif keyword == "guide":
-                doc.guides.append(_parse_guide(rest.strip(), doc, col))
+                doc.guides.append(_parse_guide(rest.strip(), doc.group, col))
             else:
                 raise DslSyntaxError(f"unknown statement {keyword!r}", col=stmt.start(1))
     except DslError as e:
@@ -377,42 +383,52 @@ def _window(window, col: int | None = None) -> tuple[int, int, int]:
     return x_min, x_max, s_max
 
 
-def _guide_group(kind: str, group: CyclicGroup, col: int | None = None) -> None:
-    """Refuse a vanishing or boundary guide over C1: parse's and emit_svg's one group rule."""
-    if kind != "L" and group.exponent < 1:
-        noun = "vanishing" if kind == "vanish" else "boundary"
+def _guide(g: GuideSpec, group: CyclicGroup, col=None, h_col=None, k_col=None) -> GuideSpec:
+    """g if group's chart can draw it, else a DslSemanticError at parse's columns:
+    the one guide rule of parse, emit_svg and print_canonical."""
+    n = group.exponent - 1
+    if g.kind == "L":
+        if not 0 <= g.k <= group.exponent:
+            raise DslSemanticError(f"guide L{g.k} is out of range for {group}", col=col)
+    elif n < 0:
+        noun = "vanishing" if g.kind == "vanish" else "boundary"
         raise DslSemanticError(f"{noun} guides need a group of at least C2", col=col)
-
-
-def _parse_guide(rest: str, doc: ChartDocument, col: int) -> GuideSpec:
-    m = _GUIDE_L_RE.fullmatch(rest)
-    if m:
-        k = _int(m.group(1), col)
-        if not 0 <= k <= doc.group.exponent:
-            raise DslSemanticError(f"guide L{k} is out of range for {doc.group}", col=col)
-        return GuideSpec("L", k=k)
-    m = _GUIDE_VANISH_RE.fullmatch(rest)
-    if m:
+    elif g.kind == "vanish":
         from .vanishing import _check_vanishing_index
-        h_col, k_col = col + m.start(1), col + m.start(2)
-        h, k = _int(m.group(1), h_col), _int(m.group(2), k_col)
-        n = doc.group.exponent - 1
-        _guide_group("vanish", doc.group, col)
         try:
-            _check_vanishing_index(h, n, k)
-        except RepError as e:  # about k when it is out of range, else about h
-            raise DslSemanticError(str(e), col=k_col if k > n else h_col) from e
-        if h % (1 << n):
-            raise DslSemanticError(
-                f"height {h} is not a multiple of 2^{n} for {doc.group}", col=h_col
-            )
-        return GuideSpec("vanish", k=k, h=h)
-    if rest == "boundary":
-        _guide_group("boundary", doc.group, col)
-        return GuideSpec("boundary")
-    raise DslSyntaxError(
-        f"expected 'L<k>', 'vanish h=<h> k=<k>' or 'boundary', got {rest!r}", col=col
-    )
+            _check_vanishing_index(g.h, n, g.k)
+            if g.h % (1 << n):
+                raise RepError(f"height {g.h} is not a multiple of 2^{n} for {group}")
+        except RepError as e:  # at h when it names the height, else at k
+            raise DslSemanticError(str(e), col=h_col if "height" in str(e) else k_col) from e
+    return g
+
+
+def _parse_guide(rest: str, group: CyclicGroup, col: int) -> GuideSpec:
+    m = _GUIDE_RE.fullmatch(rest)
+    if not m:
+        raise DslSyntaxError(
+            f"expected 'L<k>', 'vanish h=<h> k=<k>' or 'boundary', got {rest!r}", col=col
+        )
+    if m[2] is None:  # L<k> or boundary
+        g = GuideSpec("boundary") if m[1] is None else GuideSpec("L", k=_int(m[1], col))
+        return _guide(g, group, col)
+    h_col, k_col = col + m.start(2), col + m.start(3)
+    g = GuideSpec("vanish", h=_int(m[2], h_col), k=_int(m[3], k_col))  # h is read first
+    return _guide(g, group, col, h_col, k_col)
+
+
+def _chart(doc) -> tuple[int, int, int] | None:
+    """The chart's window, or None: what emit_svg and print_canonical admit by parse's
+    rules first.  Classes and differentials are engine values, admitted when built."""
+    if type(doc) is not ChartDocument:
+        raise DslSemanticError(f"emit_svg renders a ChartDocument, got {type(doc).__name__}")
+    window = None if doc.window is None else _window(doc.window)
+    if type(doc.grading) is not VirtualRep or doc.grading.group != doc.group:
+        raise DslSemanticError("the chart's grading must be a VirtualRep over its group")
+    for g in doc.guides:
+        _guide(g, doc.group)
+    return window
 
 
 # -- canonical printing --------------------------------------------------------
@@ -445,11 +461,11 @@ def _print_differential(d: Differential) -> str:
 
 
 def _print_document(doc: ChartDocument) -> str:
-    lines = [f"group {doc.group}"]
+    window, lines = _chart(doc), [f"group {doc.group}"]
     if not doc.grading.is_zero:
         lines.append(f"grading {doc.grading}")
-    if doc.window is not None:
-        lines.append("window {} {} {}".format(*doc.window))
+    if window is not None:
+        lines.append("window {} {} {}".format(*window))
     for name, m in doc.classes:
         suffix = "" if m.level == doc.group.exponent else f" @{m.level_group}"
         lines.append(f"class {name} = {_print_monomial(m)}{suffix}")
@@ -466,7 +482,7 @@ def print_canonical(x) -> str:
         return _print_monomial(x)
     if isinstance(x, Differential):
         return _print_differential(x)
-    if isinstance(x, ChartDocument):
+    if type(x) is ChartDocument:  # a subclass would not parse back as itself
         return _print_document(x)
     if isinstance(x, VirtualRep):
         return str(x)

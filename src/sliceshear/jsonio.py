@@ -24,7 +24,7 @@ from typing import Iterable, Union
 from .differentials import PROVENANCES, Differential, validate
 from .monomials import ClassMonomial
 from .reps import _DIGITS_CAP, _MAX_DIGITS, _MAX_EXPONENT, _MAX_INDEX, CyclicGroup, _EngineError
-from .reps import basis_names
+from .reps import _describe, basis_names
 
 __all__ = [
     "JsonSchemaError",
@@ -69,7 +69,7 @@ def _lookup(obj, at):
         return obj.get
     if isinstance(obj, dict):
         return lambda key, default: obj[key] if key in obj else default
-    _refuse(obj, at(), f"expected an object, got {obj!r}")
+    _refuse(obj, at(), f"expected an object, got {_describe(obj)}")
 
 
 def _refuse(value, path: str, message: str):
@@ -80,7 +80,7 @@ def _refuse(value, path: str, message: str):
 
 def _int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if type(value) is not int:  # bools, floats and int subclasses, as reps._admit
-        _refuse(value, path, f"expected an integer, got {value!r}")
+        _refuse(value, path, f"expected an integer, got {_describe(value)}")
     if abs(value) >= _DIGITS_CAP:
         raise JsonSchemaError(path, f"has more than {_MAX_DIGITS} digits")
     if minimum is not None and value < minimum:
@@ -115,7 +115,7 @@ def _exp_vector(value, slots: dict[str, int], zero: tuple[int, ...], at, name: s
     """The vector the basis map ``value`` spells; ``at()`` and ``name`` word
     its path only for an error."""
     if not isinstance(value, dict):
-        _refuse(value, f"{at()}.{name}", f"expected an object, got {value!r}")
+        _refuse(value, f"{at()}.{name}", f"expected an object, got {_describe(value)}")
     if not value:
         return zero
     vec = list(zero)

@@ -91,7 +91,7 @@ def _admit(value, name: str, least=None, most=None, where=None, error=RepError) 
     more than 3000 digits" if it has, else "{name}={value} out of range for
     {where}", else "{name} must be >= {least}" (or "<= {most}")."""
     if type(value) is not int:
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_describe(value)}")
     if not ((least is None or least <= value) and (most is None or value <= most)
             and abs(value) < _DIGITS_CAP):
         _bounded(value, error=error, what=name)  # worded without a value too long to print
@@ -112,6 +112,14 @@ _MAX_WINDOW = 4096  # |x_min|, |x_max| and s_max of a chart window
 # value, t' or s' is at most 2^4094 times a sum of them: 4,240 digits, under the 4,300 default
 _MAX_DIGITS = 3000
 _DIGITS_CAP = 10**_MAX_DIGITS  # the least integer with more digits
+
+
+def _describe(value) -> str:
+    """How a refusal names a value: its repr, or its size for an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past the int/str limit: 4,300 digits by default
+        return f"an integer of more than {_MAX_DIGITS} digits"
 
 
 def _bounded(x: int, e: int = 1, error=DslSemanticError, what="coefficient power", **at) -> int:
@@ -207,6 +215,10 @@ class VirtualRep(_Record):
     __match_args__ = ("group", "coeffs")
 
     def __init__(self, group: CyclicGroup, coeffs: tuple[int, ...]) -> None:
+        if type(group) is not CyclicGroup:
+            raise RepError(f"representation group must be a CyclicGroup, got {_describe(group)}")
+        if type(coeffs) is not tuple:
+            raise RepError(f"coefficients must be a tuple, got {_describe(coeffs)}")
         want = group.exponent + 1
         if len(coeffs) != want:
             raise RepError(
@@ -214,7 +226,7 @@ class VirtualRep(_Record):
             )
         for c in coeffs:
             if type(c) is not int:
-                raise RepError(f"coefficients must be integers, got {c!r}")
+                raise RepError(f"coefficients must be integers, got {_describe(c)}")
         _set(self, "group", group)
         _set(self, "coeffs", coeffs)
 

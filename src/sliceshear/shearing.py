@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .reps import _DIGITS_CAP, _MAX_DIGITS, _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line
-from .reps import VirtualRep, _EngineError, _Record, _admit, _set, _shift, _threshold
+from .reps import VirtualRep, _EngineError, _Record, _admit, _describe, _set, _shift, _threshold
 from .reps import constant_C, line_L, rho_bar
 
 if TYPE_CHECKING:
@@ -51,7 +51,9 @@ class ShearContext(_Record):
 
     def __init__(self, source_group: CyclicGroup, k: int, grading: VirtualRep) -> None:
         if type(grading) is not VirtualRep:
-            raise ShearError(f"shear grading must be a VirtualRep, got {grading!r}")
+            raise ShearError(f"shear grading must be a VirtualRep, got {_describe(grading)}")
+        if type(source_group) is not CyclicGroup:
+            raise ShearError(f"shear source must be a CyclicGroup, got {_describe(source_group)}")
         _admit(k, "shear step k", 0, _MAX_EXPONENT - source_group.exponent, error=ShearError)
         if k > 0 and source_group.exponent < 1:
             raise ShearError("the source group of a nontrivial shear cannot be trivial")
@@ -228,7 +230,7 @@ def tower_report(n: int, m: int, grading: VirtualRep | None = None) -> list[Towe
     if n < 1 or m < 1:
         raise ShearError(f"tower indices must satisfy n >= 1, m >= 1, got ({n}, {m})")
     if grading is not None and type(grading) is not VirtualRep:
-        raise ShearError(f"tower grading must be a VirtualRep, got {grading!r}")
+        raise ShearError(f"tower grading must be a VirtualRep, got {_describe(grading)}")
     group = CyclicGroup(n + 1)
     V = VirtualRep.zero(group) if grading is None else grading
     if V.group != group:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dsl import ChartDocument, DslSemanticError, GuideSpec, _guide_group, _window
-from .reps import Line, VirtualRep, line_L
+from .dsl import ChartDocument, DslSemanticError, GuideSpec, _chart
+from .reps import Line, line_L
 from .vanishing import boundary_line, vanishing_line
 
 __all__ = ["emit_svg"]
@@ -71,15 +71,11 @@ def _clip(line: Line, window: tuple[int, int, int]):
 
 
 def emit_svg(doc: ChartDocument) -> bytes:
-    """Render a chart document; requires the window to be set.  The window and
-    the grading are admitted as ``parse`` admits them."""
-    if type(doc) is not ChartDocument:
-        raise DslSemanticError(f"emit_svg renders a ChartDocument, got {type(doc).__name__}")
-    if doc.window is None:
+    """Render a chart document; requires the window to be set.  The window, the
+    grading and the guides are admitted as ``parse`` admits them."""
+    if (window := _chart(doc)) is None:
         raise DslSemanticError("cannot render a chart without a window")
-    window = x_min, x_max, s_max = _window(doc.window)
-    if type(doc.grading) is not VirtualRep or doc.grading.group != doc.group:
-        raise DslSemanticError("the chart's grading must be a VirtualRep over its group")
+    x_min, x_max, s_max = window
     width = 2 * PAD + (x_max - x_min) * CELL
     height = 2 * PAD + s_max * CELL
 
@@ -117,7 +113,6 @@ def emit_svg(doc: ChartDocument) -> bytes:
         out.append(f'  <line class="axis" x1="{x0}" y1="{y0}" x2="{x0}" y2="{top}"/>')
 
     for g in doc.guides:
-        _guide_group(g.kind, doc.group)
         line, label = _guide_line(g, doc)
         seg = _clip(line, window)
         if seg is None:

@@ -15,7 +15,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .reps import _MAX_EXPONENT, _MAX_HEIGHT, CyclicGroup, Line, RepError, VirtualRep, _admit
-from .reps import _bounded, _Record, _set, line_L
+from .reps import _bounded, _describe, _Record, _set, line_L
 
 if TYPE_CHECKING:
     from .differentials import Differential
@@ -42,7 +42,7 @@ class VanishingProfile(_Record):
 
     def __init__(self, n: int, h: int, grading: VirtualRep) -> None:
         if type(grading) is not VirtualRep:
-            raise RepError(f"profile grading must be a VirtualRep, got {grading!r}")
+            raise RepError(f"profile grading must be a VirtualRep, got {_describe(grading)}")
         _admit(n, "profile index n")
         _admit(h, "height", most=_MAX_HEIGHT)  # both before n's range, as the messages go
         _admit(n, "profile index n", 0, _MAX_EXPONENT - 1)
@@ -131,9 +131,9 @@ def admissible(d: Differential, profile: VanishingProfile) -> list[Violation]:
     # nothing: the vanishing table loads no monomials, and a call spends no import
     differentials = sys.modules.get(_DIFFERENTIALS)
     if differentials is None or type(d) is not differentials.Differential:
-        raise RepError(f"admissible differential must be a Differential, got {d!r}")
+        raise RepError(f"admissible differential must be a Differential, got {_describe(d)}")
     if type(profile) is not VanishingProfile:
-        raise RepError(f"admissible profile must be a VanishingProfile, got {profile!r}")
+        raise RepError(f"admissible profile must be a VanishingProfile, got {_describe(profile)}")
     if d.group != profile.group:
         raise RepError(
             f"differential over {d.group} does not match profile over {profile.group}"

@@ -336,6 +336,7 @@ def admission_checks() -> list:
     c4, c8 = s.CyclicGroup(2), s.CyclicGroup(3)
     two_s, three_s = (s.VirtualRep.of(s.CyclicGroup(1), sigma=e) for e in (2, 3))
     # u2S -> Nt[1,1]*aL1*aS over C4: stem and filtration agree, the degree does not
+    one = s.ClassMonomial(s.CyclicGroup(1), 1)
     skew = s.Differential(c4, 3, s.ClassMonomial(c4, 2, u_exp=(1,)),
                           s.ClassMonomial(c4, 2, 1, ((1, 1, 1),), (1, 1)))
     return [
@@ -376,6 +377,19 @@ def admission_checks() -> list:
         ("validate(u2S -> Nt[1,1]*aL1*aS over C4)", lambda: s.validate(skew), None,
          ["degree mismatch: target degree 1-l1 is not source degree minus one trivial "
           "summand (1-2s)"]),
+        # the output doors admit a hand-built chart by parse's rules
+        ("emit_svg(<C8 chart with guide vanish h=2 k=0>)", lambda: s.emit_svg(s.ChartDocument(
+            c8, s.VirtualRep.zero(c8), (0, 4, 4), guides=[s.GuideSpec("vanish", k=0, h=2)])),
+         s.DslSemanticError, "height 2 is not a multiple of 2^2 for C8"),
+        ("print_canonical(<chart with window (3, 0, 2)>)", lambda: s.print_canonical(
+            s.ChartDocument(c4, s.VirtualRep.zero(c4), (3, 0, 2))),
+         s.DslSemanticError, "degenerate window (3, 0, 2)"),
+        # each leaked a bare ValueError or AttributeError
+        ("Differential(10**5000, 2, m, m)", lambda: s.Differential(10**5000, 2, one, one),
+         s.DifferentialError,
+         "differential group must be a CyclicGroup, got an integer of more than 3000 digits"),
+        ("VirtualRep(None, (0,))", lambda: s.VirtualRep(None, (0,)),
+         s.RepError, "representation group must be a CyclicGroup, got None"),
     ]
 
 

@@ -49,11 +49,13 @@ from sliceshear import (
     leibniz,
     line_L,
     norm_class,
+    obj_to_monomial,
     parse,
     parse_class_expr,
     print_canonical,
     shear_degree,
     shear_length,
+    tower_report,
     transport,
     validate,
     vanishing_line,
@@ -286,6 +288,53 @@ def test_library_value_past_the_digit_bound_raises_an_engine_error(
             call()
         assert str(exc.value) == message
     assert time.perf_counter() - start < 1
+
+
+class _Int(int):
+    """An int subclass, which every door refuses by type and words through its repr."""
+
+
+_C2 = CyclicGroup(1)
+_ONE = ClassMonomial(_C2, 1)
+_MONOMIAL = {"group": 1, "level": 1, "coeff": 1, "norms": [], "a": {}, "u": {}}
+# every refusal that names the value it got, called with that value
+_DESCRIBED = {
+    "admit": (lambda x: line_L(VirtualRep.zero(_C2), x), RepError),
+    "rep-group": (lambda x: VirtualRep(x, (0,)), RepError),
+    "rep-coefficient": (lambda x: VirtualRep(_C2, (x, 0)), RepError),
+    "differential-group": (lambda x: Differential(x, 3, _ONE, _ONE), DifferentialError),
+    "differential-source": (lambda x: Differential(_C2, 3, x, _ONE), DifferentialError),
+    "differential-target": (lambda x: Differential(_C2, 3, _ONE, x), DifferentialError),
+    "differential-provenance": (lambda x: Differential(_C2, 3, _ONE, _ONE, x), DifferentialError),
+    "permanent-cycle": (lambda x: PermanentCycleFact(1, x, "x"), DifferentialError),
+    "shear-group": (lambda x: ShearContext(x, 0, VirtualRep.zero(_C2)), ShearError),
+    "shear-grading": (lambda x: ShearContext(_C2, 0, x), ShearError),
+    "tower": (lambda x: tower_report(1, 1, x), ShearError),
+    "profile": (lambda x: VanishingProfile(0, 1, x), RepError),
+    "admissible-differential": (
+        lambda x: admissible(x, VanishingProfile(0, 1, VirtualRep.zero(_C2))), RepError),
+    "admissible-profile": (lambda x: admissible(hhr_family(0, 1), x), RepError),
+    "json-object": (lambda x: obj_to_monomial(x), JsonSchemaError),
+    "json-int": (lambda x: obj_to_monomial({**_MONOMIAL, "coeff": x}), JsonSchemaError),
+    "json-exponents": (lambda x: obj_to_monomial({**_MONOMIAL, "a": x}), JsonSchemaError),
+    "guide-field": (lambda x: GuideSpec("boundary", k=x), DslSemanticError),
+}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    # a plain int coefficient of a representation has no digit bound yet
+    [(site, value) for site in _DESCRIBED for value in (10**5000, _Int(10**5000))
+     if (site, type(value)) != ("rep-coefficient", int)],
+    ids=lambda v: v if type(v) is str else type(v).__name__,
+)
+def test_a_refusal_names_an_int_too_long_to_print_by_its_size(site, value, default_digit_limit):
+    """Each refusal that prints the value it got once leaked the int/str
+    limit's bare ValueError for an int of 5,001 digits."""
+    call, error = _DESCRIBED[site]
+    with pytest.raises(error) as exc:
+        call(value)
+    assert str(exc.value).endswith("more than 3000 digits")
 
 
 def test_chart_text_at_each_bound_is_accepted():

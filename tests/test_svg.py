@@ -16,9 +16,11 @@ from sliceshear import (
     VirtualRep,
     emit_svg,
     parse,
+    parse_group_name,
     print_canonical,
     vanishing_line,
 )
+from sliceshear.dsl import _GUIDES
 from sliceshear.svg import _clip, _escape, _guide_line
 from helpers import random_document, random_rep, reference_emit_svg
 
@@ -215,7 +217,7 @@ def test_a_vanishing_guide_is_skipped_only_where_clip_drops_its_line():
         x_min = rng.randint(-30, 10)
         doc.window = (x_min, x_min + rng.randint(0, 12), rng.randint(0, 60))
         k = rng.randint(0, n)
-        g = GuideSpec("vanish", k=k, h=rng.randint(1, 5) << k)
+        g = GuideSpec("vanish", k=k, h=rng.randint(1, 5) << n)  # 2^k divides h as k <= n
         full = vanishing_line(doc.grading, g.h, k)
         assert _guide_line(g, doc) == (full, f"N k={k}")
         doc.guides = [g]
@@ -273,6 +275,16 @@ def test_emit_svg_refuses_what_is_not_a_chart_document():
         emit_svg(None)
 
 
+def test_print_canonical_refuses_a_subclass_of_chart_document():
+    """parse never returns a subclass, so its text would not read back as the value."""
+
+    class Chart(ChartDocument):
+        pass
+
+    with pytest.raises(TypeError, match="cannot print Chart canonically"):
+        print_canonical(Chart(C2, ZERO))
+
+
 @pytest.mark.parametrize("kind", ["nonsense", "", "l", ["L"], None])
 def test_a_guide_has_one_of_three_kinds(kind):
     """GuideSpec("nonsense") once rendered as a boundary guide, and
@@ -282,20 +294,101 @@ def test_a_guide_has_one_of_three_kinds(kind):
 
 
 @pytest.mark.parametrize(
-    "statement, guide",
-    [("guide boundary", GuideSpec("boundary")), ("guide vanish h=1 k=0", GuideSpec("vanish", 0, 1))],
-    ids=["boundary", "vanish"],
+    "kind, k, h, message",
+    [
+        ("boundary", 1, None, "guide boundary has no k, got 1"),
+        ("L", 1, 4, "guide L has no h, got 4"),
+        ("L", None, None, "guide k must be an integer, got None"),
+        ("vanish", True, 2, "guide k must be an integer, got True"),
+        ("vanish", 1, 2.0, "guide h must be an integer, got 2.0"),
+    ],
 )
-def test_parse_and_emit_svg_refuse_the_same_guides_over_c1(statement, guide):
-    """Over C1, emit_svg once drew a boundary guide and refused a vanishing one
-    with RepError "vanishing index k=0 out of range for n=-1"."""
-    C1 = CyclicGroup(0)
+def test_a_guide_admits_the_fields_its_kind_prints(kind, k, h, message):
+    """GuideSpec("boundary", k=1) once printed as ``guide boundary``, which
+    parses back as another value, and GuideSpec("L") printed ``guide LNone``."""
+    with pytest.raises(DslSemanticError) as e:
+        GuideSpec(kind, k, h)
+    assert str(e.value) == message
+
+
+# a guide statement over a group whose chart cannot draw it, and the GuideSpec it spells
+REFUSED_GUIDES = [
+    ("C1", "guide boundary", GuideSpec("boundary"), "boundary guides need a group of at least C2"),
+    ("C1", "guide vanish h=1 k=0", GuideSpec("vanish", 0, 1),
+     "vanishing guides need a group of at least C2"),
+    ("C4", "guide L-1", GuideSpec("L", -1), "guide L-1 is out of range for C4"),
+    ("C4", "guide L3", GuideSpec("L", 3), "guide L3 is out of range for C4"),
+    ("C8", "guide vanish h=4 k=3", GuideSpec("vanish", 3, 4),
+     "vanishing index k=3 out of range for n=2"),
+    ("C8", "guide vanish h=2 k=0", GuideSpec("vanish", 0, 2),
+     "height 2 is not a multiple of 2^2 for C8"),
+    ("C4", "guide vanish h=4098 k=1", GuideSpec("vanish", 1, 4098),
+     "height must be <= 4096, got 4098"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, statement, guide, reason",
+    REFUSED_GUIDES,
+    ids=["boundary", "vanish", "L-negative", "L-past-n", "vanish-k-past-n", "vanish-h-odd",
+         "vanish-h-past-bound"],
+)
+def test_parse_and_emit_svg_refuse_the_same_guides_over_c1(group, statement, guide, reason):
+    """All three chart doors refuse each guide with one reason.  Over C1,
+    emit_svg once drew a boundary guide and refused a vanishing one with
+    RepError "vanishing index k=0 out of range for n=-1"; over C8 it drew
+    h = 2, and print_canonical printed each of these guides."""
     with pytest.raises(DslSemanticError) as parsed:
-        parse(f"group C1\n{statement}\n")
-    with pytest.raises(DslSemanticError) as rendered:
-        emit_svg(ChartDocument(C1, VirtualRep.zero(C1), (0, 4, 4), guides=[guide]))
-    assert rendered.value.reason == parsed.value.reason
-    assert parsed.value.reason.endswith("guides need a group of at least C2")
+        parse(f"group {group}\n{statement}\n")
+    G = parse_group_name(group)
+    doc = ChartDocument(G, VirtualRep.zero(G), (0, 4, 4), guides=[guide])
+    for door in (emit_svg, print_canonical):
+        with pytest.raises(DslSemanticError) as refused:
+            door(doc)
+        assert refused.value.reason == parsed.value.reason == reason
+
+
+def test_both_output_doors_refuse_a_broken_field_with_parses_reason():
+    """A random document with one field broken (its window, its grading's
+    group, or one guide's k or h) is refused by emit_svg and print_canonical
+    with one reason, parse's for that statement where parse can spell it."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(400):
+        doc = random_document(rng)
+        e = doc.group.exponent
+        field = rng.choice(["window", "grading", "L", "vanish-k", "vanish-h"])
+        statement = None
+        if field == "window":
+            x_min, x_max, s_max = doc.window or (0, 4, 4)
+            doc.window = rng.choice(
+                [(x_max + 1, x_min, s_max), (x_min, x_max, -1), (x_min, 4097, s_max)]
+            )
+            statement = "window {} {} {}".format(*doc.window)
+        elif field == "grading":
+            doc.grading = VirtualRep.zero(CyclicGroup(e + rng.choice([-1, 1])))
+        else:
+            n = e - 1
+            # past the bound, or not a multiple of 2^n (which every h is for n = 0)
+            bad_h = [4097 << n, (1 << n) + 1] if n else [4097]
+            guide = {
+                "L": GuideSpec("L", k=rng.choice([-1, e + 1])),
+                "vanish-k": GuideSpec("vanish", k=e, h=1 << n),
+                "vanish-h": GuideSpec("vanish", k=0, h=rng.choice(bad_h)),
+            }[field]
+            doc.guides.insert(rng.randint(0, len(doc.guides)), guide)
+            statement = _GUIDES[guide.kind].format(k=guide.k, h=guide.h)
+        with pytest.raises(DslSemanticError) as rendered:
+            emit_svg(doc)
+        with pytest.raises(DslSemanticError) as printed:
+            print_canonical(doc)
+        assert rendered.value.reason == printed.value.reason
+        if statement is not None:
+            with pytest.raises(DslSemanticError) as parsed:
+                parse(f"group {doc.group}\n{statement}\n")
+            assert rendered.value.reason == parsed.value.reason
+        seen.add(field)
+    assert len(seen) == 5
 
 
 # integers at, next to and far from the window bound and zero
